@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .coefficients import ROTATION, CoefficientField, require_elliptic
+from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import (
     DegenerateInputError,
     MeshError,
@@ -99,11 +99,6 @@ class QuasiconformalDefect:
     ratio_unbounded: bool
     near_degenerate: bool
 
-    def __iter__(self):
-        # unpacks as (sup_ratio, min_jacobian_f); the flags stay addressable
-        yield self.sup_ratio
-        yield self.min_jacobian_f
-
 
 @dataclass(frozen=True)
 class InjectivityResult:
@@ -175,8 +170,7 @@ def stream_function(
             f"stream function needs a simply connected domain; mesh has "
             f"{len(mesh.loops)} boundary loops"
         )
-    require_elliptic(sigma, mesh.centroids)
-    S = sigma.at_points(mesh.centroids)
+    S = require_elliptic(sigma, mesh.centroids)
     gu = gradient_field(u).vectors
     w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gu)
 
@@ -221,27 +215,16 @@ def complex_derivatives(u: ScalarField, v: ScalarField) -> ComplexDerivativeFiel
     return ComplexDerivativeField(u.mesh, fz, fzbar, value_scale=scale)
 
 
-def _dilatation_arrays(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    tr = S[:, 0, 0] + S[:, 1, 1]
-    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
-    denom = 1.0 + tr + det
-    mu = (S[:, 1, 1] - S[:, 0, 0] - 1j * (S[:, 0, 1] + S[:, 1, 0])) / denom
-    nu = (1.0 - det + 1j * (S[:, 0, 1] - S[:, 1, 0])) / denom
-    return mu, nu
-
-
 def beltrami_residual(cd: ComplexDerivativeField, sigma: CoefficientField) -> float:
     """Area-weighted relative L2 defect of fzbar = mu fz + nu conj(fz)."""
     mesh = cd.mesh
-    require_elliptic(sigma, mesh.centroids)
-    S = sigma.at_points(mesh.centroids)
-    mu, nu = _dilatation_arrays(S)
+    d = dilatations(require_elliptic(sigma, mesh.centroids))
     den = float(np.sqrt(np.sum(mesh.areas * np.abs(cd.fz) ** 2)))
     # constant nodal data leaves roundoff-sized gradients, not exact zeros
     floor = 1e-12 * cd.value_scale * math.sqrt(float(mesh.areas.sum())) / mesh.h
     if den <= floor:
         raise DegenerateInputError("fz vanishes identically; f is constant")
-    defect = cd.fzbar - mu * cd.fz - nu * np.conj(cd.fz)
+    defect = cd.fzbar - d.mu * cd.fz - d.nu * np.conj(cd.fz)
     return float(np.sqrt(np.sum(mesh.areas * np.abs(defect) ** 2))) / den
 
 

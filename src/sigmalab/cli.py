@@ -47,29 +47,35 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def build_domain(descriptor: str, h: float) -> meshmod.Mesh:
+_DOMAIN_KEYS = {"disk": ("r",), "annulus": ("rin", "rout"), "rect": ("w", "h")}
+
+
+def _parse_domain(descriptor: str) -> tuple[str, dict]:
+    """Domain name and parameters, with the name known and its required keys present."""
     name, p = coefficients.parse_descriptor(descriptor)
+    if name not in _DOMAIN_KEYS:
+        raise ConfigError(f"unknown domain '{descriptor}'")
+    keys = _DOMAIN_KEYS[name]
+    if any(k not in p for k in keys):
+        raise ConfigError(f"{name} domain needs {' and '.join(keys)}")
+    return name, p
+
+
+def build_domain(descriptor: str, h: float) -> meshmod.Mesh:
+    name, p = _parse_domain(descriptor)
     if name == "disk":
-        if "r" not in p:
-            raise ConfigError("disk domain needs r")
         return meshmod.generate_disk((p.get("cx", 0.0), p.get("cy", 0.0)), p["r"], h)
     if name == "annulus":
-        if "rin" not in p or "rout" not in p:
-            raise ConfigError("annulus domain needs rin and rout")
         return meshmod.generate_annulus(
             (p.get("cx", 0.0), p.get("cy", 0.0)), p["rin"], p["rout"], h
         )
-    if name == "rect":
-        if "w" not in p or "h" not in p:
-            raise ConfigError("rect domain needs w and h")
-        return meshmod.generate_rectangle(
-            (p.get("x0", 0.0), p.get("y0", 0.0)), p["w"], p["h"], h
-        )
-    raise ConfigError(f"unknown domain '{descriptor}'")
+    return meshmod.generate_rectangle(
+        (p.get("x0", 0.0), p.get("y0", 0.0)), p["w"], p["h"], h
+    )
 
 
 def build_grid(descriptor: str, spacing: float) -> fd.GridDomain:
-    name, p = coefficients.parse_descriptor(descriptor)
+    name, p = _parse_domain(descriptor)
     if name == "annulus":
         return fd.annulus_grid(
             (p.get("cx", 0.0), p.get("cy", 0.0)), p["rin"], p["rout"], spacing
@@ -150,7 +156,7 @@ def cmd_solve(cfg):
     u, residual = solve_component(m, sigma, data)
 
     grad_norms = fem.gradient_field(u).norms()
-    ref = np.array([float(data.value(x, y)) for x, y in m.vertices])
+    ref = data.value(*m.vertices.T)
     linf = float(np.abs(u.values - ref).max())
     l2 = fem.relative_l2_error(u, lambda x, y: float(data.value(x, y)))
     summary_data = {
@@ -196,7 +202,7 @@ def cmd_solve_nd(cfg):
         raise ConfigError(f"unknown drift descriptor '{bdesc}' (use auto or zero)")
     u = fd.solve_nondivergence(grid, sigma, drift, lambda x, y: float(data.value(x, y)))
 
-    ref = np.array([float(data.value(x, y)) for x, y in pts])
+    ref = data.value(*pts.T)
     uh = u.values[grid.interior_mask]
     denom = float(np.sqrt(np.sum(ref**2)))
     l2 = float(np.sqrt(np.sum((uh - ref) ** 2))) / denom if denom > 0 else math.inf
@@ -296,7 +302,7 @@ def cmd_meyers(cfg):
     alpha = cfg["alpha"]
     if not alpha > 0:
         raise ConfigError("alpha must be positive")
-    name, p = coefficients.parse_descriptor(cfg["domain"])
+    name, p = _parse_domain(cfg["domain"])
     if name != "annulus":
         raise ConfigError("the meyers reproduction runs on an annulus domain")
     sigma = coefficients.meyers_sigma(alpha)
@@ -320,7 +326,7 @@ def cmd_meyers(cfg):
         cent = m.centroids
         radii = np.hypot(cent[:, 0] - p.get("cx", 0.0), cent[:, 1] - p.get("cy", 0.0))
         region = radii >= jac_rmin
-        det_exact = np.array([oracles.meyers_jacobian(alpha, c) for c in cent])
+        det_exact = oracles.meyers_jacobian(alpha, cent)
         jac_err = float(
             np.abs(det[region] - det_exact[region]).max()
             / np.abs(det_exact[region]).max()
@@ -403,8 +409,8 @@ def cmd_unimodal(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     data = resolve_scalar_data(cfg)
     loop_index = int(cfg.get("loop", 0))
-    trace = meshmod.boundary_trace(m, loop_index)
-    vals = [float(data.value(x, y)) for _, (x, y) in trace]
+    _, xy = zip(*meshmod.boundary_trace(m, loop_index))
+    vals = data.value(*np.transpose(xy))
     verdict = analysis.unimodality_check(vals, atol=cfg.get("atol", 1e-12))
     files = {
         "unimodal_report.json": dumps(
@@ -517,6 +523,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     missing = [k for k in _REQUIRED[args.command] if not cfg.get(k)]
     if missing:
         raise ConfigError(f"missing required options for {args.command}: {missing}")
+    for key in ("h", "spacing", "alpha", "margin", "fd_step", "atol"):
+        value = cfg[key]
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"option {key} must be a finite number, got {value!r}")
     return cfg
 
 

@@ -1,8 +1,9 @@
 """Coefficient matrices sigma(x), ellipticity checks, and complex dilatations.
 
-A coefficient field is a pointwise evaluator x -> 2x2 matrix; the solvers
-decide where to sample it (triangle centroids, grid nodes). Evaluators must
-be pure functions so fields can be shared freely.
+A coefficient field is an array evaluator: coordinate arrays (X, Y) of shape
+(n,) map to an (n, 2, 2) array of matrices, one per point. The solvers decide
+where to sample it (triangle centroids, grid nodes) and sample each set once.
+Evaluators must be pure functions so fields can be shared freely.
 """
 
 from __future__ import annotations
@@ -21,54 +22,69 @@ ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 _SINGULAR_DET = 1e-12
 
 
+def _evaluate(evaluator, points, tail: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(points as (n, 2), evaluator output of shape (n,) + tail), checked finite."""
+    P = np.asarray(points, dtype=float).reshape(-1, 2)
+    X, Y = np.ascontiguousarray(P.T)
+    V = np.asarray(evaluator(X, Y), dtype=float)
+    if V.shape != (len(P),) + tail:
+        raise EllipticityError(
+            f"{what} returned shape {V.shape}, expected {(len(P),) + tail}"
+        )
+    finite = np.isfinite(V).all(axis=tuple(range(1, V.ndim)))
+    _raise_at_first(P, ~finite, f"{what} has non-finite entries")
+    return P, V
+
+
+def _raise_at_first(P: np.ndarray, bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        x, y = P[int(np.argmax(bad))]
+        raise EllipticityError(f"{message} at ({x}, {y})")
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Matrix-valued map x -> sigma(x).
 
-    evaluator takes (x1, x2) and returns a 2x2 array; symmetric is the
-    caller's claim, checked opportunistically where matrices are evaluated.
+    evaluator takes coordinate arrays (X, Y) of shape (n,) and returns an
+    (n, 2, 2) array; symmetric is the caller's claim, checked wherever
+    matrices are evaluated.
     """
 
-    evaluator: Callable[[float, float], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     symmetric: bool
     descriptor: str
 
     def at(self, x1: float, x2: float) -> np.ndarray:
-        m = np.asarray(self.evaluator(x1, x2), dtype=float)
-        if m.shape != (2, 2):
-            raise EllipticityError(
-                f"field '{self.descriptor}' returned shape {m.shape} at ({x1}, {x2})"
-            )
-        if not np.isfinite(m).all():
-            raise EllipticityError(
-                f"field '{self.descriptor}' has non-finite entries at ({x1}, {x2})"
-            )
-        if self.symmetric and abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + abs(m[0, 1])):
-            raise EllipticityError(
-                f"field '{self.descriptor}' claims symmetry but "
-                f"sigma12 != sigma21 at ({x1}, {x2})"
-            )
-        return m
+        return self.at_points([(x1, x2)])[0]
 
     def at_points(self, points) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.at(x, y) for x, y in points])
+        P, S = _evaluate(self.evaluator, points, (2, 2), f"field '{self.descriptor}'")
+        if self.symmetric:
+            _raise_at_first(
+                P,
+                np.abs(S[:, 0, 1] - S[:, 1, 0]) > 1e-12 * (1.0 + np.abs(S[:, 0, 1])),
+                f"field '{self.descriptor}' claims symmetry but sigma12 != sigma21",
+            )
+        return S
 
 
 @dataclass(frozen=True)
 class VectorField2:
-    """Vector-valued map x -> b(x), the lower-order coefficient."""
+    """Vector-valued map x -> b(x), the lower-order coefficient.
 
-    evaluator: Callable[[float, float], tuple]
+    evaluator takes coordinate arrays (X, Y) of shape (n,) and returns an
+    (n, 2) array.
+    """
+
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: str = ""
 
     def at(self, x1: float, x2: float) -> np.ndarray:
-        v = np.asarray(self.evaluator(x1, x2), dtype=float)
-        if v.shape != (2,) or not np.isfinite(v).all():
-            raise EllipticityError(
-                f"vector field '{self.descriptor}' invalid at ({x1}, {x2})"
-            )
-        return v
+        return self.at_points([(x1, x2)])[0]
+
+    def at_points(self, points) -> np.ndarray:
+        return _evaluate(self.evaluator, points, (2,), f"vector field '{self.descriptor}'")[1]
 
 
 @dataclass(frozen=True)
@@ -76,7 +92,8 @@ class EllipticityReport:
     """Sampled ellipticity summary.
 
     K_estimate is 1 / min(min_sym_eig, min_inv_sym_eig) when the field passes
-    (both minima positive) and None otherwise.
+    (both minima positive) and None otherwise. samples holds sigma at the
+    sample points, shape (n, 2, 2).
     """
 
     K_estimate: Optional[float]
@@ -84,6 +101,7 @@ class EllipticityReport:
     min_inv_sym_eig: float
     sample_count: int
     worst_point: tuple[float, float]
+    samples: np.ndarray = field(repr=False, compare=False)
 
     @property
     def elliptic(self) -> bool:
@@ -102,19 +120,19 @@ class EllipticityReport:
 
 @dataclass(frozen=True)
 class DilatationPair:
-    mu: complex
-    nu: complex
+    mu: complex | np.ndarray
+    nu: complex | np.ndarray
 
     @property
-    def magnitude(self) -> float:
+    def magnitude(self) -> float | np.ndarray:
         return abs(self.mu) + abs(self.nu)
 
 
-def _min_sym_eig(m: np.ndarray) -> float:
+def _min_sym_eig(S: np.ndarray) -> np.ndarray:
     # eigenvalues of the symmetric part; only it enters sigma xi . xi
-    half = 0.5 * (m[0, 1] + m[1, 0])
-    mean = 0.5 * (m[0, 0] + m[1, 1])
-    rad = math.hypot(0.5 * (m[0, 0] - m[1, 1]), half)
+    half = 0.5 * (S[..., 0, 1] + S[..., 1, 0])
+    mean = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
+    rad = np.hypot(0.5 * (S[..., 0, 0] - S[..., 1, 1]), half)
     return mean - rad
 
 
@@ -125,40 +143,31 @@ def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityRep
     and of sym(sigma^{-1}). Raises on singular or non-finite samples; a
     non-elliptic field is reported, not raised (K_estimate None).
     """
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise EllipticityError("ellipticity check needs a nonempty sample set")
-    worst = math.inf
-    worst_point = (float(pts[0, 0]), float(pts[0, 1]))
-    min_sym = math.inf
-    min_inv = math.inf
-    for x, y in pts:
-        m = field.at(x, y)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) <= _SINGULAR_DET:
-            raise EllipticityError(
-                f"sigma is numerically singular at ({x}, {y}): det={det:.3e}"
-            )
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-        e1 = _min_sym_eig(m)
-        e2 = _min_sym_eig(inv)
-        min_sym = min(min_sym, e1)
-        min_inv = min(min_inv, e2)
-        local = min(e1, e2)
-        if local < worst:
-            worst = local
-            worst_point = (float(x), float(y))
-    K = 1.0 / worst if worst > 0 else None
+    S = field.at_points(pts)
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    _raise_at_first(pts, np.abs(det) <= _SINGULAR_DET, "sigma is numerically singular")
+    # transpose of sigma^{-1}; only its diagonal and symmetric part are used
+    inv_t = S[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det[:, None, None]
+    e1 = _min_sym_eig(S)
+    e2 = _min_sym_eig(inv_t)
+    local = np.minimum(e1, e2)
+    i = int(np.argmin(local))
+    worst = float(local[i])
     return EllipticityReport(
-        K_estimate=K,
-        min_sym_eig=float(min_sym),
-        min_inv_sym_eig=float(min_inv),
+        K_estimate=1.0 / worst if worst > 0 else None,
+        min_sym_eig=float(e1.min()),
+        min_inv_sym_eig=float(e2.min()),
         sample_count=len(pts),
-        worst_point=worst_point,
+        worst_point=(float(pts[i, 0]), float(pts[i, 1])),
+        samples=S,
     )
 
 
-def require_elliptic(field: CoefficientField, sample_points) -> EllipticityReport:
+def require_elliptic(field: CoefficientField, sample_points) -> np.ndarray:
+    """Sample sigma once, check ellipticity there, and return the (n, 2, 2) samples."""
     report = ellipticity_report(field, sample_points)
     if not report.elliptic:
         raise EllipticityError(
@@ -166,52 +175,53 @@ def require_elliptic(field: CoefficientField, sample_points) -> EllipticityRepor
             f"eigenvalue {min(report.min_sym_eig, report.min_inv_sym_eig):.3e} "
             f"at {report.worst_point}"
         )
-    return report
+    return report.samples
 
 
 def dilatations(m) -> DilatationPair:
-    """Complex dilatations (mu, nu) of a 2x2 coefficient matrix.
+    """Complex dilatations (mu, nu) of a 2x2 matrix or of a stack (..., 2, 2).
 
     mu = (s22 - s11 - i(s12 + s21)) / (1 + tr + det)
     nu = (1 - det + i(s12 - s21)) / (1 + tr + det)
     """
     m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    denom = 1.0 + tr + det
-    if abs(denom) <= 1e-14:
+    s11, s12, s21, s22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = s11 * s22 - s12 * s21
+    denom = 1.0 + (s11 + s22) + det
+    if np.any(np.abs(denom) <= 1e-14):
         raise EllipticityError(
             "1 + tr(sigma) + det(sigma) vanishes; matrix is not elliptic"
         )
-    mu = complex(m[1, 1] - m[0, 0], -(m[0, 1] + m[1, 0])) / denom
-    nu = complex(1.0 - det, m[0, 1] - m[1, 0]) / denom
+    mu = (s22 - s11 - 1j * (s12 + s21)) / denom
+    nu = (1.0 - det + 1j * (s12 - s21)) / denom
     return DilatationPair(mu=mu, nu=nu)
 
 
 def dilatation_bound(field: CoefficientField, sample_points) -> float:
     """Supremum of |mu| + |nu| over the samples; must come out below 1."""
-    require_elliptic(field, sample_points)
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    k = 0.0
-    for x, y in pts:
-        k = max(k, dilatations(field.at(x, y)).magnitude)
+    k = float(np.max(dilatations(require_elliptic(field, sample_points)).magnitude))
     if not k < 1.0:
         raise EllipticityError(f"dilatation bound {k} is not below 1")
     return k
 
 
-def divergence_of_sigma(field: CoefficientField, p, step: float) -> tuple[float, float]:
-    """Central-difference row divergence (d1 s11 + d2 s21, d1 s12 + d2 s22)."""
+def divergence_of_sigma(
+    field: CoefficientField, p, step: float
+) -> tuple[float, float] | np.ndarray:
+    """Central-difference row divergence (d1 s11 + d2 s21, d1 s12 + d2 s22).
+
+    p is one point, giving a pair of floats, or an (n, 2) array, giving (n, 2).
+    """
     if not step > 0:
         raise ConfigError("finite-difference step must be positive")
-    x, y = float(p[0]), float(p[1])
-    sxp = field.at(x + step, y)
-    sxm = field.at(x - step, y)
-    syp = field.at(x, y + step)
-    sym = field.at(x, y - step)
-    b1 = (sxp[0, 0] - sxm[0, 0]) / (2 * step) + (syp[1, 0] - sym[1, 0]) / (2 * step)
-    b2 = (sxp[0, 1] - sxm[0, 1]) / (2 * step) + (syp[1, 1] - sym[1, 1]) / (2 * step)
-    return float(b1), float(b2)
+    P = np.asarray(p, dtype=float)
+    pts = P.reshape(-1, 2)
+    # b_j = sum_a d_a s_aj: row a of sigma differenced along axis a
+    b = sum(
+        (field.at_points(pts + e)[:, a] - field.at_points(pts - e)[:, a]) / (2 * step)
+        for a, e in enumerate(np.eye(2) * step)
+    )
+    return (float(b[0, 0]), float(b[0, 1])) if P.ndim == 1 else b
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +229,15 @@ def divergence_of_sigma(field: CoefficientField, p, step: float) -> tuple[float,
 
 
 def identity_field() -> CoefficientField:
-    eye = np.eye(2)
-    return CoefficientField(lambda x, y: eye, symmetric=True, descriptor="identity")
+    return constant_field(np.eye(2), descriptor="identity")
 
 
 def constant_field(matrix, descriptor: str = "const") -> CoefficientField:
     m = np.array(matrix, dtype=float)
     sym = abs(m[0, 1] - m[1, 0]) < 1e-15
-    return CoefficientField(lambda x, y: m, symmetric=sym, descriptor=descriptor)
+    return CoefficientField(
+        lambda X, Y: np.tile(m, (len(X), 1, 1)), symmetric=sym, descriptor=descriptor
+    )
 
 
 def anisotropic_field(l1: float, l2: float, theta: float = 0.0) -> CoefficientField:
@@ -247,19 +258,19 @@ def meyers_sigma(alpha: float) -> CoefficientField:
         raise ConfigError("meyers alpha must be positive")
     ai = 1.0 / alpha
 
-    def ev(x1, x2):
-        r2 = x1 * x1 + x2 * x2
-        if r2 == 0.0:
+    def ev(X, Y):
+        r2 = X * X + Y * Y
+        if np.any(r2 == 0.0):
             raise EllipticityError("sigma is discontinuous at 0; cannot evaluate there")
-        off = (ai - alpha) * x1 * x2 / r2
-        return np.array(
-            [
-                [(ai * x1 * x1 + alpha * x2 * x2) / r2, off],
-                [off, (alpha * x1 * x1 + ai * x2 * x2) / r2],
-            ]
-        )
+        off = (ai - alpha) * X * Y / r2
+        s11, s22 = (ai * X * X + alpha * Y * Y) / r2, (alpha * X * X + ai * Y * Y) / r2
+        return np.stack([s11, off, off, s22], axis=-1).reshape(-1, 2, 2)
 
     return CoefficientField(ev, symmetric=True, descriptor=f"meyers:alpha={alpha}")
+
+
+def _bump(X, Y, cx, cy, w) -> np.ndarray:
+    return np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (w * w))[:, None, None]
 
 
 def holder_bump_field(
@@ -274,9 +285,8 @@ def holder_bump_field(
     P = np.outer(d, d)
     eye = np.eye(2)
 
-    def ev(x1, x2):
-        g = math.exp(-((x1 - cx) ** 2 + (x2 - cy) ** 2) / (w * w))
-        return eye + (eps * g) * P
+    def ev(X, Y):
+        return eye + (eps * _bump(X, Y, cx, cy, w)) * P
 
     return CoefficientField(
         ev,
@@ -291,8 +301,8 @@ def nonsymmetric_field(tau: float, base: Optional[CoefficientField] = None) -> C
         base = identity_field()
     skew = tau * ROTATION
 
-    def ev(x1, x2):
-        return base.at(x1, x2) + skew
+    def ev(X, Y):
+        return base.evaluator(X, Y) + skew
 
     return CoefficientField(
         ev, symmetric=False, descriptor=f"nonsym:tau={tau},base={base.descriptor}"
@@ -313,10 +323,10 @@ def random_holder_field(seed: int) -> CoefficientField:
         bumps.append((c[0], c[1], w, eps, np.outer(d, d)))
     eye = np.eye(2)
 
-    def ev(x1, x2):
-        m = eye.copy()
+    def ev(X, Y):
+        m = np.tile(eye, (len(X), 1, 1))
         for cx, cy, w, eps, P in bumps:
-            m += eps * math.exp(-((x1 - cx) ** 2 + (x2 - cy) ** 2) / (w * w)) * P
+            m += eps * _bump(X, Y, cx, cy, w) * P
         return m
 
     return CoefficientField(ev, symmetric=True, descriptor=f"randholder:seed={seed}")

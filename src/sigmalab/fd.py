@@ -163,14 +163,14 @@ def to_nondivergence(
     d1 s12 + d2 s22), approximated by central differences of the entries.
     """
     b = VectorField2(
-        evaluator=lambda x, y: divergence_of_sigma(sigma, (x, y), step),
+        evaluator=lambda X, Y: divergence_of_sigma(sigma, np.column_stack([X, Y]), step),
         descriptor=f"div({sigma.descriptor});step={step}",
     )
     return sigma, b
 
 
 def zero_drift() -> VectorField2:
-    return VectorField2(evaluator=lambda x, y: (0.0, 0.0), descriptor="zero")
+    return VectorField2(evaluator=lambda X, Y: np.zeros((len(X), 2)), descriptor="zero")
 
 
 def solve_nondivergence(
@@ -193,14 +193,9 @@ def solve_nondivergence(
     if n == 0:
         raise SolverError("grid has no interior nodes")
     X, Y = grid.node_coordinates()
-    xs, ys = X[jj, ii], Y[jj, ii]
-
-    require_elliptic(sigma, np.column_stack([xs, ys]))
-    S = np.empty((n, 2, 2))
-    B = np.empty((n, 2))
-    for k in range(n):
-        S[k] = sigma.at(xs[k], ys[k])
-        B[k] = b.at(xs[k], ys[k])
+    pts = np.column_stack([X[jj, ii], Y[jj, ii]])
+    S = require_elliptic(sigma, pts)
+    B = b.at_points(pts)
 
     cross = 0.5 * (S[:, 0, 1] + S[:, 1, 0])
     slack = np.minimum(
@@ -211,7 +206,7 @@ def solve_nondivergence(
     if slack[worst] < -1e-12:
         raise SolverError(
             "stencil loses diagonal dominance at node "
-            f"({xs[worst]:.6g}, {ys[worst]:.6g}): "
+            f"({pts[worst, 0]:.6g}, {pts[worst, 1]:.6g}): "
             f"sigma={S[worst].tolist()}, b={B[worst].tolist()}, spacing={h}; "
             "reduce the spacing or use a milder coefficient field"
         )

@@ -71,14 +71,9 @@ class DirichletProblem:
     boundary_data: Callable[[float, float], float]
 
 
-def _sigma_at_centroids(mesh: Mesh, sigma: CoefficientField) -> np.ndarray:
-    require_elliptic(sigma, mesh.centroids)
-    return sigma.at_points(mesh.centroids)
-
-
 def assemble_stiffness(mesh: Mesh, sigma: CoefficientField) -> sparse.csr_matrix:
     """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i."""
-    S = _sigma_at_centroids(mesh, sigma)
+    S = require_elliptic(sigma, mesh.centroids)
     G = mesh.basis_gradients
     K = np.einsum("tia,tab,tjb->tij", G, S, G) * mesh.areas[:, None, None]
     t = mesh.triangles

@@ -26,20 +26,24 @@ SAMPLE_BUDGET = 50_000
 class AnalyticSolution:
     """Exact value/gradient pair for a scalar function or a planar map.
 
-    For components == 1, value returns a float and gradient a 2-vector; for
-    components == 2, value returns a length-2 array and gradient a 2x2 array
-    whose rows are the component gradients.
+    value and gradient take floats (x, y) or two arrays of one shape, which
+    then forms the trailing axes. For components == 1, value is scalar per
+    point and gradient a 2-vector; for components == 2, value is a pair and
+    gradient a 2x2 matrix whose leading index picks the component.
     """
 
     descriptor: str
     components: int
-    value: Callable[[float, float], np.ndarray]
-    gradient: Callable[[float, float], np.ndarray]
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def component(self, k: int) -> "AnalyticSolution":
+        if not 0 <= k < self.components:
+            raise ConfigError(
+                f"oracle '{self.descriptor}' has components 1..{self.components}; "
+                f"there is no component {k + 1}"
+            )
         if self.components == 1:
-            if k != 0:
-                raise ConfigError("scalar oracle has only component 0")
             return self
         return AnalyticSolution(
             descriptor=f"{self.descriptor}#u{k + 1}",
@@ -51,14 +55,18 @@ class AnalyticSolution:
     def scalar_field(self, mesh: Mesh) -> ScalarField:
         if self.components != 1:
             raise ConfigError("need a scalar oracle; use .component(k) first")
-        vals = np.array([self.value(x, y) for x, y in mesh.vertices], dtype=float)
-        return ScalarField(mesh, vals)
+        return ScalarField(mesh, self.value(*mesh.vertices.T))
 
     def mapping_field(self, mesh: Mesh) -> MappingField:
         if self.components != 2:
             raise ConfigError("need a pair-valued oracle")
-        vals = np.array([self.value(x, y) for x, y in mesh.vertices], dtype=float)
-        return MappingField(ScalarField(mesh, vals[:, 0]), ScalarField(mesh, vals[:, 1]))
+        u1, u2 = self.value(*mesh.vertices.T)
+        return MappingField(ScalarField(mesh, u1), ScalarField(mesh, u2))
+
+
+def _constant(c, x) -> np.ndarray:
+    """The constant array c repeated over the point axes of x."""
+    return np.multiply.outer(c, np.ones_like(x, dtype=float))
 
 
 def meyers_solution(alpha: float) -> AnalyticSolution:
@@ -67,17 +75,16 @@ def meyers_solution(alpha: float) -> AnalyticSolution:
         raise ConfigError("alpha must be positive")
 
     def value(x, y):
-        r = math.hypot(x, y)
-        if r == 0.0:
-            if alpha >= 1.0:
-                return np.array([0.0, 0.0])
+        r = np.hypot(x, y)
+        if alpha < 1.0 and np.any(r == 0.0):
             raise DegenerateInputError("value is singular at the origin for alpha < 1")
+        # alpha >= 1 at the origin: 0 ** (alpha - 1) is finite, the value 0
         s = r ** (alpha - 1.0)
         return np.array([s * x, s * y])
 
     def gradient(x, y):
         r2 = x * x + y * y
-        if r2 == 0.0:
+        if np.any(r2 == 0.0):
             raise DegenerateInputError("gradient is singular at the origin")
         s = r2 ** ((alpha - 3.0) / 2.0)
         return np.array(
@@ -90,20 +97,20 @@ def meyers_solution(alpha: float) -> AnalyticSolution:
     return AnalyticSolution(f"meyers:alpha={alpha}", 2, value, gradient)
 
 
-def meyers_jacobian(alpha: float, p) -> float:
-    """Exact Jacobian determinant alpha |x|^(2(alpha-1)) of the radial map."""
+def meyers_jacobian(alpha: float, p) -> float | np.ndarray:
+    """Exact Jacobian determinant alpha |x|^(2(alpha-1)) of the radial map,
+    at one point p (a float) or at each row of an (n, 2) array (shape (n,))."""
     if not alpha > 0:
         raise ConfigError("alpha must be positive")
-    r = math.hypot(float(p[0]), float(p[1]))
-    if r == 0.0:
-        if alpha > 1.0:
-            return 0.0
-        if alpha == 1.0:
-            return 1.0
+    P = np.asarray(p, dtype=float)
+    r = np.hypot(P[..., 0], P[..., 1])
+    if alpha < 1.0 and np.any(r == 0.0):
         raise DegenerateInputError(
             "Jacobian diverges at the origin for alpha in (0, 1)"
         )
-    return alpha * r ** (2.0 * (alpha - 1.0))
+    # at the origin this is 0 for alpha > 1 and 1 for alpha == 1
+    det = alpha * r ** (2.0 * (alpha - 1.0))
+    return float(det) if P.ndim == 1 else det
 
 
 def holomorphic_oracle(m: int) -> AnalyticSolution:
@@ -112,11 +119,11 @@ def holomorphic_oracle(m: int) -> AnalyticSolution:
         raise ConfigError("power m must be a positive integer")
 
     def value(x, y):
-        w = complex(x, y) ** m
+        w = (x + 1j * y) ** m
         return np.array([w.real, w.imag])
 
     def gradient(x, y):
-        d = m * complex(x, y) ** (m - 1)
+        d = m * (x + 1j * y) ** (m - 1)
         return np.array([[d.real, -d.imag], [d.imag, d.real]])
 
     return AnalyticSolution(f"holo:m={m}", 2, value, gradient)
@@ -127,7 +134,7 @@ def identity_oracle() -> AnalyticSolution:
         "identity",
         2,
         lambda x, y: np.array([x, y]),
-        lambda x, y: np.eye(2),
+        lambda x, y: _constant(np.eye(2), x),
     )
 
 
@@ -136,11 +143,11 @@ def harmonic_oracle(kind: str) -> AnalyticSolution:
     kind = kind.lower()
     if kind == "x1":
         return AnalyticSolution(
-            "harmonic:x1", 1, lambda x, y: x, lambda x, y: np.array([1.0, 0.0])
+            "harmonic:x1", 1, lambda x, y: x, lambda x, y: _constant([1.0, 0.0], x)
         )
     if kind == "x2":
         return AnalyticSolution(
-            "harmonic:x2", 1, lambda x, y: y, lambda x, y: np.array([0.0, 1.0])
+            "harmonic:x2", 1, lambda x, y: y, lambda x, y: _constant([0.0, 1.0], x)
         )
     if kind == "re-z2":
         return AnalyticSolution(
@@ -163,15 +170,15 @@ def costheta_oracle(cx: float = 0.0, cy: float = 0.0) -> AnalyticSolution:
     """cos of the polar angle about (cx, cy); the canonical unimodal trace."""
 
     def value(x, y):
-        r = math.hypot(x - cx, y - cy)
-        if r == 0.0:
+        r = np.hypot(x - cx, y - cy)
+        if np.any(r == 0.0):
             raise DegenerateInputError("angle undefined at the center")
         return (x - cx) / r
 
     def gradient(x, y):
         dx, dy = x - cx, y - cy
-        r = math.hypot(dx, dy)
-        if r == 0.0:
+        r = np.hypot(dx, dy)
+        if np.any(r == 0.0):
             raise DegenerateInputError("angle undefined at the center")
         return np.array([dy * dy, -dx * dy]) / r**3
 

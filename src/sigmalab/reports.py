@@ -44,8 +44,3 @@ def to_jsonable(obj: Any) -> Any:
 
 def dumps(obj: Any) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def write_report(obj: Any, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(dumps(obj))

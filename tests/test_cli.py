@@ -211,3 +211,45 @@ def test_failed_run_leaves_no_files(tmp_path):
     )
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve-nd", "--domain", "annulus:rout=1"], "annulus domain needs rin and rout"),
+        (["solve-nd", "--domain", "rect:w=1"], "rect domain needs w and h"),
+        (["unimodal", "--domain", "disk:r=1", "--g", "meyers:alpha=2,component=3"],
+         "no component 3"),
+        (["unimodal", "--domain", "disk:r=1", "--g", "holo:m=2,component=3"], "no component 3"),
+        (["unimodal", "--domain", "disk:r=1", "--g", "meyers:alpha=2,component=0"],
+         "no component 0"),
+        (["solve", "--domain", "disk:r=1", "--h", "nan"], "option h must be a finite number"),
+    ],
+)
+def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--h", "inf"), ("--spacing", "nan"), ("--alpha", "-inf"),
+     ("--margin", "nan"), ("--fd-step", "inf"), ("--atol", "nan")],
+)
+def test_non_finite_option_is_config_error(tmp_path, capsys, flag, value):
+    code, _ = run(tmp_path, "mesh", "--domain", "disk:r=1", f"{flag}={value}")
+    assert code == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+def test_oracle_component_one_selects_u1(tmp_path):
+    code, out = run(
+        tmp_path, "unimodal", "--domain", "disk:r=1", "--h", "0.2",
+        "--g", "meyers:alpha=2,component=1",
+    )
+    assert code == 0
+    report = json.loads((out / "unimodal_report.json").read_text())
+    assert report["data"] == "meyers:alpha=2.0#u1"
+    assert report["verdict"]["unimodal"] is True

@@ -146,7 +146,7 @@ def test_divergence_linear_entry():
     import sigmalab.coefficients as co
 
     field = co.CoefficientField(
-        lambda x, y: np.array([[x, 0.0], [0.0, x]]), symmetric=True, descriptor="x*I"
+        lambda X, Y: X[:, None, None] * np.eye(2), symmetric=True, descriptor="x*I"
     )
     b = divergence_of_sigma(field, (0.7, -0.2), 1e-4)
     assert b[0] == pytest.approx(1.0, abs=1e-6)

@@ -75,7 +75,7 @@ def test_to_nondivergence_cases():
     assert b.at(0.3, 0.7) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     ramp = CoefficientField(
-        lambda x, y: np.array([[1.0 + x, 0.0], [0.0, 1.0]]),
+        lambda X, Y: np.eye(2) + X[:, None, None] * [[1.0, 0.0], [0.0, 0.0]],
         symmetric=True,
         descriptor="ramp",
     )

@@ -45,6 +45,7 @@ from .errors import (
     DegenerateInputError,
     EllipticityError,
     MeshError,
+    NotEllipticError,
     NotInjectiveError,
     ResourceLimitError,
     SigmalabError,
@@ -59,7 +60,6 @@ from .fd import (
     to_nondivergence,
 )
 from .fem import (
-    DirichletProblem,
     ScalarField,
     TriangleGradientField,
     energy,

@@ -105,11 +105,6 @@ class InjectivityResult:
     injective: bool
     violations: list
 
-    def __iter__(self):
-        # allows tuple-style unpacking: injective, violations = injectivity_check(U)
-        yield self.injective
-        yield self.violations
-
 
 @dataclass(frozen=True)
 class PullbackSubdomain:

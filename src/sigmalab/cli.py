@@ -89,46 +89,24 @@ def resolve_sigma(cfg: dict) -> coefficients.CoefficientField:
     return coefficients.field_from_descriptor(cfg["sigma"])
 
 
-def resolve_scalar_data(cfg: dict) -> oracles.AnalyticSolution:
+def resolve_data(cfg: dict, components: int) -> oracles.AnalyticSolution:
+    """The g descriptor's oracle; g=oracle takes the exact solution of a meyers
+    sigma (its u1 where scalar data is needed)."""
     desc = cfg["g"]
     if desc.strip().lower() == "oracle":
-        name, p = coefficients.parse_descriptor(cfg["sigma"])
-        if name != "meyers":
+        if coefficients.parse_descriptor(cfg["sigma"])[0] != "meyers":
             raise ConfigError("g=oracle requires a meyers sigma descriptor")
-        return oracles.meyers_solution(p["alpha"]).component(0)
-    sol = oracles.oracle_from_descriptor(desc)
-    if sol.components != 1:
-        raise ConfigError(f"'{desc}' is a map; this command needs scalar data")
+        desc = cfg["sigma"]
+        sol = oracles.oracle_from_descriptor(desc)
+        if components == 1:
+            sol = sol.component(0)
+    else:
+        sol = oracles.oracle_from_descriptor(desc)
+    if sol.components != components:
+        kind = "a map" if sol.components == 2 else "scalar"
+        need = "scalar data" if components == 1 else "a two-component map"
+        raise ConfigError(f"'{desc}' is {kind}; this command needs {need}")
     return sol
-
-
-def resolve_pair_data(cfg: dict) -> oracles.AnalyticSolution:
-    desc = cfg["g"]
-    if desc.strip().lower() == "oracle":
-        name, p = coefficients.parse_descriptor(cfg["sigma"])
-        if name != "meyers":
-            raise ConfigError("g=oracle requires a meyers sigma descriptor")
-        return oracles.meyers_solution(p["alpha"])
-    sol = oracles.oracle_from_descriptor(desc)
-    if sol.components != 2:
-        raise ConfigError(f"'{desc}' is scalar; this command needs a two-component map")
-    return sol
-
-
-def check_elliptic_or_config_error(sigma, points) -> coefficients.EllipticityReport:
-    report = coefficients.ellipticity_report(sigma, points)
-    if not report.elliptic:
-        raise ConfigError(
-            f"not elliptic: field '{sigma.descriptor}' has min symmetric-part "
-            f"eigenvalue {min(report.min_sym_eig, report.min_inv_sym_eig):.3e} "
-            f"at {report.worst_point}"
-        )
-    return report
-
-
-def solve_component(mesh, sigma, data) -> tuple[fem.ScalarField, float]:
-    problem = fem.DirichletProblem(mesh, sigma, lambda x, y: float(data.value(x, y)))
-    return fem.solve_dirichlet_with_residual(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +115,7 @@ def solve_component(mesh, sigma, data) -> tuple[fem.ScalarField, float]:
 
 def cmd_mesh(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
-    for _ in range(int(cfg.get("refine", 0))):
+    for _ in range(cfg["refine"]):
         m = meshmod.refine(m)
     area = float(m.areas.sum())
     files = {"mesh.txt": meshmod.mesh_to_text(m)}
@@ -151,14 +129,13 @@ def cmd_mesh(cfg):
 def cmd_solve(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = resolve_sigma(cfg)
-    check_elliptic_or_config_error(sigma, m.centroids)
-    data = resolve_scalar_data(cfg)
-    u, residual = solve_component(m, sigma, data)
+    data = resolve_data(cfg, 1)
+    (u,), residual = fem.solve_dirichlet(m, sigma, data.value)
 
     grad_norms = fem.gradient_field(u).norms()
     ref = data.value(*m.vertices.T)
     linf = float(np.abs(u.values - ref).max())
-    l2 = fem.relative_l2_error(u, lambda x, y: float(data.value(x, y)))
+    l2 = fem.relative_l2_error(u, data.value)
     summary_data = {
         "vertices": m.num_vertices,
         "triangles": m.num_triangles,
@@ -191,8 +168,7 @@ def cmd_solve_nd(cfg):
     grid = build_grid(cfg["domain"], cfg["spacing"])
     sigma = resolve_sigma(cfg)
     pts = grid.points(grid.interior_mask)
-    check_elliptic_or_config_error(sigma, pts)
-    data = resolve_scalar_data(cfg)
+    data = resolve_data(cfg, 1)
     bdesc = cfg.get("b", "auto")
     if bdesc == "auto":
         _, drift = fd.to_nondivergence(sigma, step=cfg["fd_step"])
@@ -200,7 +176,7 @@ def cmd_solve_nd(cfg):
         drift = fd.zero_drift()
     else:
         raise ConfigError(f"unknown drift descriptor '{bdesc}' (use auto or zero)")
-    u = fd.solve_nondivergence(grid, sigma, drift, lambda x, y: float(data.value(x, y)))
+    u = fd.solve_nondivergence(grid, sigma, drift, data.value)
 
     ref = data.value(*pts.T)
     uh = u.values[grid.interior_mask]
@@ -230,11 +206,9 @@ def cmd_solve_nd(cfg):
 def _solve_mapping(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = resolve_sigma(cfg)
-    check_elliptic_or_config_error(sigma, m.centroids)
-    data = resolve_pair_data(cfg)
-    u1, r1 = solve_component(m, sigma, data.component(0))
-    u2, r2 = solve_component(m, sigma, data.component(1))
-    return m, sigma, data, analysis.MappingField(u1, u2), max(r1, r2)
+    data = resolve_data(cfg, 2)
+    (u1, u2), residual = fem.solve_dirichlet(m, sigma, data.value)
+    return m, sigma, data, analysis.MappingField(u1, u2), residual
 
 
 def cmd_map(cfg):
@@ -275,7 +249,7 @@ def cmd_verify(cfg):
         files["jacobian.svg"] = svgplots.heatmap_svg(m, det)
     try:
         report = analysis.lewy_verify(
-            U, sigma, directions=int(cfg["directions"]), margin=cfg["margin"]
+            U, sigma, directions=cfg["directions"], margin=cfg["margin"]
         )
     except NotInjectiveError as exc:
         inj = analysis.injectivity_check(U)
@@ -307,7 +281,7 @@ def cmd_meyers(cfg):
         raise ConfigError("the meyers reproduction runs on an annulus domain")
     sigma = coefficients.meyers_sigma(alpha)
     sol = oracles.meyers_solution(alpha)
-    levels = int(cfg.get("levels", 2))
+    levels = cfg["levels"]
     if levels < 2:
         raise ConfigError("need at least 2 refinement levels for a convergence table")
     jac_rmin = cfg.get("jacobian_rmin", 0.3)
@@ -315,12 +289,10 @@ def cmd_meyers(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     rows = []
     for _ in range(levels):
-        check_elliptic_or_config_error(sigma, m.centroids)
-        u1, _ = solve_component(m, sigma, sol.component(0))
-        u2, _ = solve_component(m, sigma, sol.component(1))
+        (u1, u2), _ = fem.solve_dirichlet(m, sigma, sol.value)
         U = analysis.MappingField(u1, u2)
-        err1 = fem.relative_l2_error(u1, lambda x, y: float(sol.value(x, y)[0]))
-        err2 = fem.relative_l2_error(u2, lambda x, y: float(sol.value(x, y)[1]))
+        err1 = fem.relative_l2_error(u1, sol.component(0).value)
+        err2 = fem.relative_l2_error(u2, sol.component(1).value)
 
         det = analysis.jacobian_field(U)
         cent = m.centroids
@@ -380,8 +352,8 @@ def cmd_meyers(cfg):
 def cmd_beltrami(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = resolve_sigma(cfg)
-    ell = check_elliptic_or_config_error(sigma, m.centroids)
     k = coefficients.dilatation_bound(sigma, m.centroids)
+    ell = coefficients.ellipticity_report(sigma, m.centroids)
     report = {
         "sigma": sigma.descriptor,
         "ellipticity": ell.to_dict(),
@@ -390,8 +362,8 @@ def cmd_beltrami(cfg):
     }
     summary_bits = [f"beltrami: K={ell.K_estimate:.6g}, k={k:.6g}"]
     if cfg.get("g"):
-        data = resolve_scalar_data(cfg)
-        u, _ = solve_component(m, sigma, data)
+        data = resolve_data(cfg, 1)
+        (u,), _ = fem.solve_dirichlet(m, sigma, data.value)
         v, stream_res = analysis.stream_function(
             u, sigma, allow_multiply_connected=bool(cfg.get("allow_holes"))
         )
@@ -407,8 +379,8 @@ def cmd_beltrami(cfg):
 
 def cmd_unimodal(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
-    data = resolve_scalar_data(cfg)
-    loop_index = int(cfg.get("loop", 0))
+    data = resolve_data(cfg, 1)
+    loop_index = cfg["loop"]
     _, xy = zip(*meshmod.boundary_trace(m, loop_index))
     vals = data.value(*np.transpose(xy))
     verdict = analysis.unimodality_check(vals, atol=cfg.get("atol", 1e-12))
@@ -444,7 +416,6 @@ _DEFAULTS = {
     "g": "x1",
     "margin": 0.1,
     "directions": 8,
-    "seed": 0,
     "svg": True,
     "out": ".",
     "fd_step": 1e-5,
@@ -488,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--b", type=str, help="drift: auto | zero (solve-nd)")
         p.add_argument("--margin", type=float, help="compact-subset inset distance")
         p.add_argument("--directions", type=int, help="half-circle direction count")
-        p.add_argument("--seed", type=int, help="seed recorded for reproducibility")
         p.add_argument("--refine", type=int, help="uniform refinements (mesh)")
         p.add_argument("--levels", type=int, help="convergence levels (meyers)")
         p.add_argument("--loop", type=int, help="boundary loop index (unimodal)")
@@ -527,6 +497,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = cfg[key]
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ConfigError(f"option {key} must be a finite number, got {value!r}")
+    for key in ("refine", "levels", "loop", "directions"):
+        value = cfg[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"option {key} must be an integer, got {value!r}")
     return cfg
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, EllipticityError
+from .errors import ConfigError, EllipticityError, NotEllipticError
 
 #: counterclockwise quarter rotation; div(J grad u) vanishes identically
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -167,10 +167,13 @@ def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityRep
 
 
 def require_elliptic(field: CoefficientField, sample_points) -> np.ndarray:
-    """Sample sigma once, check ellipticity there, and return the (n, 2, 2) samples."""
+    """Sample sigma once, check ellipticity there, and return the (n, 2, 2) samples.
+
+    A non-elliptic field raises NotEllipticError, which is also a ConfigError.
+    """
     report = ellipticity_report(field, sample_points)
     if not report.elliptic:
-        raise EllipticityError(
+        raise NotEllipticError(
             f"field '{field.descriptor}' is not elliptic: min symmetric-part "
             f"eigenvalue {min(report.min_sym_eig, report.min_inv_sym_eig):.3e} "
             f"at {report.worst_point}"

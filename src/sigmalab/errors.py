@@ -25,6 +25,10 @@ class EllipticityError(SigmalabError):
     """A coefficient field failed an ellipticity requirement."""
 
 
+class NotEllipticError(EllipticityError, ConfigError):
+    """A coefficient field is not elliptic on its samples: bad input, not a failed solve."""
+
+
 class SolverError(SigmalabError):
     """Linear solve failed or produced an unacceptable residual."""
 

@@ -19,6 +19,7 @@ from scipy.sparse.linalg import spsolve
 
 from .coefficients import CoefficientField, VectorField2, divergence_of_sigma, require_elliptic
 from .errors import MeshError, SolverError
+from .fem import boundary_values
 
 RESIDUAL_TOL = 1e-10
 
@@ -177,9 +178,11 @@ def solve_nondivergence(
     grid: GridDomain,
     sigma: CoefficientField,
     b: VectorField2,
-    g: Callable[[float, float], float],
+    g,
 ) -> GridField:
     """Solve tr(sigma D2 u) + b . grad u = 0 with boundary values g.
+
+    g takes the boundary-node coordinate arrays (X, Y) and returns (n,) values.
 
     At every interior node the stencil is
     s11 dxx + (s12 + s21) dxy + s22 dyy + b1 dx + b2 dy = 0. Before assembly
@@ -227,12 +230,11 @@ def solve_nondivergence(
         (-1, 1): -q,
     }
 
+    G = boundary_values(g, grid.points(grid.boundary_mask))
+    if len(G) != 1:
+        raise SolverError(f"boundary data has {len(G)} rows; this solve takes one")
     gvals = np.zeros((grid.ny, grid.nx))
-    bj, bi = np.where(grid.boundary_mask)
-    for j, i in zip(bj, bi):
-        gvals[j, i] = g(X[j, i], Y[j, i])
-    if not np.isfinite(gvals[grid.boundary_mask]).all():
-        raise SolverError("boundary data evaluated to non-finite values")
+    gvals[grid.boundary_mask] = G[0]
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)

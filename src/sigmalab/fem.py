@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -64,13 +63,6 @@ class TriangleGradientField:
         return np.hypot(self.vectors[:, 0], self.vectors[:, 1])
 
 
-@dataclass(frozen=True)
-class DirichletProblem:
-    mesh: Mesh
-    sigma: CoefficientField
-    boundary_data: Callable[[float, float], float]
-
-
 def assemble_stiffness(mesh: Mesh, sigma: CoefficientField) -> sparse.csr_matrix:
     """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i."""
     S = require_elliptic(sigma, mesh.centroids)
@@ -83,50 +75,59 @@ def assemble_stiffness(mesh: Mesh, sigma: CoefficientField) -> sparse.csr_matrix
     return sparse.coo_matrix((K.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
-def solve_dirichlet(problem: DirichletProblem) -> ScalarField:
-    """Galerkin solution of div(sigma grad u) = 0 with nodal boundary data.
+def boundary_values(g, points) -> np.ndarray:
+    """g at the (n, 2) points as a (k, n) array; g returns (n,) or (k, n)."""
+    n = len(points)
+    V = np.asarray(g(*points.T), dtype=float)
+    if V.shape != (n,) and (V.ndim != 2 or V.shape[1] != n or len(V) == 0):
+        raise SolverError(
+            f"boundary data returned shape {V.shape}, expected ({n},) or (k, {n})"
+        )
+    if not np.isfinite(V).all():
+        raise SolverError("boundary data evaluated to non-finite values")
+    return V.reshape(-1, n)
 
-    Boundary values are the pointwise interpolation of boundary_data on all
-    loops. Raises SolverError when the mesh has no interior vertices, the
-    system is singular, or the relative max-norm residual exceeds 1e-10.
+
+def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[ScalarField], float]:
+    """Galerkin solutions of div(sigma grad u) = 0, one per row of boundary data.
+
+    g takes the boundary-vertex coordinate arrays (X, Y) and returns the nodal
+    boundary values, shape (n,) for one solution or (k, n) for k (the
+    AnalyticSolution.value contract). The operator is assembled once and the k
+    right-hand sides share one sparse direct solve. Returns the k fields and
+    the largest relative max-norm residual. Raises SolverError when the mesh
+    has no interior vertices, g returns the wrong shape or non-finite values,
+    the system is singular, or a residual exceeds 1e-10.
     """
-    return solve_dirichlet_with_residual(problem)[0]
-
-
-def solve_dirichlet_with_residual(problem: DirichletProblem) -> tuple[ScalarField, float]:
-    """solve_dirichlet plus the achieved relative max-norm residual."""
-    mesh = problem.mesh
+    A = assemble_stiffness(mesh, sigma)
     interior = mesh.interior_vertices
     if len(interior) == 0:
         raise SolverError("mesh has no interior vertices; nothing to solve for")
-    A = assemble_stiffness(mesh, problem.sigma)
     bnd = mesh.boundary_vertices
+    G = boundary_values(g, mesh.vertices[bnd])
 
-    u = np.zeros(mesh.num_vertices)
-    u[bnd] = [problem.boundary_data(x, y) for x, y in mesh.vertices[bnd]]
-    if not np.isfinite(u[bnd]).all():
-        raise SolverError("boundary data evaluated to non-finite values")
-
-    rhs = -A[interior][:, bnd] @ u[bnd]
+    rhs = -A[interior][:, bnd] @ G.T
     Aii = A[interior][:, interior].tocsc()
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            ui = spsolve(Aii, rhs)
+            ui = spsolve(Aii, rhs).reshape(rhs.shape)  # (n,) back for one column
         except (MatrixRankWarning, RuntimeError) as exc:
             raise SolverError(f"stiffness system is singular: {exc}") from exc
     if not np.isfinite(ui).all():
         raise SolverError("linear solve produced non-finite values")
 
-    scale = np.abs(rhs).max()
-    residual = np.abs(Aii @ ui - rhs).max()
-    relative = residual / scale if scale > 0 else 0.0
+    scale = np.abs(rhs).max(axis=0)
+    residual = np.abs(Aii @ ui - rhs).max(axis=0)
+    relative = float(np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0).max())
     if relative > RESIDUAL_TOL:
         raise SolverError(
             f"relative solve residual {relative:.3e} exceeds {RESIDUAL_TOL}"
         )
-    u[interior] = ui
-    return ScalarField(mesh, u), float(relative)
+    u = np.zeros((len(G), mesh.num_vertices))
+    u[:, bnd] = G
+    u[:, interior] = ui.T
+    return [ScalarField(mesh, row) for row in u], relative
 
 
 def gradient_field(u: ScalarField) -> TriangleGradientField:
@@ -143,11 +144,16 @@ def energy(u: ScalarField, sigma: CoefficientField) -> float:
     return float(np.sum(mesh.areas * np.einsum("tab,tb,ta->t", S, g, g)))
 
 
-def relative_l2_error(u: ScalarField, exact: Callable[[float, float], float]) -> float:
-    """Relative L2 distance to a reference function, by centroid quadrature."""
+def relative_l2_error(u: ScalarField, exact) -> float:
+    """Relative L2 distance to a reference function, by centroid quadrature.
+
+    exact takes the centroid coordinate arrays (X, Y) and returns (n,) values.
+    """
     mesh = u.mesh
     uh = u.values[mesh.triangles].mean(axis=1)
-    ue = np.array([exact(x, y) for x, y in mesh.centroids])
+    ue = np.asarray(exact(*mesh.centroids.T), dtype=float)
+    if ue.shape != uh.shape:
+        raise SolverError(f"reference returned shape {ue.shape}, expected {uh.shape}")
     den = np.sum(mesh.areas * ue * ue)
     if den == 0.0:
         raise SolverError("reference function is identically zero on centroids")

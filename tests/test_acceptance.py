@@ -8,7 +8,6 @@ Heavy artifacts (the radial-coefficient solves) are shared between criteria
 through a lazily-computed run object; a session fixture holds the first run.
 """
 
-import math
 import time
 from functools import cached_property
 
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 from sigmalab import (
-    DirichletProblem,
     MappingField,
     beltrami_residual,
     brute_force_injectivity,
@@ -61,12 +59,12 @@ SMOOTH_LIBRARY = [
 
 
 def solve(mesh, sigma, g):
-    return solve_dirichlet(DirichletProblem(mesh, sigma, g))
+    (u,), _ = solve_dirichlet(mesh, sigma, g)
+    return u
 
 
 def solve_pair(mesh, sigma, sol):
-    u1 = solve(mesh, sigma, lambda x, y: float(sol.value(x, y)[0]))
-    u2 = solve(mesh, sigma, lambda x, y: float(sol.value(x, y)[1]))
+    (u1, u2), _ = solve_dirichlet(mesh, sigma, sol.value)
     return MappingField(u1, u2)
 
 
@@ -102,14 +100,14 @@ class AcceptanceRun:
         mesh = self.annulus_h02
         U = self.meyers2_mapping_h02
         errs = [
-            relative_l2_error(U.u1, lambda x, y: float(sol.value(x, y)[0])),
-            relative_l2_error(U.u2, lambda x, y: float(sol.value(x, y)[1])),
+            relative_l2_error(U.u1, lambda x, y: sol.value(x, y)[0]),
+            relative_l2_error(U.u2, lambda x, y: sol.value(x, y)[1]),
         ]
         fine = refine(mesh)
         Uf = solve_pair(fine, sigma, sol)
         errs_fine = [
-            relative_l2_error(Uf.u1, lambda x, y: float(sol.value(x, y)[0])),
-            relative_l2_error(Uf.u2, lambda x, y: float(sol.value(x, y)[1])),
+            relative_l2_error(Uf.u1, lambda x, y: sol.value(x, y)[0]),
+            relative_l2_error(Uf.u2, lambda x, y: sol.value(x, y)[1]),
         ]
         payload = {
             "h": [mesh.h, fine.h],
@@ -187,7 +185,7 @@ class AcceptanceRun:
         meyers = residual_chain(
             generate_annulus((0.0, 0.0), 0.2, 1.0, 0.04),
             meyers_sigma(2.0),
-            lambda x, y: float(sol.value(x, y)[0]),
+            lambda x, y: sol.value(x, y)[0],
             allow_holes=True,
         )
         payload = {
@@ -242,7 +240,7 @@ class AcceptanceRun:
         inset = mesh.boundary_distance(mesh.centroids) >= 0.1
         unimodal_runs = []
         for name, field in SMOOTH_LIBRARY:
-            u = solve(mesh, field, lambda x, y: x / math.hypot(x, y))
+            u = solve(mesh, field, lambda x, y: x / np.hypot(x, y))
             cands = critical_point_candidates(u, 0.05)
             norms = gradient_field(u).norms()
             unimodal_runs.append(
@@ -270,7 +268,7 @@ class AcceptanceRun:
         sigma, drift = to_nondivergence(meyers_sigma(2.0), step=1e-5)
         grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
         sol = meyers_solution(2.0)
-        uh = solve_nondivergence(grid, sigma, drift, lambda x, y: float(sol.value(x, y)[0]))
+        uh = solve_nondivergence(grid, sigma, drift, lambda x, y: sol.value(x, y)[0])
         pts = grid.points(grid.interior_mask)
         exact = np.array([float(sol.value(x, y)[0]) for x, y in pts])
         vals = uh.values[grid.interior_mask]

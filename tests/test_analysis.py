@@ -5,7 +5,6 @@ import pytest
 
 from sigmalab import (
     DegenerateInputError,
-    DirichletProblem,
     MappingField,
     MeshError,
     NotInjectiveError,
@@ -33,7 +32,8 @@ from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solutio
 
 
 def solve(mesh, sigma, g):
-    return solve_dirichlet(DirichletProblem(mesh, sigma, g))
+    (u,), _ = solve_dirichlet(mesh, sigma, g)
+    return u
 
 
 def nodal(mesh, f):
@@ -200,7 +200,7 @@ def test_qc_defect_meyers_lower_bound(annulus_mesh):
     # analytic |fz|^2 - |fzbar|^2 = det DU = 2|x|^2; margin 0.1 insets to |x| = 0.3
     sigma = meyers_sigma(2.0)
     sol = meyers_solution(2.0)
-    u1 = solve(annulus_mesh, sigma, lambda x, y: float(sol.value(x, y)[0]))
+    u1 = solve(annulus_mesh, sigma, lambda x, y: sol.value(x, y)[0])
     v, _ = stream_function(u1, sigma, allow_multiply_connected=True)
     d = quasiconformal_defect(complex_derivatives(u1, v), margin=0.1)
     assert d.min_jacobian_f >= 2 * 0.3**2 * 0.8  # analytic value minus 20% slack
@@ -242,8 +242,7 @@ def test_jacobian_equals_wirtinger_identity(disk_mesh):
 def test_injectivity_identity(disk_mesh):
     res = injectivity_check(identity_oracle().mapping_field(disk_mesh))
     assert res.injective and not res.violations
-    inj, violations = res  # tuple-style unpacking
-    assert inj is True and violations == []
+    assert res.injective is True and res.violations == []
 
 
 def test_injectivity_z2_double_cover(disk_mesh):
@@ -369,8 +368,7 @@ def test_lewy_identity(fine_disk_mesh):
 def test_lewy_meyers_inset_bound(annulus_mesh):
     sigma = meyers_sigma(2.0)
     sol = meyers_solution(2.0)
-    u1 = solve(annulus_mesh, sigma, lambda x, y: float(sol.value(x, y)[0]))
-    u2 = solve(annulus_mesh, sigma, lambda x, y: float(sol.value(x, y)[1]))
+    (u1, u2), _ = solve_dirichlet(annulus_mesh, sigma, sol.value)
     report = lewy_verify(MappingField(u1, u2), sigma, directions=8, margin=0.05)
     assert report.passed
     # analytic det at the inner inset radius 0.25 is 2 * 0.0625, minus 10% slack
@@ -380,16 +378,14 @@ def test_lewy_meyers_inset_bound(annulus_mesh):
 def test_lewy_rejects_non_injective(disk_mesh):
     sigma = identity_field()
     sol = holomorphic_oracle(2)
-    u1 = solve(disk_mesh, sigma, lambda x, y: float(sol.value(x, y)[0]))
-    u2 = solve(disk_mesh, sigma, lambda x, y: float(sol.value(x, y)[1]))
+    (u1, u2), _ = solve_dirichlet(disk_mesh, sigma, sol.value)
     with pytest.raises(NotInjectiveError):
         lewy_verify(MappingField(u1, u2), sigma, directions=4, margin=0.1)
 
 
 def test_lewy_direction_sign_invariance(fine_disk_mesh):
     sigma = holder_bump_field(0.3, 0.2, 0.0, 0.5, 0.4)
-    u1 = solve(fine_disk_mesh, sigma, lambda x, y: x)
-    u2 = solve(fine_disk_mesh, sigma, lambda x, y: y)
+    (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, lambda x, y: np.array([x, y]))
     U = MappingField(u1, u2)
     g1 = np.array([U.directional((1.0, 0.0)).values])
     g2 = np.array([U.directional((-1.0, 0.0)).values])
@@ -421,7 +417,7 @@ def test_critical_points_saddle_clusters_at_origin(fine_disk_mesh):
 
 def test_critical_points_unimodal_data_none(fine_disk_mesh):
     sigma = holder_bump_field(0.4, -0.1, 0.2, 0.5, 1.1)
-    u = solve(fine_disk_mesh, sigma, lambda x, y: x / math.hypot(x, y))
+    u = solve(fine_disk_mesh, sigma, lambda x, y: x / np.hypot(x, y))
     assert critical_point_candidates(u, 0.05) == []
 
 
@@ -432,8 +428,7 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
     minima = []
     m = disk_mesh
     for _ in range(2):
-        u1 = solve(m, sigma, lambda x, y: float(sol.value(x, y)[0]))
-        u2 = solve(m, sigma, lambda x, y: float(sol.value(x, y)[1]))
+        (u1, u2), _ = solve_dirichlet(m, sigma, sol.value)
         U = MappingField(u1, u2)
         inset = m.boundary_distance(m.centroids) >= 0.1
         from sigmalab import gradient_field

@@ -193,7 +193,7 @@ def test_determinism_byte_identical(tmp_path):
     args = [
         "solve", "--domain", "disk:r=1", "--h", "0.15",
         "--sigma", "holder:eps=0.3,cx=0.1,cy=0.0,w=0.5,theta=0.2",
-        "--g", "harmonic:re-z2", "--seed", "7",
+        "--g", "harmonic:re-z2",
     ]
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(args + ["--out", str(out1)]) == 0
@@ -224,9 +224,20 @@ def test_failed_run_leaves_no_files(tmp_path):
         (["unimodal", "--domain", "disk:r=1", "--g", "meyers:alpha=2,component=0"],
          "no component 0"),
         (["solve", "--domain", "disk:r=1", "--h", "nan"], "option h must be a finite number"),
+        (["unimodal", "--domain", "disk:r=1", "--g", "oracle", "--sigma", "meyers"],
+         "meyers oracle needs alpha"),
+        (["mesh", "--domain", "disk:r=1", {"refine": "a"}], "option refine must be an integer"),
+        (["verify", "--domain", "disk:r=1", "--g", "identity", {"directions": 2.5}],
+         "option directions must be an integer"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
+    # a dict in args stands for a JSON config file holding it
+    config = tmp_path / "config.json"
+    for i, arg in enumerate(args):
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            args = args[:i] + ["--config", str(config)] + args[i + 1 :]
     code, out = run(tmp_path, *args)
     assert code == 2
     assert message in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from sigmalab.oracles import meyers_solution
 
 def rel_l2(grid, field, exact):
     pts = grid.points(grid.interior_mask)
-    ref = np.array([exact(x, y) for x, y in pts])
+    ref = exact(*pts.T)
     uh = field.values[grid.interior_mask]
     return float(np.sqrt(np.sum((uh - ref) ** 2) / np.sum(ref**2)))
 
@@ -57,7 +55,7 @@ def test_harmonic_convergence_factor():
         return rel_l2(grid, u, exact)
 
     # x^2 - y^2 is stencil-exact; use a genuinely curved harmonic instead
-    exact = lambda x, y: math.exp(x) * math.cos(y)
+    exact = lambda x, y: np.exp(x) * np.cos(y)
     assert err(0.1) / err(0.05) >= 3.0
 
 
@@ -65,8 +63,8 @@ def test_meyers_annulus_nondivergence():
     sigma, b = to_nondivergence(meyers_sigma(2.0), step=1e-5)
     grid = annulus_grid((0, 0), 0.25, 0.95, 0.04)
     sol = meyers_solution(2.0)
-    u = solve_nondivergence(grid, sigma, b, lambda x, y: float(sol.value(x, y)[0]))
-    err = rel_l2(grid, u, lambda x, y: float(sol.value(x, y)[0]))
+    u = solve_nondivergence(grid, sigma, b, lambda x, y: sol.value(x, y)[0])
+    err = rel_l2(grid, u, lambda x, y: sol.value(x, y)[0])
     assert err < 0.01
 
 
@@ -147,3 +145,17 @@ def test_predicate_grid_drops_orphans():
 
     grid = grid_from_predicate((0, 0), 0.05, 21, 21, inside)
     assert not (grid.interior_mask[0, 0] or grid.boundary_mask[0, 0])
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (lambda x, y: np.array([x, y]), "rows"),
+        (lambda x, y: x[1:], "shape"),
+        (lambda x, y: np.where(x > 0.5, np.nan, x), "non-finite"),
+    ],
+)
+def test_bad_boundary_data_raises(g, message):
+    grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
+    with pytest.raises(SolverError, match=message):
+        solve_nondivergence(grid, identity_field(), zero_drift(), g)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from sigmalab import (
-    DirichletProblem,
     EllipticityError,
     ScalarField,
     SolverError,
@@ -15,23 +16,91 @@ from sigmalab import (
     relative_l2_error,
     solve_dirichlet,
 )
+from sigmalab import fem
 from sigmalab.coefficients import (
+    ROTATION,
     constant_field,
     identity_field,
     meyers_sigma,
     nonsymmetric_field,
+    random_nonsymmetric_field,
 )
 from sigmalab.fem import field_from_text, field_to_text, read_field, write_field
 from sigmalab.oracles import meyers_solution
 
 
 def solve(mesh, sigma, g):
-    return solve_dirichlet(DirichletProblem(mesh, sigma, g))
+    (u,), _ = solve_dirichlet(mesh, sigma, g)
+    return u
 
 
 def test_affine_data_reproduced_exactly(disk_mesh):
     u = solve(disk_mesh, identity_field(), lambda x, y: x)
     assert np.abs(u.values - disk_mesh.vertices[:, 0]).max() <= 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    l1=st.floats(0.2, 5.0),
+    l2=st.floats(0.2, 5.0),
+    theta=st.floats(0.0, math.pi),
+    tau=st.floats(-2.0, 2.0),
+)
+def test_patch_test_affine_columns_exact(disk_mesh, l1, l2, theta, tau):
+    # P1 patch test: any constant elliptic sigma, skew part included, keeps
+    # affine data exact; 1, x and y go through one three-column solve
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    sigma = constant_field(R @ np.diag([l1, l2]) @ R.T + tau * ROTATION)
+    us, residual = solve_dirichlet(
+        disk_mesh, sigma, lambda x, y: np.array([np.ones_like(x), x, y])
+    )
+    assert residual <= 1e-10
+    X, Y = disk_mesh.vertices.T
+    for u, exact in zip(us, (np.ones_like(X), X, Y)):
+        assert np.abs(u.values - exact).max() <= 1e-10
+
+
+def test_multi_column_solve_matches_single_solves_bitwise(disk_mesh):
+    sigma = random_nonsymmetric_field(5)
+    g = lambda x, y: np.array([x * x - y * y, np.cos(3 * x), x * y + 0.5])
+    us, residual = solve_dirichlet(disk_mesh, sigma, g)
+    singles = [
+        solve_dirichlet(disk_mesh, sigma, lambda x, y, k=k: g(x, y)[k]) for k in range(3)
+    ]
+    for u, ((single,), _) in zip(us, singles):
+        assert np.array_equal(u.values, single.values)
+    assert residual == max(r for _, r in singles)
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (lambda x, y: 1.0, "shape"),
+        (lambda x, y: x[:-1], "shape"),
+        (lambda x, y: np.zeros((0, len(x))), "shape"),
+        (lambda x, y: np.array([[x, y]]), "shape"),
+        (lambda x, y: np.where(x > 0.5, np.nan, x), "non-finite"),
+        (lambda x, y: np.array([x, np.where(y > 0.5, np.inf, y)]), "non-finite"),
+    ],
+)
+def test_bad_boundary_data_raises(disk_mesh, g, message):
+    with pytest.raises(SolverError, match=message):
+        solve_dirichlet(disk_mesh, identity_field(), g)
+
+
+def test_singular_multi_column_system_raises(disk_mesh, monkeypatch):
+    nv = disk_mesh.num_vertices
+    zero = lambda mesh, sigma: sparse.csr_matrix((nv, nv))
+    monkeypatch.setattr(fem, "assemble_stiffness", zero)
+    with pytest.raises(SolverError, match="singular"):
+        solve_dirichlet(disk_mesh, identity_field(), lambda x, y: np.array([x, y]))
+
+
+def test_reference_of_wrong_shape_raises(disk_mesh):
+    u = ScalarField(disk_mesh, disk_mesh.vertices[:, 0])
+    with pytest.raises(SolverError, match="shape"):
+        relative_l2_error(u, lambda x, y: np.array([x, y]))
 
 
 def test_harmonic_oracle_convergence(disk_mesh, fine_disk_mesh):
@@ -58,8 +127,8 @@ def test_h1_convergence_first_order(disk_mesh, fine_disk_mesh):
 
 def test_meyers_annulus_accuracy(annulus_mesh):
     sol = meyers_solution(2.0)
-    u1 = solve(annulus_mesh, meyers_sigma(2.0), lambda x, y: float(sol.value(x, y)[0]))
-    err = relative_l2_error(u1, lambda x, y: float(sol.value(x, y)[0]))
+    u1 = solve(annulus_mesh, meyers_sigma(2.0), lambda x, y: sol.value(x, y)[0])
+    err = relative_l2_error(u1, lambda x, y: sol.value(x, y)[0])
     # h = 0.05 here; the acceptance suite pins 2% at h = 0.02
     assert err < 0.005
 
@@ -74,7 +143,7 @@ def test_gradient_field_trivial(disk_mesh):
 
 def test_gradient_matches_meyers_away_from_hole(annulus_mesh):
     sol = meyers_solution(2.0)
-    u1 = solve(annulus_mesh, meyers_sigma(2.0), lambda x, y: float(sol.value(x, y)[0]))
+    u1 = solve(annulus_mesh, meyers_sigma(2.0), lambda x, y: sol.value(x, y)[0])
     g = gradient_field(u1).vectors
     c = annulus_mesh.centroids
     sel = np.hypot(c[:, 0], c[:, 1]) >= 0.3
@@ -106,7 +175,7 @@ def test_solution_minimizes_energy(disk_mesh):
 
 
 def test_discrete_maximum_principle(disk_mesh):
-    g = lambda x, y: math.cos(3 * math.atan2(y, x)) + 0.3 * math.sin(5 * x)
+    g = lambda x, y: np.cos(3 * np.arctan2(y, x)) + 0.3 * np.sin(5 * x)
     u = solve(disk_mesh, identity_field(), g)
     b = u.values[disk_mesh.boundary_vertices]
     i = u.values[disk_mesh.interior_vertices]

@@ -165,7 +165,7 @@ def stream_function(
             f"stream function needs a simply connected domain; mesh has "
             f"{len(mesh.loops)} boundary loops"
         )
-    S = require_elliptic(sigma, mesh.centroids)
+    S = require_elliptic(sigma, mesh.centroids).samples
     gu = gradient_field(u).vectors
     w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gu)
 
@@ -213,7 +213,7 @@ def complex_derivatives(u: ScalarField, v: ScalarField) -> ComplexDerivativeFiel
 def beltrami_residual(cd: ComplexDerivativeField, sigma: CoefficientField) -> float:
     """Area-weighted relative L2 defect of fzbar = mu fz + nu conj(fz)."""
     mesh = cd.mesh
-    d = dilatations(require_elliptic(sigma, mesh.centroids))
+    d = dilatations(require_elliptic(sigma, mesh.centroids).samples)
     den = float(np.sqrt(np.sum(mesh.areas * np.abs(cd.fz) ** 2)))
     # constant nodal data leaves roundoff-sized gradients, not exact zeros
     floor = 1e-12 * cd.value_scale * math.sqrt(float(mesh.areas.sum())) / mesh.h
@@ -480,27 +480,19 @@ def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np
             "the probe point's triangle is not inside the pullback disk; "
             "the radius is too small for this mesh"
         )
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for t in np.where(keep_tri)[0]:
-        a, b, c = mesh.triangles[t]
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (int(min(u, v)), int(max(u, v)))
-            edge_map.setdefault(key, []).append(int(t))
-    adj: dict[int, list[int]] = {}
-    for tris in edge_map.values():
-        if len(tris) == 2:
-            adj.setdefault(tris[0], []).append(tris[1])
-            adj.setdefault(tris[1], []).append(tris[0])
-    component = np.zeros_like(keep_tri)
-    stack = [seed_tri]
-    component[seed_tri] = True
-    while stack:
-        t = stack.pop()
-        for s in adj.get(t, ()):
-            if not component[s]:
-                component[s] = True
-                stack.append(s)
-    return component
+    # imported here: only pullbacks need it, and it adds about 1 MB of
+    # resident memory to every process that imports it
+    from scipy.sparse.csgraph import connected_components
+
+    table = mesh.edge_table
+    kept = np.flatnonzero(np.repeat(keep_tri, 3))  # directed edges of kept triangles
+    incidence = sparse.csr_matrix(
+        (np.ones(len(kept)), (kept // 3, table.inverse[kept])),
+        shape=(mesh.num_triangles, len(table.edges)),
+    )
+    # kept triangles are adjacent when they share an edge
+    _, labels = connected_components(incidence @ incidence.T, directed=False)
+    return labels == labels[seed_tri]
 
 
 # ---------------------------------------------------------------------------

@@ -352,8 +352,8 @@ def cmd_meyers(cfg):
 def cmd_beltrami(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = resolve_sigma(cfg)
-    k = coefficients.dilatation_bound(sigma, m.centroids)
-    ell = coefficients.ellipticity_report(sigma, m.centroids)
+    ell = coefficients.require_elliptic(sigma, m.centroids)
+    k = coefficients.max_dilatation(ell.samples)
     report = {
         "sigma": sigma.descriptor,
         "ellipticity": ell.to_dict(),
@@ -493,9 +493,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     missing = [k for k in _REQUIRED[args.command] if not cfg.get(k)]
     if missing:
         raise ConfigError(f"missing required options for {args.command}: {missing}")
+    for key in ("domain", "sigma", "g", "b", "out"):
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"option {key} must be a string, got {cfg[key]!r}")
     for key in ("h", "spacing", "alpha", "margin", "fd_step", "atol"):
         value = cfg[key]
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
             raise ConfigError(f"option {key} must be a finite number, got {value!r}")
     for key in ("refine", "levels", "loop", "directions"):
         value = cfg[key]

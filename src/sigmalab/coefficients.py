@@ -166,8 +166,8 @@ def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityRep
     )
 
 
-def require_elliptic(field: CoefficientField, sample_points) -> np.ndarray:
-    """Sample sigma once, check ellipticity there, and return the (n, 2, 2) samples.
+def require_elliptic(field: CoefficientField, sample_points) -> EllipticityReport:
+    """Sample sigma once and check ellipticity there; the report holds the samples.
 
     A non-elliptic field raises NotEllipticError, which is also a ConfigError.
     """
@@ -178,7 +178,7 @@ def require_elliptic(field: CoefficientField, sample_points) -> np.ndarray:
             f"eigenvalue {min(report.min_sym_eig, report.min_inv_sym_eig):.3e} "
             f"at {report.worst_point}"
         )
-    return report.samples
+    return report
 
 
 def dilatations(m) -> DilatationPair:
@@ -202,7 +202,12 @@ def dilatations(m) -> DilatationPair:
 
 def dilatation_bound(field: CoefficientField, sample_points) -> float:
     """Supremum of |mu| + |nu| over the samples; must come out below 1."""
-    k = float(np.max(dilatations(require_elliptic(field, sample_points)).magnitude))
+    return max_dilatation(require_elliptic(field, sample_points).samples)
+
+
+def max_dilatation(samples) -> float:
+    """Supremum of |mu| + |nu| over elliptic (n, 2, 2) samples; must come out below 1."""
+    k = float(np.max(dilatations(samples).magnitude))
     if not k < 1.0:
         raise EllipticityError(f"dilatation bound {k} is not below 1")
     return k

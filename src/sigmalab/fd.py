@@ -197,7 +197,7 @@ def solve_nondivergence(
         raise SolverError("grid has no interior nodes")
     X, Y = grid.node_coordinates()
     pts = np.column_stack([X[jj, ii], Y[jj, ii]])
-    S = require_elliptic(sigma, pts)
+    S = require_elliptic(sigma, pts).samples
     B = b.at_points(pts)
 
     cross = 0.5 * (S[:, 0, 1] + S[:, 1, 0])

@@ -65,7 +65,7 @@ class TriangleGradientField:
 
 def assemble_stiffness(mesh: Mesh, sigma: CoefficientField) -> sparse.csr_matrix:
     """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i."""
-    S = require_elliptic(sigma, mesh.centroids)
+    S = require_elliptic(sigma, mesh.centroids).samples
     G = mesh.basis_gradients
     K = np.einsum("tia,tab,tjb->tij", G, S, G) * mesh.areas[:, None, None]
     t = mesh.triangles

@@ -9,10 +9,11 @@ workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,12 +40,55 @@ class CircleLoop:
     radius: float
 
     def project(self, p: np.ndarray) -> np.ndarray:
+        """Radial projection of the (n, 2) points p onto the circle."""
         c = np.array([self.cx, self.cy])
         v = p - c
-        n = math.hypot(v[0], v[1])
-        if n == 0.0:
+        # math.hypot per point: np.hypot differs from it in the last bit
+        n = np.fromiter(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist()), float, len(v))
+        if (n == 0.0).any():
             raise MeshError("cannot project the circle center onto the circle")
-        return c + v * (self.radius / n)
+        return c + v * (self.radius / n)[:, None]
+
+
+class EdgeTable(NamedTuple):
+    """Undirected edges of a triangulation, built once per mesh.
+
+    Directed edge ``3 * t + j`` runs from ``triangles[t, j]`` to
+    ``triangles[t, (j + 1) % 3]``. ``edges`` holds each undirected edge once
+    as a ``(lo, hi)`` row, rows sorted; ``counts`` is the number of
+    triangles of each edge, ``first`` its first directed edge and
+    ``inverse`` the edge of each directed edge.
+    """
+
+    edges: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+    inverse: np.ndarray
+
+
+def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
+    """The edge table of an (nt, 3) int64 triangle array on num_vertices vertices."""
+    if len(triangles) == 0:
+        raise MeshError("mesh has no triangles")
+    if triangles.min() < 0 or triangles.max() >= num_vertices:
+        raise MeshError("triangle vertex index out of range")
+    a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
+    # lo * nv + hi sorts exactly like the (lo, hi) rows
+    key = np.minimum(a, b) * num_vertices + np.maximum(a, b)
+    uniq, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    table = EdgeTable(
+        np.column_stack([uniq // num_vertices, uniq % num_vertices]), counts, first, inverse
+    )
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _edge_lengths(vertices, edges) -> np.ndarray:
+    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 class Mesh:
@@ -73,12 +117,9 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if len(triangles) == 0:
-            raise MeshError("mesh has no triangles")
         if not np.isfinite(vertices).all():
             raise MeshError("non-finite vertex coordinates")
-        if triangles.min() < 0 or triangles.max() >= len(vertices):
-            raise MeshError("triangle vertex index out of range")
+        self.edge_table = edge_table(triangles, len(vertices))
         if not (h > 0 and math.isfinite(h)):
             raise MeshError("mesh size h must be positive and finite")
 
@@ -94,7 +135,7 @@ class Mesh:
             )
         self._areas = areas
 
-        self.loops = _extract_loops(vertices, triangles)
+        self.loops = _extract_loops(vertices, triangles, self.edge_table)
         if loop_geometry is None:
             loop_geometry = [None] * len(self.loops)
         if len(loop_geometry) != len(self.loops):
@@ -148,20 +189,14 @@ class Mesh:
         mask[self.boundary_vertices] = False
         return np.where(mask)[0]
 
-    @cached_property
+    @property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(unique undirected edges (ne, 2), incidence count per edge)."""
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        uniq, counts = np.unique(e, axis=0, return_counts=True)
-        return uniq, counts
+        return self.edge_table.edges, self.edge_table.counts
 
     @cached_property
     def max_edge_length(self) -> float:
-        e, _ = self.edges
-        d = self.vertices[e[:, 0]] - self.vertices[e[:, 1]]
-        return float(np.hypot(d[:, 0], d[:, 1]).max())
+        return float(_edge_lengths(self.vertices, self.edge_table.edges).max())
 
     # -- point location ---------------------------------------------------
 
@@ -171,12 +206,9 @@ class Mesh:
 
     @cached_property
     def _vertex_to_triangles(self) -> list[np.ndarray]:
-        lists: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for t, (a, b, c) in enumerate(self.triangles):
-            lists[a].append(t)
-            lists[b].append(t)
-            lists[c].append(t)
-        return [np.array(l, dtype=np.int64) for l in lists]
+        flat = self.triangles.ravel()
+        counts = np.bincount(flat, minlength=self.num_vertices)
+        return np.split(np.argsort(flat, kind="stable") // 3, np.cumsum(counts)[:-1])
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Find containing triangles for an (n, 2) array of points.
@@ -247,53 +279,36 @@ def _loop_signed_area(points: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _extract_loops(vertices, triangles) -> list[np.ndarray]:
+def _extract_loops(vertices, triangles, table: EdgeTable) -> list[np.ndarray]:
     """Chain the directed boundary edges into closed loops.
 
     Directed edges inherit the (counterclockwise) triangle orientation, so
-    the outer loop comes out counterclockwise and holes clockwise. Loops are
-    canonicalized to start at their smallest vertex index; the outer loop
-    (largest absolute enclosed area) is listed first.
+    the outer loop comes out counterclockwise and holes clockwise. Loops
+    start at their smallest vertex index; the outer loop (largest absolute
+    enclosed area) is listed first, the others follow by starting vertex.
     """
-    t = triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    und = np.sort(edges, axis=1)
-    uniq, inverse, counts = np.unique(
-        und, axis=0, return_inverse=True, return_counts=True
-    )
-    if counts.max() > 2:
-        bad = uniq[np.argmax(counts)]
-        raise MeshError(f"edge {tuple(bad)} belongs to more than two triangles")
-    on_boundary = counts[inverse] == 1
-    succ: dict[int, int] = {}
-    for a, b in edges[on_boundary]:
-        if int(a) in succ:
-            raise MeshError(
-                f"boundary is not a disjoint union of simple loops near vertex {a}"
-            )
-        succ[int(a)] = int(b)
+    if table.counts.max() > 2:
+        bad = table.edges[np.argmax(table.counts)]
+        raise MeshError(f"edge {tuple(bad.tolist())} belongs to more than two triangles")
+    f = table.first[table.counts == 1]  # the one directed edge of each boundary edge
+    src, dst = triangles[f // 3, f % 3], triangles[f // 3, (f + 1) % 3]
+    starts = np.unique(src)
+    # each boundary vertex starts exactly one boundary edge and ends exactly one
+    if len(starts) == 0 or not np.array_equal(starts, np.sort(dst)):
+        raise MeshError("boundary is not a disjoint union of simple loops")
 
+    succ = dict(zip(src.tolist(), dst.tolist()))
     loops = []
-    visited: set[int] = set()
-    for start in sorted(succ):
-        if start in visited:
+    seen: set[int] = set()
+    for start in starts.tolist():
+        if start in seen:
             continue
         loop = [start]
-        visited.add(start)
-        v = succ[start]
-        while v != start:
-            if v in visited:
-                raise MeshError(f"boundary loop through vertex {v} is not simple")
+        while (v := succ[loop[-1]]) != start:
             loop.append(v)
-            visited.add(v)
-            v = succ[v]
-        if len(loop) < 3:
-            raise MeshError("boundary loop with fewer than 3 vertices")
-        arr = np.array(loop, dtype=np.int64)
-        arr = np.roll(arr, -int(np.argmin(arr)))
-        loops.append(arr)
+        seen.update(loop)
+        loops.append(np.array(loop, dtype=np.int64))
 
-    loops.sort(key=lambda l: int(l.min()))
     areas = [abs(_loop_signed_area(vertices[l])) for l in loops]
     outer = int(np.argmax(areas))
     loops = [loops[outer]] + [l for i, l in enumerate(loops) if i != outer]
@@ -445,17 +460,10 @@ def generate_rectangle(
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return Mesh(verts, np.array(tris, dtype=np.int64), h, [None])
+    # lower-left corner of each square, row by row; each square splits along a-c
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    return Mesh(verts, np.column_stack([a, b, c, a, c, d]).reshape(-1, 3), h, [None])
 
 
 # ---------------------------------------------------------------------------
@@ -467,43 +475,28 @@ def refine(mesh: Mesh, max_vertices=None) -> Mesh:
 
     Midpoints of boundary edges are projected onto the analytic boundary for
     loops that carry circle geometry, so disk and annulus meshes converge to
-    the true domain. The nominal size h halves.
+    the true domain. Midpoints are numbered after the old vertices in the
+    order their edges first occur in the triangles. The nominal size h halves.
     """
-    _check_cap(mesh.num_vertices + len(mesh.edges[0]), max_vertices)
-    uniq, counts = mesh.edges
-    edge_count = {(int(a), int(b)): int(c) for (a, b), c in zip(uniq, counts)}
+    table = mesh.edge_table
+    nv, ne = mesh.num_vertices, len(table.edges)
+    _check_cap(nv + ne, max_vertices)
+    order = np.argsort(table.first)
+    rank = np.empty(ne, dtype=np.int64)
+    rank[order] = np.arange(ne)
+    e = table.edges[order]
+    mid = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
+    on_boundary = table.counts[order] == 1
+    for loop, geom in zip(mesh.loops, mesh.loop_geometry):
+        if isinstance(geom, CircleLoop):
+            sel = on_boundary & np.isin(e[:, 0], loop)
+            mid[sel] = geom.project(mid[sel])
 
-    loop_of_vertex: dict[int, int] = {}
-    for li, loop in enumerate(mesh.loops):
-        for v in loop:
-            loop_of_vertex[int(v)] = li
-
-    verts = list(map(np.asarray, mesh.vertices))
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        idx = midpoint.get(key)
-        if idx is not None:
-            return idx
-        p = 0.5 * (mesh.vertices[u] + mesh.vertices[v])
-        if edge_count[key] == 1:
-            geom = mesh.loop_geometry[loop_of_vertex[u]]
-            if isinstance(geom, CircleLoop):
-                p = geom.project(p)
-        idx = len(verts)
-        verts.append(p)
-        midpoint[key] = idx
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    a, b, c = mesh.triangles.T
+    ab, bc, ca = (nv + rank[table.inverse]).reshape(-1, 3).T
+    tris = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
     return Mesh(
-        np.array(verts), np.array(tris, dtype=np.int64), mesh.h / 2.0,
-        list(mesh.loop_geometry),
+        np.concatenate([mesh.vertices, mid]), tris, mesh.h / 2.0, list(mesh.loop_geometry)
     )
 
 
@@ -523,61 +516,61 @@ def boundary_trace(mesh: Mesh, loop_index: int) -> list[tuple[int, Point2]]:
 
 
 def mesh_to_text(mesh: Mesh) -> str:
-    lines = ["mesh v1", f"vertices {mesh.num_vertices}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    lines.append(f"triangles {mesh.num_triangles}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    for loop in mesh.loops:
-        lines.append("boundary " + str(len(loop)) + " " + " ".join(map(str, loop)))
-    return "\n".join(lines) + "\n"
+    v, t = mesh.vertices, mesh.triangles
+    parts = [
+        f"mesh v1\nvertices {len(v)}\n",
+        ("%r %r\n" * len(v)) % tuple(v.ravel().tolist()),
+        f"triangles {len(t)}\n",
+        ("%d %d %d\n" * len(t)) % tuple(t.ravel().tolist()),
+    ]
+    parts += [f"boundary {len(l)} {' '.join(map(str, l.tolist()))}\n" for l in mesh.loops]
+    return "".join(parts)
+
+
+def _numbers(rows, dtype, what: str) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise MeshError(f"malformed {what}: {exc}") from None
+
+
+def _section(lines: list[str], pos: int, word: str, width: int, dtype):
+    """The header 'word n' at lines[pos] and the (n, width) rows after it,
+    with the position of the next line."""
+    if pos >= len(lines):
+        raise MeshError("unexpected end of mesh file")
+    head = lines[pos].split()
+    if len(head) != 2 or head[0] != word or not head[1].isdecimal():
+        raise MeshError(f"malformed {word} header")
+    n = int(head[1])
+    rows = lines[pos + 1 : pos + 1 + n]
+    if len(rows) < n:
+        raise MeshError("unexpected end of mesh file")
+    values = _numbers(list(map(str.split, rows)), dtype, f"{word} rows")
+    if n and values.shape != (n, width):
+        raise MeshError(f"every {word} row must hold {width} numbers")
+    return values.reshape(n, width), pos + 1 + n
 
 
 def mesh_from_text(text: str) -> Mesh:
     lines = text.splitlines()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshError("unexpected end of mesh file")
-        line = lines[pos]
-        pos += 1
-        return line
-
-    if take().strip() != "mesh v1":
+    if not lines or lines[0].strip() != "mesh v1":
         raise MeshError("not a 'mesh v1' file")
-    head = take().split()
-    if len(head) != 2 or head[0] != "vertices":
-        raise MeshError("malformed vertices header")
-    nv = int(head[1])
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        a, b = take().split()
-        verts[i] = (float(a), float(b))
-    head = take().split()
-    if len(head) != 2 or head[0] != "triangles":
-        raise MeshError("malformed triangles header")
-    nt = int(head[1])
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        tris[i] = [int(t) for t in take().split()]
+    verts, pos = _section(lines, 1, "vertices", 2, float)
+    tris, pos = _section(lines, pos, "triangles", 3, np.int64)
     stored_loops = []
-    while pos < len(lines) and lines[pos].strip():
-        parts = take().split()
-        if parts[0] != "boundary":
+    # boundary lines run up to the first blank line
+    for parts in map(str.split, itertools.takewhile(str.strip, lines[pos:])):
+        ids = _numbers(parts[1:], np.int64, "boundary line")
+        if parts[0] != "boundary" or len(ids) == 0:
             raise MeshError("malformed boundary line")
-        count = int(parts[1])
-        ids = [int(t) for t in parts[2:]]
-        if len(ids) != count:
+        if ids[0] != len(ids) - 1:
             raise MeshError("boundary loop length mismatch")
-        stored_loops.append(np.array(ids, dtype=np.int64))
+        stored_loops.append(ids[1:])
 
     # h is not stored in the format; use the maximal edge length as nominal size
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    d = verts[e[:, 0]] - verts[e[:, 1]]
-    mesh = Mesh(verts, tris, h=float(np.hypot(d[:, 0], d[:, 1]).max()))
+    h = _edge_lengths(verts, edge_table(tris, len(verts)).edges).max()
+    mesh = Mesh(verts, tris, h=float(h))
     if len(stored_loops) != len(mesh.loops) or any(
         not np.array_equal(a, b) for a, b in zip(stored_loops, mesh.loops)
     ):

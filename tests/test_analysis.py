@@ -28,6 +28,7 @@ from sigmalab.coefficients import (
     identity_field,
     meyers_sigma,
 )
+from sigmalab.analysis import _component_containing
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
 
 
@@ -350,6 +351,52 @@ def test_pullback_boundary_point_rejected(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
     with pytest.raises(DegenerateInputError):
         pullback_subdomain(U, (1.0, 0.0), 0.1)
+
+
+def flood_fill_component(mesh, keep_tri, seed_tri):
+    """Reference: the kept triangles reached from seed_tri across shared edges."""
+    edge_tris = {}
+    for t in np.flatnonzero(keep_tri):
+        a, b, c = mesh.triangles[t].tolist()
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_tris.setdefault((min(u, v), max(u, v)), []).append(int(t))
+    adj = {}
+    for tris in edge_tris.values():
+        if len(tris) == 2:
+            adj.setdefault(tris[0], []).append(tris[1])
+            adj.setdefault(tris[1], []).append(tris[0])
+    component = np.zeros_like(keep_tri)
+    component[seed_tri] = True
+    stack = [seed_tri]
+    while stack:
+        for s in adj.get(stack.pop(), ()):
+            if not component[s]:
+                component[s] = True
+                stack.append(s)
+    return component
+
+
+@pytest.mark.parametrize(
+    "oracle, z0, r, several",
+    [
+        (meyers_solution(2.0), (0.6, 0.0), 0.1, False),
+        (meyers_solution(2.0), (-0.3, 0.5), 0.25, False),
+        (holomorphic_oracle(2), (0.6, 0.1), 0.12, True),
+        (holomorphic_oracle(2), (0.6, 0.1), 0.3, True),
+        (holomorphic_oracle(2), (0.5, -0.4), 0.6, False),
+    ],
+)
+def test_component_containing_matches_flood_fill(annulus_mesh, oracle, z0, r, several):
+    U = oracle.mapping_field(annulus_mesh)
+    tri, bary = annulus_mesh.locate(np.array([z0]))
+    w0 = U.values[annulus_mesh.triangles[tri[0]]].T @ bary[0]
+    keep = (np.hypot(*(U.values - w0).T) <= r)[annulus_mesh.triangles].all(axis=1)
+    got = _component_containing(annulus_mesh, keep, int(tri[0]))
+    ref = flood_fill_component(annulus_mesh, keep, int(tri[0]))
+    assert got.dtype == bool
+    assert np.array_equal(got, ref)
+    # z -> z^2 pulls a small disk back to two pieces, around z0 and -z0
+    assert (ref.sum() < keep.sum()) == several
 
 
 # ---------------------------------------------------------------------------

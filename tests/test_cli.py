@@ -229,6 +229,13 @@ def test_failed_run_leaves_no_files(tmp_path):
         (["mesh", "--domain", "disk:r=1", {"refine": "a"}], "option refine must be an integer"),
         (["verify", "--domain", "disk:r=1", "--g", "identity", {"directions": 2.5}],
          "option directions must be an integer"),
+        (["unimodal", "--domain", "disk:r=1", {"g": 5}], "option g must be a string"),
+        (["solve", "--domain", "disk:r=1", {"sigma": 5}], "option sigma must be a string"),
+        (["mesh", {"domain": 5}], "option domain must be a string"),
+        (["solve-nd", "--domain", "rect:w=1,h=1", {"b": None}], "option b must be a string"),
+        (["mesh", "--domain", "disk:r=1", {"h": True}], "option h must be a finite number"),
+        (["verify", "--domain", "disk:r=1", "--g", "identity", {"margin": False}],
+         "option margin must be a finite number"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
@@ -240,6 +247,25 @@ def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
             args = args[:i] + ["--config", str(config)] + args[i + 1 :]
     code, out = run(tmp_path, *args)
     assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_string_out_is_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": 5}))
+    assert main(["mesh", "--domain", "disk:r=1", "--config", str(config)]) == 2
+    assert "option out must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sigma, code, message",
+    [("aniso:l1=-1,l2=1", 2, "not elliptic"),
+     ("const:a11=1,a12=1,a21=1,a22=1", 3, "numerically singular")],
+)
+def test_beltrami_bad_sigma_exit_status(tmp_path, capsys, sigma, code, message):
+    got, out = run(tmp_path, "beltrami", "--domain", "disk:r=1", "--h", "0.1", "--sigma", sigma)
+    assert got == code
     assert message in capsys.readouterr().err
     assert not out.exists()
 

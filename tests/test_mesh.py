@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmalab import (
     MeshError,
@@ -9,11 +11,20 @@ from sigmalab import (
     boundary_trace,
     generate_annulus,
     generate_disk,
+    generate_rectangle,
     read_mesh,
     refine,
     write_mesh,
 )
-from sigmalab.mesh import Mesh, mesh_from_text
+from sigmalab.mesh import Mesh, mesh_from_text, mesh_to_text
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+DOMAINS = {
+    "disk": lambda h: generate_disk((0.0, 0.0), 1.0, h),
+    "annulus": lambda h: generate_annulus((0.0, 0.0), 0.2, 1.0, h),
+    "rect": lambda h: generate_rectangle((0.0, 0.0), 1.75, 1.75, h),
+}
 
 
 def loop_signed_area(mesh, loop):
@@ -181,3 +192,123 @@ def test_boundary_distance(disk_mesh, annulus_mesh):
     assert np.allclose(d, [1.0, 0.5], atol=1e-12)
     d = annulus_mesh.boundary_distance(np.array([[0.5, 0.0]]))
     assert np.allclose(d, [0.3], atol=1e-12)
+
+
+# sha256 of mesh_to_text at h = 0.2 and 0, 1, 2 refinements, recorded before
+# refine, the edge table and the text I/O became array code
+MESH_TEXT_SHA256 = {
+    "disk": (
+        "8b302db3449d4ff9068b744552be622aeaee4077c5ccca94eed184d826b1bb88",
+        "fece2b156a65d9e43baa9d8e617455561ce52f7cc8173b6e4f4bf1730f29ccee",
+        "133fe9ab31ea7087a492e1485e1accc48edcfbf0c97c0ea8012aaa8a0709fc1c",
+    ),
+    "annulus": (
+        "5426927b99dba7f32d1490d25dc615b62bfe965ab05105aa29837398fb5aab8e",
+        "fb02efa7d15f35b75f2acd6ca0bb2a71427b9ab75df7bc20185aead0a111b5cb",
+        "0ed9e239592845c68a006daf0a6941cdd9a86bcc811c8ac17147201f48600d45",
+    ),
+    "rect": (
+        "78da486f07e8f8f9f0a97da54e1ea3f51f1dfd1f24c69ade810811befc8e95a1",
+        "f4f55ebefe80b13239c7c46d7e6217b1a9927e930c2251afe7b4ed01afafefaf",
+        "fb36878be058aa4b8ab19a9c53ab242563330619105e02bd85f37e130ea83585",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESH_TEXT_SHA256))
+def test_mesh_text_bytes_pinned(name):
+    m = DOMAINS[name](0.2)
+    for digest in MESH_TEXT_SHA256[name]:
+        assert hashlib.sha256(mesh_to_text(m).encode()).hexdigest() == digest
+        m = refine(m)
+
+
+def test_edges_are_sorted_unique_rows(annulus_mesh):
+    edges, counts = annulus_mesh.edges
+    t = annulus_mesh.triangles
+    rows = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    uniq, ref_counts = np.unique(rows, axis=0, return_counts=True)
+    assert np.array_equal(edges, uniq)
+    assert np.array_equal(counts, ref_counts)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(DOMAINS)), st.floats(0.15, 0.45), st.integers(0, 2)
+)
+def test_mesh_text_roundtrip_exact(name, h, levels):
+    m = DOMAINS[name](h)
+    for _ in range(levels):
+        m = refine(m)
+    back = mesh_from_text(mesh_to_text(m))
+    assert np.array_equal(back.vertices, m.vertices)
+    assert back.vertices.tobytes() == m.vertices.tobytes()
+    assert np.array_equal(back.triangles, m.triangles)
+    assert len(back.loops) == len(m.loops)
+    assert all(np.array_equal(a, b) for a, b in zip(back.loops, m.loops))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mesh v1\nvertices 1\na b\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1 2\ntriangles 1\n0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary\n",
+        "mesh v1\nvertices -3\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 9\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 99999999999999999999\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 0\n",
+        "",
+    ],
+)
+def test_mesh_from_text_malformed_is_mesh_error(text):
+    with pytest.raises(MeshError):
+        mesh_from_text(text)
+
+
+_BASE_TEXTS = [
+    mesh_to_text(generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5)),
+    mesh_to_text(generate_annulus((0.0, 0.0), 0.5, 1.0, 0.45)),
+]
+_TOKENS = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "2", "-1", "7", "0.5", "1e999", "nan", "a", "boundary",
+         "vertices", "triangles", "mesh v1", "0 1 2", "3 0 1 2", "99999999999999999999"]
+    ),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def mesh_texts(draw):
+    """A valid small mesh text with a few lines or tokens replaced, inserted or deleted."""
+    lines = draw(st.sampled_from(_BASE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        # half of the edits land in the last lines: triangles and boundary loops
+        n = len(lines)
+        i = draw(st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 12), n - 1)))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "token", "swap"]))
+        if op == "replace":
+            lines[i] = draw(_TOKENS)
+        elif op == "insert":
+            lines.insert(i, draw(_TOKENS))
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "token":
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_TOKENS)
+            lines[i] = " ".join(parts)
+        elif op == "swap":
+            lines[i] = " ".join(reversed(lines[i].split()))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(mesh_texts(), st.text()))
+def test_mesh_from_text_gives_mesh_or_mesh_error(text):
+    try:
+        mesh = mesh_from_text(text)
+    except MeshError:
+        return
+    assert isinstance(mesh, Mesh)

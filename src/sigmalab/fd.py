@@ -20,6 +20,7 @@ from scipy.sparse.linalg import spsolve
 from .coefficients import CoefficientField, VectorField2, divergence_of_sigma, require_elliptic
 from .errors import MeshError, SolverError
 from .fem import boundary_values
+from .mesh import read_line, read_rows
 
 RESIDUAL_TOL = 1e-10
 
@@ -47,8 +48,8 @@ class GridDomain:
         bm = np.asarray(self.boundary_mask, dtype=bool)
         if im.shape != (self.ny, self.nx) or bm.shape != (self.ny, self.nx):
             raise MeshError("mask shapes must be (ny, nx)")
-        if self.spacing <= 0:
-            raise MeshError("grid spacing must be positive")
+        if not (self.spacing > 0 and np.isfinite([*self.origin, self.spacing]).all()):
+            raise MeshError("grid spacing must be positive, origin and spacing finite")
         if (im & bm).any():
             raise MeshError("interior and boundary masks overlap")
         alive = im | bm
@@ -277,48 +278,40 @@ def solve_nondivergence(
 
 def grid_field_to_text(f: GridField) -> str:
     g = f.grid
-    lines = [
-        "grid v1",
-        f"origin {float(g.origin[0])!r} {float(g.origin[1])!r}",
-        f"spacing {float(g.spacing)!r}",
-        f"size {g.nx} {g.ny}",
-        "mask",
-    ]
     code = np.zeros((g.ny, g.nx), dtype=int)
     code[g.interior_mask] = 1
     code[g.boundary_mask] = 2
-    for j in range(g.ny):
-        lines.append(" ".join(str(c) for c in code[j]))
-    lines.append("values")
-    for j in range(g.ny):
-        lines.append(" ".join(repr(float(v)) for v in f.values[j]))
-    return "\n".join(lines) + "\n"
+    mask_rows = (" ".join(["%d"] * g.nx) + "\n") * g.ny
+    value_rows = (" ".join(["%r"] * g.nx) + "\n") * g.ny
+    return (
+        f"grid v1\norigin {float(g.origin[0])!r} {float(g.origin[1])!r}\n"
+        f"spacing {float(g.spacing)!r}\nsize {g.nx} {g.ny}\nmask\n"
+        + mask_rows % tuple(code.ravel().tolist())
+        + "values\n"
+        + value_rows % tuple(f.values.ravel().tolist())
+    )
 
 
 def grid_field_from_text(text: str) -> GridField:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "grid v1":
         raise MeshError("not a 'grid v1' file")
-    o = lines[1].split()
-    s = lines[2].split()
-    z = lines[3].split()
-    if o[0] != "origin" or s[0] != "spacing" or z[0] != "size":
-        raise MeshError("malformed grid header")
-    origin = (float(o[1]), float(o[2]))
-    spacing = float(s[1])
-    nx, ny = int(z[1]), int(z[2])
-    if lines[4].strip() != "mask":
-        raise MeshError("missing mask block")
-    code = np.array(
-        [[int(c) for c in lines[5 + j].split()] for j in range(ny)], dtype=int
-    )
-    if lines[5 + ny].strip() != "values":
-        raise MeshError("missing values block")
-    vals = np.array(
-        [[float(c) for c in lines[6 + ny + j].split()] for j in range(ny)]
-    )
-    grid = GridDomain(origin, spacing, nx, ny, code == 1, code == 2)
-    return GridField(grid, vals)
+    origin = read_line(lines, 1, "origin", 2, float)
+    (spacing,) = read_line(lines, 2, "spacing", 1, float)
+    nx, ny = read_line(lines, 3, "size", 2, np.int64).tolist()
+    if nx < 0 or ny < 0:
+        raise MeshError("malformed size line")
+    blocks = {}
+    pos = 4
+    for word, dtype in (("mask", np.int64), ("values", float)):
+        if pos >= len(lines) or lines[pos].strip() != word:
+            raise MeshError(f"missing {word} block")
+        blocks[word], pos = read_rows(lines, pos + 1, ny, nx, dtype, f"{word} row")
+    code = blocks["mask"]
+    if not np.isin(code, (0, 1, 2)).all():
+        raise MeshError("mask codes must be 0, 1 or 2")
+    grid = GridDomain(tuple(origin.tolist()), float(spacing), nx, ny, code == 1, code == 2)
+    return GridField(grid, blocks["values"])
 
 
 def write_grid_field(f: GridField, path) -> None:

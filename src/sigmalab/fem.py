@@ -18,7 +18,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .coefficients import CoefficientField, require_elliptic
 from .errors import MeshError, SolverError
-from .mesh import Mesh
+from .mesh import Mesh, read_section
 
 RESIDUAL_TOL = 1e-10
 
@@ -165,25 +165,20 @@ def relative_l2_error(u: ScalarField, exact) -> float:
 
 
 def field_to_text(u: ScalarField) -> str:
-    lines = ["field v1", f"values {len(u.values)}"]
-    lines.extend(repr(float(v)) for v in u.values)
-    return "\n".join(lines) + "\n"
+    n = len(u.values)
+    return f"field v1\nvalues {n}\n" + ("%r\n" * n) % tuple(u.values.tolist())
 
 
 def field_from_text(text: str, mesh: Mesh) -> ScalarField:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "field v1":
         raise MeshError("not a 'field v1' file")
-    head = lines[1].split()
-    if len(head) != 2 or head[0] != "values":
-        raise MeshError("malformed values header")
-    n = int(head[1])
-    if n != mesh.num_vertices:
+    values, _ = read_section(lines, 1, "values", 1, float)
+    if len(values) != mesh.num_vertices:
         raise MeshError(
-            f"field has {n} values but the mesh has {mesh.num_vertices} vertices"
+            f"field has {len(values)} values but the mesh has {mesh.num_vertices} vertices"
         )
-    vals = np.array([float(l) for l in lines[2 : 2 + n]])
-    return ScalarField(mesh, vals)
+    return ScalarField(mesh, values.ravel())
 
 
 def write_field(u: ScalarField, path) -> None:

@@ -9,7 +9,6 @@ workers.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,12 +65,16 @@ class EdgeTable(NamedTuple):
     inverse: np.ndarray
 
 
-def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
-    """The edge table of an (nt, 3) int64 triangle array on num_vertices vertices."""
+def _check_triangle_indices(triangles: np.ndarray, num_vertices: int) -> None:
     if len(triangles) == 0:
         raise MeshError("mesh has no triangles")
     if triangles.min() < 0 or triangles.max() >= num_vertices:
         raise MeshError("triangle vertex index out of range")
+
+
+def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
+    """The edge table of an (nt, 3) int64 triangle array on num_vertices vertices."""
+    _check_triangle_indices(triangles, num_vertices)
     a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
     # lo * nv + hi sorts exactly like the (lo, hi) rows
     key = np.minimum(a, b) * num_vertices + np.maximum(a, b)
@@ -86,9 +89,15 @@ def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
     return table
 
 
-def _edge_lengths(vertices, edges) -> np.ndarray:
-    d = vertices[edges[:, 0]] - vertices[edges[:, 1]]
-    return np.hypot(d[:, 0], d[:, 1])
+def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
+    """The longest edge length, taken over the directed edges of the triangles.
+
+    An edge measured from either end gives the same hypot bit for bit, so
+    this equals the longest edge of the edge table without needing the table.
+    """
+    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
+    nxt = [1, 2, 0]
+    return float(np.hypot(x - x[:, nxt], y - y[:, nxt]).max())
 
 
 class Mesh:
@@ -196,7 +205,7 @@ class Mesh:
 
     @cached_property
     def max_edge_length(self) -> float:
-        return float(_edge_lengths(self.vertices, self.edge_table.edges).max())
+        return _longest_edge(self.vertices, self.triangles)
 
     # -- point location ---------------------------------------------------
 
@@ -512,7 +521,8 @@ def boundary_trace(mesh: Mesh, loop_index: int) -> list[tuple[int, Point2]]:
 
 
 # ---------------------------------------------------------------------------
-# plain-text format: "mesh v1"
+# plain-text format: "mesh v1", and the number parser that the "field v1"
+# (fem) and "grid v1" (fd) readers share with it
 
 
 def mesh_to_text(mesh: Mesh) -> str:
@@ -527,50 +537,97 @@ def mesh_to_text(mesh: Mesh) -> str:
     return "".join(parts)
 
 
-def _numbers(rows, dtype, what: str) -> np.ndarray:
+#: bytes of integer rows: digits, signs and the separators of joined rows
+_INTEGER_BYTES = b"0123456789+- \t\n"
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _check_integer_rows(rows: list[str], what: str) -> None:
+    """Reject integer tokens that numpy would only read through a float.
+
+    numpy 1.23-1.26 read an integer token such as "1.0", "1e3" or one past
+    int64 as a float, with only a DeprecationWarning, where numpy 2 raises.
+    Checking the characters, and the value of any token of 19 or more
+    digits, gives the same MeshError on every numpy.
+    """
+    data = "\n".join(rows).encode("ascii", "replace")
+    if data.translate(None, _INTEGER_BYTES):
+        raise MeshError(f"malformed {what}: an integer holds only digits and a sign")
+    if b"0" * 19 in data.translate(_DIGITS_TO_ZERO):
+        try:
+            ok = all(-(2**63) <= int(t) < 2**63 for t in data.split())
+        except ValueError:  # a sign inside a token: not an integer on any numpy
+            ok = False
+        if not ok:
+            raise MeshError(f"malformed {what}: not an int64 integer")
+
+
+def read_rows(lines: list[str], pos: int, n: int, width: int, dtype, what: str):
+    """The (n, width) array of the numbers on lines[pos : pos + n], with pos + n.
+
+    The rows hold whitespace-separated numbers and are parsed in one C-level
+    call; floats read back bit for bit from their repr. A missing, blank,
+    ragged or non-numeric row raises MeshError naming `what`. This is the
+    number parser of the "mesh v1", "field v1" and "grid v1" formats.
+    """
+    rows = lines[pos : pos + n]
+    if len(rows) < n:
+        raise MeshError("unexpected end of file")
+    if n == 0:
+        return np.empty((0, width), dtype), pos  # loadtxt warns on no data
+    # loadtxt skips blank rows, which the shape check below then catches; a
+    # blank first row is refused here, because an all-blank section warns
+    if not rows[0].strip():
+        raise MeshError(f"blank {what}")
+    if np.dtype(dtype).kind == "i":
+        _check_integer_rows(rows, what)
     try:
-        return np.array(rows, dtype=dtype)
-    except (ValueError, OverflowError) as exc:
+        values = np.loadtxt(rows, dtype, comments=None, ndmin=2)
+    except ValueError as exc:
         raise MeshError(f"malformed {what}: {exc}") from None
+    if values.shape != (n, width):
+        raise MeshError(f"every {what} must hold {width} numbers")
+    return values, pos + n
 
 
-def _section(lines: list[str], pos: int, word: str, width: int, dtype):
+def read_line(lines: list[str], pos: int, word: str, width: int, dtype) -> np.ndarray:
+    """The `width` numbers after the leading `word` of lines[pos], as a (width,) array."""
+    if pos >= len(lines):
+        raise MeshError("unexpected end of file")
+    head = lines[pos].split(None, 1)
+    if len(head) != 2 or head[0] != word:
+        raise MeshError(f"malformed {word} line")
+    return read_rows([head[1]], 0, 1, width, dtype, f"{word} line")[0][0]
+
+
+def read_section(lines: list[str], pos: int, word: str, width: int, dtype):
     """The header 'word n' at lines[pos] and the (n, width) rows after it,
     with the position of the next line."""
-    if pos >= len(lines):
-        raise MeshError("unexpected end of mesh file")
-    head = lines[pos].split()
-    if len(head) != 2 or head[0] != word or not head[1].isdecimal():
-        raise MeshError(f"malformed {word} header")
-    n = int(head[1])
-    rows = lines[pos + 1 : pos + 1 + n]
-    if len(rows) < n:
-        raise MeshError("unexpected end of mesh file")
-    values = _numbers(list(map(str.split, rows)), dtype, f"{word} rows")
-    if n and values.shape != (n, width):
-        raise MeshError(f"every {word} row must hold {width} numbers")
-    return values.reshape(n, width), pos + 1 + n
+    (n,) = read_line(lines, pos, word, 1, np.int64).tolist()
+    if n < 0:
+        raise MeshError(f"malformed {word} line")
+    return read_rows(lines, pos + 1, n, width, dtype, f"{word} row")
 
 
 def mesh_from_text(text: str) -> Mesh:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "mesh v1":
         raise MeshError("not a 'mesh v1' file")
-    verts, pos = _section(lines, 1, "vertices", 2, float)
-    tris, pos = _section(lines, pos, "triangles", 3, np.int64)
+    verts, pos = read_section(lines, 1, "vertices", 2, float)
+    tris, pos = read_section(lines, pos, "triangles", 3, np.int64)
     stored_loops = []
     # boundary lines run up to the first blank line
-    for parts in map(str.split, itertools.takewhile(str.strip, lines[pos:])):
-        ids = _numbers(parts[1:], np.int64, "boundary line")
-        if parts[0] != "boundary" or len(ids) == 0:
-            raise MeshError("malformed boundary line")
+    while pos < len(lines) and lines[pos].strip():
+        ids = read_line(lines, pos, "boundary", len(lines[pos].split()) - 1, np.int64)
         if ids[0] != len(ids) - 1:
             raise MeshError("boundary loop length mismatch")
         stored_loops.append(ids[1:])
+        pos += 1
 
     # h is not stored in the format; use the maximal edge length as nominal size
-    h = _edge_lengths(verts, edge_table(tris, len(verts)).edges).max()
-    mesh = Mesh(verts, tris, h=float(h))
+    # (the indices are checked first: _longest_edge gathers by them)
+    _check_triangle_indices(tris, len(verts))
+    mesh = Mesh(verts, tris, h=_longest_edge(verts, tris))
     if len(stored_loops) != len(mesh.loops) or any(
         not np.array_equal(a, b) for a, b in zip(stored_loops, mesh.loops)
     ):

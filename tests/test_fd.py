@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmalab import MeshError, SolverError
 from sigmalab.coefficients import (
@@ -13,6 +16,7 @@ from sigmalab.fd import (
     GridField,
     annulus_grid,
     grid_field_from_text,
+    grid_field_to_text,
     grid_from_predicate,
     read_grid_field,
     rectangle_grid,
@@ -22,6 +26,7 @@ from sigmalab.fd import (
     zero_drift,
 )
 from sigmalab.oracles import meyers_solution
+from text_mutations import mutated_texts
 
 
 def rel_l2(grid, field, exact):
@@ -134,6 +139,73 @@ def test_grid_file_roundtrip(tmp_path):
 def test_grid_text_rejects_garbage():
     with pytest.raises(MeshError):
         grid_field_from_text("grid v2\n")
+
+
+def _annulus_grid_field(spacing):
+    grid = annulus_grid((0, 0), 0.3, 0.9, spacing)
+    X, Y = grid.node_coordinates()
+    return GridField(grid, np.where(grid.interior_mask | grid.boundary_mask, X * Y / 3.0 - Y, np.nan))
+
+
+# sha256 of grid_field_to_text at spacing 0.1, recorded before the writer
+# became one %-format per block
+GRID_TEXT_SHA256 = "5e210b38b54c4242df0bb98bfa8116f4e54558a7fd2260db2d21a7309d30ec7c"
+
+
+def test_grid_text_bytes_pinned():
+    text = grid_field_to_text(_annulus_grid_field(0.1))
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_TEXT_SHA256
+
+
+_SMALL_TEXT = grid_field_to_text(_annulus_grid_field(0.2))  # 14 x 14 nodes
+_RECT_TEXT = grid_field_to_text(
+    GridField(rectangle_grid((0, 0), 0.3, 0.3, 0.1), np.arange(16.0).reshape(4, 4))
+)
+_RECT_VALUES = _RECT_TEXT[_RECT_TEXT.index("values"):]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "grid v1\n",
+        "grid v1\norigin 0 0\nspacing 0.1\n",
+        _RECT_TEXT.replace("origin 0.0 0.0", "origin a 0"),
+        _RECT_TEXT.replace("origin 0.0 0.0", "origin 0.0"),
+        _RECT_TEXT.replace("origin 0.0 0.0", "origin nan 0"),
+        _RECT_TEXT.replace("spacing 0.1", "spacing inf"),
+        _RECT_TEXT.replace("spacing 0.1", "spacing -0.1"),
+        _RECT_TEXT.replace("size 4 4", "size 4 -4"),
+        _RECT_TEXT.replace("size 4 4", "size 4.0 4"),
+        _RECT_TEXT.replace("size 4 4", "size 4 5"),
+        _RECT_TEXT.replace("mask\n", "masks\n"),
+        _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "2 2 2\n2 1 1 2"),
+        _SMALL_TEXT.replace("mask\n0 ", "mask\n7 "),
+        _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "2 2 2 2\n2 1.0 1 2"),
+        _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES.replace(" 5.0 ", " x ")),
+        _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES.replace("7.0", "7.0 # seven")),
+        _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES.replace("\n12.0", "\n\n12.0")),
+        _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES[:-20]),
+    ],
+)
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_grid_text_malformed_is_mesh_error(text):
+    with pytest.raises(MeshError):
+        grid_field_from_text(text)
+
+
+def test_grid_text_non_finite_is_solver_error():
+    with pytest.raises(SolverError, match="non-finite"):
+        grid_field_from_text(_RECT_TEXT.replace(" 5.0 ", " inf "))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(mutated_texts([_SMALL_TEXT, _RECT_TEXT]), st.text()))
+def test_grid_field_from_text_gives_field_or_error(text):
+    try:
+        f = grid_field_from_text(text)
+    except (MeshError, SolverError):
+        return
+    assert isinstance(f, GridField)
 
 
 def test_predicate_grid_drops_orphans():

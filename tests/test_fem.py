@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import sparse
 
 from sigmalab import (
     EllipticityError,
+    MeshError,
     ScalarField,
     SolverError,
     energy,
@@ -27,6 +29,7 @@ from sigmalab.coefficients import (
 )
 from sigmalab.fem import field_from_text, field_to_text, read_field, write_field
 from sigmalab.oracles import meyers_solution
+from text_mutations import mutated_texts
 
 
 def solve(mesh, sigma, g):
@@ -225,6 +228,57 @@ def test_field_file_roundtrip(tmp_path, disk_mesh):
     write_field(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.values, u.values)
+
+
+# sha256 of field_to_text for x*y/3 - y on the h=0.1 disk, recorded before the
+# writer became one %-format
+FIELD_TEXT_SHA256 = "3fcc80c5a7ddecb6979eee5cce3dc5d6089b96cb026efb504d4ac9925f726ffb"
+
+
+def test_field_text_bytes_pinned(disk_mesh):
+    x, y = disk_mesh.vertices.T
+    text = field_to_text(ScalarField(disk_mesh, x * y / 3.0 - y))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIELD_TEXT_SHA256
+
+
+_SMALL = generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5)  # 9 vertices
+_SMALL_TEXT = field_to_text(ScalarField(_SMALL, _SMALL.vertices[:, 0] - 0.25))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field v1\n",
+        "field v1\nvalues x\n",
+        "field v1\nvalues 9.0\n" + "0\n" * 9,
+        "field v1\nvalues 9\n" + "0\n" * 8,
+        "field v1\nvalues 9\n" + "0\n" * 8 + "abc\n",
+        "field v1\nvalues 9\n" + "0\n" * 8 + "0 1\n",
+        "field v1\nvalues 9\n0\n\n" + "0\n" * 8,
+        "field v1\nvalues 9\n" + "0 # zero\n" * 9,
+        "field v1\nnumbers 9\n" + "0\n" * 9,
+        _SMALL_TEXT.replace("field v1", "field v2"),
+    ],
+)
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_field_from_text_malformed_is_mesh_error(text):
+    with pytest.raises(MeshError):
+        field_from_text(text, _SMALL)
+
+
+def test_field_from_text_non_finite_is_solver_error():
+    with pytest.raises(SolverError, match="non-finite"):
+        field_from_text("field v1\nvalues 9\n" + "nan\n" * 9, _SMALL)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(mutated_texts([_SMALL_TEXT]), st.text()))
+def test_field_from_text_gives_field_or_error(text):
+    try:
+        u = field_from_text(text, _SMALL)
+    except (MeshError, SolverError):
+        return
+    assert isinstance(u, ScalarField)
 
 
 def test_field_text_rejects_wrong_count(disk_mesh):

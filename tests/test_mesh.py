@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigmalab import (
     MeshError,
@@ -16,7 +16,8 @@ from sigmalab import (
     refine,
     write_mesh,
 )
-from sigmalab.mesh import Mesh, mesh_from_text, mesh_to_text
+from sigmalab.mesh import Mesh, mesh_from_text, mesh_to_text, read_rows
+from text_mutations import mutated_texts
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -241,11 +242,20 @@ def test_mesh_text_roundtrip_exact(name, h, levels):
     for _ in range(levels):
         m = refine(m)
     back = mesh_from_text(mesh_to_text(m))
+    edges, _ = m.edges
+    d = m.vertices[edges[:, 0]] - m.vertices[edges[:, 1]]
+    assert back.h == np.hypot(d[:, 0], d[:, 1]).max() == m.max_edge_length
     assert np.array_equal(back.vertices, m.vertices)
     assert back.vertices.tobytes() == m.vertices.tobytes()
     assert np.array_equal(back.triangles, m.triangles)
     assert len(back.loops) == len(m.loops)
     assert all(np.array_equal(a, b) for a, b in zip(back.loops, m.loops))
+
+
+@pytest.mark.parametrize("tri", [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+def test_read_h_is_the_longest_edge_wherever_it_sits(tri):
+    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), np.array([tri]), h=1.0)
+    assert mesh_from_text(mesh_to_text(m)).h == m.max_edge_length == math.hypot(1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -260,8 +270,21 @@ def test_mesh_text_roundtrip_exact(name, h, levels):
         "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 2\n0 1 2\n0 1 2\n",
         "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 0\n",
         "",
+        # ragged, blank, commented and non-integer rows, all-blank sections
+        "mesh v1\nvertices 3\n0 0\n1 0 0\n0 1\ntriangles 1\n0 1 2\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 3\n\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 2\n\n\n",
+        "mesh v1\nvertices 3\n0 0 # origin\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2.0\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 0_2\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3 0 1 2e0\n",
+        "mesh v1\nvertices 3.0\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\nboundary 3 0 1 2\n",
+        "mesh v1\nvertices 3\n0 0\n1 0\n0 1\ntriangles 1\n0 1 2\n"
+        "boundary 3 0 1 18446744073709551618\n",
     ],
 )
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_mesh_from_text_malformed_is_mesh_error(text):
     with pytest.raises(MeshError):
         mesh_from_text(text)
@@ -271,44 +294,71 @@ _BASE_TEXTS = [
     mesh_to_text(generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5)),
     mesh_to_text(generate_annulus((0.0, 0.0), 0.5, 1.0, 0.45)),
 ]
-_TOKENS = st.one_of(
-    st.sampled_from(
-        ["", "0", "1", "2", "-1", "7", "0.5", "1e999", "nan", "a", "boundary",
-         "vertices", "triangles", "mesh v1", "0 1 2", "3 0 1 2", "99999999999999999999"]
-    ),
-    st.text(max_size=8),
-)
-
-
-@st.composite
-def mesh_texts(draw):
-    """A valid small mesh text with a few lines or tokens replaced, inserted or deleted."""
-    lines = draw(st.sampled_from(_BASE_TEXTS)).splitlines()
-    for _ in range(draw(st.integers(1, 3))):
-        # half of the edits land in the last lines: triangles and boundary loops
-        n = len(lines)
-        i = draw(st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 12), n - 1)))
-        op = draw(st.sampled_from(["replace", "insert", "delete", "token", "swap"]))
-        if op == "replace":
-            lines[i] = draw(_TOKENS)
-        elif op == "insert":
-            lines.insert(i, draw(_TOKENS))
-        elif op == "delete" and len(lines) > 1:
-            del lines[i]
-        elif op == "token":
-            parts = lines[i].split() or [""]
-            parts[draw(st.integers(0, len(parts) - 1))] = draw(_TOKENS)
-            lines[i] = " ".join(parts)
-        elif op == "swap":
-            lines[i] = " ".join(reversed(lines[i].split()))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(mesh_texts(), st.text()))
+@given(st.one_of(mutated_texts(_BASE_TEXTS), st.text()))
 def test_mesh_from_text_gives_mesh_or_mesh_error(text):
     try:
         mesh = mesh_from_text(text)
     except MeshError:
         return
     assert isinstance(mesh, Mesh)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+def _table(elements):
+    """1 to 20 rows of elements, all of one width from 1 to 4."""
+    return st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.lists(elements, min_size=w, max_size=w), min_size=1, max_size=20)
+    )
+
+
+@PROPERTY
+@given(_table(_FINITE))
+@example([[5e-324, -5e-324, 0.0, -0.0], [1e308, -1e308, 2.2250738585072014e-308, -1.7976931348623157e308]])
+def test_read_rows_floats_bit_exact(table):
+    rows = [" ".join(map(repr, r)) for r in table]
+    values, pos = read_rows(rows, 0, len(rows), len(table[0]), float, "row")
+    assert pos == len(rows)
+    assert values.tobytes() == np.array(table, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(_table(_INT64))
+@example([[-(2**63), 2**63 - 1, 0, -1]])
+def test_read_rows_integers_exact(table):
+    rows = [" ".join(map(str, r)) for r in table]
+    values, _ = read_rows(rows, 0, len(rows), len(table[0]), np.int64, "row")
+    assert values.dtype == np.int64
+    assert values.tolist() == table
+
+
+def test_read_rows_random_float_bits_exact():
+    rng = np.random.default_rng(2024)
+    x = rng.integers(0, 2**64, size=200_000, dtype=np.uint64, endpoint=False).view(float)
+    x = x[np.isfinite(x)]
+    x = x[: len(x) // 2 * 2].reshape(-1, 2)
+    rows = ["%r %r" % (a, b) for a, b in x.tolist()]
+    values, _ = read_rows(rows, 0, len(rows), 2, float, "row")
+    assert values.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1.0", "1_0", "1e3", "+1.5", "inf", "nan", "0x1", "\u0661", "a", "#", "1-2", "--1",
+     "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+     "00000000000000000000000000001-"],
+)
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_read_rows_rejects_non_integers(token):
+    with pytest.raises(MeshError):
+        read_rows(["0 " + token], 0, 1, 2, np.int64, "row")
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_read_rows_integer_leading_zeros_and_signs():
+    rows = ["+7 -0", "00000000000000000000000000001 -0009223372036854775808"]
+    values, _ = read_rows(rows, 0, 2, 2, np.int64, "row")
+    assert values.tolist() == [[7, 0], [1, -(2**63)]]

@@ -65,6 +65,13 @@ class EdgeTable(NamedTuple):
     inverse: np.ndarray
 
 
+def _check_vertices(vertices: np.ndarray) -> None:
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError("vertices must be an (nv, 2) array")
+    if not np.isfinite(vertices).all():
+        raise MeshError("non-finite vertex coordinates")
+
+
 def _check_triangle_indices(triangles: np.ndarray, num_vertices: int) -> None:
     if len(triangles) == 0:
         raise MeshError("mesh has no triangles")
@@ -122,12 +129,9 @@ class Mesh:
     def __init__(self, vertices, triangles, h, loop_geometry=None):
         vertices = np.asarray(vertices, dtype=float)
         triangles = np.asarray(triangles, dtype=np.int64)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (nv, 2) array")
+        _check_vertices(vertices)
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if not np.isfinite(vertices).all():
-            raise MeshError("non-finite vertex coordinates")
         self.edge_table = edge_table(triangles, len(vertices))
         if not (h > 0 and math.isfinite(h)):
             raise MeshError("mesh size h must be positive and finite")
@@ -625,7 +629,9 @@ def mesh_from_text(text: str) -> Mesh:
         pos += 1
 
     # h is not stored in the format; use the maximal edge length as nominal size
-    # (the indices are checked first: _longest_edge gathers by them)
+    # (the vertices and indices are checked first: _longest_edge gathers by the
+    # indices and would subtract infinities)
+    _check_vertices(verts)
     _check_triangle_indices(tris, len(verts))
     mesh = Mesh(verts, tris, h=_longest_edge(verts, tris))
     if len(stored_loops) != len(mesh.loops) or any(

@@ -1,8 +1,11 @@
 """Deterministic SVG emitters: contours, quivers, Jacobian heat maps.
 
-Output is plain SVG text assembled with fixed decimal formatting and array
-iteration order, so a given input and option set always yields the same
-bytes.
+Output is plain SVG text with every coordinate written to 4 decimals, so a
+given input and option set always yields the same bytes. The emitters are
+array code: ``_Canvas.format`` maps whole arrays of points to the viewport
+and fills a repeated %-template from ``tolist()`` in one call, with the
+float expressions and the rounding the point-by-point emitters used, so the
+bytes are those of the point-by-point emitters too.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ import numpy as np
 from .errors import ConfigError
 from .fem import ScalarField, TriangleGradientField
 from .mesh import Mesh
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
 
 
 class _Canvas:
@@ -35,10 +34,13 @@ class _Canvas:
         self.height = int(round(width * self.span[1] / self.span[0]))
         self.scale = width / self.span[0]
 
-    def xy(self, p) -> tuple[str, str]:
-        x = (p[0] - self.lo[0]) * self.scale
-        y = self.height - (p[1] - self.lo[1]) * self.scale
-        return _fmt(x), _fmt(y)
+    def format(self, template: str, *points: np.ndarray) -> str:
+        """The template once per row of the (n, 2) point arrays, its %-fields
+        filled with the viewport x and y of each array's row in turn."""
+        p = np.stack(points, axis=1)
+        x = (p[..., 0] - self.lo[0]) * self.scale
+        y = self.height - (p[..., 1] - self.lo[1]) * self.scale
+        return template * len(p) % tuple(np.stack([x, y], axis=-1).ravel().tolist())
 
     def header(self) -> str:
         return (
@@ -52,7 +54,7 @@ class _Canvas:
 def _boundary_paths(mesh: Mesh, canvas: _Canvas) -> str:
     parts = []
     for loop in mesh.loops:
-        pts = " ".join(",".join(canvas.xy(mesh.vertices[v])) for v in loop)
+        pts = canvas.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
         parts.append(
             f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="1"/>\n'
         )
@@ -64,7 +66,11 @@ def contour_svg(
     levels: int | Sequence[float] = 10,
     width: int = 640,
 ) -> str:
-    """Level sets of a P1 field: one line segment per crossed triangle."""
+    """Level sets of a P1 field: one line segment per crossed triangle.
+
+    A triangle is crossed when exactly two of its edges have their ends
+    strictly on both sides of the level; an end on the level does not count.
+    """
     mesh = field.mesh
     vals = field.values
     if isinstance(levels, int):
@@ -85,24 +91,22 @@ def contour_svg(
     tri_pts = mesh.vertices[mesh.triangles]
     for li, level in enumerate(level_values):
         color = f"hsl({int(240 - 240 * li / max(1, len(level_values) - 1))},70%,45%)"
-        segs = []
-        for t in range(mesh.num_triangles):
-            v = tri_vals[t]
-            p = tri_pts[t]
-            crossings = []
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                va, vb = v[a], v[b]
-                if (va - level) * (vb - level) < 0:
-                    s = (level - va) / (vb - va)
-                    crossings.append(p[a] + s * (p[b] - p[a]))
-            if len(crossings) == 2:
-                (x1, y1), (x2, y2) = canvas.xy(crossings[0]), canvas.xy(crossings[1])
-                segs.append(f"M{x1} {y1}L{x2} {y2}")
-        if segs:
-            out.append(
-                f'<path d="{"".join(segs)}" stroke="{color}" fill="none" '
-                'stroke-width="1"/>\n'
-            )
+        off = tri_vals - level
+        crossed = off * off[:, [1, 2, 0]] < 0
+        keep = crossed.sum(axis=1) == 2
+        if not keep.any():
+            continue
+        t, c = np.flatnonzero(keep)[:, None], crossed[keep]
+        # the two crossed edges of each kept triangle, in edge order
+        a = np.column_stack([np.where(c[:, 0], 0, 1), np.where(c[:, 2], 2, 1)])
+        b = (a + 1) % 3
+        s = (level - tri_vals[t, a]) / (tri_vals[t, b] - tri_vals[t, a])
+        pa, pb = tri_pts[t, a], tri_pts[t, b]
+        ends = pa + s[:, :, None] * (pb - pa)
+        segs = canvas.format("M%.4f %.4fL%.4f %.4f", ends[:, 0], ends[:, 1])
+        out.append(
+            f'<path d="{segs}" stroke="{color}" fill="none" stroke-width="1"/>\n'
+        )
     out.append("</svg>\n")
     return "".join(out)
 
@@ -117,64 +121,55 @@ def quiver_svg(
     mesh = grad.mesh
     canvas = _Canvas(mesh, width)
     out = [canvas.header(), _boundary_paths(mesh, canvas)]
-    vec = grad.vectors
-    norms = np.hypot(vec[:, 0], vec[:, 1])
-    vmax = float(norms.max())
+    vmax = float(grad.norms().max())
     stride = max(1, int(math.ceil(mesh.num_triangles / max_arrows)))
     if vmax > 0:
         arrow = 1.2 * mesh.h * math.sqrt(stride)
-        for t in range(0, mesh.num_triangles, stride):
-            c = mesh.centroids[t]
-            d = vec[t] * (arrow / vmax)
-            tip = c + d
-            x1, y1 = canvas.xy(c)
-            x2, y2 = canvas.xy(tip)
-            out.append(
-                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                'stroke="steelblue" stroke-width="1"/>\n'
-            )
-            # short head strokes
-            ang = math.atan2(d[1], d[0])
-            for da in (2.6, -2.6):
-                hx = tip[0] + 0.3 * arrow * math.cos(ang + da)
-                hy = tip[1] + 0.3 * arrow * math.sin(ang + da)
-                x3, y3 = canvas.xy((hx, hy))
-                out.append(
-                    f'<line x1="{x2}" y1="{y2}" x2="{x3}" y2="{y3}" '
-                    'stroke="steelblue" stroke-width="1"/>\n'
-                )
+        c = mesh.centroids[::stride]
+        d = grad.vectors[::stride] * (arrow / vmax)
+        tip = c + d
+        # math.atan2, not np.arctan2: numpy's SIMD arctan2 can differ from
+        # libm's in the last bit, and so could move a written digit
+        ang = np.array([math.atan2(y, x) for x, y in d.tolist()])
+        # short head strokes
+        heads = [
+            tip + 0.3 * arrow * np.column_stack([np.cos(ang + da), np.sin(ang + da)])
+            for da in (2.6, -2.6)
+        ]
+        line = (
+            '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+            'stroke="steelblue" stroke-width="1"/>\n'
+        )
+        out.append(canvas.format(line * 3, c, tip, tip, heads[0], tip, heads[1]))
     out.append("</svg>\n")
     return "".join(out)
 
 
-def _diverging_color(v: float, vmax: float) -> str:
-    """Blue-white-red scale centered at zero."""
-    t = 0.0 if vmax <= 0 else max(-1.0, min(1.0, v / vmax))
-    fade = int(round(255 * (1 - abs(t) * 0.85)))
-    if t >= 0:
-        return f"rgb({int(round(255 - 90 * t))},{fade},{fade})"
-    return f"rgb({fade},{fade},{int(round(255 + 107 * t))})"
-
-
 def heatmap_svg(mesh: Mesh, values, width: int = 640) -> str:
-    """Per-triangle fill with a diverging scale centered at 0.
+    """Per-triangle fill with a blue-white-red scale centered at 0.
 
     Intended for Jacobian fields: sign flips show up as a color flip.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.num_triangles,):
         raise ConfigError("need one value per triangle")
+    if not np.isfinite(values).all():
+        raise ConfigError("heat map values must be finite")
     vmax = float(np.abs(values).max())
+    t = np.clip(values / vmax, -1.0, 1.0) if vmax > 0 else np.zeros_like(values)
+    # np.rint rounds half to even, as Python's round does
+    fade = np.rint(255 * (1 - np.abs(t) * 0.85))
+    rgb = np.where(
+        (t >= 0)[:, None],
+        np.column_stack([np.rint(255 - 90 * t), fade, fade]),
+        np.column_stack([fade, fade, np.rint(255 + 107 * t)]),
+    ).astype(np.int64)
     canvas = _Canvas(mesh, width)
-    out = [canvas.header()]
-    for t in range(mesh.num_triangles):
-        pts = " ".join(
-            ",".join(canvas.xy(mesh.vertices[v])) for v in mesh.triangles[t]
-        )
-        out.append(
-            f'<polygon points="{pts}" fill="{_diverging_color(values[t], vmax)}" '
-            'stroke="none"/>\n'
-        )
+    # each vertex is formatted once, then gathered per triangle
+    pts = np.array(canvas.format("%.4f,%.4f ", mesh.vertices).split(), dtype=object)
+    fields = np.column_stack([pts[mesh.triangles], rgb])
+    polygon = '<polygon points="%s %s %s" fill="rgb(%d,%d,%d)" stroke="none"/>\n'
+    out = [canvas.header(), polygon * len(fields) % tuple(fields.ravel().tolist())]
     out.append(_boundary_paths(mesh, canvas))
     out.append("</svg>\n")
     return "".join(out)

@@ -290,6 +290,16 @@ def test_mesh_from_text_malformed_is_mesh_error(text):
         mesh_from_text(text)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mesh_from_text_infinite_coordinates_raise_before_measuring():
+    text = (
+        "mesh v1\nvertices 3\n1e999 0\n1e999 0\n0 1\n"
+        "triangles 1\n0 1 2\nboundary 3 0 1 2\n"
+    )
+    with pytest.raises(MeshError, match="non-finite vertex coordinates"):
+        mesh_from_text(text)
+
+
 _BASE_TEXTS = [
     mesh_to_text(generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5)),
     mesh_to_text(generate_annulus((0.0, 0.0), 0.5, 1.0, 0.45)),

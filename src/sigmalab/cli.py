@@ -176,7 +176,7 @@ def cmd_solve_nd(cfg):
         drift = fd.zero_drift()
     else:
         raise ConfigError(f"unknown drift descriptor '{bdesc}' (use auto or zero)")
-    u = fd.solve_nondivergence(grid, sigma, drift, data.value)
+    (u,), residual = fd.solve_nondivergence(grid, sigma, drift, data.value)
 
     ref = data.value(*pts.T)
     uh = u.values[grid.interior_mask]
@@ -186,6 +186,7 @@ def cmd_solve_nd(cfg):
         "interior_nodes": int(grid.interior_mask.sum()),
         "boundary_nodes": int(grid.boundary_mask.sum()),
         "spacing": grid.spacing,
+        "solve_residual": residual,
         "u_min": float(uh.min()),
         "u_max": float(uh.max()),
         "rel_l2_vs_reference": l2,

@@ -88,6 +88,21 @@ def boundary_values(g, points) -> np.ndarray:
     return V.reshape(-1, n)
 
 
+def checked_residual(A, x, rhs: np.ndarray) -> float:
+    """The largest relative max-norm residual of A x = rhs over the (n, k)
+    columns; SolverError when x is not finite or a residual exceeds 1e-10."""
+    if not np.isfinite(x).all():
+        raise SolverError("linear solve produced non-finite values")
+    scale = np.abs(rhs).max(axis=0)
+    residual = np.abs(A @ x - rhs).max(axis=0)
+    relative = float(np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0).max())
+    if relative > RESIDUAL_TOL:
+        raise SolverError(
+            f"relative solve residual {relative:.3e} exceeds {RESIDUAL_TOL}"
+        )
+    return relative
+
+
 def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[ScalarField], float]:
     """Galerkin solutions of div(sigma grad u) = 0, one per row of boundary data.
 
@@ -114,16 +129,7 @@ def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[Scalar
             ui = spsolve(Aii, rhs).reshape(rhs.shape)  # (n,) back for one column
         except (MatrixRankWarning, RuntimeError) as exc:
             raise SolverError(f"stiffness system is singular: {exc}") from exc
-    if not np.isfinite(ui).all():
-        raise SolverError("linear solve produced non-finite values")
-
-    scale = np.abs(rhs).max(axis=0)
-    residual = np.abs(Aii @ ui - rhs).max(axis=0)
-    relative = float(np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0).max())
-    if relative > RESIDUAL_TOL:
-        raise SolverError(
-            f"relative solve residual {relative:.3e} exceeds {RESIDUAL_TOL}"
-        )
+    relative = checked_residual(Aii, ui, rhs)
     u = np.zeros((len(G), mesh.num_vertices))
     u[:, bnd] = G
     u[:, interior] = ui.T

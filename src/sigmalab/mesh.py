@@ -140,7 +140,10 @@ class Mesh:
         self.triangles = triangles
         self.h = float(h)
 
-        areas = _signed_areas(vertices, triangles)
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas = _signed_areas(vertices, triangles)
+        if not np.isfinite(areas).all():
+            raise MeshError("triangle areas overflow; vertex coordinates are too large")
         if areas.min() <= DEGENERATE_AREA_FACTOR * h * h:
             t = int(np.argmin(areas))
             raise MeshError(
@@ -373,6 +376,14 @@ def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> list[tuple]:
     return tris
 
 
+def _divisions(length: float, h: float) -> int:
+    """max(1, round(length / h)); ResourceLimitError when length / h overflows."""
+    q = length / h
+    if not math.isfinite(q):
+        raise ResourceLimitError(f"mesh size h={h} is too small for a length of {length}")
+    return max(1, round(q))
+
+
 def _check_cap(expected: int, max_vertices: Optional[int]) -> None:
     cap = DEFAULT_VERTEX_CAP if max_vertices is None else max_vertices
     if expected > cap:
@@ -402,11 +413,11 @@ def generate_disk(center: Point2, radius: float, h: float, max_vertices=None) ->
     near-equilateral, deterministic mesh whose boundary vertices lie exactly
     on the circle.
     """
-    if not (radius > 0):
-        raise MeshError("disk radius must be positive")
+    if not (0 < radius < math.inf):
+        raise MeshError("disk radius must be positive and finite")
     if not (0 < h < radius):
         raise MeshError(f"mesh size h={h} must satisfy 0 < h < radius={radius}")
-    n = max(1, round(radius / h))
+    n = _divisions(radius, h)
     _check_cap(1 + 3 * n * (n + 1), max_vertices)
 
     verts = [np.array(center, dtype=float)]
@@ -430,11 +441,12 @@ def generate_annulus(
     center: Point2, r_in: float, r_out: float, h: float, max_vertices=None
 ) -> Mesh:
     """Triangulate an annulus; ring vertex counts grow with the radius."""
-    if not (0 < r_in < r_out):
-        raise MeshError(f"need 0 < r_in < r_out, got r_in={r_in}, r_out={r_out}")
+    if not (0 < r_in < r_out < math.inf):
+        raise MeshError(f"need 0 < r_in < r_out < inf, got r_in={r_in}, r_out={r_out}")
     if not (0 < h < r_out - r_in):
         raise MeshError(f"mesh size h={h} must satisfy 0 < h < r_out - r_in")
-    n = max(1, round((r_out - r_in) / h))
+    n = _divisions(r_out - r_in, h)
+    _check_cap(6 * (n + 1), max_vertices)  # every ring has 6 or more vertices
     radii = [r_in + (r_out - r_in) * i / n for i in range(n + 1)]
     counts = [max(6, round(2.0 * math.pi * r / h)) for r in radii]
     _check_cap(sum(counts), max_vertices)
@@ -460,12 +472,12 @@ def generate_rectangle(
     corner: Point2, width: float, height: float, h: float, max_vertices=None
 ) -> Mesh:
     """Triangulate an axis-aligned rectangle by splitting grid squares."""
-    if not (width > 0 and height > 0):
-        raise MeshError("rectangle sides must be positive")
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise MeshError("rectangle sides must be positive and finite")
     if not (0 < h <= min(width, height)):
         raise MeshError("mesh size h must satisfy 0 < h <= min(width, height)")
-    nx = max(1, round(width / h))
-    ny = max(1, round(height / h))
+    nx = _divisions(width, h)
+    ny = _divisions(height, h)
     _check_cap((nx + 1) * (ny + 1), max_vertices)
 
     xs = corner[0] + width * np.arange(nx + 1) / nx

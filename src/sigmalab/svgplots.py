@@ -84,6 +84,8 @@ def contour_svg(
             level_values = [float(t) for t in ticks]
     else:
         level_values = [float(l) for l in levels]
+        if not np.isfinite(level_values).all():
+            raise ConfigError("contour levels must be finite")
 
     canvas = _Canvas(mesh, width)
     out = [canvas.header(), _boundary_paths(mesh, canvas)]
@@ -118,6 +120,8 @@ def quiver_svg(
 ) -> str:
     """One arrow per triangle centroid (decimated deterministically when the
     mesh has more triangles than max_arrows)."""
+    if not np.isfinite(grad.vectors).all():
+        raise ConfigError("quiver vectors must be finite")
     mesh = grad.mesh
     canvas = _Canvas(mesh, width)
     out = [canvas.header(), _boundary_paths(mesh, canvas)]

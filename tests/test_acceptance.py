@@ -268,7 +268,7 @@ class AcceptanceRun:
         sigma, drift = to_nondivergence(meyers_sigma(2.0), step=1e-5)
         grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
         sol = meyers_solution(2.0)
-        uh = solve_nondivergence(grid, sigma, drift, lambda x, y: sol.value(x, y)[0])
+        (uh,), _ = solve_nondivergence(grid, sigma, drift, lambda x, y: sol.value(x, y)[0])
         pts = grid.points(grid.interior_mask)
         exact = np.array([float(sol.value(x, y)[0]) for x, y in pts])
         vals = uh.values[grid.interior_mask]
@@ -280,14 +280,14 @@ class AcceptanceRun:
         )
 
         rect = rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.05)
-        aff = solve_nondivergence(
+        (aff,), _ = solve_nondivergence(
             rect, identity_field(), zero_drift(), lambda x, y: 1 + 2 * x - y
         )
         apts = rect.points(rect.interior_mask)
         aerr = float(
             np.abs(aff.values[rect.interior_mask] - (1 + 2 * apts[:, 0] - apts[:, 1])).max()
         )
-        bil = solve_nondivergence(rect, identity_field(), zero_drift(), lambda x, y: x * y)
+        (bil,), _ = solve_nondivergence(rect, identity_field(), zero_drift(), lambda x, y: x * y)
         berr = float(
             np.abs(bil.values[rect.interior_mask] - apts[:, 0] * apts[:, 1]).max()
         )

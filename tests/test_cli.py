@@ -70,7 +70,23 @@ def test_solve_nd_command(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rel_l2_vs_reference"] <= 1e-9
+    assert summary["solve_residual"] <= 1e-10
     assert (out / "grid.txt").exists()
+
+
+def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr("sigmalab.fd.splu", singular)
+    code, out = run(
+        tmp_path, "solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1",
+        "--sigma", "identity", "--g", "x1", "--b", "zero",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "singular" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_map_command(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigmalab import MeshError, SolverError
+from sigmalab import MeshError, SolverError, fd
 from sigmalab.coefficients import (
     CoefficientField,
     constant_field,
@@ -25,7 +25,7 @@ from sigmalab.fd import (
     write_grid_field,
     zero_drift,
 )
-from sigmalab.oracles import meyers_solution
+from sigmalab.oracles import holomorphic_oracle, meyers_solution
 from text_mutations import mutated_texts
 
 
@@ -38,7 +38,7 @@ def rel_l2(grid, field, exact):
 
 def test_affine_data_exact():
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
-    u = solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: 1 + 2 * x - y)
+    (u,), residual = solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: 1 + 2 * x - y)
     pts = grid.points(grid.interior_mask)
     exact = 1 + 2 * pts[:, 0] - pts[:, 1]
     assert np.abs(u.values[grid.interior_mask] - exact).max() <= 1e-10
@@ -46,7 +46,7 @@ def test_affine_data_exact():
 
 def test_bilinear_data_exact_for_cross_stencil():
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
-    u = solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: x * y)
+    (u,), _ = solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: x * y)
     pts = grid.points(grid.interior_mask)
     assert np.abs(u.values[grid.interior_mask] - pts[:, 0] * pts[:, 1]).max() <= 1e-9
 
@@ -56,7 +56,7 @@ def test_harmonic_convergence_factor():
 
     def err(s):
         grid = rectangle_grid((0, 0), 1.0, 1.0, s)
-        u = solve_nondivergence(grid, identity_field(), zero_drift(), exact)
+        (u,), _ = solve_nondivergence(grid, identity_field(), zero_drift(), exact)
         return rel_l2(grid, u, exact)
 
     # x^2 - y^2 is stencil-exact; use a genuinely curved harmonic instead
@@ -68,7 +68,7 @@ def test_meyers_annulus_nondivergence():
     sigma, b = to_nondivergence(meyers_sigma(2.0), step=1e-5)
     grid = annulus_grid((0, 0), 0.25, 0.95, 0.04)
     sol = meyers_solution(2.0)
-    u = solve_nondivergence(grid, sigma, b, lambda x, y: sol.value(x, y)[0])
+    (u,), _ = solve_nondivergence(grid, sigma, b, lambda x, y: sol.value(x, y)[0])
     err = rel_l2(grid, u, lambda x, y: sol.value(x, y)[0])
     assert err < 0.01
 
@@ -222,12 +222,132 @@ def test_predicate_grid_drops_orphans():
 @pytest.mark.parametrize(
     "g, message",
     [
-        (lambda x, y: np.array([x, y]), "rows"),
         (lambda x, y: x[1:], "shape"),
+        (lambda x, y: np.array([[x, y]]), "shape"),
         (lambda x, y: np.where(x > 0.5, np.nan, x), "non-finite"),
+        (lambda x, y: np.array([x, np.where(y > 0.5, np.inf, y)]), "non-finite"),
     ],
 )
 def test_bad_boundary_data_raises(g, message):
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
     with pytest.raises(SolverError, match=message):
         solve_nondivergence(grid, identity_field(), zero_drift(), g)
+
+
+def test_two_rows_match_two_single_solves():
+    sigma, b = to_nondivergence(meyers_sigma(2.0), step=1e-5)
+    grid = annulus_grid((0, 0), 0.25, 0.95, 0.04)
+    sol = meyers_solution(2.0)
+    pair, residual = solve_nondivergence(grid, sigma, b, sol.value)
+    singles = [
+        solve_nondivergence(grid, sigma, b, lambda x, y, c=c: sol.value(x, y)[c])
+        for c in (0, 1)
+    ]
+    assert len(pair) == 2
+    for f, ((single,), _) in zip(pair, singles):
+        assert np.array_equal(f.values, single.values)
+    assert residual == max(r for _, r in singles)
+    assert residual <= 1e-10
+
+
+def test_singular_factorization_is_solver_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fd, "splu", singular)
+    grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
+    with pytest.raises(SolverError, match="singular"):
+        solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: x)
+
+
+# The paper's second claim on a convex domain: a pair of solutions of one
+# non-divergence equation whose boundary data is a homeomorphism onto a convex
+# curve has a Jacobian of one sign inside. Pure z^2 data is a poor counter-case:
+# for sigma = I the solution is holomorphic and its Jacobian vanishes at the
+# branch point without changing sign. z^2 + c conj(z) (a harmonic map for
+# sigma = I with Jacobian 4|z|^2 - |c|^2) folds, and its sign change survives a
+# smooth perturbation of sigma.
+
+_RECT = rectangle_grid((-0.5, -0.4), 1.0, 0.8, 0.04)  # centred at the origin
+_MARGIN = 0.1
+
+
+def _smooth_sigma(diag, amp, freq):
+    a, d, c = diag
+    k = freq
+
+    def ev(X, Y):
+        s11 = a + amp[0] * np.sin(k[0] * X + k[1] * Y)
+        s22 = d + amp[1] * np.cos(k[2] * X - k[3] * Y)
+        s12 = c + amp[2] * np.sin(k[4] * X * Y + k[5])
+        return np.stack([np.stack([s11, s12], -1), np.stack([s12, s22], -1)], -2)
+
+    return CoefficientField(ev, symmetric=True, descriptor="smooth")
+
+
+SMOOTH_SIGMAS = st.builds(
+    _smooth_sigma,
+    st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0), st.floats(-0.3, 0.3)),
+    st.tuples(*[st.floats(-0.25, 0.25)] * 3),
+    st.tuples(*[st.floats(0.5, 3.0)] * 6),
+)
+
+
+def _det_du_on_inset(f1, f2):
+    """Central-difference det DU at the nodes at least _MARGIN inside _RECT."""
+    grid, h = f1.grid, f1.grid.spacing
+
+    def d(u):
+        return (u[1:-1, 2:] - u[1:-1, :-2]) / (2 * h), (u[2:, 1:-1] - u[:-2, 1:-1]) / (2 * h)
+
+    (ax, ay), (bx, by) = d(f1.values), d(f2.values)
+    X, Y = (c[1:-1, 1:-1] for c in grid.node_coordinates())
+    keep = (np.abs(X) <= 0.5 - _MARGIN) & (np.abs(Y) <= 0.4 - _MARGIN)
+    return (ax * by - ay * bx)[keep]
+
+
+def _convex_data(kind, axes, theta, eps, phase, orientation):
+    """Boundary data that is a homeomorphism of the rectangle's boundary onto a
+    convex curve: the ellipse by polar angle (monotone reparametrized), or an
+    invertible linear map onto a parallelogram."""
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    M = R @ np.diag([axes[0], orientation * axes[1]])
+
+    def g(x, y):
+        if kind == "linear":
+            return M @ np.array([x, y])
+        t = np.arctan2(y, x)
+        t = t + eps * np.sin(t + phase)
+        return M @ np.array([np.cos(t), np.sin(t)])
+
+    return g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    sigma=SMOOTH_SIGMAS,
+    kind=st.sampled_from(["ellipse", "linear"]),
+    axes=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    theta=st.floats(0.0, 2 * np.pi),
+    eps=st.floats(-0.5, 0.5),
+    phase=st.floats(0.0, 2 * np.pi),
+    orientation=st.sampled_from([1, -1]),
+    c_abs=st.floats(0.3, 0.5),
+    c_arg=st.floats(0.0, 2 * np.pi),
+)
+def test_pair_jacobian_sign(sigma, kind, axes, theta, eps, phase, orientation, c_abs, c_arg):
+    sigma, b = to_nondivergence(sigma, step=1e-5)
+    data = _convex_data(kind, axes, theta, eps, phase, orientation)
+    (u1, u2), _ = solve_nondivergence(_RECT, sigma, b, data)
+    assert (orientation * _det_du_on_inset(u1, u2) > 0).all()
+
+    z2 = holomorphic_oracle(2)
+    c = c_abs * np.exp(1j * c_arg)
+
+    def fold(x, y):
+        w = c * (x - 1j * y)
+        return z2.value(x, y) + np.array([w.real, w.imag])
+
+    (v1, v2), _ = solve_nondivergence(_RECT, sigma, b, fold)
+    det = _det_du_on_inset(v1, v2)
+    assert (det < 0).any() and (det > 0).any()

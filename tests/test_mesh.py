@@ -62,11 +62,53 @@ def test_disk_rejects_bad_h():
         generate_disk((0, 0), 1.0, 1.5)
     with pytest.raises(MeshError):
         generate_disk((0, 0), -1.0, 0.1)
+    with pytest.raises(MeshError):
+        generate_disk((0, 0), math.inf, 0.1)
 
 
 def test_vertex_cap():
     with pytest.raises(ResourceLimitError):
         generate_disk((0, 0), 1.0, 1e-4, max_vertices=10_000)
+
+
+@PROPERTY
+@given(radius=st.floats(), h=st.floats())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(radius=math.inf, h=1.0)
+@example(radius=1.0, h=5e-324)
+@example(radius=1e300, h=1e299)
+def test_disk_gives_mesh_or_error(radius, h):
+    try:
+        m = generate_disk((0.0, 0.0), radius, h, max_vertices=20_000)
+    except (MeshError, ResourceLimitError):
+        return
+    assert len(m.loops) == 1 and m.areas.min() > 0
+    assert np.allclose(np.hypot(*m.vertices[m.loops[0]].T), radius, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_annulus((0, 0), 0.2, 1e15, 1.0),
+        lambda: generate_annulus((0, 0), 0.2, 1.0, 5e-324),
+        lambda: generate_rectangle((0, 0), 1.0, 1.0, 5e-324),
+    ],
+)
+def test_overflowing_division_count_is_resource_limit(make):
+    with pytest.raises(ResourceLimitError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_annulus((0, 0), 0.2, math.inf, 1.0),
+        lambda: generate_rectangle((0, 0), math.inf, 1.0, 0.5),
+    ],
+)
+def test_infinite_extent_is_mesh_error(make):
+    with pytest.raises(MeshError):
+        make()
 
 
 def test_annulus_two_loops_and_orientation(annulus_mesh):

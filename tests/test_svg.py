@@ -13,6 +13,7 @@ from sigmalab import (
     jacobian_field,
 )
 from sigmalab.cli import main
+from sigmalab.fem import TriangleGradientField
 from sigmalab.oracles import holomorphic_oracle
 from sigmalab.svgplots import contour_svg, heatmap_svg, quiver_svg
 
@@ -74,6 +75,20 @@ def test_heatmap_rejects_non_finite_values(disk_mesh, bad):
     values[3] = bad
     with pytest.raises(ConfigError, match="finite"):
         heatmap_svg(disk_mesh, values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quiver_rejects_non_finite_vectors(disk_mesh, bad):
+    vectors = np.ones((disk_mesh.num_triangles, 2))
+    vectors[3, 1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        quiver_svg(TriangleGradientField(disk_mesh, vectors))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_contour_rejects_non_finite_levels(sample_field, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        contour_svg(sample_field, levels=[0.0, bad])
 
 
 def sha256(text: str) -> str:

@@ -13,6 +13,7 @@ Exit status: 0 success/pass, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -441,7 +442,10 @@ _REQUIRED = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    `main` call; each parse returns a fresh Namespace. Do not modify it."""
     parser = argparse.ArgumentParser(
         prog="sigmalab",
         description="Numerical laboratory for planar mappings with elliptic-equation components",
@@ -510,8 +514,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
         files, summary, code = COMMANDS[args.command](cfg)

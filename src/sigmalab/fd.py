@@ -10,6 +10,7 @@ would be lost, rather than returning silently wrong answers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,9 +19,9 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientField, VectorField2, divergence_of_sigma, require_elliptic
-from .errors import MeshError, SolverError
+from .errors import MeshError, ResourceLimitError, SolverError
 from .fem import boundary_values, checked_residual
-from .mesh import read_line, read_rows
+from .mesh import _check_cap, read_line, read_rows
 
 _NEIGHBORS8 = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1) if (di, dj) != (0, 0)]
 
@@ -128,11 +129,26 @@ def grid_from_predicate(
     return GridDomain(origin, spacing, nx, ny, interior, boundary)
 
 
+def _check_placement(point: tuple[float, float], spacing: float) -> None:
+    if not (0 < spacing < math.inf and math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise MeshError("grid spacing must be positive, origin and spacing finite")
+
+
+def _nodes(length: float, spacing: float) -> int:
+    """round(length / spacing) + 1; ResourceLimitError when the quotient overflows."""
+    q = length / spacing
+    if not math.isfinite(q):
+        raise ResourceLimitError(f"grid spacing {spacing} is too small for a length of {length}")
+    return int(round(q)) + 1
+
+
 def annulus_grid(center: tuple[float, float], r_in: float, r_out: float, spacing: float) -> GridDomain:
-    if not (0 < r_in < r_out):
-        raise MeshError("need 0 < r_in < r_out")
+    _check_placement(center, spacing)
+    if not (0 < r_in < r_out < math.inf):
+        raise MeshError("need 0 < r_in < r_out < inf")
     half = r_out + 2 * spacing
-    n = int(round(2 * half / spacing)) + 1
+    n = _nodes(2 * half, spacing)
+    _check_cap(n * n, None, "grid")
     origin = (center[0] - half, center[1] - half)
 
     def inside(X, Y):
@@ -143,10 +159,11 @@ def annulus_grid(center: tuple[float, float], r_in: float, r_out: float, spacing
 
 
 def rectangle_grid(corner: tuple[float, float], width: float, height: float, spacing: float) -> GridDomain:
-    if width <= 0 or height <= 0:
-        raise MeshError("rectangle sides must be positive")
-    nx = int(round(width / spacing)) + 1
-    ny = int(round(height / spacing)) + 1
+    _check_placement(corner, spacing)
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise MeshError("rectangle sides must be positive and finite")
+    nx, ny = _nodes(width, spacing), _nodes(height, spacing)
+    _check_cap(nx * ny, None, "grid")
     member = np.ones((ny, nx), dtype=bool)
     interior = np.zeros_like(member)
     interior[1:-1, 1:-1] = True

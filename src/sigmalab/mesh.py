@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,6 +28,10 @@ DEFAULT_VERTEX_CAP = 1_000_000
 # triangles thinner than this fraction of h^2 are rejected: downstream
 # gradient formulas divide by the area
 DEGENERATE_AREA_FACTOR = 1e-14
+
+#: points per batch of Mesh.locate; keeps its (point, triangle) temporaries
+#: to a few MB when an injectivity lattice passes millions of points
+LOCATE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -221,43 +226,67 @@ class Mesh:
         return cKDTree(self.vertices)
 
     @cached_property
-    def _vertex_to_triangles(self) -> list[np.ndarray]:
+    def _vertex_to_triangles(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (offsets, ids): the triangles of vertex v, ascending, are
+        ids[offsets[v] : offsets[v + 1]]."""
         flat = self.triangles.ravel()
-        counts = np.bincount(flat, minlength=self.num_vertices)
-        return np.split(np.argsort(flat, kind="stable") // 3, np.cumsum(counts)[:-1])
+        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.num_vertices), out=offsets[1:])
+        return offsets, np.argsort(flat, kind="stable") // 3
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Find containing triangles for an (n, 2) array of points.
 
         Returns (tri_index, barycentric) where tri_index is -1 for points
         outside the mesh. Candidate triangles come from all vertices within
-        one maximal edge length, which always covers the containing triangle.
+        one maximal edge length, which always covers the containing triangle;
+        a point in several triangles (on an edge, within the 1e-12
+        barycentric tolerance) gets the lowest triangle index. Points are
+        processed in chunks of LOCATE_CHUNK, which bounds the temporaries.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
         tri_idx = np.full(n, -1, dtype=np.int64)
         bary = np.zeros((n, 3))
-        radius = self.max_edge_length * (1.0 + 1e-9) + 1e-300
-        neighborhoods = self._vertex_tree.query_ball_point(points, r=radius)
-        v2t = self._vertex_to_triangles
-        verts, tris = self.vertices, self.triangles
-        for i, vs in enumerate(neighborhoods):
-            if not vs:
-                continue
-            cand = np.unique(np.concatenate([v2t[v] for v in vs]))
-            p = verts[tris[cand]]
-            M = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-            rhs = points[i] - p[:, 0]
-            det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-            l1 = (M[:, 1, 1] * rhs[:, 0] - M[:, 0, 1] * rhs[:, 1]) / det
-            l2 = (-M[:, 1, 0] * rhs[:, 0] + M[:, 0, 0] * rhs[:, 1]) / det
+        for lo in range(0, n, LOCATE_CHUNK):
+            chunk = points[lo : lo + LOCATE_CHUNK]
+            p, t = self._candidates(chunk)
+            v = self.vertices[self.triangles[t]]
+            e1x, e1y = v[:, 1, 0] - v[:, 0, 0], v[:, 1, 1] - v[:, 0, 1]
+            e2x, e2y = v[:, 2, 0] - v[:, 0, 0], v[:, 2, 1] - v[:, 0, 1]
+            rx, ry = chunk[p, 0] - v[:, 0, 0], chunk[p, 1] - v[:, 0, 1]
+            det = e1x * e2y - e2x * e1y
+            l1 = (e2y * rx - e2x * ry) / det
+            l2 = (-e1y * rx + e1x * ry) / det
             ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
-            hits = np.where(ok)[0]
-            if len(hits):
-                k = hits[0]
-                tri_idx[i] = cand[k]
-                bary[i] = (1.0 - l1[k] - l2[k], l1[k], l2[k])
+            # pairs come sorted by (point, triangle): the first hit of a point
+            # is its lowest-index containing triangle
+            hits = np.flatnonzero(ok)
+            first = np.ones(len(hits), dtype=bool)
+            first[1:] = p[hits[1:]] != p[hits[:-1]]
+            hits = hits[first]
+            rows = lo + p[hits]
+            tri_idx[rows] = t[hits]
+            l1, l2 = l1[hits], l2[hits]
+            bary[rows] = np.column_stack([1.0 - l1 - l2, l1, l2])
         return tri_idx, bary
+
+    def _candidates(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The (point, triangle) candidate pairs of locate, unique and sorted
+        by point, then triangle."""
+        radius = self.max_edge_length * (1.0 + 1e-9) + 1e-300
+        near = self._vertex_tree.query_ball_point(points, r=radius)
+        counts = np.fromiter(map(len, near), np.int64, len(near))
+        verts = np.fromiter(chain.from_iterable(near), np.int64, int(counts.sum()))
+        offsets, ids = self._vertex_to_triangles
+        start = offsets[verts]
+        size = offsets[verts + 1] - start
+        # the triangles of every (point, vertex) pair, as one gather from ids
+        base = np.repeat(start - np.cumsum(size) + size, size)
+        tris = ids[base + np.arange(len(base))]
+        nt = self.num_triangles
+        key = np.unique(np.repeat(np.repeat(np.arange(len(points)), counts), size) * nt + tris)
+        return key // nt, key % nt
 
     def boundary_distance(self, points) -> np.ndarray:
         """Distance from points to the mesh boundary.
@@ -354,26 +383,26 @@ def _distance_to_polygon(points, poly) -> np.ndarray:
     return out
 
 
-def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> list[tuple]:
+def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:
     """Triangulate the band between two concentric vertex rings.
 
-    Both rings are ordered counterclockwise by angle. The merge advances the
-    pointer whose next vertex has the smaller angle, which keeps triangles
-    positively oriented and distributes count mismatches evenly.
+    Both rings are ordered counterclockwise by angle. The band is a merge of
+    the two rings' next-vertex angles: each step advances the ring whose next
+    vertex has the smaller angle (the inner ring on ties), which keeps
+    triangles positively oriented and distributes count mismatches evenly.
+    Returns the (m + n, 3) triangles in merge order.
     """
     m, n = len(inner_ids), len(outer_ids)
     ia = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
     oa = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
-    tris = []
-    i = j = 0
-    while i < m or j < n:
-        if i < m and (j == n or ia[i + 1] <= oa[j + 1]):
-            tris.append((inner_ids[i], outer_ids[j % n], inner_ids[(i + 1) % m]))
-            i += 1
-        else:
-            tris.append((inner_ids[i % m], outer_ids[j], outer_ids[(j + 1) % n]))
-            j += 1
-    return tris
+    # both lists ascend, so a stable sort of the two, inner first, is their merge
+    order = np.argsort(np.concatenate([ia[1:], oa[1:]]), kind="stable")
+    inner = order < m
+    step = np.arange(m + n)
+    i = np.where(inner, order, step - (order - m))  # inner pointer before the step
+    j = step - i  # outer pointer before the step
+    third = np.where(inner, inner_ids[(i + 1) % m], outer_ids[(j + 1) % n])
+    return np.column_stack([inner_ids[i % m], outer_ids[j % n], third])
 
 
 def _divisions(length: float, h: float) -> int:
@@ -384,12 +413,14 @@ def _divisions(length: float, h: float) -> int:
     return max(1, round(q))
 
 
-def _check_cap(expected: int, max_vertices: Optional[int]) -> None:
+def _check_cap(expected: int, max_vertices: Optional[int], what: str = "mesh") -> None:
+    """ResourceLimitError when a mesh (or an FD grid, what="grid") would need
+    more vertices than max_vertices, by default DEFAULT_VERTEX_CAP."""
     cap = DEFAULT_VERTEX_CAP if max_vertices is None else max_vertices
     if expected > cap:
         raise ResourceLimitError(
-            f"mesh would need about {expected} vertices, above the cap of {cap}; "
-            "increase h or raise max_vertices"
+            f"{what} would need about {expected} vertices, above the cap of {cap}; "
+            "use a coarser mesh size or spacing"
         )
 
 
@@ -420,21 +451,20 @@ def generate_disk(center: Point2, radius: float, h: float, max_vertices=None) ->
     n = _divisions(radius, h)
     _check_cap(1 + 3 * n * (n + 1), max_vertices)
 
-    verts = [np.array(center, dtype=float)]
+    verts = [np.array([center], dtype=float)]
     rings = []
+    start = 1
     for i in range(1, n + 1):
-        ids, ang, pts = _ring(center, radius * i / n, 6 * i, len(verts))
-        verts.extend(pts)
+        ids, ang, pts = _ring(center, radius * i / n, 6 * i, start)
+        verts.append(pts)
         rings.append((ids, ang))
-    tris: list[tuple] = []
+        start += 6 * i
     ids1 = rings[0][0]
-    for j in range(6):
-        tris.append((0, ids1[j], ids1[(j + 1) % 6]))
-    for k in range(len(rings) - 1):
-        tris.extend(_stitch_rings(*rings[k], *rings[k + 1]))
+    tris = [np.column_stack([np.zeros(6, np.int64), ids1, np.roll(ids1, -1)])]
+    tris += [_stitch_rings(*rings[k], *rings[k + 1]) for k in range(len(rings) - 1)]
 
     geom = [CircleLoop(center[0], center[1], radius)]
-    return Mesh(np.array(verts), np.array(tris, dtype=np.int64), h, geom)
+    return Mesh(np.concatenate(verts), np.concatenate(tris), h, geom)
 
 
 def generate_annulus(
@@ -451,21 +481,20 @@ def generate_annulus(
     counts = [max(6, round(2.0 * math.pi * r / h)) for r in radii]
     _check_cap(sum(counts), max_vertices)
 
-    verts: list[np.ndarray] = []
-    rings = []
+    verts, rings = [], []
+    start = 0
     for r, m in zip(radii, counts):
-        ids, ang, pts = _ring(center, r, m, len(verts))
-        verts.extend(pts)
+        ids, ang, pts = _ring(center, r, m, start)
+        verts.append(pts)
         rings.append((ids, ang))
-    tris: list[tuple] = []
-    for k in range(len(rings) - 1):
-        tris.extend(_stitch_rings(*rings[k], *rings[k + 1]))
+        start += m
+    tris = [_stitch_rings(*rings[k], *rings[k + 1]) for k in range(len(rings) - 1)]
 
     geom = [
         CircleLoop(center[0], center[1], r_out),
         CircleLoop(center[0], center[1], r_in),
     ]
-    return Mesh(np.array(verts), np.array(tris, dtype=np.int64), h, geom)
+    return Mesh(np.concatenate(verts), np.concatenate(tris), h, geom)
 
 
 def generate_rectangle(

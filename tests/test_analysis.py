@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sigmalab import (
     DegenerateInputError,
@@ -301,14 +302,38 @@ def test_unimodality_invariances():
     theta = np.linspace(0, 2 * math.pi, 48, endpoint=False)
     vals = np.cos(theta + 0.7)
     base = unimodality_check(vals)
-    for shift in (1, 7, 23):
-        rolled = unimodality_check(np.roll(vals, shift))
-        assert rolled.unimodal == base.unimodal
-        assert rolled.direction_changes == base.direction_changes
     added = unimodality_check(vals + 42.0)
     assert added.unimodal == base.unimodal
     noisy = unimodality_check(vals + rng.uniform(-1e-13, 1e-13, len(vals)), atol=1e-9)
     assert noisy.unimodal
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=40),
+        st.builds(
+            lambda n, k, phase: np.cos(k * np.linspace(0, 2 * math.pi, n, endpoint=False) + phase),
+            st.integers(3, 64), st.integers(1, 3), st.floats(0, 2 * math.pi),
+        ),
+    ),
+    st.integers(-100, 100),
+)
+@example(np.cos(np.linspace(0, 2 * math.pi, 48, endpoint=False) + 0.7), 7)
+def test_unimodality_cyclic_shift_invariant(vals, shift):
+    """A cyclic shift moves plateaus (equal runs, possibly wrapping around)
+    but keeps the verdict, the direction changes and the plateau count."""
+    vals = np.asarray(vals, dtype=float)
+    try:
+        base = unimodality_check(vals)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            unimodality_check(np.roll(vals, shift))
+        return
+    rolled = unimodality_check(np.roll(vals, shift))
+    assert rolled.unimodal == base.unimodal
+    assert rolled.direction_changes == base.direction_changes
+    assert rolled.group_count == base.group_count
 
 
 def test_unimodality_arcs_locate_extremes():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sigmalab.cli import main
+from sigmalab.cli import build_parser, main
 
 
 def run(tmp_path, *args):
@@ -86,6 +86,20 @@ def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "singular" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "domain, spacing", [("rect:w=1,h=1", "1e-300"), ("rect:w=1e300,h=1", "0.5")]
+)
+def test_solve_nd_oversized_grid_exits_3(tmp_path, capsys, domain, spacing):
+    code, out = run(
+        tmp_path, "solve-nd", "--domain", domain, "--spacing", spacing,
+        "--sigma", "identity", "--g", "x1", "--b", "zero",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "above the cap" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -306,3 +320,18 @@ def test_oracle_component_one_selects_u1(tmp_path):
     report = json.loads((out / "unimodal_report.json").read_text())
     assert report["data"] == "meyers:alpha=2.0#u1"
     assert report["verdict"]["unimodal"] is True
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "--bogus"])
+    assert exc.value.code == 2
+    assert run(tmp_path / "mesh", "mesh", "--domain", "disk:r=1", "--h", "0.3", "--refine", "2")[0] == 0
+    verify = ["verify", "--domain", "disk:r=1", "--h", "0.2", "--g", "identity", "--no-svg"]
+    code, out = run(tmp_path / "after", *verify)
+    # a lone run: a parser that no earlier call has used
+    build_parser.cache_clear()
+    lone_code, lone = run(tmp_path / "lone", *verify)
+    assert code == lone_code
+    assert (out / "config.json").read_bytes() == (lone / "config.json").read_bytes()

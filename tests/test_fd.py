@@ -1,10 +1,12 @@
 import hashlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sigmalab import MeshError, SolverError, fd
+from sigmalab import MeshError, ResourceLimitError, SolverError, fd, mesh
 from sigmalab.coefficients import (
     CoefficientField,
     constant_field,
@@ -110,6 +112,55 @@ def test_mask_invariants():
     for dj in (-1, 0, 1):
         for di in (-1, 0, 1):
             assert alive[jj + dj, ii + di].all()
+
+
+GRID_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+#: any float, or one in a range where grids (and not only errors) come out
+SIZES = st.one_of(st.floats(), st.floats(1e-3, 1e3))
+#: the node cap the grid properties run under, so that no example allocates a large grid
+SMALL_CAP = 20_000
+
+
+@GRID_PROPERTY
+@given(x0=SIZES, width=SIZES, height=SIZES, spacing=SIZES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(x0=0.0, width=math.inf, height=1.0, spacing=0.1)
+@example(x0=0.0, width=1.0, height=math.nan, spacing=0.1)
+@example(x0=0.0, width=1.0, height=1.0, spacing=1e-300)
+@example(x0=0.0, width=1e300, height=1.0, spacing=0.5)
+@example(x0=math.inf, width=1.0, height=1.0, spacing=0.1)
+@example(x0=0.0, width=1.0, height=1.0, spacing=0.0)
+def test_rectangle_grid_gives_grid_or_error(x0, width, height, spacing):
+    try:
+        with mock.patch.object(mesh, "DEFAULT_VERTEX_CAP", SMALL_CAP):
+            grid = rectangle_grid((x0, 0.0), width, height, spacing)
+    except (MeshError, ResourceLimitError):
+        return
+    assert grid.nx * grid.ny <= SMALL_CAP
+    assert (grid.nx, grid.ny) == (round(width / spacing) + 1, round(height / spacing) + 1)
+    assert grid.interior_mask[1:-1, 1:-1].all() and not grid.boundary_mask[1:-1, 1:-1].any()
+    assert (grid.interior_mask | grid.boundary_mask).all()
+
+
+@GRID_PROPERTY
+@given(cx=SIZES, r_in=SIZES, width=SIZES, spacing=SIZES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(cx=0.0, r_in=0.25, width=math.inf, spacing=0.1)
+@example(cx=0.0, r_in=math.nan, width=1.0, spacing=0.1)
+@example(cx=0.0, r_in=0.25, width=0.7, spacing=1e-300)
+@example(cx=0.0, r_in=1e307, width=1e308, spacing=1e307)
+@example(cx=-math.inf, r_in=0.25, width=0.7, spacing=0.1)
+def test_annulus_grid_gives_grid_or_error(cx, r_in, width, spacing):
+    r_out = r_in + width
+    try:
+        with mock.patch.object(mesh, "DEFAULT_VERTEX_CAP", SMALL_CAP):
+            grid = annulus_grid((cx, 0.0), r_in, r_out, spacing)
+    except (MeshError, ResourceLimitError):
+        return
+    assert grid.nx * grid.ny <= SMALL_CAP
+    X, Y = grid.node_coordinates()
+    R = np.hypot(X - cx, Y)[grid.interior_mask | grid.boundary_mask]
+    assert grid.interior_mask.any() and ((R >= r_in) & (R <= r_out)).all()
 
 
 def test_grid_domain_rejects_bad_masks():

@@ -16,7 +16,7 @@ from sigmalab import (
     refine,
     write_mesh,
 )
-from sigmalab.mesh import Mesh, mesh_from_text, mesh_to_text, read_rows
+from sigmalab.mesh import LOCATE_CHUNK, Mesh, mesh_from_text, mesh_to_text, read_rows
 from text_mutations import mutated_texts
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -84,6 +84,44 @@ def test_disk_gives_mesh_or_error(radius, h):
         return
     assert len(m.loops) == 1 and m.areas.min() > 0
     assert np.allclose(np.hypot(*m.vertices[m.loops[0]].T), radius, rtol=1e-12, atol=0)
+
+
+#: any float, or one in a range where meshes (and not only errors) come out
+SIZES = st.one_of(st.floats(), st.floats(1e-3, 1e3))
+
+
+@PROPERTY
+@given(r_in=SIZES, width=SIZES, step=st.one_of(st.floats(), st.floats(0.02, 1.5)))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(r_in=0.2, width=math.inf, step=0.1)
+@example(r_in=0.2, width=0.8, step=1e-320)
+@example(r_in=1e299, width=1e300, step=0.1)
+@example(r_in=0.5, width=0.1, step=0.3)
+def test_annulus_gives_mesh_or_error(r_in, width, step):
+    r_out, h = r_in + width, width * step
+    try:
+        m = generate_annulus((0.0, 0.0), r_in, r_out, h, max_vertices=20_000)
+    except (MeshError, ResourceLimitError):
+        return
+    assert len(m.loops) == 2 and m.areas.min() > 0
+    for loop, radius in zip(m.loops, (r_out, r_in)):
+        assert np.allclose(np.hypot(*m.vertices[loop].T), radius, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(width=SIZES, height=SIZES, h=SIZES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@example(width=math.inf, height=1.0, h=0.5)
+@example(width=1.0, height=1.0, h=5e-324)
+@example(width=1e300, height=1e300, h=1e299)
+def test_rectangle_gives_mesh_or_error(width, height, h):
+    try:
+        m = generate_rectangle((0.0, 0.0), width, height, h, max_vertices=20_000)
+    except (MeshError, ResourceLimitError):
+        return
+    assert len(m.loops) == 1 and m.areas.min() > 0
+    assert np.allclose(m.vertices.max(axis=0), [width, height], rtol=1e-12, atol=0)
+    assert m.areas.sum() == pytest.approx(width * height, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -230,6 +268,62 @@ def test_locate_points(disk_mesh):
     assert outside[0] == -1
 
 
+def locate_reference(mesh, points):
+    """locate by brute force: over all triangles, the lowest index whose
+    barycentrics (same expressions) pass the 1e-12 tolerance."""
+    v = mesh.vertices[mesh.triangles][None]
+    e1x, e1y = v[..., 1, 0] - v[..., 0, 0], v[..., 1, 1] - v[..., 0, 1]
+    e2x, e2y = v[..., 2, 0] - v[..., 0, 0], v[..., 2, 1] - v[..., 0, 1]
+    rx, ry = points[:, 0, None] - v[..., 0, 0], points[:, 1, None] - v[..., 0, 1]
+    det = e1x * e2y - e2x * e1y
+    l1 = (e2y * rx - e2x * ry) / det
+    l2 = (-e1y * rx + e1x * ry) / det
+    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+    first = ok.argmax(axis=1)
+    tri = np.where(ok.any(axis=1), first, -1)
+    rows = np.arange(len(points))
+    l1, l2 = l1[rows, first], l2[rows, first]
+    bary = np.where((tri >= 0)[:, None], np.column_stack([1.0 - l1 - l2, l1, l2]), 0.0)
+    return tri, bary
+
+
+def locate_probes(mesh, rng, n):
+    """n random points around the mesh, plus vertices, edge midpoints and far points."""
+    edges, _ = mesh.edges
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    return np.concatenate([
+        rng.uniform(lo - 0.1, hi + 0.1, size=(n, 2)),
+        mesh.vertices[rng.integers(0, mesh.num_vertices, n)],
+        0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])[rng.integers(0, len(edges), n)],
+        rng.uniform(3.0, 4.0, size=(3, 2)),
+    ])
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(DOMAINS)), st.floats(0.15, 0.45), st.integers(0, 1),
+    st.integers(0, 2**32 - 1), st.integers(1, 40),
+)
+def test_locate_matches_brute_force(name, h, levels, seed, n):
+    m = DOMAINS[name](h)
+    for _ in range(levels):
+        m = refine(m)
+    pts = locate_probes(m, np.random.default_rng(seed), n)
+    tri, bary = m.locate(pts)
+    ref_tri, ref_bary = locate_reference(m, pts)
+    assert np.array_equal(tri, ref_tri) and np.array_equal(bary, ref_bary)
+    one_tri, one_bary = m.locate(pts[:1])
+    assert np.array_equal(one_tri, ref_tri[:1]) and np.array_equal(one_bary, ref_bary[:1])
+
+
+def test_locate_more_points_than_one_chunk(disk_mesh):
+    pts = locate_probes(disk_mesh, np.random.default_rng(11), LOCATE_CHUNK // 2 + 100)
+    assert len(pts) > LOCATE_CHUNK
+    tri, bary = disk_mesh.locate(pts)
+    ref_tri, ref_bary = locate_reference(disk_mesh, pts)
+    assert np.array_equal(tri, ref_tri) and np.array_equal(bary, ref_bary)
+
+
 def test_boundary_distance(disk_mesh, annulus_mesh):
     d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert np.allclose(d, [1.0, 0.5], atol=1e-12)
@@ -256,6 +350,26 @@ MESH_TEXT_SHA256 = {
         "fb36878be058aa4b8ab19a9c53ab242563330619105e02bd85f37e130ea83585",
     ),
 }
+
+
+# sha256 of mesh_to_text of unrefined disks and annuli centered at the origin,
+# (generator, radii, h), recorded before ring stitching became array code
+RING_MESH_TEXT_SHA256 = {
+    ("disk", (1.0,), 0.05): "223ac908b35517cdd6d213d27b75a79a1a035b77512e4edd7a247500195eb1cb",
+    ("disk", (1.0,), 0.029): "11f0e9227bd71189b748e7be1cffce648c4ef0c83a6a6e6f99e2b4e59629b9e1",
+    ("disk", (1.0,), 0.0173): "6ce5ff268f922c5e1257e5cc321b87be4a1dd270fc14e125dee3a102ae7e43c0",
+    ("annulus", (0.2, 1.0), 0.16): "33f847cb1f4ffa78f673cbe40d5fe3f51385e4d7eea83ab66b332d5f5596c26b",
+    ("annulus", (0.2, 1.0), 0.029): "47fe446a5ee7bec54dbcaf44ec42c37e832dfeefb490c30aa9dcbc0817668a09",
+    ("annulus", (0.5, 0.6), 0.03): "e8bccb0ab7521248bc797d7e615df45c41f041d9bc11e4cb91a17af7839cf3b2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RING_MESH_TEXT_SHA256), ids=str)
+def test_ring_mesh_text_bytes_pinned(key):
+    kind, radii, h = key
+    make = generate_disk if kind == "disk" else generate_annulus
+    m = make((0.0, 0.0), *radii, h)
+    assert hashlib.sha256(mesh_to_text(m).encode()).hexdigest() == RING_MESH_TEXT_SHA256[key]
 
 
 @pytest.mark.parametrize("name", sorted(MESH_TEXT_SHA256))

@@ -1,10 +1,14 @@
 """Batch command-line entry point.
 
 Commands wire meshes, coefficient fields, solvers, and analysis into
-reproducible runs. Every run writes its resolved configuration next to its
-outputs; identical configurations produce byte-identical files. Output files
-are materialized only after the whole computation succeeded, so failed runs
-leave nothing half-written.
+reproducible runs. OPTIONS is the one table of options; each command has flags
+for the options it reads (COMMANDS), and a --config JSON file may set any
+option, so a run's own config.json reads back in. Unknown or wrongly typed
+options, a "command" key naming another command, and descriptor keys that are
+unknown, repeated, non-finite or non-integral (seed, m, component) are config
+errors. Every run writes its resolved configuration next to its outputs;
+identical configurations produce byte-identical files. Nothing is written
+unless the whole computation succeeded; a failed write is a config error.
 
 Exit status: 0 success/pass, 2 config error, 3 numerical failure,
 4 hypothesis failure, 5 verification failure.
@@ -18,10 +22,12 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, coefficients, fd, fem, mesh as meshmod, oracles, svgplots
+from .coefficients import Family, parse_family
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -48,61 +54,48 @@ _NUMERICAL_ERRORS = (
 )
 
 
-_DOMAIN_KEYS = {"disk": ("r",), "annulus": ("rin", "rout"), "rect": ("w", "h")}
+#: domain descriptors; build(params, h) gives the mesh at mesh size h
+DOMAINS = {
+    "disk": Family(lambda p, h: meshmod.generate_disk((p["cx"], p["cy"]), p["r"], h),
+                   ("r",), {"cx": 0.0, "cy": 0.0}),
+    "annulus": Family(lambda p, h: meshmod.generate_annulus((p["cx"], p["cy"]), p["rin"],
+                                                            p["rout"], h),
+                      ("rin", "rout"), {"cx": 0.0, "cy": 0.0}),
+    "rect": Family(lambda p, h: meshmod.generate_rectangle((p["x0"], p["y0"]), p["w"], p["h"], h),
+                   ("w", "h"), {"x0": 0.0, "y0": 0.0}),
+}
 
-
-def _parse_domain(descriptor: str) -> tuple[str, dict]:
-    """Domain name and parameters, with the name known and its required keys present."""
-    name, p = coefficients.parse_descriptor(descriptor)
-    if name not in _DOMAIN_KEYS:
-        raise ConfigError(f"unknown domain '{descriptor}'")
-    keys = _DOMAIN_KEYS[name]
-    if any(k not in p for k in keys):
-        raise ConfigError(f"{name} domain needs {' and '.join(keys)}")
-    return name, p
+#: the domains that also make finite-difference grids, at a spacing
+GRIDS = {
+    "annulus": lambda p, s: fd.annulus_grid((p["cx"], p["cy"]), p["rin"], p["rout"], s),
+    "rect": lambda p, s: fd.rectangle_grid((p["x0"], p["y0"]), p["w"], p["h"], s),
+}
 
 
 def build_domain(descriptor: str, h: float) -> meshmod.Mesh:
-    name, p = _parse_domain(descriptor)
-    if name == "disk":
-        return meshmod.generate_disk((p.get("cx", 0.0), p.get("cy", 0.0)), p["r"], h)
-    if name == "annulus":
-        return meshmod.generate_annulus(
-            (p.get("cx", 0.0), p.get("cy", 0.0)), p["rin"], p["rout"], h
-        )
-    return meshmod.generate_rectangle(
-        (p.get("x0", 0.0), p.get("y0", 0.0)), p["w"], p["h"], h
-    )
+    name, p = parse_family(descriptor, DOMAINS, "domain")
+    return DOMAINS[name].build(p, h)
 
 
 def build_grid(descriptor: str, spacing: float) -> fd.GridDomain:
-    name, p = _parse_domain(descriptor)
-    if name == "annulus":
-        return fd.annulus_grid(
-            (p.get("cx", 0.0), p.get("cy", 0.0)), p["rin"], p["rout"], spacing
-        )
-    if name == "rect":
-        return fd.rectangle_grid((p.get("x0", 0.0), p.get("y0", 0.0)), p["w"], p["h"], spacing)
-    raise ConfigError(f"domain '{descriptor}' is not usable as a grid")
-
-
-def resolve_sigma(cfg: dict) -> coefficients.CoefficientField:
-    return coefficients.field_from_descriptor(cfg["sigma"])
+    name, p = parse_family(descriptor, DOMAINS, "domain")
+    if name not in GRIDS:
+        raise ConfigError(f"domain '{descriptor}' is not usable as a grid")
+    return GRIDS[name](p, spacing)
 
 
 def resolve_data(cfg: dict, components: int) -> oracles.AnalyticSolution:
     """The g descriptor's oracle; g=oracle takes the exact solution of a meyers
     sigma (its u1 where scalar data is needed)."""
     desc = cfg["g"]
-    if desc.strip().lower() == "oracle":
+    exact = desc.strip().lower() == "oracle"
+    if exact:
         if coefficients.parse_descriptor(cfg["sigma"])[0] != "meyers":
             raise ConfigError("g=oracle requires a meyers sigma descriptor")
         desc = cfg["sigma"]
-        sol = oracles.oracle_from_descriptor(desc)
-        if components == 1:
-            sol = sol.component(0)
-    else:
-        sol = oracles.oracle_from_descriptor(desc)
+    sol = oracles.oracle_from_descriptor(desc)
+    if exact and components == 1:
+        sol = sol.component(0)
     if sol.components != components:
         kind = "a map" if sol.components == 2 else "scalar"
         need = "scalar data" if components == 1 else "a two-component map"
@@ -129,7 +122,7 @@ def cmd_mesh(cfg):
 
 def cmd_solve(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
-    sigma = resolve_sigma(cfg)
+    sigma = coefficients.field_from_descriptor(cfg["sigma"])
     data = resolve_data(cfg, 1)
     (u,), residual = fem.solve_dirichlet(m, sigma, data.value)
 
@@ -167,10 +160,10 @@ def cmd_solve(cfg):
 
 def cmd_solve_nd(cfg):
     grid = build_grid(cfg["domain"], cfg["spacing"])
-    sigma = resolve_sigma(cfg)
+    sigma = coefficients.field_from_descriptor(cfg["sigma"])
     pts = grid.points(grid.interior_mask)
     data = resolve_data(cfg, 1)
-    bdesc = cfg.get("b", "auto")
+    bdesc = cfg["b"]
     if bdesc == "auto":
         _, drift = fd.to_nondivergence(sigma, step=cfg["fd_step"])
     elif bdesc == "zero":
@@ -206,16 +199,25 @@ def cmd_solve_nd(cfg):
 
 
 def _solve_mapping(cfg):
+    """The solved map, its Jacobian and the files map and verify both write."""
     m = build_domain(cfg["domain"], cfg["h"])
-    sigma = resolve_sigma(cfg)
+    sigma = coefficients.field_from_descriptor(cfg["sigma"])
     data = resolve_data(cfg, 2)
     (u1, u2), residual = fem.solve_dirichlet(m, sigma, data.value)
-    return m, sigma, data, analysis.MappingField(u1, u2), residual
+    U = analysis.MappingField(u1, u2)
+    det = analysis.jacobian_field(U)
+    files = {
+        "mesh.txt": meshmod.mesh_to_text(m),
+        "u1.txt": fem.field_to_text(u1),
+        "u2.txt": fem.field_to_text(u2),
+    }
+    if cfg["svg"]:
+        files["jacobian.svg"] = svgplots.heatmap_svg(m, det)
+    return m, sigma, data, U, det, residual, files
 
 
 def cmd_map(cfg):
-    m, sigma, data, U, residual = _solve_mapping(cfg)
-    det = analysis.jacobian_field(U)
+    m, sigma, data, U, det, residual, files = _solve_mapping(cfg)
     summary_data = {
         "vertices": m.num_vertices,
         "triangles": m.num_triangles,
@@ -224,14 +226,7 @@ def cmd_map(cfg):
         "jacobian_max": float(det.max()),
         "boundary_map": data.descriptor,
     }
-    files = {
-        "mesh.txt": meshmod.mesh_to_text(m),
-        "u1.txt": fem.field_to_text(U.u1),
-        "u2.txt": fem.field_to_text(U.u2),
-        "summary.json": dumps(summary_data),
-    }
-    if cfg["svg"]:
-        files["jacobian.svg"] = svgplots.heatmap_svg(m, det)
+    files["summary.json"] = dumps(summary_data)
     summary = (
         f"map: {m.num_vertices} vertices, det DU in "
         f"[{det.min():.6g}, {det.max():.6g}]"
@@ -240,15 +235,7 @@ def cmd_map(cfg):
 
 
 def cmd_verify(cfg):
-    m, sigma, data, U, _ = _solve_mapping(cfg)
-    det = analysis.jacobian_field(U)
-    files = {
-        "mesh.txt": meshmod.mesh_to_text(m),
-        "u1.txt": fem.field_to_text(U.u1),
-        "u2.txt": fem.field_to_text(U.u2),
-    }
-    if cfg["svg"]:
-        files["jacobian.svg"] = svgplots.heatmap_svg(m, det)
+    m, sigma, data, U, det, _, files = _solve_mapping(cfg)
     try:
         report = analysis.lewy_verify(
             U, sigma, directions=cfg["directions"], margin=cfg["margin"]
@@ -276,9 +263,7 @@ def cmd_verify(cfg):
 
 def cmd_meyers(cfg):
     alpha = cfg["alpha"]
-    if not alpha > 0:
-        raise ConfigError("alpha must be positive")
-    name, p = _parse_domain(cfg["domain"])
+    name, p = parse_family(cfg["domain"], DOMAINS, "domain")
     if name != "annulus":
         raise ConfigError("the meyers reproduction runs on an annulus domain")
     sigma = coefficients.meyers_sigma(alpha)
@@ -286,7 +271,7 @@ def cmd_meyers(cfg):
     levels = cfg["levels"]
     if levels < 2:
         raise ConfigError("need at least 2 refinement levels for a convergence table")
-    jac_rmin = cfg.get("jacobian_rmin", 0.3)
+    jac_rmin = cfg["jacobian_rmin"]
 
     m = build_domain(cfg["domain"], cfg["h"])
     rows = []
@@ -298,7 +283,7 @@ def cmd_meyers(cfg):
 
         det = analysis.jacobian_field(U)
         cent = m.centroids
-        radii = np.hypot(cent[:, 0] - p.get("cx", 0.0), cent[:, 1] - p.get("cy", 0.0))
+        radii = np.hypot(cent[:, 0] - p["cx"], cent[:, 1] - p["cy"])
         region = radii >= jac_rmin
         det_exact = oracles.meyers_jacobian(alpha, cent)
         jac_err = float(
@@ -353,7 +338,7 @@ def cmd_meyers(cfg):
 
 def cmd_beltrami(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
-    sigma = resolve_sigma(cfg)
+    sigma = coefficients.field_from_descriptor(cfg["sigma"])
     ell = coefficients.require_elliptic(sigma, m.centroids)
     k = coefficients.max_dilatation(ell.samples)
     report = {
@@ -363,11 +348,11 @@ def cmd_beltrami(cfg):
         "sample_count": int(m.num_triangles),
     }
     summary_bits = [f"beltrami: K={ell.K_estimate:.6g}, k={k:.6g}"]
-    if cfg.get("g"):
+    if cfg["g"]:
         data = resolve_data(cfg, 1)
         (u,), _ = fem.solve_dirichlet(m, sigma, data.value)
         v, stream_res = analysis.stream_function(
-            u, sigma, allow_multiply_connected=bool(cfg.get("allow_holes"))
+            u, sigma, allow_multiply_connected=cfg["allow_holes"]
         )
         cd = analysis.complex_derivatives(u, v)
         res = analysis.beltrami_residual(cd, sigma)
@@ -385,7 +370,7 @@ def cmd_unimodal(cfg):
     loop_index = cfg["loop"]
     _, xy = zip(*meshmod.boundary_trace(m, loop_index))
     vals = data.value(*np.transpose(xy))
-    verdict = analysis.unimodality_check(vals, atol=cfg.get("atol", 1e-12))
+    verdict = analysis.unimodality_check(vals, atol=cfg["atol"])
     files = {
         "unimodal_report.json": dumps(
             {"data": data.descriptor, "loop": loop_index, "verdict": verdict.to_dict()}
@@ -399,46 +384,49 @@ def cmd_unimodal(cfg):
     return files, summary, EXIT_OK
 
 
+class Option(NamedTuple):
+    """One configurable value. default None: the option is required; help
+    None: it is set from a config file only, with no flag."""
+
+    type: type
+    default: object
+    help: str | None
+
+
+OPTIONS = {
+    "out": Option(str, ".", "output directory (default .)"),
+    "domain": Option(str, None, "disk:r=1 | annulus:rin=0.2,rout=1 | rect:w=1,h=1"),
+    "h": Option(float, 0.05, "nominal mesh size"),
+    "spacing": Option(float, 0.05, "grid spacing"),
+    "alpha": Option(float, 2.0, "radial-stretch exponent"),
+    "sigma": Option(str, "identity", "coefficient descriptor"),
+    "g": Option(str, "x1", "boundary data descriptor"),
+    "b": Option(str, "auto", "drift: auto | zero"),
+    "margin": Option(float, 0.1, "compact-subset inset distance"),
+    "directions": Option(int, 8, "half-circle direction count"),
+    "refine": Option(int, 0, "uniform refinements"),
+    "levels": Option(int, 3, "convergence levels"),
+    "loop": Option(int, 0, "boundary loop index"),
+    "atol": Option(float, 1e-12, "plateau tolerance"),
+    "fd_step": Option(float, 1e-5, "step for div sigma"),
+    "allow_holes": Option(bool, False, "permit stream functions on annuli"),
+    "svg": Option(bool, True, "emit SVG plots"),
+    "jacobian_rmin": Option(float, 0.3, None),
+}
+
+_KINDS = {str: "a string", float: "a finite number", int: "an integer", bool: "true or false"}
+
+#: command -> (function, the options it reads besides out)
 COMMANDS = {
-    "mesh": cmd_mesh,
-    "solve": cmd_solve,
-    "solve-nd": cmd_solve_nd,
-    "map": cmd_map,
-    "verify": cmd_verify,
-    "meyers": cmd_meyers,
-    "beltrami": cmd_beltrami,
-    "unimodal": cmd_unimodal,
-}
-
-_DEFAULTS = {
-    "h": 0.05,
-    "spacing": 0.05,
-    "alpha": 2.0,
-    "sigma": "identity",
-    "g": "x1",
-    "margin": 0.1,
-    "directions": 8,
-    "svg": True,
-    "out": ".",
-    "fd_step": 1e-5,
-    "refine": 0,
-    "levels": 3,
-    "b": "auto",
-    "loop": 0,
-    "atol": 1e-12,
-    "allow_holes": False,
-    "jacobian_rmin": 0.3,
-}
-
-_REQUIRED = {
-    "mesh": ("domain",),
-    "solve": ("domain",),
-    "solve-nd": ("domain",),
-    "map": ("domain", "g"),
-    "verify": ("domain", "g"),
-    "meyers": ("domain", "alpha"),
-    "beltrami": ("domain", "sigma"),
-    "unimodal": ("domain", "g"),
+    "mesh": (cmd_mesh, ("domain", "h", "refine")),
+    "solve": (cmd_solve, ("domain", "h", "sigma", "g", "svg")),
+    "solve-nd": (cmd_solve_nd, ("domain", "spacing", "sigma", "g", "b", "fd_step")),
+    "map": (cmd_map, ("domain", "h", "sigma", "g", "svg")),
+    "verify": (cmd_verify, ("domain", "h", "sigma", "g", "svg", "margin", "directions")),
+    "meyers": (cmd_meyers, ("domain", "h", "alpha", "levels", "jacobian_rmin")),
+    "beltrami": (cmd_beltrami, ("domain", "h", "sigma", "g", "allow_holes")),
+    # sigma is read when g=oracle
+    "unimodal": (cmd_unimodal, ("domain", "h", "g", "loop", "atol", "sigma")),
 }
 
 
@@ -451,33 +439,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for planar mappings with elliptic-equation components",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
+    for command, (_, reads) in COMMANDS.items():
+        p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", type=str, help="JSON config file; flags override it")
-        p.add_argument("--out", type=str, help="output directory (default .)")
-        p.add_argument("--domain", type=str, help="disk:r=1 | annulus:rin=0.2,rout=1 | rect:w=1,h=1")
-        p.add_argument("--h", type=float, dest="h", help="nominal mesh size")
-        p.add_argument("--spacing", type=float, help="grid spacing (solve-nd)")
-        p.add_argument("--alpha", type=float, help="radial-stretch exponent (meyers)")
-        p.add_argument("--sigma", type=str, help="coefficient descriptor")
-        p.add_argument("--g", type=str, help="boundary data descriptor")
-        p.add_argument("--b", type=str, help="drift: auto | zero (solve-nd)")
-        p.add_argument("--margin", type=float, help="compact-subset inset distance")
-        p.add_argument("--directions", type=int, help="half-circle direction count")
-        p.add_argument("--refine", type=int, help="uniform refinements (mesh)")
-        p.add_argument("--levels", type=int, help="convergence levels (meyers)")
-        p.add_argument("--loop", type=int, help="boundary loop index (unimodal)")
-        p.add_argument("--atol", type=float, help="plateau tolerance (unimodal)")
-        p.add_argument("--fd-step", type=float, dest="fd_step", help="step for div sigma")
-        p.add_argument("--allow-holes", action="store_true", dest="allow_holes",
-                       default=None, help="permit stream functions on annuli (beltrami)")
-        p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None,
-                       help="emit SVG plots")
+        for name, opt in OPTIONS.items():
+            if name not in ("out",) + reads or opt.help is None:
+                continue
+            flag = "--" + name.replace("_", "-")
+            if opt.type is bool:
+                # a flag switches its default; --no-svg turns a true one off
+                action = argparse.BooleanOptionalAction if opt.default else "store_true"
+                p.add_argument(flag, dest=name, action=action, default=None, help=opt.help)
+            else:
+                p.add_argument(flag, dest=name, type=opt.type, help=opt.help)
     return parser
 
 
+def _valid(value, kind: type) -> bool:
+    if kind is float:
+        # abs(nan) <= max is false; an int too large for a float is refused too
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    """Defaults, then the config file, then the flags given; every option checked."""
+    cfg = {name: opt.default for name, opt in OPTIONS.items() if opt.default is not None}
     cfg["command"] = args.command
     if args.config:
         try:
@@ -489,27 +476,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(loaded) - set(OPTIONS) - {"command"})
+        if unknown:
+            raise ConfigError(f"unknown options in config file: {unknown}")
+        if loaded.get("command", args.command) != args.command:
+            raise ConfigError(f"config file is for command {loaded['command']!r}, "
+                              f"not {args.command!r}")
         cfg.update(loaded)
     for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
+        if key not in ("command", "config") and value is not None:
             cfg[key] = value
-    missing = [k for k in _REQUIRED[args.command] if not cfg.get(k)]
-    if missing:
-        raise ConfigError(f"missing required options for {args.command}: {missing}")
-    for key in ("domain", "sigma", "g", "b", "out"):
-        if not isinstance(cfg[key], str):
-            raise ConfigError(f"option {key} must be a string, got {cfg[key]!r}")
-    for key in ("h", "spacing", "alpha", "margin", "fd_step", "atol"):
-        value = cfg[key]
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
-            raise ConfigError(f"option {key} must be a finite number, got {value!r}")
-    for key in ("refine", "levels", "loop", "directions"):
-        value = cfg[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"option {key} must be an integer, got {value!r}")
+    for name, opt in OPTIONS.items():
+        if name not in cfg:
+            raise ConfigError(f"missing required option {name} for {args.command}")
+        if not _valid(cfg[name], opt.type):
+            raise ConfigError(f"option {name} must be {_KINDS[opt.type]}, got {cfg[name]!r}")
     return cfg
 
 
@@ -517,7 +498,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        files, summary, code = COMMANDS[args.command](cfg)
+        files, summary, code = COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -529,13 +510,16 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = dict(files)
     # the output location is not part of the run's identity
     files["config.json"] = dumps({k: v for k, v in cfg.items() if k != "out"})
-    for name, text in files.items():
-        with open(outdir / name, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(outdir / name, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+    except OSError as exc:
+        print(f"config error: cannot write outputs to {outdir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(summary)
     return code
 

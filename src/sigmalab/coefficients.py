@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -319,6 +319,8 @@ def nonsymmetric_field(tau: float, base: Optional[CoefficientField] = None) -> C
 
 def random_holder_field(seed: int) -> CoefficientField:
     """Seeded smooth symmetric field: identity plus 2-3 nonnegative bumps."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     nb = int(rng.integers(2, 4))
     bumps = []
@@ -342,12 +344,11 @@ def random_holder_field(seed: int) -> CoefficientField:
 
 def random_nonsymmetric_field(seed: int, tau: Optional[float] = None) -> CoefficientField:
     """Seeded nonsymmetric field: random smooth symmetric part plus tau J."""
-    rng = np.random.default_rng(seed ^ 0x5EED)
+    base = random_holder_field(seed)  # refuses a negative seed first
     if tau is None:
-        tau = float(rng.uniform(0.05, 0.3))
+        tau = float(np.random.default_rng(seed ^ 0x5EED).uniform(0.05, 0.3))
     if not abs(tau) < 1.0:
         raise ConfigError("need |tau| < 1")
-    base = random_holder_field(seed)
     f = nonsymmetric_field(tau, base)
     return CoefficientField(
         f.evaluator, symmetric=False, descriptor=f"randnonsym:seed={seed},tau={tau}"
@@ -355,10 +356,22 @@ def random_nonsymmetric_field(seed: int, tau: Optional[float] = None) -> Coeffic
 
 
 # ---------------------------------------------------------------------------
-# descriptor parsing, e.g. "meyers:alpha=2" or "aniso:l1=2,l2=0.5,theta=0.3"
+# descriptors, e.g. "meyers:alpha=2" or "aniso:l1=2,l2=0.5,theta=0.3"
+
+
+class Family(NamedTuple):
+    """A descriptor family: its builder, required keys, optional keys with
+    their defaults (None: the builder picks) and keys whose values are ints."""
+
+    build: Callable
+    required: tuple = ()
+    optional: dict = {}
+    integers: tuple = ()
 
 
 def parse_descriptor(text: str) -> tuple[str, dict]:
+    """Lowercased name and parameters of "name:key=value,..."; every value is a
+    finite float and no key repeats."""
     text = text.strip()
     if not text:
         raise ConfigError("empty descriptor")
@@ -367,51 +380,64 @@ def parse_descriptor(text: str) -> tuple[str, dict]:
     if rest:
         for item in rest.split(","):
             key, sep, val = item.partition("=")
-            if not sep or not key.strip():
+            key = key.strip()
+            if not sep or not key:
                 raise ConfigError(f"malformed descriptor parameter '{item}' in '{text}'")
+            if key in params:
+                raise ConfigError(f"repeated key '{key}' in descriptor '{text}'")
             try:
-                params[key.strip()] = float(val)
+                params[key] = float(val)
             except ValueError:
                 raise ConfigError(f"non-numeric value '{val}' in descriptor '{text}'")
+            if not math.isfinite(params[key]):
+                raise ConfigError(f"non-finite value '{val}' in descriptor '{text}'")
     return name.strip().lower(), params
 
 
-def _need(params: dict, keys, name: str) -> list[float]:
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ConfigError(f"descriptor '{name}' is missing parameters {missing}")
-    return [params[k] for k in keys]
+def parse_family(text: str, families: dict, what: str) -> tuple[str, dict]:
+    """Name and parameters of a descriptor of one of families, optional
+    defaults filled in; unknown names and keys, missing keys and non-integral
+    integers are ConfigErrors."""
+    name, p = parse_descriptor(text)
+    if name not in families:
+        raise ConfigError(f"unknown {what} descriptor '{text}'")
+    family = families[name]
+    if any(k not in p for k in family.required):
+        raise ConfigError(f"{name} {what} needs {' and '.join(family.required)}")
+    unknown = sorted(set(p) - set(family.required) - set(family.optional))
+    if unknown:
+        raise ConfigError(f"{name} {what} takes no parameter {', '.join(unknown)}")
+    for k in family.integers:
+        if k in p:
+            if not p[k].is_integer():
+                raise ConfigError(f"{name} {what} parameter {k} must be an integer, got {p[k]}")
+            p[k] = int(p[k])
+    return name, {**family.optional, **p}
+
+
+#: coefficient descriptors; build(params, descriptor text) gives the field
+FIELDS = {
+    "identity": Family(lambda p, text: identity_field()),
+    "const": Family(lambda p, text: constant_field([[p["a11"], p["a12"]], [p["a21"], p["a22"]]],
+                                                   descriptor=text),
+                    ("a11", "a12", "a21", "a22")),
+    "aniso": Family(lambda p, text: anisotropic_field(p["l1"], p["l2"], p["theta"]),
+                    ("l1", "l2"), {"theta": 0.0}),
+    "meyers": Family(lambda p, text: meyers_sigma(p["alpha"]), ("alpha",)),
+    "holder": Family(lambda p, text: holder_bump_field(p["eps"], p["cx"], p["cy"], p["w"],
+                                                       p["theta"]),
+                     ("eps",), {"cx": 0.0, "cy": 0.0, "w": 0.5, "theta": 0.0}),
+    "nonsym": Family(lambda p, text: nonsymmetric_field(p["tau"]), ("tau",)),
+    "randholder": Family(lambda p, text: random_holder_field(p["seed"]), ("seed",), {}, ("seed",)),
+    "randnonsym": Family(lambda p, text: random_nonsymmetric_field(p["seed"], p["tau"]),
+                         ("seed",), {"tau": None}, ("seed",)),
+}
 
 
 def field_from_descriptor(text: str) -> CoefficientField:
     """Resolve a coefficient descriptor string to a field."""
-    name, p = parse_descriptor(text)
-    if name == "identity":
-        return identity_field()
-    if name == "const":
-        a11, a12, a21, a22 = _need(p, ("a11", "a12", "a21", "a22"), name)
-        return constant_field([[a11, a12], [a21, a22]], descriptor=text)
-    if name == "aniso":
-        l1, l2 = _need(p, ("l1", "l2"), name)
-        return anisotropic_field(l1, l2, p.get("theta", 0.0))
-    if name == "meyers":
-        (alpha,) = _need(p, ("alpha",), name)
-        return meyers_sigma(alpha)
-    if name == "holder":
-        (eps,) = _need(p, ("eps",), name)
-        return holder_bump_field(
-            eps, p.get("cx", 0.0), p.get("cy", 0.0), p.get("w", 0.5), p.get("theta", 0.0)
-        )
-    if name == "nonsym":
-        (tau,) = _need(p, ("tau",), name)
-        return nonsymmetric_field(tau)
-    if name == "randholder":
-        (seed,) = _need(p, ("seed",), name)
-        return random_holder_field(int(seed))
-    if name == "randnonsym":
-        (seed,) = _need(p, ("seed",), name)
-        return random_nonsymmetric_field(int(seed), p.get("tau"))
-    raise ConfigError(f"unknown coefficient descriptor '{text}'")
+    name, p = parse_family(text, FIELDS, "field")
+    return FIELDS[name].build(p, text)
 
 
 def library_fields() -> list[CoefficientField]:

@@ -17,7 +17,7 @@ from .analysis import MappingField
 from .errors import ConfigError, DegenerateInputError, ResourceLimitError
 from .fem import ScalarField
 from .mesh import Mesh
-from .coefficients import parse_descriptor
+from .coefficients import Family, parse_family
 
 SAMPLE_BUDGET = 50_000
 
@@ -138,32 +138,21 @@ def identity_oracle() -> AnalyticSolution:
     )
 
 
+#: scalar harmonic polynomials by flavor: (value, gradient)
+HARMONIC = {
+    "x1": (lambda x, y: x, lambda x, y: _constant([1.0, 0.0], x)),
+    "x2": (lambda x, y: y, lambda x, y: _constant([0.0, 1.0], x)),
+    "re-z2": (lambda x, y: x * x - y * y, lambda x, y: np.array([2.0 * x, -2.0 * y])),
+    "im-z2": (lambda x, y: 2.0 * x * y, lambda x, y: np.array([2.0 * y, 2.0 * x])),
+}
+
+
 def harmonic_oracle(kind: str) -> AnalyticSolution:
     """Scalar harmonic polynomials used as boundary data and references."""
     kind = kind.lower()
-    if kind == "x1":
-        return AnalyticSolution(
-            "harmonic:x1", 1, lambda x, y: x, lambda x, y: _constant([1.0, 0.0], x)
-        )
-    if kind == "x2":
-        return AnalyticSolution(
-            "harmonic:x2", 1, lambda x, y: y, lambda x, y: _constant([0.0, 1.0], x)
-        )
-    if kind == "re-z2":
-        return AnalyticSolution(
-            "harmonic:re-z2",
-            1,
-            lambda x, y: x * x - y * y,
-            lambda x, y: np.array([2.0 * x, -2.0 * y]),
-        )
-    if kind == "im-z2":
-        return AnalyticSolution(
-            "harmonic:im-z2",
-            1,
-            lambda x, y: 2.0 * x * y,
-            lambda x, y: np.array([2.0 * y, 2.0 * x]),
-        )
-    raise ConfigError(f"unknown harmonic oracle '{kind}'")
+    if kind not in HARMONIC:
+        raise ConfigError(f"unknown harmonic oracle '{kind}'")
+    return AnalyticSolution(f"harmonic:{kind}", 1, *HARMONIC[kind])
 
 
 def costheta_oracle(cx: float = 0.0, cy: float = 0.0) -> AnalyticSolution:
@@ -189,32 +178,31 @@ def costheta_oracle(cx: float = 0.0, cy: float = 0.0) -> AnalyticSolution:
 # descriptor resolution ("meyers:alpha=2", "holo:m=2", "harmonic:re-z2", ...)
 
 
+#: oracle descriptors; build(params) gives the solution, of which a
+#: "component" parameter (1 or 2) picks one
+ORACLES = {
+    "identity": Family(lambda p: identity_oracle()),
+    "meyers": Family(lambda p: meyers_solution(p["alpha"]), ("alpha",), {"component": None},
+                     ("component",)),
+    "holo": Family(lambda p: holomorphic_oracle(p["m"]), ("m",), {"component": None},
+                   ("m", "component")),
+    "x1": Family(lambda p: harmonic_oracle("x1")),
+    "x2": Family(lambda p: harmonic_oracle("x2")),
+    "costheta": Family(lambda p: costheta_oracle(p["cx"], p["cy"]), (), {"cx": 0.0, "cy": 0.0}),
+    "z2": Family(lambda p: holomorphic_oracle(2)),
+}
+
+
 def oracle_from_descriptor(text: str) -> AnalyticSolution:
     head = text.split(":", 1)[0].strip().lower()
     if head == "harmonic":
         # flavor is symbolic ("re-z2"), not key=value
         flavor = text.split(":", 1)[1].strip() if ":" in text else ""
         return harmonic_oracle(flavor)
-    name, p = parse_descriptor(text)
-    if name == "identity":
-        return identity_oracle()
-    if name == "meyers":
-        if "alpha" not in p:
-            raise ConfigError("meyers oracle needs alpha")
-        sol = meyers_solution(p["alpha"])
-        return sol.component(int(p["component"]) - 1) if "component" in p else sol
-    if name == "holo":
-        if "m" not in p:
-            raise ConfigError("holo oracle needs m")
-        sol = holomorphic_oracle(int(p["m"]))
-        return sol.component(int(p["component"]) - 1) if "component" in p else sol
-    if name in ("x1", "x2"):
-        return harmonic_oracle(name)
-    if name == "costheta":
-        return costheta_oracle(p.get("cx", 0.0), p.get("cy", 0.0))
-    if name == "z2":
-        return holomorphic_oracle(2)
-    raise ConfigError(f"unknown oracle descriptor '{text}'")
+    name, p = parse_family(text, ORACLES, "oracle")
+    component = p.pop("component", None)
+    sol = ORACLES[name].build(p)
+    return sol if component is None else sol.component(component - 1)
 
 
 # ---------------------------------------------------------------------------

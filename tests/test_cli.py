@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sigmalab.cli import build_parser, main
+from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 
 
 def run(tmp_path, *args):
@@ -266,6 +266,29 @@ def test_failed_run_leaves_no_files(tmp_path):
         (["mesh", "--domain", "disk:r=1", {"h": True}], "option h must be a finite number"),
         (["verify", "--domain", "disk:r=1", "--g", "identity", {"margin": False}],
          "option margin must be a finite number"),
+        (["solve", "--domain", "disk:r=1", {"sigmma": "meyers:alpha=2"}],
+         "unknown options in config file: ['sigmma']"),
+        (["solve", "--domain", "disk:r=1", {"command": "mesh"}],
+         "config file is for command 'mesh', not 'solve'"),
+        (["solve", "--domain", "disk:r=1", {"svg": "false"}], "option svg must be true or false"),
+        (["beltrami", "--domain", "disk:r=1", {"allow_holes": "no"}],
+         "option allow_holes must be true or false"),
+        (["meyers", "--domain", "annulus:rin=0.2,rout=1", {"jacobian_rmin": "a"}],
+         "option jacobian_rmin must be a finite number"),
+        (["solve", "--domain", "disk:r=1", "--sigma", "randholder:seed=-1"],
+         "seed must be nonnegative"),
+        (["beltrami", "--domain", "disk:r=1", "--sigma", "meyers:alpha=inf"], "non-finite value"),
+        (["beltrami", "--domain", "disk:r=1", "--sigma", "holder:eps=nan"], "non-finite value"),
+        (["solve", "--domain", "disk:r=1", "--sigma", "nonsym:tau=inf"], "non-finite value"),
+        (["solve", "--domain", "disk:r=1", "--sigma", "aniso:l1=1e400,l2=1"], "non-finite value"),
+        (["unimodal", "--domain", "disk:r=1", "--g", "costheta:cx=nan"], "non-finite value"),
+        (["solve", "--domain", "disk:r=1", "--sigma", "randholder:seed=1.5"],
+         "parameter seed must be an integer"),
+        (["map", "--domain", "disk:r=1", "--g", "holo:m=2.5"], "parameter m must be an integer"),
+        (["unimodal", "--domain", "disk:r=1", "--g", "meyers:alpha=2,component=1.5"],
+         "parameter component must be an integer"),
+        (["mesh", "--domain", "disk:r=1,r=2,foo=3"], "repeated key 'r'"),
+        (["mesh", "--domain", "disk:r=1,foo=3"], "disk domain takes no parameter foo"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
@@ -300,13 +323,18 @@ def test_beltrami_bad_sigma_exit_status(tmp_path, capsys, sigma, code, message):
     assert not out.exists()
 
 
+#: a command that reads each flag
+READER = {"--h": "mesh", "--spacing": "solve-nd", "--alpha": "meyers",
+          "--margin": "verify", "--fd-step": "solve-nd", "--atol": "unimodal"}
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--h", "inf"), ("--spacing", "nan"), ("--alpha", "-inf"),
      ("--margin", "nan"), ("--fd-step", "inf"), ("--atol", "nan")],
 )
 def test_non_finite_option_is_config_error(tmp_path, capsys, flag, value):
-    code, _ = run(tmp_path, "mesh", "--domain", "disk:r=1", f"{flag}={value}")
+    code, _ = run(tmp_path, READER[flag], "--domain", "disk:r=1", f"{flag}={value}")
     assert code == 2
     assert "must be a finite number" in capsys.readouterr().err
 
@@ -335,3 +363,110 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     lone_code, lone = run(tmp_path / "lone", *verify)
     assert code == lone_code
     assert (out / "config.json").read_bytes() == (lone / "config.json").read_bytes()
+
+
+def test_out_naming_an_existing_file_is_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["mesh", "--domain", "disk:r=1", "--h", "0.3", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write outputs to {taken}" in err and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+#: the options each command reads, besides --out and --config
+READS = {
+    "mesh": "domain h refine",
+    "solve": "domain h sigma g svg",
+    "map": "domain h sigma g svg",
+    "solve-nd": "domain spacing sigma g b fd_step",
+    "verify": "domain h sigma g svg margin directions",
+    "meyers": "domain h alpha levels jacobian_rmin",
+    "beltrami": "domain h sigma g allow_holes",
+    "unimodal": "domain h g loop atol sigma",
+}
+
+
+def test_each_command_reads_its_options():
+    assert {c: set(reads) for c, (_, reads) in COMMANDS.items()} == {
+        c: set(reads.split()) for c, reads in READS.items()
+    }
+
+
+#: a config each command runs to completion on a coarse mesh or grid
+VALID = {
+    "mesh": {"domain": "disk:r=1", "h": 0.3},
+    "solve": {"domain": "disk:r=1", "h": 0.3},
+    "map": {"domain": "disk:r=1", "h": 0.3, "g": "identity"},
+    "solve-nd": {"domain": "rect:w=1,h=1", "spacing": 0.25},
+    "verify": {"domain": "disk:r=1", "h": 0.3, "g": "identity"},
+    "meyers": {"domain": "annulus:rin=0.2,rout=1", "h": 0.3, "levels": 2},
+    "beltrami": {"domain": "disk:r=1", "h": 0.3},
+    "unimodal": {"domain": "disk:r=1", "h": 0.3, "g": "costheta"},
+}
+
+
+def _run_config(tmp_path, command, config, flags=()):
+    """Exit status of command run on config plus flags (--out unless the
+    config sets it), counting argparse's SystemExit; and the output directory."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), *flags]
+    if "out" not in config:
+        argv += ["--out", str(out)]
+    try:
+        return main(argv), out
+    except SystemExit as exc:
+        return exc.code, out
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_valid_config_runs(tmp_path, command):
+    assert _run_config(tmp_path, command, VALID[command])[0] == 0
+
+
+#: values of the wrong type for each option type; null is wrong for every one
+WRONG = {str: (5,), float: ("a", True), int: (2.5, "1"), bool: ("false", "no", 0)}
+FLAG_VALUE = {str: ["x"], float: ["1"], int: ["1"], bool: []}
+
+
+def _malformed():
+    for command, reads in READS.items():
+        other = "mesh" if command != "mesh" else "solve"
+        for config in ({"sigmma": "meyers:alpha=2"}, {"command": other}):
+            yield pytest.param(command, config, [], id=f"{command}-{json.dumps(config)}")
+        for name, opt in OPTIONS.items():
+            for value in WRONG[opt.type] + (None,):
+                config = {name: value}
+                yield pytest.param(command, config, [], id=f"{command}-{json.dumps(config)}")
+            if name not in reads.split() and name != "out" and opt.help is not None:
+                flags = ["--" + name.replace("_", "-")] + FLAG_VALUE[opt.type]
+                yield pytest.param(command, {}, flags, id=f"{command}-{' '.join(flags)}")
+
+
+@pytest.mark.parametrize("command, config, flags", list(_malformed()))
+def test_malformed_config_exits_cleanly(tmp_path, capsys, command, config, flags):
+    code, out = _run_config(tmp_path, command, {**VALID[command], **config}, flags)
+    assert code in (2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mesh", "--domain", "disk:r=1", "--h", "0.2", "--refine", "1"],
+        ["solve", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.15",
+         "--sigma", "meyers:alpha=2", "--g", "oracle", "--no-svg"],
+        ["unimodal", "--domain", "disk:r=1", "--h", "0.2", "--g", "costheta"],
+    ],
+)
+def test_rerun_from_own_config_is_byte_identical(tmp_path, args):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(args + ["--out", str(first)]) == 0
+    assert main([args[0], "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sigmalab import ConfigError, EllipticityError
+from sigmalab import ConfigError, EllipticityError, MeshError, ResourceLimitError
+from sigmalab.cli import DOMAINS
 from sigmalab.coefficients import (
+    FIELDS,
+    CoefficientField,
     anisotropic_field,
     constant_field,
     dilatation_bound,
@@ -18,9 +22,12 @@ from sigmalab.coefficients import (
     meyers_sigma,
     nonsymmetric_field,
     parse_descriptor,
+    parse_family,
     random_holder_field,
     random_nonsymmetric_field,
 )
+from sigmalab.mesh import Mesh
+from sigmalab.oracles import ORACLES, AnalyticSolution, oracle_from_descriptor
 
 CIRCLE = [(0.5 * math.cos(t), 0.5 * math.sin(t)) for t in np.linspace(0, 2 * math.pi, 40, endpoint=False)]
 
@@ -184,6 +191,71 @@ def test_descriptor_parsing():
         field_from_descriptor("aniso:l1=junk")
     with pytest.raises(ConfigError):
         field_from_descriptor("meyers")  # missing alpha
+
+
+TABLES = (FIELDS, ORACLES, DOMAINS)
+NAMES = sorted({name for table in TABLES for name in table}) + ["harmonic", "bogus", ""]
+KEYS = sorted(
+    {k for table in TABLES for f in table.values() for k in f.required + tuple(f.optional)}
+) + ["foo"]
+#: values that parse, and values that parse to nothing usable
+GOOD = st.one_of(st.integers(1, 3).map(str), st.floats(0.2, 3).map(repr))
+ANY = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1.5", "-1", "0", "x", ""]),
+    st.integers(-2, 5).map(str),
+    st.floats().map(repr),
+    GOOD,
+)
+
+
+@st.composite
+def descriptors(draw):
+    """A name with its family's required keys and some optional ones; half of
+    the draws add keys of any family (unknown or repeated ones among them)
+    and values of any kind."""
+    name = draw(st.sampled_from(NAMES))
+    family = next((table[name] for table in TABLES if name in table), None)
+    keys = list(family.required) if family else []
+    keys += [k for k in (family.optional if family else ()) if draw(st.booleans())]
+    values = GOOD
+    if draw(st.booleans()):
+        keys += draw(st.lists(st.sampled_from(KEYS), max_size=2))
+        values = ANY
+    items = ",".join(f"{k}={draw(values)}" for k in draw(st.permutations(keys)))
+    return f"{name}:{items}" if items else name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=descriptors())
+@example(text="meyers:alpha=inf")
+@example(text="holder:eps=nan")
+@example(text="nonsym:tau=inf")
+@example(text="aniso:l1=1e400")
+@example(text="costheta:cx=nan")
+@example(text="randholder:seed=-1")
+@example(text="holo:m=2.5")
+@example(text="meyers:alpha=2,component=1.5")
+def test_descriptor_gives_object_or_config_error(text):
+    for resolve, kind in ((field_from_descriptor, CoefficientField),
+                          (oracle_from_descriptor, AnalyticSolution)):
+        try:
+            assert isinstance(resolve(text), kind)
+        except ConfigError:
+            pass
+    try:
+        name, p = parse_family(text, DOMAINS, "domain")
+    except ConfigError:
+        return
+    # a domain that parses may still be too small or too large to mesh
+    try:
+        assert isinstance(DOMAINS[name].build(p, 0.5), Mesh)
+    except (MeshError, ResourceLimitError):
+        pass
+
+
+def test_integral_parameters_reach_builders_as_ints():
+    assert field_from_descriptor("randholder:seed=3.0").descriptor == "randholder:seed=3"
+    assert oracle_from_descriptor("holo:m=2,component=2.0").descriptor == "holo:m=2#u2"
 
 
 def test_library_fields_all_elliptic():

@@ -71,13 +71,20 @@ def test_vertex_cap():
         generate_disk((0, 0), 1.0, 1e-4, max_vertices=10_000)
 
 
+#: any float, or one in a range where meshes (and not only errors) come out
+SIZES = st.one_of(st.floats(), st.floats(1e-3, 1e3))
+#: a mesh size as a fraction of the domain's size
+STEPS = st.one_of(st.floats(), st.floats(0.02, 1.5))
+
+
 @PROPERTY
-@given(radius=st.floats(), h=st.floats())
+@given(size=st.tuples(SIZES, STEPS).map(lambda rs: (rs[0], rs[0] * rs[1])))
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@example(radius=math.inf, h=1.0)
-@example(radius=1.0, h=5e-324)
-@example(radius=1e300, h=1e299)
-def test_disk_gives_mesh_or_error(radius, h):
+@example(size=(math.inf, 1.0))
+@example(size=(1.0, 5e-324))
+@example(size=(1e300, 1e299))
+def test_disk_gives_mesh_or_error(size):
+    radius, h = size
     try:
         m = generate_disk((0.0, 0.0), radius, h, max_vertices=20_000)
     except (MeshError, ResourceLimitError):
@@ -86,12 +93,8 @@ def test_disk_gives_mesh_or_error(radius, h):
     assert np.allclose(np.hypot(*m.vertices[m.loops[0]].T), radius, rtol=1e-12, atol=0)
 
 
-#: any float, or one in a range where meshes (and not only errors) come out
-SIZES = st.one_of(st.floats(), st.floats(1e-3, 1e3))
-
-
 @PROPERTY
-@given(r_in=SIZES, width=SIZES, step=st.one_of(st.floats(), st.floats(0.02, 1.5)))
+@given(r_in=SIZES, width=SIZES, step=STEPS)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @example(r_in=0.2, width=math.inf, step=0.1)
 @example(r_in=0.2, width=0.8, step=1e-320)

@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
+from .coefficients import ROTATION, CoefficientField, dilatations, identity_field, require_elliptic
 from .errors import (
     DegenerateInputError,
     MeshError,
     NotInjectiveError,
     SolverError,
 )
-from .fem import ScalarField, gradient_field
-from .mesh import Mesh
+from .fem import ScalarField, assemble_stiffness, gradient_field
+from .mesh import Mesh, signed_areas
 
 
 @dataclass(frozen=True)
@@ -173,25 +172,20 @@ def stream_function(
     if den == 0.0:
         return ScalarField(mesh, np.zeros(mesh.num_vertices)), 0.0
 
-    nt, nv = mesh.num_triangles, mesh.num_vertices
-    G = mesh.basis_gradients
-    rows = np.repeat(np.arange(nt), 3)
-    cols = mesh.triangles.ravel()
-    Dx = sparse.coo_matrix((G[:, :, 0].ravel(), (rows, cols)), shape=(nt, nv)).tocsr()
-    Dy = sparse.coo_matrix((G[:, :, 1].ravel(), (rows, cols)), shape=(nt, nv)).tocsr()
-    W = sparse.diags(mesh.areas)
-    L = (Dx.T @ W @ Dx + Dy.T @ W @ Dy).tocsr()
-    rhs = Dx.T @ W @ w[:, 0] + Dy.T @ W @ w[:, 1]
-
-    keep = np.arange(1, nv)  # anchor v = 0 at vertex 0
-    v = np.zeros(nv)
-    v[keep] = spsolve(L[keep][:, keep].tocsc(), rhs[keep])
+    # normal equations of the least squares: the stiffness matrix of the
+    # identity against the loads sum_T area (grad phi_i . w)
+    L = assemble_stiffness(mesh, identity_field())
+    load = mesh.areas[:, None] * np.einsum("tid,td->ti", mesh.basis_gradients, w)
+    rhs = np.bincount(mesh.triangles.ravel(), load.ravel(), minlength=mesh.num_vertices)
+    v = np.zeros(mesh.num_vertices)
+    v[1:] = spsolve(L[1:, 1:].tocsc(), rhs[1:])  # anchor v = 0 at vertex 0
     if not np.isfinite(v).all():
         raise SolverError("stream-function least squares produced non-finite values")
 
-    gv = np.einsum("tid,ti->td", G, v[mesh.triangles])
-    num = float(np.sqrt(np.sum(mesh.areas * np.einsum("td,td->t", gv - w, gv - w))))
-    return ScalarField(mesh, v), num / den
+    v = ScalarField(mesh, v)
+    d = gradient_field(v).vectors - w
+    num = float(np.sqrt(np.sum(mesh.areas * np.einsum("td,td->t", d, d))))
+    return v, num / den
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +217,12 @@ def beltrami_residual(cd: ComplexDerivativeField, sigma: CoefficientField) -> fl
     return float(np.sqrt(np.sum(mesh.areas * np.abs(defect) ** 2))) / den
 
 
-def quasiconformal_defect(
-    cd: ComplexDerivativeField, margin: float, degeneracy_tol: float = 1e-3
-) -> QuasiconformalDefect:
+def quasiconformal_defect(cd: ComplexDerivativeField, margin: float) -> QuasiconformalDefect:
     """Distortion statistics over triangles inset from the boundary.
 
     sup_ratio is the largest |fzbar| / |fz| (flagged unbounded when fz
-    vanishes on some triangle), min_jacobian_f the smallest |fz|^2 - |fzbar|^2.
+    vanishes on some triangle), min_jacobian_f the smallest |fz|^2 - |fzbar|^2;
+    near_degenerate flags min_jacobian_f below 1e-3.
     """
     if margin < 0:
         raise DegenerateInputError("margin must be nonnegative")
@@ -249,7 +242,7 @@ def quasiconformal_defect(
         sup_ratio=math.inf if ratio_unbounded else sup_ratio,
         min_jacobian_f=min_jac,
         ratio_unbounded=ratio_unbounded,
-        near_degenerate=bool(min_jac < degeneracy_tol),
+        near_degenerate=bool(min_jac < 1e-3),
     )
 
 
@@ -314,7 +307,7 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
     mesh = U.mesh
     violations: list = []
 
-    areas = _image_signed_areas(U)
+    areas = signed_areas(U.values, mesh.triangles)
     pos = int(np.sum(areas > 0))
     neg = int(np.sum(areas < 0))
     majority = 1.0 if pos >= neg else -1.0
@@ -351,14 +344,6 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
                 violations.append(("boundary_loop_crossing", li, lj, int(i), int(j)))
 
     return InjectivityResult(injective=not violations, violations=violations)
-
-
-def _image_signed_areas(U: MappingField) -> np.ndarray:
-    p = U.values[U.mesh.triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +499,11 @@ def critical_point_candidates(u: ScalarField, rel_tol: float) -> list[tuple[int,
 # the end-to-end verification
 
 
-def default_probe_points(mesh: Mesh, margin: float, count: int = 5) -> np.ndarray:
+def default_probe_points(mesh: Mesh, margin: float) -> np.ndarray:
     """Deterministic interior probe points on a coarse lattice.
 
     Scans a 5x5 lattice over the bounding box (center-first ordering) and
-    keeps points well inside the mesh.
+    keeps the first 5 points well inside the mesh.
     """
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
@@ -535,7 +520,7 @@ def default_probe_points(mesh: Mesh, margin: float, count: int = 5) -> np.ndarra
     chosen = pts[inside & deep]
     if len(chosen) == 0:
         raise DegenerateInputError("no lattice probe point is safely interior")
-    return chosen[:count]
+    return chosen[:5]
 
 
 def lewy_verify(
@@ -543,22 +528,22 @@ def lewy_verify(
     sigma: CoefficientField,
     directions: int,
     margin: float,
-    probe_points: Optional[Sequence] = None,
-    probe_radius_factor: float = 0.7,
 ) -> LewyReport:
     """Check the nonvanishing-Jacobian conclusion on a solved mapping.
 
     For unit directions xi spread over the half circle, the directional
     component xi . U solves the same equation; its gradient should stay away
-    from zero on the margin inset, as should |det DU|. At each probe point a
-    pullback of a target disk is built and the boundary trace of every
-    directional component is tested for unimodality; the plateau tolerance is
-    taken as twice the measured radial deviation of the trace image, the
-    discretization noise floor (radii shrink by 10% steps, at most 5 times,
-    if a raw pullback submesh is not manifold).
+    from zero on the margin inset, as should |det DU|. At each default probe
+    point a pullback of a target disk is built (radius 0.7 times the distance
+    from the point's image to the boundary image), and the boundary trace of
+    every directional component is tested for unimodality; the plateau
+    tolerance is taken as twice the measured radial deviation of the trace
+    image, the discretization noise floor (radii shrink by 10% steps, at most
+    5 times, if a raw pullback submesh is not manifold).
 
     The report passes iff min |det DU| > 0 and every directional gradient
-    minimum is positive. A non-injective U is a hypothesis failure and raises.
+    minimum is positive. A non-injective U is a hypothesis failure and raises
+    NotInjectiveError carrying the InjectivityResult.
     """
     if directions < 1:
         raise DegenerateInputError("need at least one test direction")
@@ -566,7 +551,8 @@ def lewy_verify(
     if not inj.injective:
         raise NotInjectiveError(
             f"mapping is not injective by the discrete check "
-            f"({len(inj.violations)} violations); hypothesis fails"
+            f"({len(inj.violations)} violations); hypothesis fails",
+            result=inj,
         )
     mesh = U.mesh
     require_elliptic(sigma, mesh.centroids)
@@ -575,24 +561,18 @@ def lewy_verify(
     if not inset.any():
         raise DegenerateInputError(f"margin {margin} leaves no interior triangles")
 
+    min_abs_det = float(np.abs(jacobian_field(U)[inset]).min())
+
     g1 = gradient_field(U.u1).vectors
     g2 = gradient_field(U.u2).vectors
-    det = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
-    min_abs_det = float(np.abs(det[inset]).min())
-
     angles = [math.pi * k / directions for k in range(directions)]
     min_abs_grad = []
     for theta in angles:
         g = math.cos(theta) * g1 + math.sin(theta) * g2
         min_abs_grad.append(float(np.hypot(g[:, 0], g[:, 1])[inset].min()))
 
-    if probe_points is None:
-        probe_points = default_probe_points(mesh, margin)
-    probes = []
-    for z0 in np.atleast_2d(np.asarray(probe_points, dtype=float)):
-        probes.append(
-            _probe_unimodality(U, z0, probe_radius_factor, angles)
-        )
+    components = [U.directional((math.cos(theta), math.sin(theta))) for theta in angles]
+    probes = [_probe_unimodality(U, z0, components) for z0 in default_probe_points(mesh, margin)]
 
     passed = min_abs_det > 0.0 and all(m > 0.0 for m in min_abs_grad)
     return LewyReport(
@@ -606,14 +586,12 @@ def lewy_verify(
     )
 
 
-def _probe_unimodality(U, z0, radius_factor, angles) -> dict:
+def _probe_unimodality(U, z0, components) -> dict:
     mesh = U.mesh
     w_bnd = U.values[np.concatenate(mesh.loops)]
-    tri, bary = mesh.locate(z0[None, :])
-    if tri[0] < 0:
-        raise DegenerateInputError(f"probe point {tuple(z0)} is outside the mesh")
+    tri, bary = mesh.locate(z0[None, :])  # z0 is a default probe point, inside the mesh
     w0 = U.values[mesh.triangles[tri[0]]].T @ bary[0]
-    r = radius_factor * float(np.hypot(*(w_bnd - w0).T).min())
+    r = 0.7 * float(np.hypot(*(w_bnd - w0).T).min())
 
     sub = None
     for _ in range(5):
@@ -650,9 +628,8 @@ def _probe_unimodality(U, z0, radius_factor, angles) -> dict:
 
     changes = []
     unimodal = []
-    for theta in angles:
-        vals = math.cos(theta) * U.u1.values[loop] + math.sin(theta) * U.u2.values[loop]
-        verdict = unimodality_check(vals, atol=atol)
+    for component in components:
+        verdict = unimodality_check(component.values[loop], atol=atol)
         changes.append(verdict.direction_changes)
         unimodal.append(verdict.unimodal)
     probe.update(

@@ -4,11 +4,12 @@ Commands wire meshes, coefficient fields, solvers, and analysis into
 reproducible runs. OPTIONS is the one table of options; each command has flags
 for the options it reads (COMMANDS), and a --config JSON file may set any
 option, so a run's own config.json reads back in. Unknown or wrongly typed
-options, a "command" key naming another command, and descriptor keys that are
-unknown, repeated, non-finite or non-integral (seed, m, component) are config
-errors. Every run writes its resolved configuration next to its outputs;
-identical configurations produce byte-identical files. Nothing is written
-unless the whole computation succeeded; a failed write is a config error.
+options, values below an option's minimum, a "command" key naming another
+command, and descriptor keys that are unknown, repeated, non-finite or
+non-integral (seed, m, component) are config errors. Every run writes its
+resolved configuration next to its outputs; identical configurations
+produce byte-identical files. Nothing is written unless the whole
+computation succeeded; a failed write is a config error.
 
 Exit status: 0 success/pass, 2 config error, 3 numerical failure,
 4 hypothesis failure, 5 verification failure.
@@ -241,7 +242,7 @@ def cmd_verify(cfg):
             U, sigma, directions=cfg["directions"], margin=cfg["margin"]
         )
     except NotInjectiveError as exc:
-        inj = analysis.injectivity_check(U)
+        inj = exc.result
         files["lewy_report.json"] = dumps(
             {
                 "status": "hypothesis-failure",
@@ -269,8 +270,6 @@ def cmd_meyers(cfg):
     sigma = coefficients.meyers_sigma(alpha)
     sol = oracles.meyers_solution(alpha)
     levels = cfg["levels"]
-    if levels < 2:
-        raise ConfigError("need at least 2 refinement levels for a convergence table")
     jac_rmin = cfg["jacobian_rmin"]
 
     m = build_domain(cfg["domain"], cfg["h"])
@@ -368,6 +367,8 @@ def cmd_unimodal(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     data = resolve_data(cfg, 1)
     loop_index = cfg["loop"]
+    if loop_index >= len(m.loops):
+        raise ConfigError(f"no boundary loop {loop_index}; the mesh has {len(m.loops)}")
     _, xy = zip(*meshmod.boundary_trace(m, loop_index))
     vals = data.value(*np.transpose(xy))
     verdict = analysis.unimodality_check(vals, atol=cfg["atol"])
@@ -386,11 +387,13 @@ def cmd_unimodal(cfg):
 
 class Option(NamedTuple):
     """One configurable value. default None: the option is required; help
-    None: it is set from a config file only, with no flag."""
+    None: it is set from a config file only, with no flag; minimum: the
+    smallest value allowed, if any."""
 
     type: type
     default: object
     help: str | None
+    minimum: float | None = None
 
 
 OPTIONS = {
@@ -402,12 +405,12 @@ OPTIONS = {
     "sigma": Option(str, "identity", "coefficient descriptor"),
     "g": Option(str, "x1", "boundary data descriptor"),
     "b": Option(str, "auto", "drift: auto | zero"),
-    "margin": Option(float, 0.1, "compact-subset inset distance"),
-    "directions": Option(int, 8, "half-circle direction count"),
-    "refine": Option(int, 0, "uniform refinements"),
-    "levels": Option(int, 3, "convergence levels"),
-    "loop": Option(int, 0, "boundary loop index"),
-    "atol": Option(float, 1e-12, "plateau tolerance"),
+    "margin": Option(float, 0.1, "compact-subset inset distance", 0),
+    "directions": Option(int, 8, "half-circle direction count", 1),
+    "refine": Option(int, 0, "uniform refinements", 0),
+    "levels": Option(int, 3, "convergence levels", 2),
+    "loop": Option(int, 0, "boundary loop index", 0),
+    "atol": Option(float, 1e-12, "plateau tolerance", 0),
     "fd_step": Option(float, 1e-5, "step for div sigma"),
     "allow_holes": Option(bool, False, "permit stream functions on annuli"),
     "svg": Option(bool, True, "emit SVG plots"),
@@ -491,6 +494,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"missing required option {name} for {args.command}")
         if not _valid(cfg[name], opt.type):
             raise ConfigError(f"option {name} must be {_KINDS[opt.type]}, got {cfg[name]!r}")
+        if opt.minimum is not None and cfg[name] < opt.minimum:
+            raise ConfigError(f"option {name} must be at least {opt.minimum}, got {cfg[name]!r}")
     return cfg
 
 

@@ -38,4 +38,11 @@ class DegenerateInputError(SigmalabError):
 
 
 class NotInjectiveError(SigmalabError):
-    """A mapping violates the injectivity hypothesis required by the operation."""
+    """A mapping violates the injectivity hypothesis required by the operation.
+
+    result is the check's InjectivityResult, when the raiser ran one.
+    """
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result

@@ -143,11 +143,9 @@ def gradient_field(u: ScalarField) -> TriangleGradientField:
 
 
 def energy(u: ScalarField, sigma: CoefficientField) -> float:
-    """Dirichlet energy sum_T area (sigma grad u) . grad u."""
-    mesh = u.mesh
-    S = sigma.at_points(mesh.centroids)
-    g = gradient_field(u).vectors
-    return float(np.sum(mesh.areas * np.einsum("tab,tb,ta->t", S, g, g)))
+    """Dirichlet energy u . A u, the quadratic form of the stiffness matrix
+    (sum_T area (sigma grad u) . grad u)."""
+    return float(u.values @ (assemble_stiffness(u.mesh, sigma) @ u.values))
 
 
 def relative_l2_error(u: ScalarField, exact) -> float:

@@ -146,7 +146,7 @@ class Mesh:
         self.h = float(h)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            areas = _signed_areas(vertices, triangles)
+            areas = signed_areas(vertices, triangles)
         if not np.isfinite(areas).all():
             raise MeshError("triangle areas overflow; vertex coordinates are too large")
         if areas.min() <= DEGENERATE_AREA_FACTOR * h * h:
@@ -311,7 +311,8 @@ class Mesh:
 # low-level helpers
 
 
-def _signed_areas(vertices, triangles) -> np.ndarray:
+def signed_areas(vertices, triangles) -> np.ndarray:
+    """Signed area of each triangle of points, positive when counterclockwise."""
     p = vertices[triangles]
     return 0.5 * (
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])

@@ -21,18 +21,20 @@ from .mesh import Mesh
 
 
 class _Canvas:
-    """Maps data coordinates to a fixed-width SVG viewport (y flipped)."""
+    """Maps data coordinates to an SVG viewport 640 px wide (y flipped), with
+    a margin of 5% of the mesh's larger extent on every side."""
 
-    def __init__(self, mesh: Mesh, width: int = 640, pad: float = 0.05):
+    width = 640
+
+    def __init__(self, mesh: Mesh):
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
         span = np.maximum(hi - lo, 1e-12)
-        margin = pad * span.max()
+        margin = 0.05 * span.max()
         self.lo = lo - margin
         self.span = span + 2 * margin
-        self.width = width
-        self.height = int(round(width * self.span[1] / self.span[0]))
-        self.scale = width / self.span[0]
+        self.height = int(round(self.width * self.span[1] / self.span[0]))
+        self.scale = self.width / self.span[0]
 
     def format(self, template: str, *points: np.ndarray) -> str:
         """The template once per row of the (n, 2) point arrays, its %-fields
@@ -61,11 +63,7 @@ def _boundary_paths(mesh: Mesh, canvas: _Canvas) -> str:
     return "".join(parts)
 
 
-def contour_svg(
-    field: ScalarField,
-    levels: int | Sequence[float] = 10,
-    width: int = 640,
-) -> str:
+def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
     """Level sets of a P1 field: one line segment per crossed triangle.
 
     A triangle is crossed when exactly two of its edges have their ends
@@ -87,7 +85,7 @@ def contour_svg(
         if not np.isfinite(level_values).all():
             raise ConfigError("contour levels must be finite")
 
-    canvas = _Canvas(mesh, width)
+    canvas = _Canvas(mesh)
     out = [canvas.header(), _boundary_paths(mesh, canvas)]
     tri_vals = vals[mesh.triangles]
     tri_pts = mesh.vertices[mesh.triangles]
@@ -113,20 +111,16 @@ def contour_svg(
     return "".join(out)
 
 
-def quiver_svg(
-    grad: TriangleGradientField,
-    width: int = 640,
-    max_arrows: int = 1500,
-) -> str:
-    """One arrow per triangle centroid (decimated deterministically when the
-    mesh has more triangles than max_arrows)."""
+def quiver_svg(grad: TriangleGradientField) -> str:
+    """One arrow per triangle centroid (decimated deterministically to at most
+    1500 arrows)."""
     if not np.isfinite(grad.vectors).all():
         raise ConfigError("quiver vectors must be finite")
     mesh = grad.mesh
-    canvas = _Canvas(mesh, width)
+    canvas = _Canvas(mesh)
     out = [canvas.header(), _boundary_paths(mesh, canvas)]
     vmax = float(grad.norms().max())
-    stride = max(1, int(math.ceil(mesh.num_triangles / max_arrows)))
+    stride = max(1, int(math.ceil(mesh.num_triangles / 1500)))
     if vmax > 0:
         arrow = 1.2 * mesh.h * math.sqrt(stride)
         c = mesh.centroids[::stride]
@@ -149,7 +143,7 @@ def quiver_svg(
     return "".join(out)
 
 
-def heatmap_svg(mesh: Mesh, values, width: int = 640) -> str:
+def heatmap_svg(mesh: Mesh, values) -> str:
     """Per-triangle fill with a blue-white-red scale centered at 0.
 
     Intended for Jacobian fields: sign flips show up as a color flip.
@@ -168,7 +162,7 @@ def heatmap_svg(mesh: Mesh, values, width: int = 640) -> str:
         np.column_stack([np.rint(255 - 90 * t), fade, fade]),
         np.column_stack([fade, fade, np.rint(255 + 107 * t)]),
     ).astype(np.int64)
-    canvas = _Canvas(mesh, width)
+    canvas = _Canvas(mesh)
     # each vertex is formatted once, then gathered per triangle
     pts = np.array(canvas.format("%.4f,%.4f ", mesh.vertices).split(), dtype=object)
     fields = np.column_stack([pts[mesh.triangles], rgb])

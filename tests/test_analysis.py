@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from sigmalab import (
     DegenerateInputError,
@@ -13,6 +14,8 @@ from sigmalab import (
     beltrami_residual,
     complex_derivatives,
     critical_point_candidates,
+    energy,
+    gradient_field,
     injectivity_check,
     jacobian_field,
     lewy_verify,
@@ -24,7 +27,9 @@ from sigmalab import (
     unimodality_check,
 )
 from sigmalab.coefficients import (
+    ROTATION,
     anisotropic_field,
+    field_from_descriptor,
     holder_bump_field,
     identity_field,
     meyers_sigma,
@@ -103,6 +108,46 @@ def test_stream_residual_invariances(disk_mesh):
     )
     assert res_shift == pytest.approx(res, rel=1e-9)
     assert res_scaled == pytest.approx(res, rel=1e-9)  # relative residual
+
+
+def gradient_operators(mesh):
+    """Sparse (nt, nv) maps from nodal values to the x and y components of
+    each triangle's gradient, built entry by entry from the basis gradients."""
+    nt, nv = mesh.num_triangles, mesh.num_vertices
+    G = mesh.basis_gradients
+    rows = np.repeat(np.arange(nt), 3)
+    cols = mesh.triangles.ravel()
+    return [
+        sparse.csr_matrix((G[:, :, d].ravel(), (rows, cols)), shape=(nt, nv)) for d in (0, 1)
+    ]
+
+
+def test_stream_solves_the_least_squares_normal_equations(fine_disk_mesh):
+    # a nonsymmetric sigma: J sigma grad u is not a discrete gradient, so v
+    # is a genuine least-squares fit with a nonzero residual
+    m = fine_disk_mesh
+    sigma = field_from_descriptor("randnonsym:seed=3")
+    u = solve(m, sigma, lambda x, y: x)
+    v, res = stream_function(u, sigma)
+    assert res > 1e-6
+    assert v.values[0] == 0.0  # the anchor
+    Dx, Dy = gradient_operators(m)
+    W = sparse.diags(m.areas)
+    S = sigma.at_points(m.centroids)
+    w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gradient_field(u).vectors)
+    normal = Dx.T @ W @ (Dx @ v.values - w[:, 0]) + Dy.T @ W @ (Dy @ v.values - w[:, 1])
+    load = Dx.T @ W @ w[:, 0] + Dy.T @ W @ w[:, 1]
+    assert np.abs(normal[1:]).max() <= 1e-10 * np.abs(load).max()
+
+
+def test_energy_is_the_centroid_sum(fine_disk_mesh):
+    m = fine_disk_mesh
+    sigma = field_from_descriptor("randnonsym:seed=3")
+    u = solve(m, sigma, lambda x, y: x)
+    S = sigma.at_points(m.centroids)
+    g = gradient_field(u).vectors
+    centroid_sum = np.sum(m.areas * np.einsum("tab,tb,ta->t", S, g, g))
+    assert energy(u, sigma) == pytest.approx(centroid_sum, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

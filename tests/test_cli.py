@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -289,6 +290,20 @@ def test_failed_run_leaves_no_files(tmp_path):
          "parameter component must be an integer"),
         (["mesh", "--domain", "disk:r=1,r=2,foo=3"], "repeated key 'r'"),
         (["mesh", "--domain", "disk:r=1,foo=3"], "disk domain takes no parameter foo"),
+        (["mesh", "--domain", "disk:r=1", "--h", "0.3", "--refine", "-2"],
+         "option refine must be at least 0, got -2"),
+        (["verify", "--domain", "disk:r=1", "--h", "0.2", "--g", "identity", "--margin", "-1"],
+         "option margin must be at least 0, got -1.0"),
+        (["unimodal", "--domain", "disk:r=1", "--h", "0.2", "--atol", "-1"],
+         "option atol must be at least 0, got -1.0"),
+        (["verify", "--domain", "disk:r=1", "--h", "0.2", "--g", "identity",
+          "--directions", "0"], "option directions must be at least 1, got 0"),
+        (["unimodal", "--domain", "disk:r=1", "--h", "0.2", "--loop", "-1"],
+         "option loop must be at least 0, got -1"),
+        (["unimodal", "--domain", "disk:r=1", "--h", "0.2", "--loop", "5"],
+         "no boundary loop 5; the mesh has 1"),
+        (["meyers", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.2", {"levels": 1}],
+         "option levels must be at least 2, got 1"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
@@ -302,6 +317,23 @@ def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# sha256 of lewy_report.json, recorded before lewy_verify read the Jacobian
+# from jacobian_field and verify stopped rerunning the injectivity check
+@pytest.mark.parametrize(
+    "sigma, g, code, digest",
+    [("holder:eps=0.4,cx=0.2,cy=-0.1,w=0.5,theta=0.7", "identity", 0,
+      "d3b6618587dfbd24d2f5958dec1621789586c0e2a6ac80921b32e4056bfeaba5"),
+     # z^2 is not injective: the hypothesis-failure report with its violations
+     ("identity", "holo:m=2", 4,
+      "9ae6ddb3feab0d496b06b4428f47b55b6958ead25a5868bdf231028950b807a4")],
+)
+def test_lewy_report_bytes_pinned(tmp_path, sigma, g, code, digest):
+    got, out = run(tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.1",
+                   "--sigma", sigma, "--g", g, "--no-svg")
+    assert got == code
+    assert hashlib.sha256((out / "lewy_report.json").read_bytes()).hexdigest() == digest
 
 
 def test_non_string_out_is_config_error(tmp_path, capsys):

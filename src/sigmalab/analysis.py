@@ -49,9 +49,15 @@ class MappingField:
         return np.column_stack([self.u1.values, self.u2.values])
 
     def interpolate(self, points) -> np.ndarray:
-        return np.column_stack(
-            [self.u1.interpolate(points), self.u2.interpolate(points)]
-        )
+        """U at points, each located once, as (n, 2); NaN outside the mesh.
+        Each column is ScalarField.interpolate's sum, bit for bit."""
+        tri, bary = self.mesh.locate(points)
+        ok = tri >= 0
+        corners = self.mesh.triangles[tri[ok]]
+        out = np.full((len(tri), 2), np.nan)
+        for k, u in enumerate((self.u1, self.u2)):
+            out[ok, k] = np.einsum("pi,pi->p", u.values[corners], bary[ok])
+        return out
 
     def directional(self, xi) -> ScalarField:
         """Component xi . U; solves the same equation by linearity."""
@@ -80,15 +86,6 @@ class UnimodalityVerdict:
     fall_arc: tuple[int, int]
     direction_changes: int
     group_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "unimodal": self.unimodal,
-            "rise_arc": list(self.rise_arc),
-            "fall_arc": list(self.fall_arc),
-            "direction_changes": self.direction_changes,
-            "group_count": self.group_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -125,17 +122,6 @@ class LewyReport:
     min_abs_grad: list[float]
     probes: list[dict]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "directions_tested": self.directions_tested,
-            "margin": self.margin,
-            "injective": self.injective,
-            "min_abs_det": self.min_abs_det,
-            "min_abs_grad": list(self.min_abs_grad),
-            "probes": self.probes,
-            "passed": self.passed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +238,15 @@ def quasiconformal_defect(cd: ComplexDerivativeField, margin: float) -> Quasicon
 
 def jacobian_field(U: MappingField) -> np.ndarray:
     """Per-triangle det of the matrix with rows grad u1, grad u2."""
-    g1 = gradient_field(U.u1).vectors
-    g2 = gradient_field(U.u2).vectors
+    return _det(gradient_field(U.u1).vectors, gradient_field(U.u2).vectors)
+
+
+def _det(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Row-wise det of the 2x2 matrices with rows g1[t], g2[t]."""
     return g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
 
 
-def _segments_properly_intersect(p, q, eps=0.0):
+def _segments_properly_intersect(p, q):
     """Pairwise proper-intersection mask between segment sets p and q.
 
     p: (n, 2, 2), q: (m, 2, 2). A shared endpoint does not count; crossing or
@@ -275,12 +264,10 @@ def _segments_properly_intersect(p, q, eps=0.0):
     d2 = orient(a, b, d)
     d3 = orient(c, d, a)
     d4 = orient(c, d, b)
-    crossing = (d1 * d2 < -eps) & (d3 * d4 < -eps)
+    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
 
-    # collinear overlap: all orientations ~0 and bounding boxes overlap
-    flat = (
-        (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
-    )
+    # collinear overlap: all orientations 0 and bounding boxes overlap
+    flat = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
     if flat.any():
         lo_p = np.minimum(a, b)
         hi_p = np.maximum(a, b)
@@ -421,10 +408,7 @@ def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
         raise DegenerateInputError(f"probe point {tuple(z0)} is outside the mesh")
     if mesh.boundary_distance(z0[None, :])[0] <= 0.0:
         raise DegenerateInputError(f"probe point {tuple(z0)} lies on the boundary")
-    w0 = U.values[mesh.triangles[tri[0]]].T @ bary[0]
-
-    boundary_images = U.values[np.concatenate(mesh.loops)]
-    gap = np.hypot(*(boundary_images - w0).T).min()
+    w0, gap = _image_center(U, tri[0], bary[0])
     if gap <= r:
         raise DegenerateInputError(
             f"target disk of radius {r} is not compactly contained in the image "
@@ -456,6 +440,13 @@ def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
         center_image=(float(w0[0]), float(w0[1])),
         radius=float(r),
     )
+
+
+def _image_center(U: MappingField, t, bary) -> tuple[np.ndarray, float]:
+    """U at the point with barycentric weights bary in triangle t, and the
+    distance from that image to the nearest boundary-vertex image."""
+    w0 = U.values[U.mesh.triangles[t]].T @ bary
+    return w0, float(np.hypot(*(U.values[np.concatenate(U.mesh.loops)] - w0).T).min())
 
 
 def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np.ndarray:
@@ -499,11 +490,12 @@ def critical_point_candidates(u: ScalarField, rel_tol: float) -> list[tuple[int,
 # the end-to-end verification
 
 
-def default_probe_points(mesh: Mesh, margin: float) -> np.ndarray:
+def default_probe_points(mesh: Mesh, margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic interior probe points on a coarse lattice.
 
     Scans a 5x5 lattice over the bounding box (center-first ordering) and
-    keeps the first 5 points well inside the mesh.
+    keeps the first 5 points well inside the mesh. Returns the points with
+    their triangles and barycentric weights, as Mesh.locate gives them.
     """
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
@@ -515,12 +507,12 @@ def default_probe_points(mesh: Mesh, margin: float) -> np.ndarray:
     center = 0.5 * (lo + hi)
     order = np.argsort(np.hypot(*(pts - center).T), kind="stable")
     pts = pts[order]
-    inside = mesh.locate(pts)[0] >= 0
+    tri, bary = mesh.locate(pts)
     deep = mesh.boundary_distance(pts) > max(margin, 2.0 * mesh.h)
-    chosen = pts[inside & deep]
+    chosen = np.flatnonzero((tri >= 0) & deep)[:5]
     if len(chosen) == 0:
         raise DegenerateInputError("no lattice probe point is safely interior")
-    return chosen[:5]
+    return pts[chosen], tri[chosen], bary[chosen]
 
 
 def lewy_verify(
@@ -561,10 +553,9 @@ def lewy_verify(
     if not inset.any():
         raise DegenerateInputError(f"margin {margin} leaves no interior triangles")
 
-    min_abs_det = float(np.abs(jacobian_field(U)[inset]).min())
-
     g1 = gradient_field(U.u1).vectors
     g2 = gradient_field(U.u2).vectors
+    min_abs_det = float(np.abs(_det(g1, g2)[inset]).min())
     angles = [math.pi * k / directions for k in range(directions)]
     min_abs_grad = []
     for theta in angles:
@@ -572,7 +563,10 @@ def lewy_verify(
         min_abs_grad.append(float(np.hypot(g[:, 0], g[:, 1])[inset].min()))
 
     components = [U.directional((math.cos(theta), math.sin(theta))) for theta in angles]
-    probes = [_probe_unimodality(U, z0, components) for z0 in default_probe_points(mesh, margin)]
+    probes = [
+        _probe_unimodality(U, z0, _image_center(U, t, bary)[1], components)
+        for z0, t, bary in zip(*default_probe_points(mesh, margin))
+    ]
 
     passed = min_abs_det > 0.0 and all(m > 0.0 for m in min_abs_grad)
     return LewyReport(
@@ -586,13 +580,9 @@ def lewy_verify(
     )
 
 
-def _probe_unimodality(U, z0, components) -> dict:
-    mesh = U.mesh
-    w_bnd = U.values[np.concatenate(mesh.loops)]
-    tri, bary = mesh.locate(z0[None, :])  # z0 is a default probe point, inside the mesh
-    w0 = U.values[mesh.triangles[tri[0]]].T @ bary[0]
-    r = 0.7 * float(np.hypot(*(w_bnd - w0).T).min())
-
+def _probe_unimodality(U, z0, gap, components) -> dict:
+    """The probe at z0, whose image lies gap from the boundary image."""
+    r = 0.7 * gap
     sub = None
     for _ in range(5):
         try:

@@ -4,12 +4,12 @@ Commands wire meshes, coefficient fields, solvers, and analysis into
 reproducible runs. OPTIONS is the one table of options; each command has flags
 for the options it reads (COMMANDS), and a --config JSON file may set any
 option, so a run's own config.json reads back in. Unknown or wrongly typed
-options, values below an option's minimum, a "command" key naming another
-command, and descriptor keys that are unknown, repeated, non-finite or
-non-integral (seed, m, component) are config errors. Every run writes its
-resolved configuration next to its outputs; identical configurations
-produce byte-identical files. Nothing is written unless the whole
-computation succeeded; a failed write is a config error.
+options, values below an option's minimum (or at it, for h and spacing), a
+"command" key naming another command, and descriptor keys that are unknown,
+repeated, non-finite or non-integral (seed, m, component) are config errors.
+Every run writes its resolved configuration next to its outputs; identical
+configurations produce byte-identical files. Nothing is written unless the
+whole computation succeeded; a failed write is a config error.
 
 Exit status: 0 success/pass, 2 config error, 3 numerical failure,
 4 hypothesis failure, 5 verification failure.
@@ -166,7 +166,7 @@ def cmd_solve_nd(cfg):
     data = resolve_data(cfg, 1)
     bdesc = cfg["b"]
     if bdesc == "auto":
-        _, drift = fd.to_nondivergence(sigma, step=cfg["fd_step"])
+        drift = fd.to_nondivergence(sigma, step=cfg["fd_step"])
     elif bdesc == "zero":
         drift = fd.zero_drift()
     else:
@@ -374,7 +374,7 @@ def cmd_unimodal(cfg):
     verdict = analysis.unimodality_check(vals, atol=cfg["atol"])
     files = {
         "unimodal_report.json": dumps(
-            {"data": data.descriptor, "loop": loop_index, "verdict": verdict.to_dict()}
+            {"data": data.descriptor, "loop": loop_index, "verdict": verdict}
         )
     }
     word = "unimodal" if verdict.unimodal else "not unimodal"
@@ -388,19 +388,20 @@ def cmd_unimodal(cfg):
 class Option(NamedTuple):
     """One configurable value. default None: the option is required; help
     None: it is set from a config file only, with no flag; minimum: the
-    smallest value allowed, if any."""
+    lower bound, if any, which the value may equal unless strict."""
 
     type: type
     default: object
     help: str | None
     minimum: float | None = None
+    strict: bool = False
 
 
 OPTIONS = {
     "out": Option(str, ".", "output directory (default .)"),
     "domain": Option(str, None, "disk:r=1 | annulus:rin=0.2,rout=1 | rect:w=1,h=1"),
-    "h": Option(float, 0.05, "nominal mesh size"),
-    "spacing": Option(float, 0.05, "grid spacing"),
+    "h": Option(float, 0.05, "nominal mesh size", 0, strict=True),
+    "spacing": Option(float, 0.05, "grid spacing", 0, strict=True),
     "alpha": Option(float, 2.0, "radial-stretch exponent"),
     "sigma": Option(str, "identity", "coefficient descriptor"),
     "g": Option(str, "x1", "boundary data descriptor"),
@@ -494,8 +495,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"missing required option {name} for {args.command}")
         if not _valid(cfg[name], opt.type):
             raise ConfigError(f"option {name} must be {_KINDS[opt.type]}, got {cfg[name]!r}")
-        if opt.minimum is not None and cfg[name] < opt.minimum:
-            raise ConfigError(f"option {name} must be at least {opt.minimum}, got {cfg[name]!r}")
+        low = opt.minimum
+        if low is not None and (cfg[name] < low or opt.strict and cfg[name] == low):
+            bound = "greater than" if opt.strict else "at least"
+            raise ConfigError(f"option {name} must be {bound} {low}, got {cfg[name]!r}")
     return cfg
 
 

@@ -90,9 +90,6 @@ class GridField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.grid.interior_mask]
-
 
 def grid_from_predicate(
     origin: tuple[float, float],
@@ -171,19 +168,17 @@ def rectangle_grid(corner: tuple[float, float], width: float, height: float, spa
     return GridDomain(corner, spacing, nx, ny, interior, boundary)
 
 
-def to_nondivergence(
-    sigma: CoefficientField, step: float
-) -> tuple[CoefficientField, VectorField2]:
-    """Convert div(sigma grad u) = 0 to tr(sigma D2 u) + b . grad u = 0.
+def to_nondivergence(sigma: CoefficientField, step: float) -> VectorField2:
+    """The drift b that turns div(sigma grad u) = 0 into
+    tr(sigma D2 u) + b . grad u = 0.
 
-    The drift is the column-wise divergence b = (d1 s11 + d2 s21,
-    d1 s12 + d2 s22), approximated by central differences of the entries.
+    b is the column-wise divergence (d1 s11 + d2 s21, d1 s12 + d2 s22),
+    approximated by central differences of the entries.
     """
-    b = VectorField2(
+    return VectorField2(
         evaluator=lambda X, Y: divergence_of_sigma(sigma, np.column_stack([X, Y]), step),
         descriptor=f"div({sigma.descriptor});step={step}",
     )
-    return sigma, b
 
 
 def zero_drift() -> VectorField2:

@@ -52,11 +52,6 @@ class AnalyticSolution:
             gradient=lambda x, y, _k=k: self.gradient(x, y)[_k],
         )
 
-    def scalar_field(self, mesh: Mesh) -> ScalarField:
-        if self.components != 1:
-            raise ConfigError("need a scalar oracle; use .component(k) first")
-        return ScalarField(mesh, self.value(*mesh.vertices.T))
-
     def mapping_field(self, mesh: Mesh) -> MappingField:
         if self.components != 2:
             raise ConfigError("need a pair-valued oracle")

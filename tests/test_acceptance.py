@@ -265,7 +265,8 @@ class AcceptanceRun:
     @cached_property
     def criterion7(self):
         t0 = time.perf_counter()
-        sigma, drift = to_nondivergence(meyers_sigma(2.0), step=1e-5)
+        sigma = meyers_sigma(2.0)
+        drift = to_nondivergence(sigma, step=1e-5)
         grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
         sol = meyers_solution(2.0)
         (uh,), _ = solve_nondivergence(grid, sigma, drift, lambda x, y: sol.value(x, y)[0])

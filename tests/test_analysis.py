@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from scipy import sparse
 from sigmalab import (
     DegenerateInputError,
     MappingField,
+    Mesh,
     MeshError,
     NotInjectiveError,
     ScalarField,
+    analysis,
     beltrami_residual,
     complex_derivatives,
     critical_point_candidates,
@@ -509,6 +512,48 @@ def test_lewy_direction_sign_invariance(fine_disk_mesh):
     assert np.allclose(np.abs(g1), np.abs(g2))
     report = lewy_verify(U, sigma, directions=4, margin=0.1)
     assert report.passed
+
+
+def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
+    # gradients of u1 and u2 once each; locate once for the probe lattice and
+    # once in each pullback_subdomain attempt, one attempt per probe here
+    sigma = field_from_descriptor("randholder:seed=2024")
+    (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, identity_oracle().value)
+    counts = collections.Counter()
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(analysis, "gradient_field")
+    counted(analysis, "pullback_subdomain")
+    counted(Mesh, "locate")
+    report = lewy_verify(MappingField(u1, u2), sigma, directions=8, margin=0.1)
+    assert report.passed and len(report.probes) == 5
+    assert counts == {"gradient_field": 2, "pullback_subdomain": 5, "locate": 1 + 5}
+
+
+def test_mapping_interpolate_is_the_scalar_columns(fine_disk_mesh):
+    sigma = field_from_descriptor("randholder:seed=7")
+    (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, identity_oracle().value)
+    U = MappingField(u1, u2)
+    rng = np.random.default_rng(3)
+    # random points, some outside the unit disk, plus vertices and edge midpoints
+    pts = np.concatenate([
+        rng.uniform(-1.2, 1.2, size=(2000, 2)),
+        fine_disk_mesh.vertices,
+        fine_disk_mesh.vertices[fine_disk_mesh.triangles[:, :2]].mean(axis=1),
+        [[3.0, 0.0], [0.0, -1.5]],
+    ])
+    got = U.interpolate(pts)
+    want = np.column_stack([u1.interpolate(pts), u2.interpolate(pts)])
+    assert np.isnan(got).any() and not np.isnan(got).all()
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # ---------------------------------------------------------------------------

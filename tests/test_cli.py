@@ -304,6 +304,9 @@ def test_failed_run_leaves_no_files(tmp_path):
          "no boundary loop 5; the mesh has 1"),
         (["meyers", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.2", {"levels": 1}],
          "option levels must be at least 2, got 1"),
+        (["mesh", "--domain", "disk:r=1", "--h", "0"], "option h must be greater than 0, got 0.0"),
+        (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "-0.1"],
+         "option spacing must be greater than 0, got -0.1"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):

@@ -43,6 +43,7 @@ from .coefficients import (
 from .errors import (
     ConfigError,
     DegenerateInputError,
+    DomainError,
     EllipticityError,
     MeshError,
     NotEllipticError,

@@ -224,6 +224,13 @@ def divergence_of_sigma(
         raise ConfigError("finite-difference step must be positive")
     P = np.asarray(p, dtype=float)
     pts = P.reshape(-1, 2)
+    unresolved = ((pts + step == pts) | (pts - step == pts)).any(axis=1)
+    if unresolved.any():
+        x, y = pts[np.argmax(unresolved)]
+        raise ConfigError(
+            f"finite-difference step {step} is below the resolution of the coordinates "
+            f"at ({x:.6g}, {y:.6g})"
+        )
     # b_j = sum_a d_a s_aj: row a of sigma differenced along axis a
     b = sum(
         (field.at_points(pts + e)[:, a] - field.at_points(pts - e)[:, a]) / (2 * step)

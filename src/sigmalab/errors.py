@@ -17,6 +17,10 @@ class MeshError(SigmalabError):
     """Mesh construction or validation failure."""
 
 
+class DomainError(MeshError, ConfigError):
+    """Domain or mesh-size arguments out of range: bad input, not a failed mesh build."""
+
+
 class ResourceLimitError(SigmalabError):
     """A configured resource cap (vertex count, sample budget) was exceeded."""
 

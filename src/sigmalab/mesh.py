@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import MeshError, ResourceLimitError
+from .errors import DomainError, MeshError, ResourceLimitError
 
 Point2 = tuple[float, float]
 
@@ -446,9 +446,9 @@ def generate_disk(center: Point2, radius: float, h: float, max_vertices=None) ->
     on the circle.
     """
     if not (0 < radius < math.inf):
-        raise MeshError("disk radius must be positive and finite")
+        raise DomainError("disk radius must be positive and finite")
     if not (0 < h < radius):
-        raise MeshError(f"mesh size h={h} must satisfy 0 < h < radius={radius}")
+        raise DomainError(f"mesh size h={h} must satisfy 0 < h < radius={radius}")
     n = _divisions(radius, h)
     _check_cap(1 + 3 * n * (n + 1), max_vertices)
 
@@ -473,9 +473,9 @@ def generate_annulus(
 ) -> Mesh:
     """Triangulate an annulus; ring vertex counts grow with the radius."""
     if not (0 < r_in < r_out < math.inf):
-        raise MeshError(f"need 0 < r_in < r_out < inf, got r_in={r_in}, r_out={r_out}")
+        raise DomainError(f"need 0 < r_in < r_out < inf, got r_in={r_in}, r_out={r_out}")
     if not (0 < h < r_out - r_in):
-        raise MeshError(f"mesh size h={h} must satisfy 0 < h < r_out - r_in")
+        raise DomainError(f"mesh size h={h} must satisfy 0 < h < r_out - r_in")
     n = _divisions(r_out - r_in, h)
     _check_cap(6 * (n + 1), max_vertices)  # every ring has 6 or more vertices
     radii = [r_in + (r_out - r_in) * i / n for i in range(n + 1)]
@@ -503,9 +503,9 @@ def generate_rectangle(
 ) -> Mesh:
     """Triangulate an axis-aligned rectangle by splitting grid squares."""
     if not (0 < width < math.inf and 0 < height < math.inf):
-        raise MeshError("rectangle sides must be positive and finite")
+        raise DomainError("rectangle sides must be positive and finite")
     if not (0 < h <= min(width, height)):
-        raise MeshError("mesh size h must satisfy 0 < h <= min(width, height)")
+        raise DomainError("mesh size h must satisfy 0 < h <= min(width, height)")
     nx = _divisions(width, h)
     ny = _divisions(height, h)
     _check_cap((nx + 1) * (ny + 1), max_vertices)

@@ -307,6 +307,16 @@ def test_failed_run_leaves_no_files(tmp_path):
         (["mesh", "--domain", "disk:r=1", "--h", "0"], "option h must be greater than 0, got 0.0"),
         (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "-0.1"],
          "option spacing must be greater than 0, got -0.1"),
+        (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1", "--fd-step", "1e-300",
+          "--sigma", "meyers:alpha=2", "--g", "oracle"],
+         "finite-difference step 1e-300 is below the resolution of the coordinates at (0.1, 0.1)"),
+        (["mesh", "--domain", "disk:r=-1", "--h", "0.1"], "disk radius must be positive and finite"),
+        (["mesh", "--domain", "annulus:rin=1,rout=0.5", "--h", "0.1"],
+         "need 0 < r_in < r_out < inf, got r_in=1.0, r_out=0.5"),
+        (["mesh", "--domain", "rect:w=1,h=1", "--h", "5"],
+         "mesh size h must satisfy 0 < h <= min(width, height)"),
+        (["solve-nd", "--domain", "annulus:rin=1,rout=0.5"],
+         "need 0 < r_in < r_out < inf, got r_in=1.0, r_out=0.5"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):

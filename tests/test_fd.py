@@ -324,6 +324,87 @@ def test_singular_factorization_is_solver_error(monkeypatch):
         solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: x)
 
 
+# The nested-dissection numbering of the interior nodes. A key's base-4 digit
+# at a level is 0 or 1 for the two halves of a box and 2 for its middle line,
+# so two nodes lie on opposite sides of one cut exactly when their digits at
+# the most significant place where the keys differ are 0 and 1.
+
+
+def _digits_where_keys_split(kp, kq):
+    top = np.zeros(len(kp), dtype=np.int64)
+    for place in range(32):
+        top[(kp >> 2 * place) & 3 != (kq >> 2 * place) & 3] = place
+    return (kp >> 2 * top) & 3, (kq >> 2 * top) & 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("rect"), st.integers(3, 120), st.integers(3, 120)),
+        st.tuples(st.just("annulus"), st.floats(0.05, 1.0), st.floats(4, 15)),
+    ),
+    spacing=st.floats(0.03, 0.1),
+)
+def test_nested_dissection_key_separates_neighbours(shape, spacing):
+    kind, a, b = shape
+    if kind == "rect":
+        grid = rectangle_grid((0.0, 0.0), (a - 1) * spacing, (b - 1) * spacing, spacing)
+    else:
+        grid = annulus_grid((0.0, 0.0), a, a + b * spacing, spacing)
+    jj, ii = np.where(grid.interior_mask)
+    key = fd.nested_dissection_key(ii, jj)
+    # distinct keys: the order is a permutation of the nodes that no tie-break decides
+    assert len(np.unique(key)) == len(key) == grid.interior_mask.sum()
+    position = np.full(grid.interior_mask.shape, -1)
+    position[jj, ii] = np.arange(len(key))
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        q = position[jj + dj, ii + di]
+        p = np.flatnonzero(q >= 0)
+        dp, dq = _digits_where_keys_split(key[p], key[q[p]])
+        assert ((dp == 2) | (dq == 2)).all()
+
+
+_SIGMA = meyers_sigma(2.0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [rectangle_grid((0.3, 0.2), 1.0, 1.0, 0.02),
+     annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02),
+     rectangle_grid((0.3, 0.2), 4.0, 0.25, 0.02)],
+    ids=["square", "annulus", "thin"],
+)
+def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
+    b = to_nondivergence(_SIGMA, step=1e-5)
+    g = meyers_solution(2.0).value
+    pair, _ = solve_nondivergence(grid, _SIGMA, b, g)
+    # the reference: row-major numbering, minimum-degree ordering on A + A^T
+    real = fd.splu
+    monkeypatch.setattr(fd, "nested_dissection_key", lambda ii, jj: np.arange(len(ii)))
+    monkeypatch.setattr(
+        fd, "splu",
+        lambda A, **kw: real(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)),
+    )
+    reference, _ = solve_nondivergence(grid, _SIGMA, b, g)
+    for f, r in zip(pair, reference):
+        assert np.abs(f.values - r.values).max() <= 1e-12 * np.abs(r.values).max()
+
+
+def test_readme_solve_nd_fill(monkeypatch):
+    factors = []
+    real = fd.splu
+
+    def recording(A, **kwargs):
+        factors.append(real(A, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(fd, "splu", recording)
+    grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
+    solve_nondivergence(grid, _SIGMA, to_nondivergence(_SIGMA, 1e-5), meyers_solution(2.0).value)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 345_000
+
+
 # The paper's second claim on a convex domain: a pair of solutions of one
 # non-divergence equation whose boundary data is a homeomorphism onto a convex
 # curve has a Jacobian of one sign inside. Pure z^2 data is a poor counter-case:

@@ -10,8 +10,10 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +28,8 @@ from .errors import (
 )
 from .fem import ScalarField, assemble_stiffness, gradient_field
 from .mesh import Mesh, signed_areas
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -43,10 +47,12 @@ class MappingField:
     def mesh(self) -> Mesh:
         return self.u1.mesh
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        """Nodal images, shape (nv, 2)."""
-        return np.column_stack([self.u1.values, self.u2.values])
+        """Nodal images, shape (nv, 2), read-only."""
+        values = np.column_stack([self.u1.values, self.u2.values])
+        values.setflags(write=False)
+        return values
 
     def interpolate(self, points) -> np.ndarray:
         """U at points, each located once, as (n, 2); NaN outside the mesh.
@@ -247,10 +253,10 @@ def _det(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
 
 def _segments_properly_intersect(p, q):
-    """Pairwise proper-intersection mask between segment sets p and q.
+    """Proper-intersection mask of the segment pairs p[k], q[k].
 
-    p: (n, 2, 2), q: (m, 2, 2). A shared endpoint does not count; crossing or
-    collinear overlap does.
+    p, q: (n, 2, 2). A shared endpoint does not count; crossing or collinear
+    overlap does.
     """
 
     def orient(a, b, c):
@@ -258,8 +264,8 @@ def _segments_properly_intersect(p, q):
             b[..., 1] - a[..., 1]
         ) * (c[..., 0] - a[..., 0])
 
-    a, b = p[:, None, 0], p[:, None, 1]
-    c, d = q[None, :, 0], q[None, :, 1]
+    a, b = p[:, 0], p[:, 1]
+    c, d = q[:, 0], q[:, 1]
     d1 = orient(a, b, c)
     d2 = orient(a, b, d)
     d3 = orient(c, d, a)
@@ -269,18 +275,44 @@ def _segments_properly_intersect(p, q):
     # collinear overlap: all orientations 0 and bounding boxes overlap
     flat = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
     if flat.any():
-        lo_p = np.minimum(a, b)
-        hi_p = np.maximum(a, b)
-        lo_q = np.minimum(c, d)
-        hi_q = np.maximum(c, d)
-        boxes = (
-            (lo_p[..., 0] <= hi_q[..., 0])
-            & (lo_q[..., 0] <= hi_p[..., 0])
-            & (lo_p[..., 1] <= hi_q[..., 1])
-            & (lo_q[..., 1] <= hi_p[..., 1])
-        )
-        crossing |= flat & boxes
+        lo_p, hi_p = np.minimum(a, b), np.maximum(a, b)
+        lo_q, hi_q = np.minimum(c, d), np.maximum(c, d)
+        crossing |= flat & np.all((lo_p <= hi_q) & (lo_q <= hi_p), axis=-1)
     return crossing
+
+
+def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of closed boxes [lo[i], hi[i]] that overlap, as two
+    index arrays, by a sort and sweep along the axis of larger extent.
+
+    Along the other axis a long straight run of a polyline, such as the side
+    of a rectangle, is one stack of boxes that all meet in the sweep axis.
+    """
+    if np.ptp(hi[:, 1]) > np.ptp(hi[:, 0]):
+        lo, hi = lo[:, ::-1], hi[:, ::-1]
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    # box k in x order meets in x the later boxes that start by its right edge
+    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(lo) + 1)
+    first = np.repeat(np.arange(len(lo)), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    keep = (lo[second, 1] <= hi[first, 1]) & (lo[first, 1] <= hi[second, 1])
+    i, j = order[first[keep]], order[second[keep]]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _vertex_collisions(pts: np.ndarray, scale: float) -> list[tuple[int, int]]:
+    """The pairs i < j of points closer than 1e-12 * scale, in lexicographic order."""
+    thr2 = (1e-12 * scale) ** 2
+    if thr2 == 0.0:  # underflow: no squared distance is below it
+        return []
+    # imported here: mesh imports it anyway, and importing it ahead of the
+    # rest of the package raises the import's peak RSS by about 0.5 MB
+    from scipy.spatial import cKDTree
+
+    i, j = cKDTree(pts).query_pairs(2e-12 * scale, output_type="ndarray").T
+    close = np.sum((pts[i] - pts[j]) ** 2, axis=-1) < thr2
+    return sorted(zip(i[close].tolist(), j[close].tolist()))
 
 
 def injectivity_check(U: MappingField) -> InjectivityResult:
@@ -300,37 +332,49 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
     majority = 1.0 if pos >= neg else -1.0
     bad = np.where((areas * majority <= 0))[0]
     violations.extend(("triangle_orientation", int(t)) for t in bad)
-
-    imgs = U.values
-    scale = max(float(np.abs(imgs).max()), 1e-300)
-    loop_segments = []
-    for li, loop in enumerate(mesh.loops):
-        pts = imgs[loop]
-        # repeated image vertices pinch the boundary polygon
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        for i, j in zip(*np.where(np.triu(d2 < (1e-12 * scale) ** 2, 1))):
-            violations.append(("boundary_vertex_collision", li, int(i), int(j)))
-        seg = np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
-        loop_segments.append(seg)
-        n = len(seg)
-        cross = _segments_properly_intersect(seg, seg)
-        idx = np.arange(n)
-        adjacent = (
-            (idx[:, None] == idx[None, :])
-            | (idx[:, None] == (idx[None, :] + 1) % n)
-            | ((idx[:, None] + 1) % n == idx[None, :])
-        )
-        cross &= ~adjacent
-        for i, j in zip(*np.where(np.triu(cross, 1))):
-            violations.append(("boundary_self_intersection", li, int(i), int(j)))
-    for li in range(len(loop_segments)):
-        for lj in range(li + 1, len(loop_segments)):
-            cross = _segments_properly_intersect(loop_segments[li], loop_segments[lj])
-            for i, j in zip(*np.where(cross)):
-                violations.append(("boundary_loop_crossing", li, lj, int(i), int(j)))
-
+    violations.extend(_boundary_violations(U.values, mesh.loops))
     return InjectivityResult(injective=not violations, violations=violations)
+
+
+def _boundary_violations(imgs: np.ndarray, loops: list) -> list:
+    """The boundary part of injectivity_check: per loop, its vertex collisions
+    and self-intersections, then the crossings between loops, each in
+    lexicographic order.
+
+    Only near pairs are tested: image vertices within twice the collision
+    distance (a KD-tree) and segments whose closed bounding boxes overlap (a
+    sweep), which holds every crossing and collinear touch.
+    """
+    violations: list = []
+    scale = max(float(np.abs(imgs).max()), 1e-300)
+    # segment k of a loop runs from its vertex k to its vertex k + 1, cyclically
+    sizes = np.array([len(loop) for loop in loops])
+    start = np.cumsum(sizes) - sizes
+    seg = np.stack(
+        [imgs[np.concatenate(loops)], imgs[np.concatenate([np.roll(l, -1) for l in loops])]],
+        axis=1,
+    )
+    p, q = _overlapping_boxes(seg.min(axis=1), seg.max(axis=1))
+    loop_of = np.repeat(np.arange(len(loops)), sizes)
+    li, lj = loop_of[p], loop_of[q]
+    i, j = p - start[li], q - start[lj]
+    # neighbours along a loop share an endpoint
+    adjacent = (li == lj) & ((j == i + 1) | ((i == 0) & (j == sizes[lj] - 1)))
+    cross = ~adjacent & _segments_properly_intersect(seg[p], seg[q])
+    crossings = sorted(
+        zip(li[cross].tolist(), lj[cross].tolist(), i[cross].tolist(), j[cross].tolist())
+    )
+
+    for k, loop in enumerate(loops):
+        # repeated image vertices pinch the boundary polygon
+        violations.extend(
+            ("boundary_vertex_collision", k, a, b) for a, b in _vertex_collisions(imgs[loop], scale)
+        )
+        violations.extend(
+            ("boundary_self_intersection", k, a, b) for l1, l2, a, b in crossings if l1 == l2 == k
+        )
+    violations.extend(("boundary_loop_crossing", *c) for c in crossings if c[0] != c[1])
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +402,10 @@ def unimodality_check(values, atol: float = 1e-12) -> UnimodalityVerdict:
     # plateau compression against each group's first value
     anchors: list[float] = []
     starts: list[int] = []
-    for i, v in enumerate(vals):
+    for i, v in enumerate(vals.tolist()):
         if anchors and abs(v - anchors[-1]) <= atol:
             continue
-        anchors.append(float(v))
+        anchors.append(v)
         starts.append(i)
     # cyclic closure: the final group may continue into the first one
     while len(anchors) > 1 and abs(anchors[-1] - anchors[0]) <= atol:
@@ -370,12 +414,12 @@ def unimodality_check(values, atol: float = 1e-12) -> UnimodalityVerdict:
     if len(anchors) < 2:
         raise DegenerateInputError("constant trace after plateau compression")
 
-    a = np.array(anchors)
-    diffs = np.sign(np.roll(a, -1) - a)
-    changes = int(np.sum(diffs != np.roll(diffs, 1)))
+    # the sign of each cyclic step, and the steps whose sign differs from the last
+    steps = [(b > a) - (b < a) for a, b in zip(anchors, anchors[1:] + anchors[:1])]
+    changes = sum(s != t for s, t in zip(steps, steps[-1:] + steps[:-1]))
 
-    imax = int(np.argmax(a))
-    imin = int(np.argmin(a))
+    imax = anchors.index(max(anchors))
+    imin = anchors.index(min(anchors))
     rise = (starts[imin], starts[imax])
     fall = (starts[imax], starts[imin])
     return UnimodalityVerdict(
@@ -446,7 +490,7 @@ def _image_center(U: MappingField, t, bary) -> tuple[np.ndarray, float]:
     """U at the point with barycentric weights bary in triangle t, and the
     distance from that image to the nearest boundary-vertex image."""
     w0 = U.values[U.mesh.triangles[t]].T @ bary
-    return w0, float(np.hypot(*(U.values[np.concatenate(U.mesh.loops)] - w0).T).min())
+    return w0, float(np.hypot(*(U.values[U.mesh.boundary_vertices] - w0).T).min())
 
 
 def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np.ndarray:
@@ -460,14 +504,15 @@ def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np
     # resident memory to every process that imports it
     from scipy.sparse.csgraph import connected_components
 
-    table = mesh.edge_table
-    kept = np.flatnonzero(np.repeat(keep_tri, 3))  # directed edges of kept triangles
-    incidence = sparse.csr_matrix(
-        (np.ones(len(kept)), (kept // 3, table.inverse[kept])),
-        shape=(mesh.num_triangles, len(table.edges)),
-    )
-    # kept triangles are adjacent when they share an edge
-    _, labels = connected_components(incidence @ incidence.T, directed=False)
+    # kept triangles are adjacent when they share an edge; the pairs come
+    # sorted, so the kept ones are the rows of a CSR graph as they stand
+    a, b = mesh.triangle_neighbours.T
+    both = keep_tri[a] & keep_tri[b]
+    a, b = a[both], b[both]
+    nt = mesh.num_triangles
+    indptr = np.searchsorted(a, np.arange(nt + 1))
+    graph = sparse.csr_matrix((np.ones(len(a)), b, indptr), shape=(nt, nt))
+    _, labels = connected_components(graph, directed=False)
     return labels == labels[seed_tri]
 
 
@@ -588,8 +633,11 @@ def _probe_unimodality(U, z0, gap, components) -> dict:
         try:
             sub = pullback_subdomain(U, z0, r)
             break
-        except MeshError:
-            r *= 0.9  # grazing level set; shrink and retry
+        except MeshError as exc:
+            # grazing level set; shrink and retry
+            log.debug("probe %s: pullback radius %r -> %r after MeshError: %s",
+                      tuple(z0.tolist()), r, r * 0.9, exc)
+            r *= 0.9
     if sub is None:
         sub = pullback_subdomain(U, z0, r)
 
@@ -611,6 +659,8 @@ def _probe_unimodality(U, z0, gap, components) -> dict:
     # the directional trace has amplitude about 2r; when the noise floor is
     # comparable the verdict would be meaningless, so report that instead
     if atol > 0.5 * sub.radius or len(loop) < 8:
+        log.debug("probe %s unresolved: tolerance %r, radius %r, trace length %d",
+                  tuple(z0.tolist()), atol, sub.radius, len(loop))
         probe.update(
             resolved=False, direction_changes=[], unimodal_all_directions=None
         )

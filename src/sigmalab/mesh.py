@@ -219,11 +219,39 @@ class Mesh:
     def max_edge_length(self) -> float:
         return _longest_edge(self.vertices, self.triangles)
 
+    @cached_property
+    def triangle_neighbours(self) -> np.ndarray:
+        """The two triangles of each interior edge, as rows (s, t) with s < t,
+        sorted; shape (n_interior_edges, 2)."""
+        table = self.edge_table
+        # the directed edge of each edge that is not its first one
+        second = np.empty(len(table.edges), dtype=np.int64)
+        rest = np.arange(len(table.inverse)) != table.first[table.inverse]
+        second[table.inverse[rest]] = np.flatnonzero(rest)
+        inner = table.counts == 2
+        pairs = np.sort(np.column_stack([table.first[inner], second[inner]]) // 3, axis=1)
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        pairs.setflags(write=False)
+        return pairs
+
     # -- point location ---------------------------------------------------
 
     @cached_property
     def _vertex_tree(self) -> cKDTree:
         return cKDTree(self.vertices)
+
+    @cached_property
+    def _triangle_frames(self) -> np.ndarray:
+        """Per triangle: first vertex, both edge vectors from it and their
+        determinant, as (7, nt) rows ox, oy, e1x, e1y, e2x, e2y, det."""
+        # (3, nt) corner coordinates: row gathers, three times faster than
+        # slicing vertices[triangles]
+        x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
+        e1x, e1y = x[1] - x[0], y[1] - y[0]
+        e2x, e2y = x[2] - x[0], y[2] - y[0]
+        frames = np.array([x[0], y[0], e1x, e1y, e2x, e2y, e1x * e2y - e2x * e1y])
+        frames.setflags(write=False)
+        return frames
 
     @cached_property
     def _vertex_to_triangles(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,11 +279,8 @@ class Mesh:
         for lo in range(0, n, LOCATE_CHUNK):
             chunk = points[lo : lo + LOCATE_CHUNK]
             p, t = self._candidates(chunk)
-            v = self.vertices[self.triangles[t]]
-            e1x, e1y = v[:, 1, 0] - v[:, 0, 0], v[:, 1, 1] - v[:, 0, 1]
-            e2x, e2y = v[:, 2, 0] - v[:, 0, 0], v[:, 2, 1] - v[:, 0, 1]
-            rx, ry = chunk[p, 0] - v[:, 0, 0], chunk[p, 1] - v[:, 0, 1]
-            det = e1x * e2y - e2x * e1y
+            ox, oy, e1x, e1y, e2x, e2y, det = self._triangle_frames[:, t]
+            rx, ry = chunk[p, 0] - ox, chunk[p, 1] - oy
             l1 = (e2y * rx - e2x * ry) / det
             l2 = (-e1y * rx + e1x * ry) / det
             ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
@@ -296,15 +321,22 @@ class Mesh:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         dist = np.full(len(points), np.inf)
-        for loop, geom in zip(self.loops, self.loop_geometry):
-            if isinstance(geom, CircleLoop):
+        for geom, polygon in zip(self.loop_geometry, self._polygons):
+            if polygon is None:
                 r = np.hypot(points[:, 0] - geom.cx, points[:, 1] - geom.cy)
                 d = np.abs(r - geom.radius)
             else:
-                poly = self.vertices[loop]
-                d = _distance_to_polygon(points, poly)
+                d = polygon.distance(points)
             dist = np.minimum(dist, d)
         return dist
+
+    @cached_property
+    def _polygons(self) -> list:
+        """Per boundary loop, None for a CircleLoop, else its _Polygon."""
+        return [
+            None if isinstance(geom, CircleLoop) else _Polygon(self.vertices[loop])
+            for loop, geom in zip(self.loops, self.loop_geometry)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +398,46 @@ def _extract_loops(vertices, triangles, table: EdgeTable) -> list[np.ndarray]:
     return loops
 
 
-def _distance_to_polygon(points, poly) -> np.ndarray:
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    ab = b - a
-    denom = np.einsum("sd,sd->s", ab, ab)
-    out = np.full(len(points), np.inf)
-    # chunk over points to bound the (n_points, n_segments) temporary
-    step = max(1, 2_000_000 // max(1, len(a)))
-    for lo in range(0, len(points), step):
-        p = points[lo : lo + step]
-        ap = p[:, None, :] - a[None, :, :]
-        s = np.clip(np.einsum("psd,sd->ps", ap, ab) / denom, 0.0, 1.0)
-        closest = a[None, :, :] + s[..., None] * ab[None, :, :]
-        d = np.hypot(*(p[:, None, :] - closest).transpose(2, 0, 1)).min(axis=1)
-        out[lo : lo + step] = d
-    return out
+class _Polygon:
+    """A closed polygon and a KD-tree of its vertices, for point distances."""
+
+    def __init__(self, poly: np.ndarray):
+        self.a = poly
+        self.ab = np.roll(poly, -1, axis=0) - poly  # segment k runs from a[k] to a[k + 1]
+        self.denom = np.einsum("sd,sd->s", self.ab, self.ab)
+        self.longest = float(np.sqrt(self.denom.max()))
+        self.extent = float(np.abs(poly).max())
+        self.tree = cKDTree(poly)
+
+    def distance(self, points: np.ndarray) -> np.ndarray:
+        """Distance from each point to the nearest segment.
+
+        The nearest vertex bounds it from above, so only segments that start
+        within that bound plus the longest segment can hold the minimum; the
+        slack covers rounding. A point the tree cannot place, one not finite
+        or so far out that squared distances overflow, is measured against
+        every segment. Points go in chunks of LOCATE_CHUNK.
+        """
+        out = np.empty(len(points))
+        for lo in range(0, len(points), LOCATE_CHUNK):
+            p = points[lo : lo + LOCATE_CHUNK]
+            near = [range(len(self.a))] * len(p)
+            size = np.abs(p).max(axis=1)
+            placed = np.flatnonzero(size + self.extent < 2.0**500)  # False for NaN
+            if len(placed):
+                bound, _ = self.tree.query(p[placed])
+                reach = (bound + self.longest) * (1.0 + 1e-9) + 1e-9 * size[placed]
+                for k, ids in zip(placed.tolist(), self.tree.query_ball_point(p[placed], r=reach)):
+                    near[k] = ids
+            counts = np.fromiter(map(len, near), np.int64, len(near))
+            seg = np.fromiter(chain.from_iterable(near), np.int64, int(counts.sum()))
+            q = p[np.repeat(np.arange(len(p)), counts)]
+            a, ab = self.a[seg], self.ab[seg]
+            s = np.clip(np.einsum("kd,kd->k", q - a, ab) / self.denom[seg], 0.0, 1.0)
+            closest = a + s[:, None] * ab
+            d = np.hypot(*(q - closest).T)
+            out[lo : lo + LOCATE_CHUNK] = np.minimum.reduceat(d, np.cumsum(counts) - counts)
+        return out
 
 
 def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:

@@ -1,5 +1,7 @@
 import collections
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from sigmalab import (
     MeshError,
     NotInjectiveError,
     ScalarField,
+    UnimodalityVerdict,
     analysis,
     beltrami_residual,
     complex_derivatives,
     critical_point_candidates,
     energy,
+    generate_rectangle,
     gradient_field,
     injectivity_check,
     jacobian_field,
@@ -319,6 +323,139 @@ def test_injectivity_orientation_flip(disk_mesh):
     assert any(v[0] == "triangle_orientation" for v in res.violations)
 
 
+def dense_segments_properly_intersect(p, q):
+    """Reference: the (n, m) proper-intersection mask of every segment of p
+    against every segment of q, as injectivity_check computed it before it
+    tested candidate pairs only."""
+
+    def orient(a, b, c):
+        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
+            b[..., 1] - a[..., 1]
+        ) * (c[..., 0] - a[..., 0])
+
+    a, b = p[:, None, 0], p[:, None, 1]
+    c, d = q[None, :, 0], q[None, :, 1]
+    d1 = orient(a, b, c)
+    d2 = orient(a, b, d)
+    d3 = orient(c, d, a)
+    d4 = orient(c, d, b)
+    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
+    flat = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
+    if flat.any():
+        lo_p = np.minimum(a, b)
+        hi_p = np.maximum(a, b)
+        lo_q = np.minimum(c, d)
+        hi_q = np.maximum(c, d)
+        boxes = (
+            (lo_p[..., 0] <= hi_q[..., 0])
+            & (lo_q[..., 0] <= hi_p[..., 0])
+            & (lo_p[..., 1] <= hi_q[..., 1])
+            & (lo_q[..., 1] <= hi_p[..., 1])
+        )
+        crossing |= flat & boxes
+    return crossing
+
+
+def dense_boundary_violations(imgs, loops):
+    """Reference: the boundary violations of injectivity_check from the dense
+    L x L distance and crossing matrices of each loop and pair of loops."""
+    violations = []
+    scale = max(float(np.abs(imgs).max()), 1e-300)
+    loop_segments = []
+    for li, loop in enumerate(loops):
+        pts = imgs[loop]
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        for i, j in zip(*np.where(np.triu(d2 < (1e-12 * scale) ** 2, 1))):
+            violations.append(("boundary_vertex_collision", li, int(i), int(j)))
+        seg = np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
+        loop_segments.append(seg)
+        n = len(seg)
+        cross = dense_segments_properly_intersect(seg, seg)
+        idx = np.arange(n)
+        adjacent = (
+            (idx[:, None] == idx[None, :])
+            | (idx[:, None] == (idx[None, :] + 1) % n)
+            | ((idx[:, None] + 1) % n == idx[None, :])
+        )
+        cross &= ~adjacent
+        for i, j in zip(*np.where(np.triu(cross, 1))):
+            violations.append(("boundary_self_intersection", li, int(i), int(j)))
+    for li in range(len(loop_segments)):
+        for lj in range(li + 1, len(loop_segments)):
+            cross = dense_segments_properly_intersect(loop_segments[li], loop_segments[lj])
+            for i, j in zip(*np.where(cross)):
+                violations.append(("boundary_loop_crossing", li, lj, int(i), int(j)))
+    return violations
+
+
+# Coordinates are multiples of 2**-18 below 8, so every orientation is exact
+# and a crossing implies overlapping boxes; the small integers give collinear
+# overlaps, shared endpoints and repeated vertices.
+COORD = st.one_of(st.integers(-3, 3), st.integers(-(2**21), 2**21).map(lambda k: k / 2**18))
+
+
+@st.composite
+def closed_polylines(draw):
+    """(images, loops): 1 to 3 loops of 3 to 10 vertices over shuffled image
+    rows; some vertices copy an earlier one, some then move along one axis by
+    about the collision distance 1e-12 * scale."""
+    sizes = draw(st.lists(st.integers(3, 10), min_size=1, max_size=3))
+    n = sum(sizes)
+    pts = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)), dtype=float)
+    for k, source in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+        if source < k and draw(st.booleans()):
+            pts[k] = pts[source]
+    scale = max(float(np.abs(pts).max()), 1e-300)
+    for k in range(n):
+        shift = draw(st.sampled_from([0.0, 0.0, 0.5, 0.999, 1.001, 2.0, -0.999, -1.001]))
+        pts[k, draw(st.integers(0, 1))] += shift * 1e-12 * scale
+    order = np.array(draw(st.permutations(range(n))))
+    return pts, np.split(order, np.cumsum(sizes)[:-1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(closed_polylines())
+# a bowtie, two loops crossing, a collinear overlap and a touching pair
+@example((np.array([[0, 0], [1, 1], [1, 0], [0, 1.0]]), [np.arange(4)]))
+@example((np.array([[0, 0], [2, 0], [2, 2], [1, 1], [3, 1], [3, 3.0]]), [np.arange(3), np.arange(3, 6)]))
+@example((np.array([[0, 0], [2, 0], [1, 0], [3, 0], [3, 1.0]]), [np.arange(5)]))
+@example((np.array([[0, 0], [2, 0], [2, 1], [4, 1], [4, 0], [6, 0], [6, 2.0]]), [np.arange(7)]))
+def test_boundary_violations_match_dense_reference(polylines):
+    imgs, loops = polylines
+    got = analysis._boundary_violations(imgs, loops)
+    assert got == dense_boundary_violations(imgs, loops)
+
+
+@pytest.mark.parametrize(
+    "mesh_name, oracle",
+    [("disk_mesh", holomorphic_oracle(2)), ("disk_mesh", holomorphic_oracle(3)),
+     ("annulus_mesh", holomorphic_oracle(2)), ("annulus_mesh", meyers_solution(2.0))],
+)
+def test_injectivity_violations_match_dense_reference(request, mesh_name, oracle):
+    mesh = request.getfixturevalue(mesh_name)
+    U = oracle.mapping_field(mesh)
+    res = injectivity_check(U)
+    boundary = [v for v in res.violations if v[0] != "triangle_orientation"]
+    assert boundary == dense_boundary_violations(U.values, mesh.loops)
+
+
+@pytest.mark.parametrize("width, height", [(20.0, 0.02), (0.02, 20.0)])
+def test_injectivity_memory_on_a_long_boundary(width, height):
+    # 4004 boundary segments; the dense matrices peaked at 857 MB here
+    mesh = generate_rectangle((0.0, 0.0), width, height, 0.01)
+    assert len(mesh.loops[0]) == 4004
+    U = identity_oracle().mapping_field(mesh)
+    tracemalloc.start()
+    try:
+        res = injectivity_check(U)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.injective
+    assert peak < 50e6
+
+
 # ---------------------------------------------------------------------------
 # unimodality
 
@@ -389,6 +526,69 @@ def test_unimodality_arcs_locate_extremes():
     verdict = unimodality_check(np.cos(theta))
     assert verdict.fall_arc == (0, 32)  # max at index 0, min at index 32
     assert verdict.rise_arc == (32, 0)
+
+
+def array_unimodality_check(values, atol=1e-12):
+    """Reference: unimodality_check as it was, with numpy scalars in the
+    plateau loop and np.roll, np.sign and np.argmax on the anchors."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or len(vals) < 3:
+        raise DegenerateInputError("need a cyclic sequence of at least 3 values")
+    if not np.isfinite(vals).all():
+        raise DegenerateInputError("trace contains non-finite values")
+    if np.ptp(vals) <= atol:
+        raise DegenerateInputError("constant trace: unimodality is undefined")
+    anchors, starts = [], []
+    for i, v in enumerate(vals):
+        if anchors and abs(v - anchors[-1]) <= atol:
+            continue
+        anchors.append(float(v))
+        starts.append(i)
+    while len(anchors) > 1 and abs(anchors[-1] - anchors[0]) <= atol:
+        anchors.pop()
+        starts.pop()
+    if len(anchors) < 2:
+        raise DegenerateInputError("constant trace after plateau compression")
+    a = np.array(anchors)
+    diffs = np.sign(np.roll(a, -1) - a)
+    changes = int(np.sum(diffs != np.roll(diffs, 1)))
+    imax, imin = int(np.argmax(a)), int(np.argmin(a))
+    return UnimodalityVerdict(
+        unimodal=changes == 2,
+        rise_arc=(starts[imin], starts[imax]),
+        fall_arc=(starts[imax], starts[imin]),
+        direction_changes=changes,
+        group_count=len(anchors),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        # small integers: plateaus, ties between extremes, constant runs
+        st.lists(st.integers(-3, 3), min_size=0, max_size=30),
+        st.lists(st.floats(-1e3, 1e3, allow_subnormal=True), min_size=0, max_size=30),
+        st.builds(
+            lambda n, k, noise, seed: np.cos(k * np.linspace(0, 2 * math.pi, n, endpoint=False))
+            + noise * np.random.default_rng(seed).uniform(-1, 1, n),
+            st.integers(3, 64), st.integers(1, 3), st.sampled_from([0.0, 1e-13, 1e-3]),
+            st.integers(0, 2**16),
+        ),
+    ),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.01, 0.5, 1.0, 2.5]),
+)
+@example([0.0, -0.0, 1.0, 1.0, 0.0], 0.0)
+@example([1.0, float("inf"), 0.0], 1e-12)
+@example([5.0, 5.0, 5.0], 0.0)
+def test_unimodality_matches_array_reference(vals, atol):
+    try:
+        want = array_unimodality_check(vals, atol=atol)
+    except DegenerateInputError as exc:
+        with pytest.raises(DegenerateInputError) as got:
+            unimodality_check(vals, atol=atol)
+        assert str(got.value) == str(exc)
+        return
+    assert unimodality_check(vals, atol=atol) == want
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +736,39 @@ def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
     report = lewy_verify(MappingField(u1, u2), sigma, directions=8, margin=0.1)
     assert report.passed and len(report.probes) == 5
     assert counts == {"gradient_field": 2, "pullback_subdomain": 5, "locate": 1 + 5}
+
+
+def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog):
+    # the first pullback fails once; at h = 0.1 two probes stay unresolved
+    U = identity_oracle().mapping_field(disk_mesh)
+    inner = analysis.pullback_subdomain
+    calls = []
+
+    def fails_once(*args):
+        calls.append(args[2])
+        if len(calls) == 1:
+            raise MeshError("boundary is not a disjoint union of simple loops")
+        return inner(*args)
+
+    monkeypatch.setattr(analysis, "pullback_subdomain", fails_once)
+    with caplog.at_level(logging.DEBUG, logger="sigmalab"):
+        report = lewy_verify(U, identity_field(), directions=4, margin=0.1)
+    records = [r for r in caplog.records if r.name == "sigmalab.analysis"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    messages = [r.getMessage() for r in records]
+    first = report.probes[0]
+    assert messages[0] == (
+        f"probe {tuple(first['z0'])}: pullback radius {calls[0]!r} -> {calls[1]!r} "
+        "after MeshError: boundary is not a disjoint union of simple loops"
+    )
+    assert calls[1] == first["radius"] == calls[0] * 0.9
+    unresolved = [p for p in report.probes if not p["resolved"]]
+    assert len(unresolved) == 2
+    assert messages[1:] == [
+        f"probe {tuple(p['z0'])} unresolved: tolerance {p['tolerance']!r}, "
+        f"radius {p['radius']!r}, trace length {p['trace_length']}"
+        for p in unresolved
+    ]
 
 
 def test_mapping_interpolate_is_the_scalar_columns(fine_disk_mesh):

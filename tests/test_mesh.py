@@ -256,6 +256,17 @@ def test_mesh_from_text_rejects_garbage():
         mesh_from_text("not a mesh\n")
 
 
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_triangle_neighbours_are_the_interior_edges(name):
+    m = DOMAINS[name](0.3)
+    edge_tris = {}
+    for t, (a, b, c) in enumerate(m.triangles.tolist()):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_tris.setdefault((min(u, v), max(u, v)), []).append(t)
+    want = sorted(tuple(ts) for ts in edge_tris.values() if len(ts) == 2)
+    assert [tuple(p) for p in m.triangle_neighbours.tolist()] == want
+
+
 def test_locate_points(disk_mesh):
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.7, 0.7, size=(50, 2))
@@ -332,6 +343,89 @@ def test_boundary_distance(disk_mesh, annulus_mesh):
     assert np.allclose(d, [1.0, 0.5], atol=1e-12)
     d = annulus_mesh.boundary_distance(np.array([[0.5, 0.0]]))
     assert np.allclose(d, [0.3], atol=1e-12)
+
+
+def dense_distance_to_polygon(points, poly):
+    """Reference: the distance from each point to every segment of the closed
+    polygon, minimized, as boundary_distance computed it before it kept only
+    the segments near each point's nearest vertex."""
+    a = poly
+    b = np.roll(poly, -1, axis=0)
+    ab = b - a
+    denom = np.einsum("sd,sd->s", ab, ab)
+    ap = points[:, None, :] - a[None, :, :]
+    s = np.clip(np.einsum("psd,sd->ps", ap, ab) / denom, 0.0, 1.0)
+    closest = a[None, :, :] + s[..., None] * ab[None, :, :]
+    return np.hypot(*(points[:, None, :] - closest).transpose(2, 0, 1)).min(axis=1)
+
+
+def star_mesh(radii, jitter, center):
+    """A fan of triangles around center over a star polygon, one vertex per radius."""
+    n = len(radii)
+    ang = 2.0 * math.pi * (np.arange(n) + 0.4 * np.asarray(jitter)) / n
+    ring = np.asarray(center) + np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
+    ids = np.arange(1, n + 1)
+    tris = np.column_stack([np.zeros(n, np.int64), ids, np.roll(ids, -1)])
+    return Mesh(np.concatenate([[center], ring]), tris, h=0.1)
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.builds(
+            lambda w, ht, steps, x0, y0: generate_rectangle((x0, y0), w, ht, min(w, ht) / steps),
+            st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.integers(1, 12),
+            st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+        ),
+        # thin rectangles: the long sides are far apart in segments, close in space
+        st.builds(
+            lambda w, steps: generate_rectangle((0.0, 0.0), w, 0.02, 0.02 / steps),
+            st.floats(0.5, 4.0), st.integers(1, 2),
+        ),
+        st.integers(3, 40).flatmap(
+            lambda n: st.builds(
+                star_mesh,
+                st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n).map(np.array),
+                st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+            )
+        ),
+        # read back from text, an annulus has two polygon loops
+        st.floats(0.1, 0.3).map(
+            lambda h: mesh_from_text(mesh_to_text(generate_annulus((0.0, 0.0), 0.2, 1.0, h)))
+        ),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_boundary_distance_matches_dense_reference(mesh, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    span = hi - lo
+    poly = mesh.vertices[np.concatenate(mesh.loops)]
+    # inside and outside the box, far away, on vertices, edge midpoints and centroids
+    pts = np.concatenate([
+        rng.uniform(lo, hi, size=(200, 2)),
+        rng.uniform(lo - span, hi + span, size=(100, 2)),
+        rng.uniform(lo - 20 * span, hi + 20 * span, size=(20, 2)),
+        poly[rng.integers(0, len(poly), 20)],
+        0.5 * (poly + np.roll(poly, -1, axis=0))[rng.integers(0, len(poly), 20)],
+        mesh.centroids[rng.integers(0, mesh.num_triangles, 100)],
+    ])
+    want = np.min([dense_distance_to_polygon(pts, mesh.vertices[l]) for l in mesh.loops], axis=0)
+    assert mesh.boundary_distance(pts).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [generate_rectangle((0.0, 0.0), 1.0, 0.5, 0.25), star_mesh(np.linspace(0.5, 1.5, 7), np.zeros(7), (0.0, 0.0))],
+)
+def test_boundary_distance_of_non_finite_points_matches_dense_reference(mesh):
+    # no KD-tree takes these: they are measured against every segment, as before
+    pts = np.array([[0.5, 0.2], [np.nan, 0.2], [np.inf, 0.3], [0.1, -np.inf], [1e308, -1e308]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = mesh.boundary_distance(pts)
+        want = dense_distance_to_polygon(pts, mesh.vertices[mesh.loops[0]])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # sha256 of mesh_to_text at h = 0.2 and 0, 1, 2 refinements, recorded before

@@ -70,7 +70,6 @@ from .fem import (
 )
 from .mesh import (
     Mesh,
-    boundary_trace,
     generate_annulus,
     generate_disk,
     generate_rectangle,

@@ -27,7 +27,7 @@ from .errors import (
     SolverError,
 )
 from .fem import ScalarField, assemble_stiffness, gradient_field
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh, _extract_loops, edge_table, signed_areas
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ class ComplexDerivativeField:
     mesh: Mesh
     fz: np.ndarray
     fzbar: np.ndarray
-    value_scale: float = 1.0
+    value_scale: float
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,10 @@ class InjectivityResult:
 
 @dataclass(frozen=True)
 class PullbackSubdomain:
-    """Preimage of a target disk, as a submesh plus correspondence arrays."""
+    """Preimage of a target disk: its triangles and the boundary loops of
+    their union, both in the parent mesh's ids, the outer loop first."""
 
-    mesh: Mesh
-    parent_vertices: np.ndarray
+    loops: list
     parent_triangles: np.ndarray
     center_image: tuple[float, float]
     radius: float
@@ -322,17 +322,24 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
     are pairwise disjoint, and (b) all triangle-image signed areas share one
     strict sign. Violations name offending triangles and boundary edge pairs.
     This certifies the discrete map's behavior; it is not a continuum proof.
+
+    The images are first scaled by the power of two that puts their largest
+    coordinate in [1, 2). The scaling is exact, so no verdict depends on the
+    image scale, and the products of areas and orientations neither overflow
+    nor underflow to zero.
     """
     mesh = U.mesh
     violations: list = []
 
-    areas = signed_areas(U.values, mesh.triangles)
+    _, exponent = np.frexp(np.abs(U.values).max())
+    imgs = np.ldexp(U.values, 1 - int(exponent))
+    areas = signed_areas(imgs, mesh.triangles)
     pos = int(np.sum(areas > 0))
     neg = int(np.sum(areas < 0))
     majority = 1.0 if pos >= neg else -1.0
     bad = np.where((areas * majority <= 0))[0]
     violations.extend(("triangle_orientation", int(t)) for t in bad)
-    violations.extend(_boundary_violations(U.values, mesh.loops))
+    violations.extend(_boundary_violations(imgs, mesh.loops))
     return InjectivityResult(injective=not violations, violations=violations)
 
 
@@ -436,8 +443,8 @@ def unimodality_check(values, atol: float = 1e-12) -> UnimodalityVerdict:
 
 
 def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
-    """Submesh of triangles whose vertex images fall in the disk of radius r
-    around U(z0).
+    """The triangles whose vertex images fall in the disk of radius r around
+    U(z0), restricted to the edge-connected piece around z0.
 
     Requires z0 strictly inside the mesh and the closed target disk compactly
     inside the discrete image (every boundary-image point farther than r from
@@ -469,17 +476,11 @@ def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
     keep_tri = _component_containing(mesh, keep_tri, int(tri[0]))
 
     tri_ids = np.where(keep_tri)[0]
-    old_vertices = np.unique(mesh.triangles[tri_ids])
-    remap = -np.ones(mesh.num_vertices, dtype=np.int64)
-    remap[old_vertices] = np.arange(len(old_vertices))
-    sub = Mesh(
-        mesh.vertices[old_vertices],
-        remap[mesh.triangles[tri_ids]],
-        h=mesh.h,
-    )
+    kept = mesh.triangles[tri_ids]
+    # a MeshError here is a pinched boundary: the kept triangles meet at a vertex
+    loops = _extract_loops(mesh.vertices, kept, edge_table(kept, mesh.num_vertices))
     return PullbackSubdomain(
-        mesh=sub,
-        parent_vertices=old_vertices,
+        loops=loops,
         parent_triangles=tri_ids,
         center_image=(float(w0[0]), float(w0[1])),
         radius=float(r),
@@ -560,12 +561,7 @@ def default_probe_points(mesh: Mesh, margin: float) -> tuple[np.ndarray, np.ndar
     return pts[chosen], tri[chosen], bary[chosen]
 
 
-def lewy_verify(
-    U: MappingField,
-    sigma: CoefficientField,
-    directions: int,
-    margin: float,
-) -> LewyReport:
+def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
     """Check the nonvanishing-Jacobian conclusion on a solved mapping.
 
     For unit directions xi spread over the half circle, the directional
@@ -576,7 +572,7 @@ def lewy_verify(
     every directional component is tested for unimodality; the plateau
     tolerance is taken as twice the measured radial deviation of the trace
     image, the discretization noise floor (radii shrink by 10% steps, at most
-    5 times, if a raw pullback submesh is not manifold).
+    5 times, if the pullback's boundary is pinched).
 
     The report passes iff min |det DU| > 0 and every directional gradient
     minimum is positive. A non-injective U is a hypothesis failure and raises
@@ -592,8 +588,6 @@ def lewy_verify(
             result=inj,
         )
     mesh = U.mesh
-    require_elliptic(sigma, mesh.centroids)
-
     inset = mesh.boundary_distance(mesh.centroids) >= margin
     if not inset.any():
         raise DegenerateInputError(f"margin {margin} leaves no interior triangles")
@@ -641,7 +635,7 @@ def _probe_unimodality(U, z0, gap, components) -> dict:
     if sub is None:
         sub = pullback_subdomain(U, z0, r)
 
-    loop = sub.parent_vertices[sub.mesh.loops[0]]
+    loop = sub.loops[0]
     trace_img = U.values[loop]
     rho = float(
         np.abs(np.hypot(trace_img[:, 0] - sub.center_image[0],

@@ -214,11 +214,11 @@ def _solve_mapping(cfg):
     }
     if cfg["svg"]:
         files["jacobian.svg"] = svgplots.heatmap_svg(m, det)
-    return m, sigma, data, U, det, residual, files
+    return m, data, U, det, residual, files
 
 
 def cmd_map(cfg):
-    m, sigma, data, U, det, residual, files = _solve_mapping(cfg)
+    m, data, U, det, residual, files = _solve_mapping(cfg)
     summary_data = {
         "vertices": m.num_vertices,
         "triangles": m.num_triangles,
@@ -236,11 +236,9 @@ def cmd_map(cfg):
 
 
 def cmd_verify(cfg):
-    m, sigma, data, U, det, _, files = _solve_mapping(cfg)
+    _, _, U, _, _, files = _solve_mapping(cfg)
     try:
-        report = analysis.lewy_verify(
-            U, sigma, directions=cfg["directions"], margin=cfg["margin"]
-        )
+        report = analysis.lewy_verify(U, directions=cfg["directions"], margin=cfg["margin"])
     except NotInjectiveError as exc:
         inj = exc.result
         files["lewy_report.json"] = dumps(
@@ -369,8 +367,7 @@ def cmd_unimodal(cfg):
     loop_index = cfg["loop"]
     if loop_index >= len(m.loops):
         raise ConfigError(f"no boundary loop {loop_index}; the mesh has {len(m.loops)}")
-    _, xy = zip(*meshmod.boundary_trace(m, loop_index))
-    vals = data.value(*np.transpose(xy))
+    vals = data.value(*m.vertices[m.loops[loop_index]].T)
     verdict = analysis.unimodality_check(vals, atol=cfg["atol"])
     files = {
         "unimodal_report.json": dumps(

@@ -55,9 +55,6 @@ class CoefficientField:
     symmetric: bool
     descriptor: str
 
-    def at(self, x1: float, x2: float) -> np.ndarray:
-        return self.at_points([(x1, x2)])[0]
-
     def at_points(self, points) -> np.ndarray:
         P, S = _evaluate(self.evaluator, points, (2, 2), f"field '{self.descriptor}'")
         if self.symmetric:
@@ -79,9 +76,6 @@ class VectorField2:
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     descriptor: str = ""
-
-    def at(self, x1: float, x2: float) -> np.ndarray:
-        return self.at_points([(x1, x2)])[0]
 
     def at_points(self, points) -> np.ndarray:
         return _evaluate(self.evaluator, points, (2,), f"vector field '{self.descriptor}'")[1]
@@ -213,17 +207,12 @@ def max_dilatation(samples) -> float:
     return k
 
 
-def divergence_of_sigma(
-    field: CoefficientField, p, step: float
-) -> tuple[float, float] | np.ndarray:
-    """Central-difference row divergence (d1 s11 + d2 s21, d1 s12 + d2 s22).
-
-    p is one point, giving a pair of floats, or an (n, 2) array, giving (n, 2).
-    """
+def divergence_of_sigma(field: CoefficientField, p, step: float) -> np.ndarray:
+    """Central-difference row divergence (d1 s11 + d2 s21, d1 s12 + d2 s22)
+    at each row of the (n, 2) array p, as an (n, 2) array."""
     if not step > 0:
         raise ConfigError("finite-difference step must be positive")
-    P = np.asarray(p, dtype=float)
-    pts = P.reshape(-1, 2)
+    pts = np.asarray(p, dtype=float).reshape(-1, 2)
     unresolved = ((pts + step == pts) | (pts - step == pts)).any(axis=1)
     if unresolved.any():
         x, y = pts[np.argmax(unresolved)]
@@ -232,11 +221,10 @@ def divergence_of_sigma(
             f"at ({x:.6g}, {y:.6g})"
         )
     # b_j = sum_a d_a s_aj: row a of sigma differenced along axis a
-    b = sum(
+    return sum(
         (field.at_points(pts + e)[:, a] - field.at_points(pts - e)[:, a]) / (2 * step)
         for a, e in enumerate(np.eye(2) * step)
     )
-    return (float(b[0, 0]), float(b[0, 1])) if P.ndim == 1 else b
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def annulus_grid(center: tuple[float, float], r_in: float, r_out: float, spacing
         raise DomainError(f"need 0 < r_in < r_out < inf, got r_in={r_in}, r_out={r_out}")
     half = r_out + 2 * spacing
     n = _nodes(2 * half, spacing)
-    _check_cap(n * n, None, "grid")
+    _check_cap(n * n, "grid")
     origin = (center[0] - half, center[1] - half)
 
     def inside(X, Y):
@@ -160,7 +160,7 @@ def rectangle_grid(corner: tuple[float, float], width: float, height: float, spa
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise DomainError("rectangle sides must be positive and finite")
     nx, ny = _nodes(width, spacing), _nodes(height, spacing)
-    _check_cap(nx * ny, None, "grid")
+    _check_cap(nx * ny, "grid")
     member = np.ones((ny, nx), dtype=bool)
     interior = np.zeros_like(member)
     interior[1:-1, 1:-1] = True
@@ -242,8 +242,7 @@ def solve_nondivergence(
     n = len(jj)
     if n == 0:
         raise SolverError("grid has no interior nodes")
-    X, Y = grid.node_coordinates()
-    pts = np.column_stack([X[jj, ii], Y[jj, ii]])
+    pts = grid.points(grid.interior_mask)
     S = require_elliptic(sigma, pts).samples
     B = b.at_points(pts)
 

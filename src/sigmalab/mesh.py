@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -209,11 +209,6 @@ class Mesh:
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[self.boundary_vertices] = False
         return np.where(mask)[0]
-
-    @property
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """(unique undirected edges (ne, 2), incidence count per edge)."""
-        return self.edge_table.edges, self.edge_table.counts
 
     @cached_property
     def max_edge_length(self) -> float:
@@ -470,14 +465,13 @@ def _divisions(length: float, h: float) -> int:
     return max(1, round(q))
 
 
-def _check_cap(expected: int, max_vertices: Optional[int], what: str = "mesh") -> None:
+def _check_cap(expected: int, what: str = "mesh") -> None:
     """ResourceLimitError when a mesh (or an FD grid, what="grid") would need
-    more vertices than max_vertices, by default DEFAULT_VERTEX_CAP."""
-    cap = DEFAULT_VERTEX_CAP if max_vertices is None else max_vertices
-    if expected > cap:
+    more vertices than DEFAULT_VERTEX_CAP."""
+    if expected > DEFAULT_VERTEX_CAP:
         raise ResourceLimitError(
-            f"{what} would need about {expected} vertices, above the cap of {cap}; "
-            "use a coarser mesh size or spacing"
+            f"{what} would need about {expected} vertices, above the cap of "
+            f"{DEFAULT_VERTEX_CAP}; use a coarser mesh size or spacing"
         )
 
 
@@ -494,7 +488,7 @@ def _ring(center, radius, count, start_id):
 # generators
 
 
-def generate_disk(center: Point2, radius: float, h: float, max_vertices=None) -> Mesh:
+def generate_disk(center: Point2, radius: float, h: float) -> Mesh:
     """Triangulate a disk with concentric rings of 6i vertices.
 
     Ring spacing and tangential spacing are both close to h, giving a
@@ -506,7 +500,7 @@ def generate_disk(center: Point2, radius: float, h: float, max_vertices=None) ->
     if not (0 < h < radius):
         raise DomainError(f"mesh size h={h} must satisfy 0 < h < radius={radius}")
     n = _divisions(radius, h)
-    _check_cap(1 + 3 * n * (n + 1), max_vertices)
+    _check_cap(1 + 3 * n * (n + 1))
 
     verts = [np.array([center], dtype=float)]
     rings = []
@@ -524,19 +518,17 @@ def generate_disk(center: Point2, radius: float, h: float, max_vertices=None) ->
     return Mesh(np.concatenate(verts), np.concatenate(tris), h, geom)
 
 
-def generate_annulus(
-    center: Point2, r_in: float, r_out: float, h: float, max_vertices=None
-) -> Mesh:
+def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mesh:
     """Triangulate an annulus; ring vertex counts grow with the radius."""
     if not (0 < r_in < r_out < math.inf):
         raise DomainError(f"need 0 < r_in < r_out < inf, got r_in={r_in}, r_out={r_out}")
     if not (0 < h < r_out - r_in):
         raise DomainError(f"mesh size h={h} must satisfy 0 < h < r_out - r_in")
     n = _divisions(r_out - r_in, h)
-    _check_cap(6 * (n + 1), max_vertices)  # every ring has 6 or more vertices
+    _check_cap(6 * (n + 1))  # every ring has 6 or more vertices
     radii = [r_in + (r_out - r_in) * i / n for i in range(n + 1)]
     counts = [max(6, round(2.0 * math.pi * r / h)) for r in radii]
-    _check_cap(sum(counts), max_vertices)
+    _check_cap(sum(counts))
 
     verts, rings = [], []
     start = 0
@@ -554,9 +546,7 @@ def generate_annulus(
     return Mesh(np.concatenate(verts), np.concatenate(tris), h, geom)
 
 
-def generate_rectangle(
-    corner: Point2, width: float, height: float, h: float, max_vertices=None
-) -> Mesh:
+def generate_rectangle(corner: Point2, width: float, height: float, h: float) -> Mesh:
     """Triangulate an axis-aligned rectangle by splitting grid squares."""
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise DomainError("rectangle sides must be positive and finite")
@@ -564,7 +554,7 @@ def generate_rectangle(
         raise DomainError("mesh size h must satisfy 0 < h <= min(width, height)")
     nx = _divisions(width, h)
     ny = _divisions(height, h)
-    _check_cap((nx + 1) * (ny + 1), max_vertices)
+    _check_cap((nx + 1) * (ny + 1))
 
     xs = corner[0] + width * np.arange(nx + 1) / nx
     ys = corner[1] + height * np.arange(ny + 1) / ny
@@ -578,10 +568,10 @@ def generate_rectangle(
 
 
 # ---------------------------------------------------------------------------
-# refinement and traces
+# refinement
 
 
-def refine(mesh: Mesh, max_vertices=None) -> Mesh:
+def refine(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 by edge midpoints.
 
     Midpoints of boundary edges are projected onto the analytic boundary for
@@ -591,7 +581,7 @@ def refine(mesh: Mesh, max_vertices=None) -> Mesh:
     """
     table = mesh.edge_table
     nv, ne = mesh.num_vertices, len(table.edges)
-    _check_cap(nv + ne, max_vertices)
+    _check_cap(nv + ne)
     order = np.argsort(table.first)
     rank = np.empty(ne, dtype=np.int64)
     rank[order] = np.arange(ne)
@@ -609,17 +599,6 @@ def refine(mesh: Mesh, max_vertices=None) -> Mesh:
     return Mesh(
         np.concatenate([mesh.vertices, mid]), tris, mesh.h / 2.0, list(mesh.loop_geometry)
     )
-
-
-def boundary_trace(mesh: Mesh, loop_index: int) -> list[tuple[int, Point2]]:
-    """Cyclic sequence of (vertex index, coordinates) along one loop,
-    in loop orientation, each vertex exactly once."""
-    if not (0 <= loop_index < len(mesh.loops)):
-        raise MeshError(
-            f"loop index {loop_index} out of range; mesh has {len(mesh.loops)} loops"
-        )
-    loop = mesh.loops[loop_index]
-    return [(int(v), (float(mesh.vertices[v, 0]), float(mesh.vertices[v, 1]))) for v in loop]
 
 
 # ---------------------------------------------------------------------------

@@ -92,20 +92,19 @@ def meyers_solution(alpha: float) -> AnalyticSolution:
     return AnalyticSolution(f"meyers:alpha={alpha}", 2, value, gradient)
 
 
-def meyers_jacobian(alpha: float, p) -> float | np.ndarray:
-    """Exact Jacobian determinant alpha |x|^(2(alpha-1)) of the radial map,
-    at one point p (a float) or at each row of an (n, 2) array (shape (n,))."""
+def meyers_jacobian(alpha: float, p) -> np.ndarray:
+    """Exact Jacobian determinant alpha |x|^(2(alpha-1)) of the radial map at
+    each row of the (n, 2) array p, as an (n,) array."""
     if not alpha > 0:
         raise ConfigError("alpha must be positive")
-    P = np.asarray(p, dtype=float)
-    r = np.hypot(P[..., 0], P[..., 1])
+    P = np.asarray(p, dtype=float).reshape(-1, 2)
+    r = np.hypot(P[:, 0], P[:, 1])
     if alpha < 1.0 and np.any(r == 0.0):
         raise DegenerateInputError(
             "Jacobian diverges at the origin for alpha in (0, 1)"
         )
     # at the origin this is 0 for alpha > 1 and 1 for alpha == 1
-    det = alpha * r ** (2.0 * (alpha - 1.0))
-    return float(det) if P.ndim == 1 else det
+    return alpha * r ** (2.0 * (alpha - 1.0))
 
 
 def holomorphic_oracle(m: int) -> AnalyticSolution:

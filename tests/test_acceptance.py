@@ -208,7 +208,7 @@ class AcceptanceRun:
             mesh = self.disk_h03
             U = solve_pair(mesh, field, ident)
             inj = injectivity_check(U)
-            report = lewy_verify(U, field, directions=8, margin=0.1)
+            report = lewy_verify(U, directions=8, margin=0.1)
 
             fine = refine(mesh)
             Uf = solve_pair(fine, field, ident)

@@ -1,4 +1,5 @@
 import collections
+import functools
 import logging
 import math
 import tracemalloc
@@ -21,6 +22,8 @@ from sigmalab import (
     complex_derivatives,
     critical_point_candidates,
     energy,
+    generate_annulus,
+    generate_disk,
     generate_rectangle,
     gradient_field,
     injectivity_check,
@@ -52,6 +55,17 @@ def solve(mesh, sigma, g):
 
 def nodal(mesh, f):
     return ScalarField(mesh, np.array([f(x, y) for x, y in mesh.vertices]))
+
+
+@functools.cache
+def coarse_mesh(name):
+    """Small meshes for the properties, built once: the unit disk, an annulus
+    and the square [-1, 1]^2."""
+    return {
+        "disk": lambda: generate_disk((0.0, 0.0), 1.0, 0.1),
+        "annulus": lambda: generate_annulus((0.0, 0.0), 0.2, 1.0, 0.1),
+        "rect": lambda: generate_rectangle((-1.0, -1.0), 2.0, 2.0, 0.125),
+    }[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +325,14 @@ def test_injectivity_meyers(annulus_mesh):
     assert res.injective
 
 
+def folded_identity(mesh):
+    """The identity with the half plane x < 0 reflected onto x > 0."""
+    return MappingField(ScalarField(mesh, np.abs(mesh.vertices[:, 0])),
+                        ScalarField(mesh, mesh.vertices[:, 1]))
+
+
 def test_injectivity_orientation_flip(disk_mesh):
-    # fold the map: reflect the image of half the plane
-    vals = disk_mesh.vertices.copy()
-    vals[:, 0] = np.abs(vals[:, 0])
-    U = MappingField(
-        ScalarField(disk_mesh, vals[:, 0]), ScalarField(disk_mesh, vals[:, 1])
-    )
-    res = injectivity_check(U)
+    res = injectivity_check(folded_identity(disk_mesh))
     assert not res.injective
     assert any(v[0] == "triangle_orientation" for v in res.violations)
 
@@ -454,6 +468,33 @@ def test_injectivity_memory_on_a_long_boundary(width, height):
         tracemalloc.stop()
     assert res.injective
     assert peak < 50e6
+
+
+@functools.cache
+def scaling_cases():
+    coarse = generate_disk((0.0, 0.0), 1.0, 0.25)
+    return [
+        holomorphic_oracle(2).mapping_field(coarse),  # 28 violations
+        holomorphic_oracle(3).mapping_field(coarse_mesh("disk")),
+        holomorphic_oracle(2).mapping_field(coarse_mesh("annulus")),
+        meyers_solution(2.0).mapping_field(coarse_mesh("annulus")),
+        identity_oracle().mapping_field(coarse_mesh("rect")),
+        folded_identity(coarse_mesh("disk")),
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5), st.integers(-400, 400))
+@example(0, -300)
+@example(0, 400)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_injectivity_is_invariant_under_power_of_two_scaling(case, k):
+    # at the old arithmetic, 2**-300 lost 16 of the coarse disk's 28 z^2
+    # violations to underflow, and 2**400 overflowed the crossing products
+    U = scaling_cases()[case]
+    scaled = MappingField(ScalarField(U.mesh, np.ldexp(U.u1.values, k)),
+                          ScalarField(U.mesh, np.ldexp(U.u2.values, k)))
+    assert injectivity_check(scaled).violations == injectivity_check(U).violations
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +639,9 @@ def test_unimodality_matches_array_reference(vals, atol):
 def test_pullback_identity_disk(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
     sub = pullback_subdomain(U, (0.0, 0.0), 0.5)
-    area = float(sub.mesh.areas.sum())
+    area = float(fine_disk_mesh.areas[sub.parent_triangles].sum())
     assert abs(area - math.pi / 4) / (math.pi / 4) < 0.05
-    assert len(sub.mesh.loops) == 1
+    assert len(sub.loops) == 1
 
 
 def test_pullback_disk_escapes_image(fine_disk_mesh):
@@ -612,18 +653,133 @@ def test_pullback_disk_escapes_image(fine_disk_mesh):
 def test_pullback_meyers(annulus_mesh):
     U = meyers_solution(2.0).mapping_field(annulus_mesh)
     sub = pullback_subdomain(U, (0.6, 0.0), 0.1)
-    assert sub.mesh.num_triangles > 0
+    assert len(sub.parent_triangles) > 0
     w0 = np.array(sub.center_image)
-    imgs = U.values[sub.parent_vertices]
+    imgs = U.values[annulus_mesh.triangles[sub.parent_triangles].ravel()]
     assert (np.hypot(*(imgs - w0).T) <= 0.1 + 1e-12).all()
-    tri, _ = sub.mesh.locate(np.array([[0.6, 0.0]]))
-    assert tri[0] >= 0  # contains the probe point
+    tri, _ = annulus_mesh.locate(np.array([[0.6, 0.0]]))
+    assert tri[0] in sub.parent_triangles  # contains the probe point
 
 
 def test_pullback_boundary_point_rejected(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
     with pytest.raises(DegenerateInputError):
         pullback_subdomain(U, (1.0, 0.0), 0.1)
+
+
+def submesh_pullback_loops(U, z0, r):
+    """Reference: the boundary loops of pullback_subdomain as it found them
+    when it built a submesh Mesh of the kept triangles, in parent vertex ids."""
+    if not r > 0:
+        raise DegenerateInputError("pullback radius must be positive")
+    mesh = U.mesh
+    z0 = np.asarray(z0, dtype=float)
+    tri, bary = mesh.locate(z0[None, :])
+    if tri[0] < 0:
+        raise DegenerateInputError(f"probe point {tuple(z0)} is outside the mesh")
+    if mesh.boundary_distance(z0[None, :])[0] <= 0.0:
+        raise DegenerateInputError(f"probe point {tuple(z0)} lies on the boundary")
+    w0, gap = analysis._image_center(U, tri[0], bary[0])
+    if gap <= r:
+        raise DegenerateInputError(
+            f"target disk of radius {r} is not compactly contained in the image "
+            f"(boundary image comes within {gap:.3e} of the center)"
+        )
+    dist = np.hypot(U.values[:, 0] - w0[0], U.values[:, 1] - w0[1])
+    keep_tri = (dist <= r)[mesh.triangles].all(axis=1)
+    if not keep_tri.any():
+        raise DegenerateInputError(
+            f"no triangle has all vertex images inside the radius-{r} disk"
+        )
+    keep_tri = _component_containing(mesh, keep_tri, int(tri[0]))
+    tri_ids = np.where(keep_tri)[0]
+    old_vertices = np.unique(mesh.triangles[tri_ids])
+    remap = -np.ones(mesh.num_vertices, dtype=np.int64)
+    remap[old_vertices] = np.arange(len(old_vertices))
+    sub = Mesh(mesh.vertices[old_vertices], remap[mesh.triangles[tri_ids]], h=mesh.h)
+    return [old_vertices[loop] for loop in sub.loops]
+
+
+def pullback_loops(U, z0, r):
+    return pullback_subdomain(U, z0, r).loops
+
+
+def pullback_outcome(pullback, U, z0, r):
+    """The loops as lists, or the type and message of the error raised."""
+    try:
+        return [loop.tolist() for loop in pullback(U, z0, r)]
+    except (DegenerateInputError, MeshError) as exc:
+        return type(exc), str(exc)
+
+
+def sent_far(mesh, moved):
+    """The identity with the images of the vertices in the mask moved far
+    away: their fans leave every pullback, which then has holes, and where
+    two fans meet at one vertex alone, a pinched boundary."""
+    images = mesh.vertices + 100.0 * moved[:, None]
+    return MappingField(ScalarField(mesh, images[:, 0]), ScalarField(mesh, images[:, 1]))
+
+
+def punctured_identity(seed):
+    """sent_far of a seeded 4% of the interior vertices."""
+
+    def make(mesh):
+        moved = np.zeros(mesh.num_vertices, dtype=bool)
+        inner = mesh.interior_vertices
+        moved[inner] = np.random.default_rng(seed).random(len(inner)) < 0.04
+        return sent_far(mesh, moved)
+
+    return make
+
+
+#: maps for every mesh; meyers:alpha=0.5, singular at the origin (a vertex of
+#: the disk and of the square), is added on the annulus only
+PULLBACK_MAPS = st.one_of(
+    st.sampled_from([identity_oracle(), meyers_solution(2.0), holomorphic_oracle(2),
+                     holomorphic_oracle(3)]).map(lambda oracle: oracle.mapping_field),
+    st.integers(0, 2**16).map(punctured_identity),
+)
+
+
+@st.composite
+def pullback_cases(draw):
+    """(map, z0, r): z0 anywhere in the box or inside a drawn triangle, r a
+    fraction of the gap from U(z0) to the boundary image, as the probes of
+    lewy_verify choose it; past 1 the target disk is refused."""
+    name = draw(st.sampled_from(["disk", "annulus", "rect"]))
+    mesh = coarse_mesh(name)
+    maps = PULLBACK_MAPS
+    if name == "annulus":
+        maps = st.one_of(maps, st.just(meyers_solution(0.5).mapping_field))
+    U = draw(maps)(mesh)
+    t = draw(st.integers(0, mesh.num_triangles - 1))
+    w = np.array(draw(st.tuples(*[st.floats(0.01, 1.0)] * 3)))
+    z0 = draw(st.one_of(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(np.array),
+        st.just(w @ mesh.vertices[mesh.triangles[t]] / w.sum()),
+    ))
+    fraction = draw(st.floats(0.05, 1.1))
+    tri, bary = mesh.locate(z0[None, :])
+    gap = analysis._image_center(U, tri[0], bary[0])[1] if tri[0] >= 0 else 1.0
+    return U, z0, fraction * gap
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(pullback_cases())
+def test_pullback_loops_match_submesh_reference(case):
+    got = pullback_outcome(pullback_loops, *case)
+    assert got == pullback_outcome(submesh_pullback_loops, *case)
+
+
+def test_pullback_pinch_raises_like_the_submesh_reference():
+    # the fans of v1 = (0.25, 0) and v2 = (0.75, 0) leave the disk; the kept
+    # triangles then meet at w = (0.5, 0) alone, which pinches their boundary
+    mesh = generate_rectangle((-2.0, -2.0), 4.0, 4.0, 0.25)
+    x, y = mesh.vertices.T
+    U = sent_far(mesh, (y == 0.0) & ((x == 0.25) | (x == 0.75)))
+    got = pullback_outcome(pullback_loops, U, (-0.4, 0.1), 1.5)
+    assert got == (MeshError, "boundary is not a disjoint union of simple loops")
+    assert got == pullback_outcome(submesh_pullback_loops, U, (-0.4, 0.1), 1.5)
 
 
 def flood_fill_component(mesh, keep_tri, seed_tri):
@@ -678,7 +834,7 @@ def test_component_containing_matches_flood_fill(annulus_mesh, oracle, z0, r, se
 
 def test_lewy_identity(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
-    report = lewy_verify(U, identity_field(), directions=8, margin=0.1)
+    report = lewy_verify(U, directions=8, margin=0.1)
     assert report.passed
     assert report.min_abs_det == pytest.approx(1.0, abs=1e-12)
     assert all(m == pytest.approx(1.0, abs=1e-12) for m in report.min_abs_grad)
@@ -689,7 +845,7 @@ def test_lewy_meyers_inset_bound(annulus_mesh):
     sigma = meyers_sigma(2.0)
     sol = meyers_solution(2.0)
     (u1, u2), _ = solve_dirichlet(annulus_mesh, sigma, sol.value)
-    report = lewy_verify(MappingField(u1, u2), sigma, directions=8, margin=0.05)
+    report = lewy_verify(MappingField(u1, u2), directions=8, margin=0.05)
     assert report.passed
     # analytic det at the inner inset radius 0.25 is 2 * 0.0625, minus 10% slack
     assert report.min_abs_det >= 0.1125
@@ -700,7 +856,7 @@ def test_lewy_rejects_non_injective(disk_mesh):
     sol = holomorphic_oracle(2)
     (u1, u2), _ = solve_dirichlet(disk_mesh, sigma, sol.value)
     with pytest.raises(NotInjectiveError):
-        lewy_verify(MappingField(u1, u2), sigma, directions=4, margin=0.1)
+        lewy_verify(MappingField(u1, u2), directions=4, margin=0.1)
 
 
 def test_lewy_direction_sign_invariance(fine_disk_mesh):
@@ -710,13 +866,14 @@ def test_lewy_direction_sign_invariance(fine_disk_mesh):
     g1 = np.array([U.directional((1.0, 0.0)).values])
     g2 = np.array([U.directional((-1.0, 0.0)).values])
     assert np.allclose(np.abs(g1), np.abs(g2))
-    report = lewy_verify(U, sigma, directions=4, margin=0.1)
+    report = lewy_verify(U, directions=4, margin=0.1)
     assert report.passed
 
 
 def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
     # gradients of u1 and u2 once each; locate once for the probe lattice and
-    # once in each pullback_subdomain attempt, one attempt per probe here
+    # once in each pullback_subdomain attempt, one attempt per probe here; no
+    # Mesh is built, since a pullback is its parent's triangles and loops
     sigma = field_from_descriptor("randholder:seed=2024")
     (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, identity_oracle().value)
     counts = collections.Counter()
@@ -733,9 +890,11 @@ def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
     counted(analysis, "gradient_field")
     counted(analysis, "pullback_subdomain")
     counted(Mesh, "locate")
-    report = lewy_verify(MappingField(u1, u2), sigma, directions=8, margin=0.1)
+    counted(Mesh, "__init__")
+    report = lewy_verify(MappingField(u1, u2), directions=8, margin=0.1)
     assert report.passed and len(report.probes) == 5
     assert counts == {"gradient_field": 2, "pullback_subdomain": 5, "locate": 1 + 5}
+    assert counts["__init__"] == 0
 
 
 def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog):
@@ -752,7 +911,7 @@ def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog)
 
     monkeypatch.setattr(analysis, "pullback_subdomain", fails_once)
     with caplog.at_level(logging.DEBUG, logger="sigmalab"):
-        report = lewy_verify(U, identity_field(), directions=4, margin=0.1)
+        report = lewy_verify(U, directions=4, margin=0.1)
     records = [r for r in caplog.records if r.name == "sigmalab.analysis"]
     assert all(r.levelno == logging.DEBUG for r in records)
     messages = [r.getMessage() for r in records]

@@ -1,7 +1,8 @@
 """Property tests of the array evaluation contract.
 
 Each array entry point is compared with a point-by-point reference: the
-array path must give what the same computation gives one point at a time.
+array path must give what the same computation gives one point at a time,
+as a one-row array call.
 """
 
 import math
@@ -56,7 +57,7 @@ def reference_report(field, points):
     """The ellipticity estimate as a loop over the points: (K, worst point)."""
     worst, worst_point = math.inf, None
     for x, y in points:
-        m = field.at(x, y)
+        m = field.at_points([(x, y)])[0]
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
         local = min(_min_sym_eig(m), _min_sym_eig(inv))
@@ -67,11 +68,11 @@ def reference_report(field, points):
 
 @PROPERTY
 @given(FIELDS, POINTS)
-def test_at_points_matches_at(field, points):
+def test_at_points_matches_one_row_calls(field, points):
     S = field.at_points(points)
     assert S.shape == (len(points), 2, 2)
-    for k, (x, y) in enumerate(points):
-        assert np.array_equal(S[k], field.at(x, y))
+    for k, p in enumerate(points):
+        assert np.array_equal(S[k], field.at_points([p])[0])
 
 
 @PROPERTY
@@ -90,7 +91,7 @@ def test_divergence_matches_point_calls(field, points, step):
     b = divergence_of_sigma(field, points, step)
     assert b.shape == (len(points), 2)
     for k, p in enumerate(points):
-        assert tuple(b[k]) == divergence_of_sigma(field, p, step)
+        assert np.array_equal(b[k], divergence_of_sigma(field, p[None], step)[0])
 
 
 ORACLES = [
@@ -125,4 +126,4 @@ def test_meyers_jacobian_arrays_match_point_calls(alpha, points):
     det = meyers_jacobian(alpha, points)
     assert det.shape == (len(points),)
     for k, p in enumerate(points):
-        assert det[k] == pytest.approx(meyers_jacobian(alpha, p), rel=1e-14, abs=0.0)
+        assert det[k] == pytest.approx(meyers_jacobian(alpha, p[None])[0], rel=1e-14, abs=0.0)

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from sigmalab import coefficients, generate_disk
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 
 
@@ -147,6 +149,42 @@ def test_verify_hypothesis_failure(tmp_path, capsys):
     assert code == 4
     report = json.loads((out / "lewy_report.json").read_text())
     assert report["status"] == "hypothesis-failure"
+
+
+def test_verify_hypothesis_failure_at_extreme_image_scale(tmp_path, capsys):
+    # images near 1e180: the injectivity check works on images scaled by a
+    # power of two, so nothing overflows; z^3 is not injective
+    code, out = run(
+        tmp_path, "verify", "--domain", "disk:r=1e60", "--h", "1e59", "--g", "holo:m=3",
+    )
+    assert code == 4
+    report = json.loads((out / "lewy_report.json").read_text())
+    assert report["status"] == "hypothesis-failure"
+    assert "hypothesis failure" in capsys.readouterr().out
+
+
+def test_verify_samples_sigma_once(tmp_path, monkeypatch):
+    # the solve samples sigma at the centroids and checks it there;
+    # lewy_verify reads the solved map only
+    calls = []
+    build = coefficients.field_from_descriptor
+
+    def counting(text):
+        field = build(text)
+
+        def evaluator(X, Y):
+            calls.append(len(X))
+            return field.evaluator(X, Y)
+
+        return dataclasses.replace(field, evaluator=evaluator)
+
+    monkeypatch.setattr(coefficients, "field_from_descriptor", counting)
+    code, _ = run(
+        tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.1",
+        "--sigma", "randholder:seed=2024", "--g", "identity", "--no-svg",
+    )
+    assert code == 0
+    assert calls == [generate_disk((0.0, 0.0), 1.0, 0.1).num_triangles]
 
 
 def test_meyers_command(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_dilatations_meyers_modulus():
     # det = 1 and |s22 - s11 - 2 i s12| = (alpha - 1/alpha) for the symmetric family
     field = meyers_sigma(2.0)
     for p in [(0.3, 0.4), (-0.7, 0.2), (0.5, 0.5)]:
-        d = dilatations(field.at(*p))
+        d = dilatations(field.at_points([p])[0])
         assert abs(d.mu) == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert abs(d.nu) == pytest.approx(0.0, abs=1e-14)
 
@@ -88,19 +88,19 @@ def test_dilatation_bound_meyers():
 
 def test_meyers_matrix_on_axes():
     f = meyers_sigma(2.0)
-    assert np.allclose(f.at(1.0, 0.0), [[0.5, 0.0], [0.0, 2.0]])
-    assert np.allclose(f.at(0.0, 1.0), [[2.0, 0.0], [0.0, 0.5]])
+    assert np.allclose(f.at_points([(1.0, 0.0)])[0], [[0.5, 0.0], [0.0, 2.0]])
+    assert np.allclose(f.at_points([(0.0, 1.0)])[0], [[2.0, 0.0], [0.0, 0.5]])
 
 
 def test_meyers_alpha_one_is_identity():
     f = meyers_sigma(1.0)
     for p in CIRCLE[:7]:
-        assert np.allclose(f.at(*p), np.eye(2), atol=1e-15)
+        assert np.allclose(f.at_points([p])[0], np.eye(2), atol=1e-15)
 
 
 def test_meyers_origin_raises():
     with pytest.raises(EllipticityError):
-        meyers_sigma(2.0).at(0.0, 0.0)
+        meyers_sigma(2.0).at_points([(0.0, 0.0)])
 
 
 def test_meyers_det_is_one():
@@ -110,7 +110,7 @@ def test_meyers_det_is_one():
         p = rng.uniform(-1, 1, 2)
         if np.hypot(*p) < 1e-3:
             continue
-        m = f.at(*p)
+        m = f.at_points([p])[0]
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_dilatations_continuity():
 
 
 def test_divergence_constant_field_is_zero():
-    b = divergence_of_sigma(identity_field(), (0.3, 0.4), 1e-4)
+    b = divergence_of_sigma(identity_field(), [(0.3, 0.4)], 1e-4)[0]
     assert abs(b[0]) < 1e-12 and abs(b[1]) < 1e-12
 
 
@@ -155,25 +155,25 @@ def test_divergence_linear_entry():
     field = co.CoefficientField(
         lambda X, Y: X[:, None, None] * np.eye(2), symmetric=True, descriptor="x*I"
     )
-    b = divergence_of_sigma(field, (0.7, -0.2), 1e-4)
+    b = divergence_of_sigma(field, [(0.7, -0.2)], 1e-4)[0]
     assert b[0] == pytest.approx(1.0, abs=1e-6)
     assert b[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_divergence_meyers_richardson():
     f = meyers_sigma(2.0)
-    b3 = divergence_of_sigma(f, (0.5, 0.0), 1e-3)
-    b4 = divergence_of_sigma(f, (0.5, 0.0), 1e-4)
+    b3 = divergence_of_sigma(f, [(0.5, 0.0)], 1e-3)[0]
+    b4 = divergence_of_sigma(f, [(0.5, 0.0)], 1e-4)[0]
     assert max(abs(b3[0] - b4[0]), abs(b3[1] - b4[1])) <= 1e-4
 
 
 def test_divergence_second_order_decay():
     field = holder_bump_field(0.5, 0.1, -0.2, 0.4, 0.3)
     p = (0.25, 0.15)
-    ref = divergence_of_sigma(field, p, 1e-6)
+    ref = divergence_of_sigma(field, [p], 1e-6)[0]
 
     def err(step):
-        b = divergence_of_sigma(field, p, step)
+        b = divergence_of_sigma(field, [p], step)[0]
         return math.hypot(b[0] - ref[0], b[1] - ref[1])
 
     ratio = err(2e-2) / err(1e-2)
@@ -269,7 +269,7 @@ def test_seeded_random_fields_reproducible_and_elliptic():
     a = random_holder_field(11)
     b = random_holder_field(11)
     p = (0.3, -0.4)
-    assert np.array_equal(a.at(*p), b.at(*p))
+    assert np.array_equal(a.at_points([p])[0], b.at_points([p])[0])
     rep = ellipticity_report(a, CIRCLE)
     assert rep.elliptic
     n = random_nonsymmetric_field(5)
@@ -280,4 +280,4 @@ def test_seeded_random_fields_reproducible_and_elliptic():
 def test_anisotropic_rotation():
     f = anisotropic_field(2.0, 0.5, theta=math.pi / 2)
     # quarter turn swaps the axes
-    assert np.allclose(f.at(0, 0), [[0.5, 0], [0, 2.0]], atol=1e-12)
+    assert np.allclose(f.at_points([(0, 0)])[0], [[0.5, 0], [0, 2.0]], atol=1e-12)

@@ -89,7 +89,7 @@ def test_meyers_annulus_nondivergence():
 
 def test_to_nondivergence_cases():
     b = to_nondivergence(identity_field(), step=1e-4)
-    assert b.at(0.3, 0.7) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert b.at_points([(0.3, 0.7)])[0] == pytest.approx((0.0, 0.0), abs=1e-12)
 
     ramp = CoefficientField(
         lambda X, Y: np.eye(2) + X[:, None, None] * [[1.0, 0.0], [0.0, 0.0]],
@@ -97,13 +97,13 @@ def test_to_nondivergence_cases():
         descriptor="ramp",
     )
     b = to_nondivergence(ramp, step=1e-4)
-    v = b.at(0.2, -0.3)
+    v = b.at_points([(0.2, -0.3)])[0]
     assert v[0] == pytest.approx(1.0, abs=1e-8)
     assert v[1] == pytest.approx(0.0, abs=1e-8)
 
     b3 = to_nondivergence(meyers_sigma(2.0), step=1e-3)
     b4 = to_nondivergence(meyers_sigma(2.0), step=1e-4)
-    d = np.abs(np.array(b3.at(0.5, 0.5)) - np.array(b4.at(0.5, 0.5))).max()
+    d = np.abs(b3.at_points([(0.5, 0.5)]) - b4.at_points([(0.5, 0.5)])).max()
     assert d <= 1e-4
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from sigmalab import (
     MeshError,
     ResourceLimitError,
-    boundary_trace,
     generate_annulus,
     generate_disk,
     generate_rectangle,
@@ -16,6 +16,7 @@ from sigmalab import (
     refine,
     write_mesh,
 )
+from sigmalab import mesh as meshmod
 from sigmalab.mesh import LOCATE_CHUNK, Mesh, mesh_from_text, mesh_to_text, read_rows
 from text_mutations import mutated_texts
 
@@ -35,15 +36,14 @@ def loop_signed_area(mesh, loop):
 
 
 def euler_characteristic(mesh):
-    edges, _ = mesh.edges
+    edges = mesh.edge_table.edges
     return mesh.num_vertices - len(edges) + mesh.num_triangles
 
 
 def test_disk_invariants(disk_mesh):
     assert disk_mesh.areas.min() > 0
     assert len(disk_mesh.loops) == 1
-    _, counts = disk_mesh.edges
-    assert set(np.unique(counts)) <= {1, 2}
+    assert set(np.unique(disk_mesh.edge_table.counts)) <= {1, 2}
 
 
 def test_disk_area_close_to_pi():
@@ -52,9 +52,8 @@ def test_disk_area_close_to_pi():
 
 
 def test_disk_boundary_on_circle(disk_mesh):
-    trace = boundary_trace(disk_mesh, 0)
-    r = [math.hypot(x, y) for _, (x, y) in trace]
-    assert max(abs(v - 1.0) for v in r) < disk_mesh.h**2
+    r = np.hypot(*disk_mesh.vertices[disk_mesh.loops[0]].T)
+    assert np.abs(r - 1.0).max() < disk_mesh.h**2
 
 
 def test_disk_rejects_bad_h():
@@ -66,9 +65,15 @@ def test_disk_rejects_bad_h():
         generate_disk((0, 0), math.inf, 0.1)
 
 
+#: a vertex cap that keeps the meshes of the properties below small
+SMALL_CAP = 20_000
+
+
 def test_vertex_cap():
-    with pytest.raises(ResourceLimitError):
-        generate_disk((0, 0), 1.0, 1e-4, max_vertices=10_000)
+    with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", 10_000):
+        generate_disk((0, 0), 1.0, 0.025)  # 4921 vertices
+        with pytest.raises(ResourceLimitError):
+            generate_disk((0, 0), 1.0, 0.01)  # 30,301 vertices
 
 
 #: any float, or one in a range where meshes (and not only errors) come out
@@ -86,7 +91,8 @@ STEPS = st.one_of(st.floats(), st.floats(0.02, 1.5))
 def test_disk_gives_mesh_or_error(size):
     radius, h = size
     try:
-        m = generate_disk((0.0, 0.0), radius, h, max_vertices=20_000)
+        with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", SMALL_CAP):
+            m = generate_disk((0.0, 0.0), radius, h)
     except (MeshError, ResourceLimitError):
         return
     assert len(m.loops) == 1 and m.areas.min() > 0
@@ -103,7 +109,8 @@ def test_disk_gives_mesh_or_error(size):
 def test_annulus_gives_mesh_or_error(r_in, width, step):
     r_out, h = r_in + width, width * step
     try:
-        m = generate_annulus((0.0, 0.0), r_in, r_out, h, max_vertices=20_000)
+        with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", SMALL_CAP):
+            m = generate_annulus((0.0, 0.0), r_in, r_out, h)
     except (MeshError, ResourceLimitError):
         return
     assert len(m.loops) == 2 and m.areas.min() > 0
@@ -119,7 +126,8 @@ def test_annulus_gives_mesh_or_error(r_in, width, step):
 @example(width=1e300, height=1e300, h=1e299)
 def test_rectangle_gives_mesh_or_error(width, height, h):
     try:
-        m = generate_rectangle((0.0, 0.0), width, height, h, max_vertices=20_000)
+        with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", SMALL_CAP):
+            m = generate_rectangle((0.0, 0.0), width, height, h)
     except (MeshError, ResourceLimitError):
         return
     assert len(m.loops) == 1 and m.areas.min() > 0
@@ -199,9 +207,9 @@ def test_refine_twice_quarters_h(disk_mesh):
 
 
 def test_refine_preserves_boundary_cyclic_order(disk_mesh):
-    orig = [v for v, _ in boundary_trace(disk_mesh, 0)]
+    orig = disk_mesh.loops[0].tolist()
     fine = refine(disk_mesh)
-    new = [v for v, _ in boundary_trace(fine, 0)]
+    new = fine.loops[0].tolist()
     filtered = [v for v in new if v in set(orig)]
     # same cyclic order once rotated to the shared starting vertex
     k = filtered.index(orig[0])
@@ -215,15 +223,10 @@ def test_refine_keeps_annulus_orientations(annulus_mesh):
     assert loop_signed_area(fine, fine.loops[1]) < 0
 
 
-def test_boundary_trace_bad_loop_index(disk_mesh):
-    with pytest.raises(MeshError):
-        boundary_trace(disk_mesh, 5)
-
-
-def test_boundary_trace_covers_each_vertex_once(annulus_mesh):
-    for li in range(2):
-        trace = boundary_trace(annulus_mesh, li)
-        ids = [v for v, _ in trace]
+def test_boundary_loops_cover_each_vertex_once(annulus_mesh):
+    assert len(annulus_mesh.loops) == 2
+    for loop in annulus_mesh.loops:
+        ids = loop.tolist()
         assert len(ids) == len(set(ids))
 
 
@@ -303,7 +306,7 @@ def locate_reference(mesh, points):
 
 def locate_probes(mesh, rng, n):
     """n random points around the mesh, plus vertices, edge midpoints and far points."""
-    edges, _ = mesh.edges
+    edges = mesh.edge_table.edges
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     return np.concatenate([
         rng.uniform(lo - 0.1, hi + 0.1, size=(n, 2)),
@@ -478,7 +481,7 @@ def test_mesh_text_bytes_pinned(name):
 
 
 def test_edges_are_sorted_unique_rows(annulus_mesh):
-    edges, counts = annulus_mesh.edges
+    edges, counts = annulus_mesh.edge_table.edges, annulus_mesh.edge_table.counts
     t = annulus_mesh.triangles
     rows = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
     uniq, ref_counts = np.unique(rows, axis=0, return_counts=True)
@@ -495,7 +498,7 @@ def test_mesh_text_roundtrip_exact(name, h, levels):
     for _ in range(levels):
         m = refine(m)
     back = mesh_from_text(mesh_to_text(m))
-    edges, _ = m.edges
+    edges = m.edge_table.edges
     d = m.vertices[edges[:, 0]] - m.vertices[edges[:, 1]]
     assert back.h == np.hypot(d[:, 0], d[:, 1]).max() == m.max_edge_length
     assert np.array_equal(back.vertices, m.vertices)

@@ -31,13 +31,13 @@ from .coefficients import (
     DilatationPair,
     EllipticityReport,
     VectorField2,
-    dilatation_bound,
     dilatations,
     divergence_of_sigma,
     ellipticity_report,
     field_from_descriptor,
     identity_field,
     library_fields,
+    max_dilatation,
     meyers_sigma,
 )
 from .errors import (
@@ -75,7 +75,6 @@ from .mesh import (
     generate_rectangle,
     read_mesh,
     refine,
-    write_mesh,
 )
 from .oracles import (
     AnalyticSolution,

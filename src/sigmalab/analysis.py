@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .coefficients import ROTATION, CoefficientField, dilatations, identity_field, require_elliptic
+from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import (
     DegenerateInputError,
     MeshError,
@@ -166,7 +166,7 @@ def stream_function(
 
     # normal equations of the least squares: the stiffness matrix of the
     # identity against the loads sum_T area (grad phi_i . w)
-    L = assemble_stiffness(mesh, identity_field())
+    L = assemble_stiffness(mesh, np.tile(np.eye(2), (mesh.num_triangles, 1, 1)))
     load = mesh.areas[:, None] * np.einsum("tid,td->ti", mesh.basis_gradients, w)
     rhs = np.bincount(mesh.triangles.ravel(), load.ravel(), minlength=mesh.num_vertices)
     v = np.zeros(mesh.num_vertices)
@@ -456,9 +456,9 @@ def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
     z0 = np.asarray(z0, dtype=float)
     tri, bary = mesh.locate(z0[None, :])
     if tri[0] < 0:
-        raise DegenerateInputError(f"probe point {tuple(z0)} is outside the mesh")
+        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} is outside the mesh")
     if mesh.boundary_distance(z0[None, :])[0] <= 0.0:
-        raise DegenerateInputError(f"probe point {tuple(z0)} lies on the boundary")
+        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} lies on the boundary")
     w0, gap = _image_center(U, tri[0], bary[0])
     if gap <= r:
         raise DegenerateInputError(

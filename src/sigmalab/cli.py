@@ -46,6 +46,9 @@ EXIT_NUMERICAL = 3
 EXIT_HYPOTHESIS = 4
 EXIT_VERIFICATION = 5
 
+#: meyers measures the Jacobian error on centroids at least this far from the center
+JACOBIAN_RMIN = 0.3
+
 _NUMERICAL_ERRORS = (
     MeshError,
     SolverError,
@@ -268,7 +271,6 @@ def cmd_meyers(cfg):
     sigma = coefficients.meyers_sigma(alpha)
     sol = oracles.meyers_solution(alpha)
     levels = cfg["levels"]
-    jac_rmin = cfg["jacobian_rmin"]
 
     m = build_domain(cfg["domain"], cfg["h"])
     rows = []
@@ -281,7 +283,7 @@ def cmd_meyers(cfg):
         det = analysis.jacobian_field(U)
         cent = m.centroids
         radii = np.hypot(cent[:, 0] - p["cx"], cent[:, 1] - p["cy"])
-        region = radii >= jac_rmin
+        region = radii >= JACOBIAN_RMIN
         det_exact = oracles.meyers_jacobian(alpha, cent)
         jac_err = float(
             np.abs(det[region] - det_exact[region]).max()
@@ -383,13 +385,13 @@ def cmd_unimodal(cfg):
 
 
 class Option(NamedTuple):
-    """One configurable value. default None: the option is required; help
-    None: it is set from a config file only, with no flag; minimum: the
-    lower bound, if any, which the value may equal unless strict."""
+    """One configurable value. default None: the option is required;
+    minimum: the lower bound, if any, which the value may equal unless
+    strict."""
 
     type: type
     default: object
-    help: str | None
+    help: str
     minimum: float | None = None
     strict: bool = False
 
@@ -412,7 +414,6 @@ OPTIONS = {
     "fd_step": Option(float, 1e-5, "step for div sigma"),
     "allow_holes": Option(bool, False, "permit stream functions on annuli"),
     "svg": Option(bool, True, "emit SVG plots"),
-    "jacobian_rmin": Option(float, 0.3, None),
 }
 
 _KINDS = {str: "a string", float: "a finite number", int: "an integer", bool: "true or false"}
@@ -424,7 +425,7 @@ COMMANDS = {
     "solve-nd": (cmd_solve_nd, ("domain", "spacing", "sigma", "g", "b", "fd_step")),
     "map": (cmd_map, ("domain", "h", "sigma", "g", "svg")),
     "verify": (cmd_verify, ("domain", "h", "sigma", "g", "svg", "margin", "directions")),
-    "meyers": (cmd_meyers, ("domain", "h", "alpha", "levels", "jacobian_rmin")),
+    "meyers": (cmd_meyers, ("domain", "h", "alpha", "levels")),
     "beltrami": (cmd_beltrami, ("domain", "h", "sigma", "g", "allow_holes")),
     # sigma is read when g=oracle
     "unimodal": (cmd_unimodal, ("domain", "h", "g", "loop", "atol", "sigma")),
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, allow_abbrev=False)
         p.add_argument("--config", type=str, help="JSON config file; flags override it")
         for name, opt in OPTIONS.items():
-            if name not in ("out",) + reads or opt.help is None:
+            if name not in ("out",) + reads:
                 continue
             flag = "--" + name.replace("_", "-")
             if opt.type is bool:

@@ -130,6 +130,15 @@ def _min_sym_eig(S: np.ndarray) -> np.ndarray:
     return mean - rad
 
 
+def _exponent(S: np.ndarray) -> np.ndarray:
+    """e with the largest |entry| of each matrix of a (..., 2, 2) stack in
+    [2**(e - 1), 2**e) (0 for a zero matrix); elementwise maxima, as numpy
+    reduces over two trailing axes of length 2 ten times slower."""
+    a = np.abs(S)
+    top, bottom = np.maximum(a[..., 0, 0], a[..., 0, 1]), np.maximum(a[..., 1, 0], a[..., 1, 1])
+    return np.frexp(np.maximum(top, bottom))[1]
+
+
 def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityReport:
     """Estimate the ellipticity constant K over a sample set.
 
@@ -140,13 +149,19 @@ def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityRep
     pts = np.asarray(sample_points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise EllipticityError("ellipticity check needs a nonempty sample set")
-    S = field.at_points(pts)
+    samples = field.at_points(pts)
+    # sigma = 2**shift S, the largest entry of each S in [1, 2); the scaling is
+    # exact and keeps det S, S^{-1} and the eigenvalues in range
+    shift = _exponent(samples) - 1
+    S = np.ldexp(samples, -shift[:, None, None])
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
-    _raise_at_first(pts, np.abs(det) <= _SINGULAR_DET, "sigma is numerically singular")
-    # transpose of sigma^{-1}; only its diagonal and symmetric part are used
+    # |det sigma| = 4**shift |det S| <= 1e-12; |det S| < 8, so the cap changes no verdict
+    singular = np.abs(det) <= np.ldexp(_SINGULAR_DET, np.minimum(-2 * shift, 64))
+    _raise_at_first(pts, singular, "sigma is numerically singular")
+    # transpose of S^{-1}; only its diagonal and symmetric part are used
     inv_t = S[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det[:, None, None]
-    e1 = _min_sym_eig(S)
-    e2 = _min_sym_eig(inv_t)
+    e1 = np.ldexp(_min_sym_eig(S), shift)
+    e2 = np.ldexp(_min_sym_eig(inv_t), -shift)
     local = np.minimum(e1, e2)
     i = int(np.argmin(local))
     worst = float(local[i])
@@ -156,7 +171,7 @@ def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityRep
         min_inv_sym_eig=float(e2.min()),
         sample_count=len(pts),
         worst_point=(float(pts[i, 0]), float(pts[i, 1])),
-        samples=S,
+        samples=samples,
     )
 
 
@@ -180,23 +195,27 @@ def dilatations(m) -> DilatationPair:
 
     mu = (s22 - s11 - i(s12 + s21)) / (1 + tr + det)
     nu = (1 - det + i(s12 - s21)) / (1 + tr + det)
+
+    With every entry below 2**511 nothing here overflows. A matrix with a
+    larger entry is written sigma = S / t, with t the power of two that puts
+    that entry in [2**510, 2**511), and both fractions are multiplied through
+    by t**2 (at least 2**-1026, so the 1 terms stay exact powers of two).
     """
     m = np.asarray(m, dtype=float)
-    s11, s12, s21, s22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    shift = np.maximum(_exponent(m) - 511, 0)
+    t = np.ldexp(1.0, -shift)
+    S = np.ldexp(m, -shift[..., None, None])
+    s11, s12, s21, s22 = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
     det = s11 * s22 - s12 * s21
-    denom = 1.0 + (s11 + s22) + det
-    if np.any(np.abs(denom) <= 1e-14):
+    tt = t * t
+    denom = tt + t * (s11 + s22) + det
+    if np.any(np.abs(denom) <= 1e-14 * tt):
         raise EllipticityError(
             "1 + tr(sigma) + det(sigma) vanishes; matrix is not elliptic"
         )
-    mu = (s22 - s11 - 1j * (s12 + s21)) / denom
-    nu = (1.0 - det + 1j * (s12 - s21)) / denom
+    mu = (t * (s22 - s11) - 1j * (t * (s12 + s21))) / denom
+    nu = (tt - det + 1j * (t * (s12 - s21))) / denom
     return DilatationPair(mu=mu, nu=nu)
-
-
-def dilatation_bound(field: CoefficientField, sample_points) -> float:
-    """Supremum of |mu| + |nu| over the samples; must come out below 1."""
-    return max_dilatation(require_elliptic(field, sample_points).samples)
 
 
 def max_dilatation(samples) -> float:

@@ -343,13 +343,3 @@ def grid_field_from_text(text: str) -> GridField:
         raise MeshError("mask codes must be 0, 1 or 2")
     grid = GridDomain(tuple(origin.tolist()), float(spacing), nx, ny, code == 1, code == 2)
     return GridField(grid, blocks["values"])
-
-
-def write_grid_field(f: GridField, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(grid_field_to_text(f))
-
-
-def read_grid_field(path) -> GridField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return grid_field_from_text(fh.read())

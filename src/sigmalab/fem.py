@@ -63,9 +63,9 @@ class TriangleGradientField:
         return np.hypot(self.vectors[:, 0], self.vectors[:, 1])
 
 
-def assemble_stiffness(mesh: Mesh, sigma: CoefficientField) -> sparse.csr_matrix:
-    """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i."""
-    S = require_elliptic(sigma, mesh.centroids).samples
+def assemble_stiffness(mesh: Mesh, S: np.ndarray) -> sparse.csr_matrix:
+    """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i
+    from the (nt, 2, 2) samples S of sigma at the centroids."""
     G = mesh.basis_gradients
     K = np.einsum("tia,tab,tjb->tij", G, S, G) * mesh.areas[:, None, None]
     t = mesh.triangles
@@ -114,7 +114,7 @@ def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[Scalar
     has no interior vertices, g returns the wrong shape or non-finite values,
     the system is singular, or a residual exceeds 1e-10.
     """
-    A = assemble_stiffness(mesh, sigma)
+    A = assemble_stiffness(mesh, require_elliptic(sigma, mesh.centroids).samples)
     interior = mesh.interior_vertices
     if len(interior) == 0:
         raise SolverError("mesh has no interior vertices; nothing to solve for")
@@ -145,7 +145,8 @@ def gradient_field(u: ScalarField) -> TriangleGradientField:
 def energy(u: ScalarField, sigma: CoefficientField) -> float:
     """Dirichlet energy u . A u, the quadratic form of the stiffness matrix
     (sum_T area (sigma grad u) . grad u)."""
-    return float(u.values @ (assemble_stiffness(u.mesh, sigma) @ u.values))
+    S = require_elliptic(sigma, u.mesh.centroids).samples
+    return float(u.values @ (assemble_stiffness(u.mesh, S) @ u.values))
 
 
 def relative_l2_error(u: ScalarField, exact) -> float:
@@ -183,13 +184,3 @@ def field_from_text(text: str, mesh: Mesh) -> ScalarField:
             f"field has {len(values)} values but the mesh has {mesh.num_vertices} vertices"
         )
     return ScalarField(mesh, values.ravel())
-
-
-def write_field(u: ScalarField, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(field_to_text(u))
-
-
-def read_field(path, mesh: Mesh) -> ScalarField:
-    with open(path, "r", encoding="utf-8") as f:
-        return field_from_text(f.read(), mesh)

@@ -718,11 +718,8 @@ def mesh_from_text(text: str) -> Mesh:
     return mesh
 
 
-def write_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(mesh_to_text(mesh))
-
-
 def read_mesh(path) -> Mesh:
+    # the text functions are the format; this reader stays because
+    # perfbench/run.py reads the mesh-roundtrip output back through it
     with open(path, "r", encoding="utf-8") as f:
         return mesh_from_text(f.read())

@@ -33,13 +33,14 @@ from sigmalab import (
 )
 from sigmalab.coefficients import (
     anisotropic_field,
-    dilatation_bound,
     holder_bump_field,
     identity_field,
+    max_dilatation,
     meyers_sigma,
     nonsymmetric_field,
     random_holder_field,
     random_nonsymmetric_field,
+    require_elliptic,
 )
 from sigmalab.fd import annulus_grid, rectangle_grid, solve_nondivergence, to_nondivergence, zero_drift
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
@@ -148,11 +149,11 @@ class AcceptanceRun:
     def criterion3(self):
         t0 = time.perf_counter()
         samples = self.annulus_h02.centroids
-        k_meyers = dilatation_bound(meyers_sigma(2.0), samples)
+        k_meyers = max_dilatation(require_elliptic(meyers_sigma(2.0), samples).samples)
         library = {}
         disk = generate_disk((0.0, 0.0), 1.0, 0.05)
         for name, field in SMOOTH_LIBRARY:
-            library[name] = dilatation_bound(field, disk.centroids)
+            library[name] = max_dilatation(require_elliptic(field, disk.centroids).samples)
         library["meyers2-annulus"] = k_meyers
         payload = {
             "sample_count": int(len(samples)),

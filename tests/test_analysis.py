@@ -667,6 +667,17 @@ def test_pullback_boundary_point_rejected(fine_disk_mesh):
         pullback_subdomain(U, (1.0, 0.0), 0.1)
 
 
+def test_pullback_probe_messages_print_plain_floats(fine_disk_mesh):
+    # the same text under numpy 1 and 2: no np.float64(...) reprs
+    U = identity_oracle().mapping_field(fine_disk_mesh)
+    with pytest.raises(DegenerateInputError) as outside:
+        pullback_subdomain(U, (5.0, 5.0), 0.1)
+    assert str(outside.value) == "probe point (5.0, 5.0) is outside the mesh"
+    with pytest.raises(DegenerateInputError) as on_boundary:
+        pullback_subdomain(U, (1.0, 0.0), 0.1)
+    assert str(on_boundary.value) == "probe point (1.0, 0.0) lies on the boundary"
+
+
 def submesh_pullback_loops(U, z0, r):
     """Reference: the boundary loops of pullback_subdomain as it found them
     when it built a submesh Mesh of the kept triangles, in parent vertex ids."""
@@ -676,9 +687,9 @@ def submesh_pullback_loops(U, z0, r):
     z0 = np.asarray(z0, dtype=float)
     tri, bary = mesh.locate(z0[None, :])
     if tri[0] < 0:
-        raise DegenerateInputError(f"probe point {tuple(z0)} is outside the mesh")
+        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} is outside the mesh")
     if mesh.boundary_distance(z0[None, :])[0] <= 0.0:
-        raise DegenerateInputError(f"probe point {tuple(z0)} lies on the boundary")
+        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} lies on the boundary")
     w0, gap = analysis._image_center(U, tri[0], bary[0])
     if gap <= r:
         raise DegenerateInputError(

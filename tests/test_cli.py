@@ -232,6 +232,39 @@ def test_beltrami_command(tmp_path):
     assert report["beltrami_residual"] < 0.1
 
 
+def test_beltrami_checks_ellipticity_of_sigma_only(tmp_path, monkeypatch):
+    # the report, the solve, the stream function and the Beltrami residual
+    # each check the command's sigma; the stream function's Laplacian is
+    # assembled from identity samples, which need no check
+    checked = []
+    report = coefficients.ellipticity_report
+
+    def recording(field, sample_points):
+        checked.append(field.descriptor)
+        return report(field, sample_points)
+
+    monkeypatch.setattr(coefficients, "ellipticity_report", recording)
+    code, _ = run(
+        tmp_path, "beltrami", "--domain", "disk:r=1", "--h", "0.1",
+        "--sigma", "randholder:seed=3", "--g", "x1",
+    )
+    assert code == 0
+    assert checked == ["randholder:seed=3"] * 4
+
+
+#: 1e200 I is elliptic, with eigenvalues 1e200 and 1e-200; its determinant
+#: overflows unless each sample is scaled first
+HUGE_SIGMA = "const:a11=1e200,a12=0,a21=0,a22=1e200"
+
+
+def test_solve_at_extreme_sigma_scale(tmp_path, capsys):
+    code, out = run(
+        tmp_path, "solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", HUGE_SIGMA,
+    )
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["rel_l2_vs_reference"] < 1e-14
+
+
 def test_unimodal_command(tmp_path, capsys):
     code, out = run(
         tmp_path, "unimodal", "--domain", "disk:r=1", "--h", "0.1", "--g", "costheta",
@@ -312,8 +345,9 @@ def test_failed_run_leaves_no_files(tmp_path):
         (["solve", "--domain", "disk:r=1", {"svg": "false"}], "option svg must be true or false"),
         (["beltrami", "--domain", "disk:r=1", {"allow_holes": "no"}],
          "option allow_holes must be true or false"),
-        (["meyers", "--domain", "annulus:rin=0.2,rout=1", {"jacobian_rmin": "a"}],
-         "option jacobian_rmin must be a finite number"),
+        # an old config may still name the removed option (meyers fixes it at 0.3)
+        (["meyers", "--domain", "annulus:rin=0.2,rout=1", {"jacobian_rmin": 0.3}],
+         "unknown options in config file: ['jacobian_rmin']"),
         (["solve", "--domain", "disk:r=1", "--sigma", "randholder:seed=-1"],
          "seed must be nonnegative"),
         (["beltrami", "--domain", "disk:r=1", "--sigma", "meyers:alpha=inf"], "non-finite value"),
@@ -397,7 +431,9 @@ def test_non_string_out_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "sigma, code, message",
     [("aniso:l1=-1,l2=1", 2, "not elliptic"),
-     ("const:a11=1,a12=1,a21=1,a22=1", 3, "numerically singular")],
+     ("const:a11=1,a12=1,a21=1,a22=1", 3, "numerically singular"),
+     # k = (c - 1) / (c + 1) with c = 1e200 rounds to 1
+     (HUGE_SIGMA, 3, "dilatation bound 1.0 is not below 1")],
 )
 def test_beltrami_bad_sigma_exit_status(tmp_path, capsys, sigma, code, message):
     got, out = run(tmp_path, "beltrami", "--domain", "disk:r=1", "--h", "0.1", "--sigma", sigma)
@@ -464,7 +500,7 @@ READS = {
     "map": "domain h sigma g svg",
     "solve-nd": "domain spacing sigma g b fd_step",
     "verify": "domain h sigma g svg margin directions",
-    "meyers": "domain h alpha levels jacobian_rmin",
+    "meyers": "domain h alpha levels",
     "beltrami": "domain h sigma g allow_holes",
     "unimodal": "domain h g loop atol sigma",
 }
@@ -512,6 +548,8 @@ def test_valid_config_runs(tmp_path, command):
 #: values of the wrong type for each option type; null is wrong for every one
 WRONG = {str: (5,), float: ("a", True), int: (2.5, "1"), bool: ("false", "no", 0)}
 FLAG_VALUE = {str: ["x"], float: ["1"], int: ["1"], bool: []}
+#: removed options and the type they had; a config naming one is refused too
+REMOVED = {"jacobian_rmin": float}
 
 
 def _malformed():
@@ -519,12 +557,12 @@ def _malformed():
         other = "mesh" if command != "mesh" else "solve"
         for config in ({"sigmma": "meyers:alpha=2"}, {"command": other}):
             yield pytest.param(command, config, [], id=f"{command}-{json.dumps(config)}")
-        for name, opt in OPTIONS.items():
-            for value in WRONG[opt.type] + (None,):
+        for name, kind in [(n, opt.type) for n, opt in OPTIONS.items()] + list(REMOVED.items()):
+            for value in WRONG[kind] + (None,):
                 config = {name: value}
                 yield pytest.param(command, config, [], id=f"{command}-{json.dumps(config)}")
-            if name not in reads.split() and name != "out" and opt.help is not None:
-                flags = ["--" + name.replace("_", "-")] + FLAG_VALUE[opt.type]
+            if name not in reads.split() and name != "out":
+                flags = ["--" + name.replace("_", "-")] + FLAG_VALUE[kind]
                 yield pytest.param(command, {}, flags, id=f"{command}-{' '.join(flags)}")
 
 

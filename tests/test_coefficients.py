@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sigmalab.coefficients import (
     CoefficientField,
     anisotropic_field,
     constant_field,
-    dilatation_bound,
     dilatations,
     divergence_of_sigma,
     ellipticity_report,
@@ -19,12 +19,14 @@ from sigmalab.coefficients import (
     holder_bump_field,
     identity_field,
     library_fields,
+    max_dilatation,
     meyers_sigma,
     nonsymmetric_field,
     parse_descriptor,
     parse_family,
     random_holder_field,
     random_nonsymmetric_field,
+    require_elliptic,
 )
 from sigmalab.mesh import Mesh
 from sigmalab.oracles import ORACLES, AnalyticSolution, oracle_from_descriptor
@@ -78,12 +80,13 @@ def test_dilatations_meyers_modulus():
 
 
 def test_dilatation_bound_identity_zero():
-    assert dilatation_bound(identity_field(), CIRCLE) == 0.0
+    assert max_dilatation(require_elliptic(identity_field(), CIRCLE).samples) == 0.0
 
 
 def test_dilatation_bound_meyers():
-    assert dilatation_bound(meyers_sigma(2.0), CIRCLE) == pytest.approx(1 / 3, abs=1e-9)
-    assert dilatation_bound(meyers_sigma(4.0), CIRCLE) == pytest.approx(0.6, abs=1e-9)
+    for alpha, k in ((2.0, 1 / 3), (4.0, 0.6)):
+        samples = require_elliptic(meyers_sigma(alpha), CIRCLE).samples
+        assert max_dilatation(samples) == pytest.approx(k, abs=1e-9)
 
 
 def test_meyers_matrix_on_axes():
@@ -261,7 +264,7 @@ def test_integral_parameters_reach_builders_as_ints():
 def test_library_fields_all_elliptic():
     for f in library_fields():
         samples = [p for p in CIRCLE]
-        k = dilatation_bound(f, samples)
+        k = max_dilatation(require_elliptic(f, samples).samples)
         assert k < 1.0
 
 
@@ -274,10 +277,96 @@ def test_seeded_random_fields_reproducible_and_elliptic():
     assert rep.elliptic
     n = random_nonsymmetric_field(5)
     assert not n.symmetric
-    assert dilatation_bound(n, CIRCLE) < 1.0
+    assert max_dilatation(require_elliptic(n, CIRCLE).samples) < 1.0
 
 
 def test_anisotropic_rotation():
     f = anisotropic_field(2.0, 0.5, theta=math.pi / 2)
     # quarter turn swaps the axes
     assert np.allclose(f.at_points([(0, 0)])[0], [[0.5, 0], [0, 2.0]], atol=1e-12)
+
+
+def unscaled_ellipticity(pts, S):
+    """Reference: ellipticity_report's expressions before the power-of-two
+    scaling, as (K_estimate, min_sym_eig, min_inv_sym_eig, worst_point)."""
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    singular = np.abs(det) <= 1e-12
+    if singular.any():
+        x, y = pts[int(np.argmax(singular))]
+        raise EllipticityError(f"sigma is numerically singular at ({x}, {y})")
+    inv_t = S[:, ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]] / det[:, None, None]
+    e1, e2 = (
+        0.5 * (M[:, 0, 0] + M[:, 1, 1])
+        - np.hypot(0.5 * (M[:, 0, 0] - M[:, 1, 1]), 0.5 * (M[:, 0, 1] + M[:, 1, 0]))
+        for M in (S, inv_t)
+    )
+    local = np.minimum(e1, e2)
+    i = int(np.argmin(local))
+    worst = float(local[i])
+    return (1.0 / worst if worst > 0 else None, float(e1.min()), float(e2.min()),
+            (float(pts[i, 0]), float(pts[i, 1])))
+
+
+def unscaled_dilatations(m):
+    """Reference: dilatations' expressions before the power-of-two scaling."""
+    s11, s12, s21, s22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = s11 * s22 - s12 * s21
+    denom = 1.0 + (s11 + s22) + det
+    if np.any(np.abs(denom) <= 1e-14):
+        raise EllipticityError("1 + tr(sigma) + det(sigma) vanishes; matrix is not elliptic")
+    return (s22 - s11 - 1j * (s12 + s21)) / denom, (1.0 - det + 1j * (s12 - s21)) / denom
+
+
+def outcome(f, *args):
+    """f's result as the bytes of its arrays or as its repr, either of which
+    tells floats apart bit for bit (0.0 from -0.0 too); or the text of the
+    EllipticityError it raised."""
+    try:
+        result = f(*args)
+    except EllipticityError as exc:
+        return ("raised", str(exc))
+    if isinstance(result[0], np.ndarray):
+        return tuple(a.tobytes() for a in result)
+    return repr(result)
+
+
+#: matrix entries within 1e20 of 1 in scale, zero included
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-20, 1e20), st.floats(-1e20, -1e-20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    S=st.lists(st.lists(ENTRY, min_size=4, max_size=4), min_size=1, max_size=3),
+    k=st.integers(-500, 500),
+)
+@example(S=[[1.0, 0.0, 0.0, 1.0]], k=500)
+@example(S=[[2.0, 0.3, -0.1, 0.5], [1e-3, 0.0, 0.0, 1e3]], k=-500)
+@example(S=[[1e20, 0.0, 0.0, 1e-20]], k=400)
+@example(S=[[1e20, 0.0, 0.0, 1e20]], k=500)
+def test_checks_are_exact_under_power_of_two_scaling(S, k):
+    # ellipticity_report and dilatations scale each sample by a power of two
+    # first: at 2**k S they raise no RuntimeWarning, and wherever the unscaled
+    # expressions set no floating-point flag they agree with them bit for bit
+    m = np.ldexp(np.array(S).reshape(-1, 2, 2), k)
+    pts = np.array([(float(i), 0.0) for i in range(len(m))])
+    field = CoefficientField(lambda X, Y: m, symmetric=False, descriptor="scaled")
+
+    def report(field, pts):
+        r = ellipticity_report(field, pts)
+        return r.K_estimate, r.min_sym_eig, r.min_inv_sym_eig, r.worst_point
+
+    def pair(m):
+        d = dilatations(m)
+        return d.mu, d.nu
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = outcome(report, field, pts), outcome(pair, m)
+    for value, reference in zip(got, (lambda: outcome(unscaled_ellipticity, pts, m),
+                                      lambda: outcome(unscaled_dilatations, m))):
+        try:
+            with np.errstate(all="raise"):
+                expected = reference()
+        except FloatingPointError:
+            continue
+        assert value == expected

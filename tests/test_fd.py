@@ -31,11 +31,9 @@ from sigmalab.fd import (
     grid_field_from_text,
     grid_field_to_text,
     grid_from_predicate,
-    read_grid_field,
     rectangle_grid,
     solve_nondivergence,
     to_nondivergence,
-    write_grid_field,
     zero_drift,
 )
 from sigmalab.oracles import holomorphic_oracle, meyers_solution
@@ -191,9 +189,9 @@ def test_grid_file_roundtrip(tmp_path):
     vals[alive] = np.sin(X[alive]) + Y[alive]
     f = GridField(grid, vals)
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_grid_field(f, p1)
-    back = read_grid_field(p1)
-    write_grid_field(back, p2)
+    p1.write_text(grid_field_to_text(f), encoding="utf-8")
+    back = grid_field_from_text(p1.read_text(encoding="utf-8"))
+    p2.write_text(grid_field_to_text(back), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.values, f.values)
     assert np.array_equal(back.grid.interior_mask, grid.interior_mask)

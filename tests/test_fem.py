@@ -27,7 +27,7 @@ from sigmalab.coefficients import (
     nonsymmetric_field,
     random_nonsymmetric_field,
 )
-from sigmalab.fem import field_from_text, field_to_text, read_field, write_field
+from sigmalab.fem import field_from_text, field_to_text
 from sigmalab.oracles import meyers_solution
 from text_mutations import mutated_texts
 
@@ -94,7 +94,7 @@ def test_bad_boundary_data_raises(disk_mesh, g, message):
 
 def test_singular_multi_column_system_raises(disk_mesh, monkeypatch):
     nv = disk_mesh.num_vertices
-    zero = lambda mesh, sigma: sparse.csr_matrix((nv, nv))
+    zero = lambda mesh, S: sparse.csr_matrix((nv, nv))
     monkeypatch.setattr(fem, "assemble_stiffness", zero)
     with pytest.raises(SolverError, match="singular"):
         solve_dirichlet(disk_mesh, identity_field(), lambda x, y: np.array([x, y]))
@@ -223,9 +223,9 @@ def test_field_file_roundtrip(tmp_path, disk_mesh):
     u = solve(disk_mesh, identity_field(), lambda x, y: x * y)
     p1 = tmp_path / "u.txt"
     p2 = tmp_path / "v.txt"
-    write_field(u, p1)
-    back = read_field(p1, disk_mesh)
-    write_field(back, p2)
+    p1.write_text(field_to_text(u), encoding="utf-8")
+    back = field_from_text(p1.read_text(encoding="utf-8"), disk_mesh)
+    p2.write_text(field_to_text(back), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.values, u.values)
 

@@ -14,7 +14,6 @@ from sigmalab import (
     generate_rectangle,
     read_mesh,
     refine,
-    write_mesh,
 )
 from sigmalab import mesh as meshmod
 from sigmalab.mesh import LOCATE_CHUNK, Mesh, mesh_from_text, mesh_to_text, read_rows
@@ -246,9 +245,9 @@ def test_mesh_constructor_rejects_bad_index():
 def test_mesh_file_roundtrip_bit_exact(tmp_path, annulus_mesh):
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
-    write_mesh(annulus_mesh, p1)
+    p1.write_text(mesh_to_text(annulus_mesh), encoding="utf-8")
     back = read_mesh(p1)
-    write_mesh(back, p2)
+    p2.write_text(mesh_to_text(back), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.vertices, annulus_mesh.vertices)
     assert np.array_equal(back.triangles, annulus_mesh.triangles)

@@ -13,7 +13,6 @@ from .analysis import (
     LewyReport,
     MappingField,
     PullbackSubdomain,
-    QuasiconformalDefect,
     UnimodalityVerdict,
     beltrami_residual,
     complex_derivatives,
@@ -22,7 +21,6 @@ from .analysis import (
     jacobian_field,
     lewy_verify,
     pullback_subdomain,
-    quasiconformal_defect,
     stream_function,
     unimodality_check,
 )
@@ -62,8 +60,6 @@ from .fd import (
 )
 from .fem import (
     ScalarField,
-    TriangleGradientField,
-    energy,
     gradient_field,
     relative_l2_error,
     solve_dirichlet,

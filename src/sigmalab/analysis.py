@@ -54,17 +54,6 @@ class MappingField:
         values.setflags(write=False)
         return values
 
-    def interpolate(self, points) -> np.ndarray:
-        """U at points, each located once, as (n, 2); NaN outside the mesh.
-        Each column is ScalarField.interpolate's sum, bit for bit."""
-        tri, bary = self.mesh.locate(points)
-        ok = tri >= 0
-        corners = self.mesh.triangles[tri[ok]]
-        out = np.full((len(tri), 2), np.nan)
-        for k, u in enumerate((self.u1, self.u2)):
-            out[ok, k] = np.einsum("pi,pi->p", u.values[corners], bary[ok])
-        return out
-
     def directional(self, xi) -> ScalarField:
         """Component xi . U; solves the same equation by linearity."""
         xi = np.asarray(xi, dtype=float)
@@ -92,14 +81,6 @@ class UnimodalityVerdict:
     fall_arc: tuple[int, int]
     direction_changes: int
     group_count: int
-
-
-@dataclass(frozen=True)
-class QuasiconformalDefect:
-    sup_ratio: float
-    min_jacobian_f: float
-    ratio_unbounded: bool
-    near_degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -157,7 +138,7 @@ def stream_function(
             f"{len(mesh.loops)} boundary loops"
         )
     S = require_elliptic(sigma, mesh.centroids).samples
-    gu = gradient_field(u).vectors
+    gu = gradient_field(u)
     w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gu)
 
     den = float(np.sqrt(np.sum(mesh.areas * np.einsum("td,td->t", w, w))))
@@ -175,7 +156,7 @@ def stream_function(
         raise SolverError("stream-function least squares produced non-finite values")
 
     v = ScalarField(mesh, v)
-    d = gradient_field(v).vectors - w
+    d = gradient_field(v) - w
     num = float(np.sqrt(np.sum(mesh.areas * np.einsum("td,td->t", d, d))))
     return v, num / den
 
@@ -188,8 +169,8 @@ def complex_derivatives(u: ScalarField, v: ScalarField) -> ComplexDerivativeFiel
     """Wirtinger derivatives of f = u + iv from the two P1 gradients."""
     if u.mesh is not v.mesh:
         raise MeshError("u and v must live on the same mesh")
-    gu = gradient_field(u).vectors
-    gv = gradient_field(v).vectors
+    gu = gradient_field(u)
+    gv = gradient_field(v)
     fz = 0.5 * ((gu[:, 0] + gv[:, 1]) + 1j * (gv[:, 0] - gu[:, 1]))
     fzbar = 0.5 * ((gu[:, 0] - gv[:, 1]) + 1j * (gv[:, 0] + gu[:, 1]))
     scale = float(np.abs(u.values).max() + np.abs(v.values).max())
@@ -209,42 +190,13 @@ def beltrami_residual(cd: ComplexDerivativeField, sigma: CoefficientField) -> fl
     return float(np.sqrt(np.sum(mesh.areas * np.abs(defect) ** 2))) / den
 
 
-def quasiconformal_defect(cd: ComplexDerivativeField, margin: float) -> QuasiconformalDefect:
-    """Distortion statistics over triangles inset from the boundary.
-
-    sup_ratio is the largest |fzbar| / |fz| (flagged unbounded when fz
-    vanishes on some triangle), min_jacobian_f the smallest |fz|^2 - |fzbar|^2;
-    near_degenerate flags min_jacobian_f below 1e-3.
-    """
-    if margin < 0:
-        raise DegenerateInputError("margin must be nonnegative")
-    mesh = cd.mesh
-    inset = mesh.boundary_distance(mesh.centroids) >= margin
-    if not inset.any():
-        raise DegenerateInputError(f"no triangle centroid is {margin} inside the boundary")
-    fz = np.abs(cd.fz[inset])
-    fzb = np.abs(cd.fzbar[inset])
-    zero = fz == 0.0
-    ratio_unbounded = bool(np.any(zero & (fzb > 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(zero, np.where(fzb > 0, np.inf, 0.0), fzb / np.maximum(fz, 1e-300))
-    sup_ratio = float(np.max(ratios[np.isfinite(ratios)], initial=0.0))
-    min_jac = float(np.min(fz * fz - fzb * fzb))
-    return QuasiconformalDefect(
-        sup_ratio=math.inf if ratio_unbounded else sup_ratio,
-        min_jacobian_f=min_jac,
-        ratio_unbounded=ratio_unbounded,
-        near_degenerate=bool(min_jac < 1e-3),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Jacobian and injectivity
 
 
 def jacobian_field(U: MappingField) -> np.ndarray:
     """Per-triangle det of the matrix with rows grad u1, grad u2."""
-    return _det(gradient_field(U.u1).vectors, gradient_field(U.u2).vectors)
+    return _det(gradient_field(U.u1), gradient_field(U.u2))
 
 
 def _det(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -525,7 +477,8 @@ def critical_point_candidates(u: ScalarField, rel_tol: float) -> list[tuple[int,
     """Triangles where |grad u| drops below rel_tol times the median, ascending."""
     if not 0.0 < rel_tol < 1.0:
         raise DegenerateInputError("rel_tol must lie in (0, 1)")
-    norms = gradient_field(u).norms()
+    g = gradient_field(u)
+    norms = np.hypot(g[:, 0], g[:, 1])
     threshold = rel_tol * float(np.median(norms))
     idx = np.where(norms < threshold)[0]
     ranked = sorted(((int(t), float(norms[t])) for t in idx), key=lambda p: (p[1], p[0]))
@@ -592,8 +545,8 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
     if not inset.any():
         raise DegenerateInputError(f"margin {margin} leaves no interior triangles")
 
-    g1 = gradient_field(U.u1).vectors
-    g2 = gradient_field(U.u2).vectors
+    g1 = gradient_field(U.u1)
+    g2 = gradient_field(U.u2)
     min_abs_det = float(np.abs(_det(g1, g2)[inset]).min())
     angles = [math.pi * k / directions for k in range(directions)]
     min_abs_grad = []

@@ -292,7 +292,9 @@ def meyers_sigma(alpha: float) -> CoefficientField:
 
 
 def _bump(X, Y, cx, cy, w) -> np.ndarray:
-    return np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (w * w))[:, None, None]
+    # an exponent that overflows gives exp(-inf) = 0, the bump's value in double
+    with np.errstate(over="ignore"):
+        return np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (w * w))[:, None, None]
 
 
 def holder_bump_field(
@@ -301,8 +303,10 @@ def holder_bump_field(
     """Identity plus a smooth rank-one Gaussian bump: I + eps exp(-|x-c|^2/w^2) dd^T."""
     if eps <= -1.0:
         raise ConfigError("holder bump needs eps > -1 for ellipticity")
-    if w <= 0:
-        raise ConfigError("holder bump width must be positive")
+    if not (w > 0 and 0 < w * w < math.inf):
+        raise ConfigError(
+            f"holder bump width must be positive with a finite nonzero square, got {w}"
+        )
     d = np.array([math.cos(theta), math.sin(theta)])
     P = np.outer(d, d)
     eye = np.eye(2)

@@ -49,6 +49,11 @@ class GridDomain:
             raise MeshError("mask shapes must be (ny, nx)")
         if not (self.spacing > 0 and np.isfinite([*self.origin, self.spacing]).all()):
             raise MeshError("grid spacing must be positive, origin and spacing finite")
+        h2 = float(self.spacing) * float(self.spacing)  # the stencil divides by it
+        if not (h2 > 0 and 1.0 / h2 < math.inf):
+            raise DomainError(
+                f"grid spacing {self.spacing} is too small: 1/spacing^2 is not a finite double"
+            )
         if (im & bm).any():
             raise MeshError("interior and boundary masks overlap")
         alive = im | bm

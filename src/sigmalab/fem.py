@@ -52,17 +52,6 @@ class ScalarField:
         return out
 
 
-@dataclass(frozen=True)
-class TriangleGradientField:
-    """One constant gradient vector per triangle."""
-
-    mesh: Mesh
-    vectors: np.ndarray
-
-    def norms(self) -> np.ndarray:
-        return np.hypot(self.vectors[:, 0], self.vectors[:, 1])
-
-
 def assemble_stiffness(mesh: Mesh, S: np.ndarray) -> sparse.csr_matrix:
     """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i
     from the (nt, 2, 2) samples S of sigma at the centroids."""
@@ -136,17 +125,9 @@ def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[Scalar
     return [ScalarField(mesh, row) for row in u], relative
 
 
-def gradient_field(u: ScalarField) -> TriangleGradientField:
-    """Exact per-triangle gradient of the piecewise-linear interpolant."""
-    g = np.einsum("tid,ti->td", u.mesh.basis_gradients, u.values[u.mesh.triangles])
-    return TriangleGradientField(u.mesh, g)
-
-
-def energy(u: ScalarField, sigma: CoefficientField) -> float:
-    """Dirichlet energy u . A u, the quadratic form of the stiffness matrix
-    (sum_T area (sigma grad u) . grad u)."""
-    S = require_elliptic(sigma, u.mesh.centroids).samples
-    return float(u.values @ (assemble_stiffness(u.mesh, S) @ u.values))
+def gradient_field(u: ScalarField) -> np.ndarray:
+    """Exact per-triangle gradient of the piecewise-linear interpolant, (nt, 2)."""
+    return np.einsum("tid,ti->td", u.mesh.basis_gradients, u.values[u.mesh.triangles])
 
 
 def relative_l2_error(u: ScalarField, exact) -> float:

@@ -242,7 +242,7 @@ def brute_force_injectivity(U: MappingField, sample_step: float) -> bool:
             f"{len(pts)} sample points exceed the budget of {SAMPLE_BUDGET}; "
             "increase sample_step"
         )
-    img = U.interpolate(pts)
+    img = np.column_stack([U.u1.interpolate(pts), U.u2.interpolate(pts)])
     tol2 = 1e-9 ** 2
     block = 2048
     n = len(img)

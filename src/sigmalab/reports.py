@@ -32,8 +32,6 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_dict"):
-            return to_jsonable(obj.to_dict())
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}

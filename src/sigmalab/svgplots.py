@@ -1,4 +1,4 @@
-"""Deterministic SVG emitters: contours, quivers, Jacobian heat maps.
+"""Deterministic SVG emitters: contours and Jacobian heat maps.
 
 Output is plain SVG text with every coordinate written to 4 decimals, so a
 given input and option set always yields the same bytes. The emitters are
@@ -10,13 +10,12 @@ bytes are those of the point-by-point emitters too.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .fem import ScalarField, TriangleGradientField
+from .fem import ScalarField
 from .mesh import Mesh
 
 
@@ -107,38 +106,6 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
         out.append(
             f'<path d="{segs}" stroke="{color}" fill="none" stroke-width="1"/>\n'
         )
-    out.append("</svg>\n")
-    return "".join(out)
-
-
-def quiver_svg(grad: TriangleGradientField) -> str:
-    """One arrow per triangle centroid (decimated deterministically to at most
-    1500 arrows)."""
-    if not np.isfinite(grad.vectors).all():
-        raise ConfigError("quiver vectors must be finite")
-    mesh = grad.mesh
-    canvas = _Canvas(mesh)
-    out = [canvas.header(), _boundary_paths(mesh, canvas)]
-    vmax = float(grad.norms().max())
-    stride = max(1, int(math.ceil(mesh.num_triangles / 1500)))
-    if vmax > 0:
-        arrow = 1.2 * mesh.h * math.sqrt(stride)
-        c = mesh.centroids[::stride]
-        d = grad.vectors[::stride] * (arrow / vmax)
-        tip = c + d
-        # math.atan2, not np.arctan2: numpy's SIMD arctan2 can differ from
-        # libm's in the last bit, and so could move a written digit
-        ang = np.array([math.atan2(y, x) for x, y in d.tolist()])
-        # short head strokes
-        heads = [
-            tip + 0.3 * arrow * np.column_stack([np.cos(ang + da), np.sin(ang + da)])
-            for da in (2.6, -2.6)
-        ]
-        line = (
-            '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
-            'stroke="steelblue" stroke-width="1"/>\n'
-        )
-        out.append(canvas.format(line * 3, c, tip, tip, heads[0], tip, heads[1]))
     out.append("</svg>\n")
     return "".join(out)
 

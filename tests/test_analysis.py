@@ -21,7 +21,6 @@ from sigmalab import (
     beltrami_residual,
     complex_derivatives,
     critical_point_candidates,
-    energy,
     generate_annulus,
     generate_disk,
     generate_rectangle,
@@ -30,7 +29,6 @@ from sigmalab import (
     jacobian_field,
     lewy_verify,
     pullback_subdomain,
-    quasiconformal_defect,
     refine,
     solve_dirichlet,
     stream_function,
@@ -45,6 +43,7 @@ from sigmalab.coefficients import (
     meyers_sigma,
 )
 from sigmalab.analysis import _component_containing
+from sigmalab.fem import assemble_stiffness
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
 
 
@@ -155,7 +154,7 @@ def test_stream_solves_the_least_squares_normal_equations(fine_disk_mesh):
     Dx, Dy = gradient_operators(m)
     W = sparse.diags(m.areas)
     S = sigma.at_points(m.centroids)
-    w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gradient_field(u).vectors)
+    w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gradient_field(u))
     normal = Dx.T @ W @ (Dx @ v.values - w[:, 0]) + Dy.T @ W @ (Dy @ v.values - w[:, 1])
     load = Dx.T @ W @ w[:, 0] + Dy.T @ W @ w[:, 1]
     assert np.abs(normal[1:]).max() <= 1e-10 * np.abs(load).max()
@@ -166,9 +165,10 @@ def test_energy_is_the_centroid_sum(fine_disk_mesh):
     sigma = field_from_descriptor("randnonsym:seed=3")
     u = solve(m, sigma, lambda x, y: x)
     S = sigma.at_points(m.centroids)
-    g = gradient_field(u).vectors
+    g = gradient_field(u)
     centroid_sum = np.sum(m.areas * np.einsum("tab,tb,ta->t", S, g, g))
-    assert energy(u, sigma) == pytest.approx(centroid_sum, rel=1e-12)
+    energy = u.values @ (assemble_stiffness(m, S) @ u.values)
+    assert energy == pytest.approx(centroid_sum, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -226,52 +226,6 @@ def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
         m = refine(m)
     assert res[0] <= 0.05
     assert res[1] <= res[0] / 1.8
-
-
-# ---------------------------------------------------------------------------
-# quasiconformal defect
-
-
-def test_qc_defect_identity(disk_mesh):
-    cd = complex_derivatives(
-        nodal(disk_mesh, lambda x, y: x), nodal(disk_mesh, lambda x, y: y)
-    )
-    d = quasiconformal_defect(cd, margin=0.1)
-    assert d.sup_ratio == pytest.approx(0.0, abs=1e-12)
-    assert d.min_jacobian_f == pytest.approx(1.0, abs=1e-12)
-    assert not d.near_degenerate
-
-
-def test_qc_defect_z2_near_origin(fine_disk_mesh):
-    m = fine_disk_mesh
-    cd = complex_derivatives(
-        nodal(m, lambda x, y: x * x - y * y), nodal(m, lambda x, y: 2 * x * y)
-    )
-    d = quasiconformal_defect(cd, margin=0.1)
-    # |fz|^2 = 4|z|^2 at centroids; the smallest lives next to the origin
-    r2 = np.sum(m.centroids**2, axis=1)
-    expected = float(4 * r2.min())
-    assert d.min_jacobian_f > 0
-    assert d.min_jacobian_f == pytest.approx(expected, rel=0.5)
-    assert d.near_degenerate == (d.min_jacobian_f < 1e-3)
-
-
-def test_qc_defect_empty_inset(disk_mesh):
-    cd = complex_derivatives(
-        nodal(disk_mesh, lambda x, y: x), nodal(disk_mesh, lambda x, y: y)
-    )
-    with pytest.raises(DegenerateInputError):
-        quasiconformal_defect(cd, margin=10.0)
-
-
-def test_qc_defect_meyers_lower_bound(annulus_mesh):
-    # analytic |fz|^2 - |fzbar|^2 = det DU = 2|x|^2; margin 0.1 insets to |x| = 0.3
-    sigma = meyers_sigma(2.0)
-    sol = meyers_solution(2.0)
-    u1 = solve(annulus_mesh, sigma, lambda x, y: sol.value(x, y)[0])
-    v, _ = stream_function(u1, sigma, allow_multiply_connected=True)
-    d = quasiconformal_defect(complex_derivatives(u1, v), margin=0.1)
-    assert d.min_jacobian_f >= 2 * 0.3**2 * 0.8  # analytic value minus 20% slack
 
 
 # ---------------------------------------------------------------------------
@@ -941,24 +895,6 @@ def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog)
     ]
 
 
-def test_mapping_interpolate_is_the_scalar_columns(fine_disk_mesh):
-    sigma = field_from_descriptor("randholder:seed=7")
-    (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, identity_oracle().value)
-    U = MappingField(u1, u2)
-    rng = np.random.default_rng(3)
-    # random points, some outside the unit disk, plus vertices and edge midpoints
-    pts = np.concatenate([
-        rng.uniform(-1.2, 1.2, size=(2000, 2)),
-        fine_disk_mesh.vertices,
-        fine_disk_mesh.vertices[fine_disk_mesh.triangles[:, :2]].mean(axis=1),
-        [[3.0, 0.0], [0.0, -1.5]],
-    ])
-    got = U.interpolate(pts)
-    want = np.column_stack([u1.interpolate(pts), u2.interpolate(pts)])
-    assert np.isnan(got).any() and not np.isnan(got).all()
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-
-
 # ---------------------------------------------------------------------------
 # critical point candidates
 
@@ -1001,7 +937,7 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
         level = []
         for k in range(4):
             theta = math.pi * k / 4
-            g = gradient_field(U.directional((math.cos(theta), math.sin(theta)))).vectors
+            g = gradient_field(U.directional((math.cos(theta), math.sin(theta))))
             level.append(float(np.hypot(g[:, 0], g[:, 1])[inset].min()))
         minima.append(level)
         m = refine(m)

@@ -265,6 +265,22 @@ def test_solve_at_extreme_sigma_scale(tmp_path, capsys):
     assert json.loads((out / "summary.json").read_text())["rel_l2_vs_reference"] < 1e-14
 
 
+# a bump exponent that overflows is exp(-inf) = 0, the bump's value in double;
+# a spacing of 2e-151 still leaves 1/spacing^2 = 2.5e301 finite
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,w=1e-160"],
+        ["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,cx=1e200"],
+        ["solve-nd", "--domain", "rect:w=1e-150,h=1e-150", "--spacing", "2e-151"],
+    ],
+)
+def test_extreme_but_valid_input_solves(tmp_path, capsys, args):
+    code, out = run(tmp_path, *args, "--g", "x1")
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["rel_l2_vs_reference"] < 1e-14
+
+
 def test_unimodal_command(tmp_path, capsys):
     code, out = run(
         tmp_path, "unimodal", "--domain", "disk:r=1", "--h", "0.1", "--g", "costheta",
@@ -389,6 +405,16 @@ def test_failed_run_leaves_no_files(tmp_path):
          "mesh size h must satisfy 0 < h <= min(width, height)"),
         (["solve-nd", "--domain", "annulus:rin=1,rout=0.5"],
          "need 0 < r_in < r_out < inf, got r_in=1.0, r_out=0.5"),
+        # w * w is 0 or inf, so the bump's exponent would be 0/0 or inf/inf
+        (["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,w=1e-300"],
+         "holder bump width must be positive with a finite nonzero square, got 1e-300"),
+        (["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,w=1e200"],
+         "holder bump width must be positive with a finite nonzero square, got 1e+200"),
+        # 1/spacing^2, the stencil's factor, is not a finite double
+        (["solve-nd", "--domain", "rect:w=1e-300,h=1e-300", "--spacing", "2e-301", "--g", "x1"],
+         "grid spacing 2e-301 is too small: 1/spacing^2 is not a finite double"),
+        (["solve-nd", "--domain", "rect:w=1e-159,h=1e-159", "--spacing", "2e-160", "--g", "x1"],
+         "grid spacing 2e-160 is too small: 1/spacing^2 is not a finite double"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):

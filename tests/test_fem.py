@@ -11,7 +11,6 @@ from sigmalab import (
     MeshError,
     ScalarField,
     SolverError,
-    energy,
     generate_disk,
     generate_rectangle,
     gradient_field,
@@ -119,7 +118,7 @@ def test_h1_convergence_first_order(disk_mesh, fine_disk_mesh):
 
     def h1_err(mesh):
         u = solve(mesh, identity_field(), exact)
-        g = gradient_field(u).vectors
+        g = gradient_field(u)
         c = mesh.centroids
         ge = np.column_stack([2 * c[:, 0], -2 * c[:, 1]])
         return math.sqrt(float(np.sum(mesh.areas * np.sum((g - ge) ** 2, axis=1))))
@@ -138,16 +137,16 @@ def test_meyers_annulus_accuracy(annulus_mesh):
 
 def test_gradient_field_trivial(disk_mesh):
     u = ScalarField(disk_mesh, disk_mesh.vertices[:, 0])
-    g = gradient_field(u).vectors
+    g = gradient_field(u)
     assert np.allclose(g, [1.0, 0.0], atol=1e-12)
     const = ScalarField(disk_mesh, np.full(disk_mesh.num_vertices, 3.0))
-    assert np.allclose(gradient_field(const).vectors, 0.0, atol=1e-13)
+    assert np.allclose(gradient_field(const), 0.0, atol=1e-13)
 
 
 def test_gradient_matches_meyers_away_from_hole(annulus_mesh):
     sol = meyers_solution(2.0)
     u1 = solve(annulus_mesh, meyers_sigma(2.0), lambda x, y: sol.value(x, y)[0])
-    g = gradient_field(u1).vectors
+    g = gradient_field(u1)
     c = annulus_mesh.centroids
     sel = np.hypot(c[:, 0], c[:, 1]) >= 0.3
     ge = np.array([sol.gradient(x, y)[0] for x, y in c[sel]])
@@ -156,25 +155,27 @@ def test_gradient_matches_meyers_away_from_hole(annulus_mesh):
 
 
 def test_energy_cases(disk_mesh):
-    const = ScalarField(disk_mesh, np.full(disk_mesh.num_vertices, 2.0))
-    assert energy(const, identity_field()) == pytest.approx(0.0, abs=1e-13)
-    ramp = ScalarField(disk_mesh, disk_mesh.vertices[:, 0])
-    assert energy(ramp, identity_field()) == pytest.approx(
-        float(disk_mesh.areas.sum())
-    )
+    # the Dirichlet energy is the stiffness matrix's quadratic form u . A u
+    A = fem.assemble_stiffness(disk_mesh, identity_field().at_points(disk_mesh.centroids))
+    const = np.full(disk_mesh.num_vertices, 2.0)
+    assert const @ (A @ const) == pytest.approx(0.0, abs=1e-13)
+    ramp = disk_mesh.vertices[:, 0]
+    assert ramp @ (A @ ramp) == pytest.approx(float(disk_mesh.areas.sum()))
 
 
 def test_solution_minimizes_energy(disk_mesh):
     sigma = identity_field()
     g = lambda x, y: x * x - y * y
     u = solve(disk_mesh, sigma, g)
-    e0 = energy(u, sigma)
+    A = fem.assemble_stiffness(disk_mesh, sigma.at_points(disk_mesh.centroids))
+    e0 = u.values @ (A @ u.values)
     rng = np.random.default_rng(12)
     interior = disk_mesh.interior_vertices
     for _ in range(5):
         pert = np.zeros(disk_mesh.num_vertices)
         pert[interior] = rng.normal(0, 0.05, len(interior))
-        assert energy(ScalarField(disk_mesh, u.values + pert), sigma) >= e0 - 1e-12
+        w = u.values + pert
+        assert w @ (A @ w) >= e0 - 1e-12
 
 
 def test_discrete_maximum_principle(disk_mesh):

@@ -9,13 +9,11 @@ from sigmalab import (
     ConfigError,
     ScalarField,
     generate_disk,
-    gradient_field,
     jacobian_field,
 )
 from sigmalab.cli import main
-from sigmalab.fem import TriangleGradientField
 from sigmalab.oracles import holomorphic_oracle
-from sigmalab.svgplots import contour_svg, heatmap_svg, quiver_svg
+from sigmalab.svgplots import contour_svg, heatmap_svg
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +42,6 @@ def test_contour_svg_rejects_zero_levels(sample_field):
         contour_svg(sample_field, levels=0)
 
 
-def test_quiver_svg(sample_field):
-    g = gradient_field(sample_field)
-    svg = quiver_svg(g)
-    assert svg == quiver_svg(g)
-    ET.fromstring(svg)
-    assert svg.count("<line") >= 3 * min(sample_field.mesh.num_triangles, 100)
-
-
 def test_heatmap_svg_sign_colors(disk_mesh):
     U = holomorphic_oracle(2).mapping_field(disk_mesh)
     det = jacobian_field(U)
@@ -75,14 +65,6 @@ def test_heatmap_rejects_non_finite_values(disk_mesh, bad):
     values[3] = bad
     with pytest.raises(ConfigError, match="finite"):
         heatmap_svg(disk_mesh, values)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_quiver_rejects_non_finite_vectors(disk_mesh, bad):
-    vectors = np.ones((disk_mesh.num_triangles, 2))
-    vectors[3, 1] = bad
-    with pytest.raises(ConfigError, match="finite"):
-        quiver_svg(TriangleGradientField(disk_mesh, vectors))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -139,10 +121,6 @@ def test_svg_bytes_pinned(disk_mesh, sample_field):
         "contour through vertices": (
             contour_svg(on_vertices, levels=[-0.5, 0.0, 0.3]),
             "a34ed9687ff68a352e010ffbe3ecf3b344d5a0cdb25cf790046b21b6888ba322",
-        ),
-        "quiver": (
-            quiver_svg(gradient_field(sample_field)),
-            "b2bc154fdea4a140706bacccb746ba0d95d28fd9b3b1de10b30a4fa89fb67be1",
         ),
         "heatmap both signs": (
             heatmap_svg(disk_mesh, centroids[:, 0] - 0.3 * centroids[:, 1]),

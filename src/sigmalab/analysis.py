@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import (
@@ -113,6 +111,14 @@ class LewyReport:
 
 # ---------------------------------------------------------------------------
 # stream function
+
+
+def spsolve(A, b):
+    """scipy's spsolve, imported on the first call (see _component_containing);
+    apart from fem.spsolve, so that a trace of fem's solves leaves this one out."""
+    from scipy.sparse import linalg
+
+    return linalg.spsolve(A, b)
 
 
 def stream_function(
@@ -258,8 +264,6 @@ def _vertex_collisions(pts: np.ndarray, scale: float) -> list[tuple[int, int]]:
     thr2 = (1e-12 * scale) ** 2
     if thr2 == 0.0:  # underflow: no squared distance is below it
         return []
-    # imported here: mesh imports it anyway, and importing it ahead of the
-    # rest of the package raises the import's peak RSS by about 0.5 MB
     from scipy.spatial import cKDTree
 
     i, j = cKDTree(pts).query_pairs(2e-12 * scale, output_type="ndarray").T
@@ -453,8 +457,10 @@ def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np
             "the probe point's triangle is not inside the pullback disk; "
             "the radius is too small for this mesh"
         )
-    # imported here: only pullbacks need it, and it adds about 1 MB of
-    # resident memory to every process that imports it
+    # scipy is imported where it is called, here and across the package: a
+    # module-level import costs every command about 0.5 s at start-up, and
+    # only verify needs csgraph and scipy.spatial
+    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
     # kept triangles are adjacent when they share an edge; the pairs come

@@ -203,11 +203,21 @@ def cmd_solve_nd(cfg):
     return files, summary, EXIT_OK
 
 
-def _solve_mapping(cfg):
-    """The solved map, its Jacobian and the files map and verify both write."""
+def _solve_mapping(cfg, directions=0):
+    """The solved map, its Jacobian and the files map and verify both write.
+
+    verify's check holds one nv-length component per direction, so
+    ResourceLimitError refuses directions * nv above the vertex cap before
+    the solve."""
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = coefficients.field_from_descriptor(cfg["sigma"])
     data = resolve_data(cfg, 2)
+    if directions * m.num_vertices > meshmod.DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(
+            f"{directions} directions on {m.num_vertices} vertices would need "
+            f"{directions * m.num_vertices} values, above the cap of "
+            f"{meshmod.DEFAULT_VERTEX_CAP}; use fewer directions or a coarser mesh size"
+        )
     (u1, u2), residual = fem.solve_dirichlet(m, sigma, data.value)
     U = analysis.MappingField(u1, u2)
     det = analysis.jacobian_field(U)
@@ -240,7 +250,7 @@ def cmd_map(cfg):
 
 
 def cmd_verify(cfg):
-    _, _, U, _, _, files = _solve_mapping(cfg)
+    _, _, U, _, _, files = _solve_mapping(cfg, cfg["directions"])
     try:
         report = analysis.lewy_verify(U, directions=cfg["directions"], margin=cfg["margin"])
     except NotInjectiveError as exc:
@@ -475,7 +485,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 loaded = json.load(f)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad JSON or UTF-8, or an integer past Python's digit
+            # limit; RecursionError: arrays or objects nested too deep
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .coefficients import CoefficientField, VectorField2, divergence_of_sigma, require_elliptic
 from .errors import DomainError, MeshError, ResourceLimitError, SolverError
@@ -222,6 +220,13 @@ def nested_dissection_key(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     return keys[0][ii - lo[0]] + keys[1][jj - lo[1]]
 
 
+def splu(A, **kwargs):
+    """scipy's splu, imported on the first call (see analysis._component_containing)."""
+    from scipy.sparse import linalg
+
+    return linalg.splu(A, **kwargs)
+
+
 def solve_nondivergence(
     grid: GridDomain,
     sigma: CoefficientField,
@@ -242,6 +247,8 @@ def solve_nondivergence(
     bound for s22; the check failing names the worst node and suggests a
     smaller spacing.
     """
+    from scipy import sparse
+
     h = grid.spacing
     jj, ii = np.where(grid.interior_mask)
     n = len(jj)

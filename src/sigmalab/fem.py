@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .coefficients import CoefficientField, require_elliptic
 from .errors import MeshError, SolverError
@@ -52,9 +50,18 @@ class ScalarField:
         return out
 
 
-def assemble_stiffness(mesh: Mesh, S: np.ndarray) -> sparse.csr_matrix:
+def spsolve(A, b):
+    """scipy's spsolve, imported on the first call (see analysis._component_containing)."""
+    from scipy.sparse import linalg
+
+    return linalg.spsolve(A, b)
+
+
+def assemble_stiffness(mesh: Mesh, S: np.ndarray):
     """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i
-    from the (nt, 2, 2) samples S of sigma at the centroids."""
+    from the (nt, 2, 2) samples S of sigma at the centroids, as a CSR matrix."""
+    from scipy import sparse
+
     G = mesh.basis_gradients
     K = np.einsum("tia,tab,tjb->tij", G, S, G) * mesh.areas[:, None, None]
     t = mesh.triangles
@@ -103,6 +110,8 @@ def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[Scalar
     has no interior vertices, g returns the wrong shape or non-finite values,
     the system is singular, or a residual exceeds 1e-10.
     """
+    from scipy.sparse.linalg import MatrixRankWarning
+
     A = assemble_stiffness(mesh, require_elliptic(sigma, mesh.centroids).samples)
     interior = mesh.interior_vertices
     if len(interior) == 0:

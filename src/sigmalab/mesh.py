@@ -16,7 +16,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, MeshError, ResourceLimitError
 
@@ -232,7 +231,9 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     @cached_property
-    def _vertex_tree(self) -> cKDTree:
+    def _vertex_tree(self):
+        from scipy.spatial import cKDTree
+
         return cKDTree(self.vertices)
 
     @cached_property
@@ -397,6 +398,8 @@ class _Polygon:
     """A closed polygon and a KD-tree of its vertices, for point distances."""
 
     def __init__(self, poly: np.ndarray):
+        from scipy.spatial import cKDTree
+
         self.a = poly
         self.ab = np.roll(poly, -1, axis=0) - poly  # segment k runs from a[k] to a[k + 1]
         self.denom = np.einsum("sd,sd->s", self.ab, self.ab)

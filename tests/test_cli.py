@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sigmalab import coefficients, generate_disk
+from sigmalab import coefficients, fem, generate_disk, mesh
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 
 
@@ -452,6 +452,47 @@ def test_non_string_out_is_config_error(tmp_path, capsys):
     config.write_text(json.dumps({"out": 5}))
     assert main(["mesh", "--domain", "disk:r=1", "--config", str(config)]) == 2
     assert "option out must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe", "codec can't decode byte 0xff"),
+     (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+     # past the 4300-digit limit of int(); an interpreter without the limit
+     # reads the integer and refuses it as h
+     (b'{"h": ' + b"1" * 5000 + b"}", "config error: ")],
+    ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    code, out = run(tmp_path, "mesh", "--domain", "disk:r=1", "--config", str(config))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_direction_count_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the direction count was checked")
+
+    monkeypatch.setattr(fem, "solve_dirichlet", unreachable)
+    code, out = run(tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.3",
+                    "--g", "identity", "--directions", str(10**15))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "directions" in err and "above the cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("directions, code", [(8, 0), (9, 3)])
+def test_verify_direction_cap_counts_directions_times_vertices(tmp_path, monkeypatch,
+                                                               directions, code):
+    nv = generate_disk((0.0, 0.0), 1.0, 0.3).num_vertices
+    monkeypatch.setattr(mesh, "DEFAULT_VERTEX_CAP", 8 * nv)
+    assert run(tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.3", "--g", "identity",
+               "--directions", str(directions), "--no-svg")[0] == code
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from .coefficients import (
     CoefficientField,
     DilatationPair,
     EllipticityReport,
-    VectorField2,
     dilatations,
     divergence_of_sigma,
     ellipticity_report,
@@ -56,7 +55,6 @@ from .fd import (
     annulus_grid,
     rectangle_grid,
     solve_nondivergence,
-    to_nondivergence,
 )
 from .fem import (
     ScalarField,

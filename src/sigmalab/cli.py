@@ -128,7 +128,8 @@ def cmd_solve(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = coefficients.field_from_descriptor(cfg["sigma"])
     data = resolve_data(cfg, 1)
-    (u,), residual = fem.solve_dirichlet(m, sigma, data.value)
+    S = coefficients.require_elliptic(sigma, m.centroids).samples
+    (u,), residual = fem.solve_dirichlet(m, S, data.value)
 
     g = fem.gradient_field(u)
     grad_norms = np.hypot(g[:, 0], g[:, 1])
@@ -169,13 +170,15 @@ def cmd_solve_nd(cfg):
     pts = grid.points(grid.interior_mask)
     data = resolve_data(cfg, 1)
     bdesc = cfg["b"]
-    if bdesc == "auto":
-        drift = fd.to_nondivergence(sigma, step=cfg["fd_step"])
-    elif bdesc == "zero":
-        drift = fd.zero_drift()
-    else:
+    if bdesc not in ("auto", "zero"):
         raise ConfigError(f"unknown drift descriptor '{bdesc}' (use auto or zero)")
-    (u,), residual = fd.solve_nondivergence(grid, sigma, drift, data.value)
+    S = coefficients.require_elliptic(sigma, pts).samples
+    if bdesc == "auto":
+        B = coefficients.divergence_of_sigma(sigma, pts, cfg["fd_step"])
+        drift = f"div({sigma.descriptor});step={cfg['fd_step']}"
+    else:
+        B, drift = np.zeros((len(pts), 2)), "zero"
+    (u,), residual = fd.solve_nondivergence(grid, S, B, data.value)
 
     ref = data.value(*pts.T)
     uh = u.values[grid.interior_mask]
@@ -189,7 +192,7 @@ def cmd_solve_nd(cfg):
         "u_min": float(uh.min()),
         "u_max": float(uh.max()),
         "rel_l2_vs_reference": l2,
-        "drift": drift.descriptor,
+        "drift": drift,
         "reference": data.descriptor,
     }
     files = {
@@ -218,7 +221,8 @@ def _solve_mapping(cfg, directions=0):
             f"{directions * m.num_vertices} values, above the cap of "
             f"{meshmod.DEFAULT_VERTEX_CAP}; use fewer directions or a coarser mesh size"
         )
-    (u1, u2), residual = fem.solve_dirichlet(m, sigma, data.value)
+    S = coefficients.require_elliptic(sigma, m.centroids).samples
+    (u1, u2), residual = fem.solve_dirichlet(m, S, data.value)
     U = analysis.MappingField(u1, u2)
     det = analysis.jacobian_field(U)
     files = {
@@ -286,7 +290,8 @@ def cmd_meyers(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
     rows = []
     for _ in range(levels):
-        (u1, u2), _ = fem.solve_dirichlet(m, sigma, sol.value)
+        S = coefficients.require_elliptic(sigma, m.centroids).samples
+        (u1, u2), _ = fem.solve_dirichlet(m, S, sol.value)
         U = analysis.MappingField(u1, u2)
         err1 = fem.relative_l2_error(u1, sol.component(0).value)
         err2 = fem.relative_l2_error(u2, sol.component(1).value)
@@ -360,7 +365,7 @@ def cmd_beltrami(cfg):
     summary_bits = [f"beltrami: K={ell.K_estimate:.6g}, k={k:.6g}"]
     if cfg["g"]:
         data = resolve_data(cfg, 1)
-        (u,), _ = fem.solve_dirichlet(m, sigma, data.value)
+        (u,), _ = fem.solve_dirichlet(m, ell.samples, data.value)
         v, stream_res = analysis.stream_function(
             u, sigma, allow_multiply_connected=cfg["allow_holes"]
         )

@@ -1,8 +1,9 @@
 """Coefficient matrices sigma(x), ellipticity checks, and complex dilatations.
 
 A coefficient field is an array evaluator: coordinate arrays (X, Y) of shape
-(n,) map to an (n, 2, 2) array of matrices, one per point. The solvers decide
-where to sample it (triangle centroids, grid nodes) and sample each set once.
+(n,) map to an (n, 2, 2) array of matrices, one per point. A command samples
+it once per mesh or grid, where its solver reads it (triangle centroids,
+interior grid nodes), through require_elliptic, and passes the samples on.
 Evaluators must be pure functions so fields can be shared freely.
 """
 
@@ -20,20 +21,6 @@ from .errors import ConfigError, EllipticityError, NotEllipticError
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 _SINGULAR_DET = 1e-12
-
-
-def _evaluate(evaluator, points, tail: tuple, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(points as (n, 2), evaluator output of shape (n,) + tail), checked finite."""
-    P = np.asarray(points, dtype=float).reshape(-1, 2)
-    X, Y = np.ascontiguousarray(P.T)
-    V = np.asarray(evaluator(X, Y), dtype=float)
-    if V.shape != (len(P),) + tail:
-        raise EllipticityError(
-            f"{what} returned shape {V.shape}, expected {(len(P),) + tail}"
-        )
-    finite = np.isfinite(V).all(axis=tuple(range(1, V.ndim)))
-    _raise_at_first(P, ~finite, f"{what} has non-finite entries")
-    return P, V
 
 
 def _raise_at_first(P: np.ndarray, bad: np.ndarray, message: str) -> None:
@@ -56,7 +43,16 @@ class CoefficientField:
     descriptor: str
 
     def at_points(self, points) -> np.ndarray:
-        P, S = _evaluate(self.evaluator, points, (2, 2), f"field '{self.descriptor}'")
+        P = np.asarray(points, dtype=float).reshape(-1, 2)
+        X, Y = np.ascontiguousarray(P.T)
+        S = np.asarray(self.evaluator(X, Y), dtype=float)
+        if S.shape != (len(P), 2, 2):
+            raise EllipticityError(
+                f"field '{self.descriptor}' returned shape {S.shape}, expected {(len(P), 2, 2)}"
+            )
+        _raise_at_first(
+            P, ~np.isfinite(S).all(axis=(1, 2)), f"field '{self.descriptor}' has non-finite entries"
+        )
         if self.symmetric:
             _raise_at_first(
                 P,
@@ -64,21 +60,6 @@ class CoefficientField:
                 f"field '{self.descriptor}' claims symmetry but sigma12 != sigma21",
             )
         return S
-
-
-@dataclass(frozen=True)
-class VectorField2:
-    """Vector-valued map x -> b(x), the lower-order coefficient.
-
-    evaluator takes coordinate arrays (X, Y) of shape (n,) and returns an
-    (n, 2) array.
-    """
-
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    descriptor: str = ""
-
-    def at_points(self, points) -> np.ndarray:
-        return _evaluate(self.evaluator, points, (2,), f"vector field '{self.descriptor}'")[1]
 
 
 @dataclass(frozen=True)
@@ -228,7 +209,8 @@ def max_dilatation(samples) -> float:
 
 def divergence_of_sigma(field: CoefficientField, p, step: float) -> np.ndarray:
     """Central-difference row divergence (d1 s11 + d2 s21, d1 s12 + d2 s22)
-    at each row of the (n, 2) array p, as an (n, 2) array."""
+    at each row of the (n, 2) array p, as an (n, 2) array, checked finite: the
+    drift b of tr(sigma D2 u) + b . grad u = 0, the form of div(sigma grad u) = 0."""
     if not step > 0:
         raise ConfigError("finite-difference step must be positive")
     pts = np.asarray(p, dtype=float).reshape(-1, 2)
@@ -240,10 +222,13 @@ def divergence_of_sigma(field: CoefficientField, p, step: float) -> np.ndarray:
             f"at ({x:.6g}, {y:.6g})"
         )
     # b_j = sum_a d_a s_aj: row a of sigma differenced along axis a
-    return sum(
+    B = sum(
         (field.at_points(pts + e)[:, a] - field.at_points(pts - e)[:, a]) / (2 * step)
         for a, e in enumerate(np.eye(2) * step)
     )
+    bad = ~np.isfinite(B).all(axis=1)
+    _raise_at_first(pts, bad, f"drift 'div({field.descriptor});step={step}' has non-finite entries")
+    return B
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientField, VectorField2, divergence_of_sigma, require_elliptic
 from .errors import DomainError, MeshError, ResourceLimitError, SolverError
-from .fem import boundary_values, checked_residual
+from .fem import boundary_values, checked_residual, checked_samples
 from .mesh import _check_cap, read_line, read_rows
 
 _NEIGHBORS8 = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1) if (di, dj) != (0, 0)]
@@ -29,8 +28,9 @@ class GridDomain:
     """Masked rectangular grid.
 
     Masks have shape (ny, nx), indexed [j, i] for the node at
-    (origin_x + i*spacing, origin_y + j*spacing). interior and boundary are
-    disjoint; every interior node has all 8 neighbors in interior or boundary.
+    (origin_x + i*spacing, origin_y + j*spacing). interior is not empty;
+    interior and boundary are disjoint; every interior node has all 8
+    neighbors in interior or boundary.
     """
 
     origin: tuple[float, float]
@@ -52,11 +52,13 @@ class GridDomain:
             raise DomainError(
                 f"grid spacing {self.spacing} is too small: 1/spacing^2 is not a finite double"
             )
+        if not im.any():
+            raise DomainError(f"grid spacing {self.spacing} leaves no interior node")
         if (im & bm).any():
             raise MeshError("interior and boundary masks overlap")
         alive = im | bm
         jj, ii = np.where(im)
-        for di, dj in _NEIGHBORS8 if len(jj) else []:
+        for di, dj in _NEIGHBORS8:
             j2, i2 = jj + dj, ii + di
             ok = (0 <= j2.min()) and (j2.max() < self.ny) and (0 <= i2.min()) and (i2.max() < self.nx)
             if not ok or not alive[j2, i2].all():
@@ -124,8 +126,6 @@ def grid_from_predicate(
             lo_j - dj : hi_j - dj, lo_i - di : hi_i - di
         ]
     boundary = member & ~interior & near_interior
-    if not interior.any():
-        raise MeshError("predicate leaves no interior nodes at this spacing")
     return GridDomain(origin, spacing, nx, ny, interior, boundary)
 
 
@@ -171,23 +171,6 @@ def rectangle_grid(corner: tuple[float, float], width: float, height: float, spa
     return GridDomain(corner, spacing, nx, ny, interior, boundary)
 
 
-def to_nondivergence(sigma: CoefficientField, step: float) -> VectorField2:
-    """The drift b that turns div(sigma grad u) = 0 into
-    tr(sigma D2 u) + b . grad u = 0.
-
-    b is the column-wise divergence (d1 s11 + d2 s21, d1 s12 + d2 s22),
-    approximated by central differences of the entries.
-    """
-    return VectorField2(
-        evaluator=lambda X, Y: divergence_of_sigma(sigma, np.column_stack([X, Y]), step),
-        descriptor=f"div({sigma.descriptor});step={step}",
-    )
-
-
-def zero_drift() -> VectorField2:
-    return VectorField2(evaluator=lambda X, Y: np.zeros((len(X), 2)), descriptor="zero")
-
-
 def nested_dissection_key(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     """Sort key of the grid nodes (ii, jj) for a nested-dissection numbering.
 
@@ -229,17 +212,19 @@ def splu(A, **kwargs):
 
 def solve_nondivergence(
     grid: GridDomain,
-    sigma: CoefficientField,
-    b: VectorField2,
+    S: np.ndarray,
+    B: np.ndarray,
     g,
 ) -> tuple[list[GridField], float]:
     """Solve tr(sigma D2 u) + b . grad u = 0, one solution per row of boundary data.
 
-    g takes the boundary-node coordinate arrays (X, Y) and returns (n,) values
-    for one solution or (k, n) for k, as for fem.solve_dirichlet: the operator
-    is assembled and factored once and the k right-hand sides share the
-    factorization. Returns the k fields and the largest relative max-norm
-    residual.
+    S and B hold sigma, (n, 2, 2), and the drift b, (n, 2), at the n nodes
+    grid.points(grid.interior_mask); SolverError when either has the wrong
+    shape or a non-finite entry. g takes the boundary-node coordinate arrays
+    (X, Y) and returns (n,) values for one solution or (k, n) for k, as for
+    fem.solve_dirichlet: the operator is assembled and factored once and the
+    k right-hand sides share the factorization. Returns the k fields and the
+    largest relative max-norm residual.
 
     At every interior node the stencil is
     s11 dxx + (s12 + s21) dxy + s22 dyy + b1 dx + b2 dy = 0. Before assembly
@@ -252,11 +237,9 @@ def solve_nondivergence(
     h = grid.spacing
     jj, ii = np.where(grid.interior_mask)
     n = len(jj)
-    if n == 0:
-        raise SolverError("grid has no interior nodes")
+    S = checked_samples(S, (n, 2, 2), "sigma samples")
+    B = checked_samples(B, (n, 2), "drift samples")
     pts = grid.points(grid.interior_mask)
-    S = require_elliptic(sigma, pts).samples
-    B = b.at_points(pts)
 
     cross = 0.5 * (S[:, 0, 1] + S[:, 1, 0])
     slack = np.minimum(

@@ -14,11 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientField, require_elliptic
 from .errors import MeshError, SolverError
 from .mesh import Mesh, read_section
 
 RESIDUAL_TOL = 1e-10
+
+
+def checked_samples(S, shape: tuple, what: str) -> np.ndarray:
+    """S as a float array; SolverError unless it has the given shape and
+    finite entries."""
+    S = np.asarray(S, dtype=float)
+    if S.shape != shape:
+        raise SolverError(f"{what} has shape {S.shape}, expected {shape}")
+    if not np.isfinite(S).all():
+        raise SolverError(f"{what} has non-finite entries")
+    return S
 
 
 @dataclass(frozen=True)
@@ -29,13 +39,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.mesh.num_vertices,):
-            raise SolverError(
-                f"field has {values.shape} values for {self.mesh.num_vertices} vertices"
-            )
-        if not np.isfinite(values).all():
-            raise SolverError("field has non-finite nodal values")
+        values = checked_samples(self.values, (self.mesh.num_vertices,), "field")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -99,20 +103,22 @@ def checked_residual(A, x, rhs: np.ndarray) -> float:
     return relative
 
 
-def solve_dirichlet(mesh: Mesh, sigma: CoefficientField, g) -> tuple[list[ScalarField], float]:
+def solve_dirichlet(mesh: Mesh, S: np.ndarray, g) -> tuple[list[ScalarField], float]:
     """Galerkin solutions of div(sigma grad u) = 0, one per row of boundary data.
 
-    g takes the boundary-vertex coordinate arrays (X, Y) and returns the nodal
-    boundary values, shape (n,) for one solution or (k, n) for k (the
-    AnalyticSolution.value contract). The operator is assembled once and the k
-    right-hand sides share one sparse direct solve. Returns the k fields and
-    the largest relative max-norm residual. Raises SolverError when the mesh
-    has no interior vertices, g returns the wrong shape or non-finite values,
-    the system is singular, or a residual exceeds 1e-10.
+    S holds sigma's (nt, 2, 2) samples at the centroids. g takes the
+    boundary-vertex coordinate arrays (X, Y) and returns the nodal boundary
+    values, shape (n,) for one solution or (k, n) for k (the
+    AnalyticSolution.value contract). The operator is assembled once and the
+    k right-hand sides share one sparse direct solve. Returns the k fields and
+    the largest relative max-norm residual. Raises SolverError when S has the
+    wrong shape or non-finite entries, the mesh has no interior vertices, g
+    returns the wrong shape or non-finite values, the system is singular, or
+    a residual exceeds 1e-10.
     """
     from scipy.sparse.linalg import MatrixRankWarning
 
-    A = assemble_stiffness(mesh, require_elliptic(sigma, mesh.centroids).samples)
+    A = assemble_stiffness(mesh, checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples"))
     interior = mesh.interior_vertices
     if len(interior) == 0:
         raise SolverError("mesh has no interior vertices; nothing to solve for")
@@ -149,10 +155,21 @@ def relative_l2_error(u: ScalarField, exact) -> float:
     ue = np.asarray(exact(*mesh.centroids.T), dtype=float)
     if ue.shape != uh.shape:
         raise SolverError(f"reference returned shape {ue.shape}, expected {uh.shape}")
-    den = np.sum(mesh.areas * ue * ue)
+    # each factor divided exactly by a power of two, so that a tiny domain's
+    # squares do not underflow; the errors' and values' exponents come back last
+    a, _ = _scaled(mesh.areas)
+    d, e_num = _scaled(uh - ue)
+    ue, e_den = _scaled(ue)
+    den = np.sum(a * ue * ue)
     if den == 0.0:
         raise SolverError("reference function is identically zero on centroids")
-    return float(np.sqrt(np.sum(mesh.areas * (uh - ue) ** 2) / den))
+    return float(np.ldexp(np.sqrt(np.sum(a * d**2) / den), e_num - e_den))
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2**e, e) with the largest |entry| of x in [2**(e - 1), 2**e); e = 0 for zeros."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -152,6 +153,12 @@ class Mesh:
             t = int(np.argmin(areas))
             raise MeshError(
                 f"triangle {t} is degenerate or inverted (signed area {areas[t]:.3e})"
+            )
+        if areas.min() < sys.float_info.min:  # stiffness entries would lose their digits
+            t = int(np.argmin(areas))
+            raise DomainError(
+                f"mesh size h={h} is too small: triangle {t} has area {areas[t]:.3e}, "
+                "below the smallest normal double"
             )
         self._areas = areas
 

@@ -33,6 +33,7 @@ from sigmalab import (
 )
 from sigmalab.coefficients import (
     anisotropic_field,
+    divergence_of_sigma,
     holder_bump_field,
     identity_field,
     max_dilatation,
@@ -42,7 +43,7 @@ from sigmalab.coefficients import (
     random_nonsymmetric_field,
     require_elliptic,
 )
-from sigmalab.fd import annulus_grid, rectangle_grid, solve_nondivergence, to_nondivergence, zero_drift
+from sigmalab.fd import annulus_grid, rectangle_grid, solve_nondivergence
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
 from sigmalab.reports import dumps
 
@@ -60,12 +61,12 @@ SMOOTH_LIBRARY = [
 
 
 def solve(mesh, sigma, g):
-    (u,), _ = solve_dirichlet(mesh, sigma, g)
+    (u,), _ = solve_dirichlet(mesh, require_elliptic(sigma, mesh.centroids).samples, g)
     return u
 
 
 def solve_pair(mesh, sigma, sol):
-    (u1, u2), _ = solve_dirichlet(mesh, sigma, sol.value)
+    (u1, u2), _ = solve_dirichlet(mesh, require_elliptic(sigma, mesh.centroids).samples, sol.value)
     return MappingField(u1, u2)
 
 
@@ -268,11 +269,12 @@ class AcceptanceRun:
     def criterion7(self):
         t0 = time.perf_counter()
         sigma = meyers_sigma(2.0)
-        drift = to_nondivergence(sigma, step=1e-5)
         grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
         sol = meyers_solution(2.0)
-        (uh,), _ = solve_nondivergence(grid, sigma, drift, lambda x, y: sol.value(x, y)[0])
         pts = grid.points(grid.interior_mask)
+        S = require_elliptic(sigma, pts).samples
+        B = divergence_of_sigma(sigma, pts, 1e-5)
+        (uh,), _ = solve_nondivergence(grid, S, B, lambda x, y: sol.value(x, y)[0])
         exact = np.array([float(sol.value(x, y)[0]) for x, y in pts])
         vals = uh.values[grid.interior_mask]
         err_exact = float(np.sqrt(np.sum((vals - exact) ** 2) / np.sum(exact**2)))
@@ -283,14 +285,13 @@ class AcceptanceRun:
         )
 
         rect = rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.05)
-        (aff,), _ = solve_nondivergence(
-            rect, identity_field(), zero_drift(), lambda x, y: 1 + 2 * x - y
-        )
         apts = rect.points(rect.interior_mask)
+        S_id, zero = require_elliptic(identity_field(), apts).samples, np.zeros((len(apts), 2))
+        (aff,), _ = solve_nondivergence(rect, S_id, zero, lambda x, y: 1 + 2 * x - y)
         aerr = float(
             np.abs(aff.values[rect.interior_mask] - (1 + 2 * apts[:, 0] - apts[:, 1])).max()
         )
-        (bil,), _ = solve_nondivergence(rect, identity_field(), zero_drift(), lambda x, y: x * y)
+        (bil,), _ = solve_nondivergence(rect, S_id, zero, lambda x, y: x * y)
         berr = float(
             np.abs(bil.values[rect.interior_mask] - apts[:, 0] * apts[:, 1]).max()
         )

@@ -41,14 +41,20 @@ from sigmalab.coefficients import (
     holder_bump_field,
     identity_field,
     meyers_sigma,
+    require_elliptic,
 )
 from sigmalab.analysis import _component_containing
 from sigmalab.fem import assemble_stiffness
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
 
 
+def samples(mesh, sigma):
+    """sigma at the centroids, checked elliptic, as each command passes it."""
+    return require_elliptic(sigma, mesh.centroids).samples
+
+
 def solve(mesh, sigma, g):
-    (u,), _ = solve_dirichlet(mesh, sigma, g)
+    (u,), _ = solve_dirichlet(mesh, samples(mesh, sigma), g)
     return u
 
 
@@ -809,7 +815,7 @@ def test_lewy_identity(fine_disk_mesh):
 def test_lewy_meyers_inset_bound(annulus_mesh):
     sigma = meyers_sigma(2.0)
     sol = meyers_solution(2.0)
-    (u1, u2), _ = solve_dirichlet(annulus_mesh, sigma, sol.value)
+    (u1, u2), _ = solve_dirichlet(annulus_mesh, samples(annulus_mesh, sigma), sol.value)
     report = lewy_verify(MappingField(u1, u2), directions=8, margin=0.05)
     assert report.passed
     # analytic det at the inner inset radius 0.25 is 2 * 0.0625, minus 10% slack
@@ -819,14 +825,16 @@ def test_lewy_meyers_inset_bound(annulus_mesh):
 def test_lewy_rejects_non_injective(disk_mesh):
     sigma = identity_field()
     sol = holomorphic_oracle(2)
-    (u1, u2), _ = solve_dirichlet(disk_mesh, sigma, sol.value)
+    (u1, u2), _ = solve_dirichlet(disk_mesh, samples(disk_mesh, sigma), sol.value)
     with pytest.raises(NotInjectiveError):
         lewy_verify(MappingField(u1, u2), directions=4, margin=0.1)
 
 
 def test_lewy_direction_sign_invariance(fine_disk_mesh):
     sigma = holder_bump_field(0.3, 0.2, 0.0, 0.5, 0.4)
-    (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, lambda x, y: np.array([x, y]))
+    (u1, u2), _ = solve_dirichlet(
+        fine_disk_mesh, samples(fine_disk_mesh, sigma), lambda x, y: np.array([x, y])
+    )
     U = MappingField(u1, u2)
     g1 = np.array([U.directional((1.0, 0.0)).values])
     g2 = np.array([U.directional((-1.0, 0.0)).values])
@@ -840,7 +848,9 @@ def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
     # once in each pullback_subdomain attempt, one attempt per probe here; no
     # Mesh is built, since a pullback is its parent's triangles and loops
     sigma = field_from_descriptor("randholder:seed=2024")
-    (u1, u2), _ = solve_dirichlet(fine_disk_mesh, sigma, identity_oracle().value)
+    (u1, u2), _ = solve_dirichlet(
+        fine_disk_mesh, samples(fine_disk_mesh, sigma), identity_oracle().value
+    )
     counts = collections.Counter()
 
     def counted(owner, name):
@@ -929,7 +939,7 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
     minima = []
     m = disk_mesh
     for _ in range(2):
-        (u1, u2), _ = solve_dirichlet(m, sigma, sol.value)
+        (u1, u2), _ = solve_dirichlet(m, samples(m, sigma), sol.value)
         U = MappingField(u1, u2)
         inset = m.boundary_distance(m.centroids) >= 0.1
         from sigmalab import gradient_field

@@ -232,10 +232,25 @@ def test_beltrami_command(tmp_path):
     assert report["beltrami_residual"] < 0.1
 
 
-def test_beltrami_checks_ellipticity_of_sigma_only(tmp_path, monkeypatch):
-    # the report, the solve, the stream function and the Beltrami residual
-    # each check the command's sigma; the stream function's Laplacian is
-    # assembled from identity samples, which need no check
+@pytest.mark.parametrize(
+    "args, descriptor, checks",
+    [
+        (["solve", "--domain", "disk:r=1", "--h", "0.2"], "randholder:seed=3", 1),
+        (["map", "--domain", "disk:r=1", "--h", "0.2", "--g", "identity"], "randholder:seed=3", 1),
+        (["verify", "--domain", "disk:r=1", "--h", "0.2", "--g", "identity", "--directions", "4"],
+         "randholder:seed=3", 1),
+        (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1"], "randholder:seed=3", 1),
+        (["meyers", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.2", "--levels", "3"],
+         "meyers:alpha=2.0", 3),
+        (["beltrami", "--domain", "disk:r=1", "--h", "0.1", "--g", "x1"], "randholder:seed=3", 3),
+    ],
+    ids=["solve", "map", "verify", "solve-nd", "meyers", "beltrami"],
+)
+def test_sigma_checks_per_command(tmp_path, monkeypatch, args, descriptor, checks):
+    # each command checks its sigma once per mesh or grid (meyers once per
+    # level) and hands the samples to the solver; beltrami's stream function
+    # and Beltrami residual check it again, and the stream function's
+    # Laplacian is assembled from identity samples, which need no check
     checked = []
     report = coefficients.ellipticity_report
 
@@ -244,12 +259,10 @@ def test_beltrami_checks_ellipticity_of_sigma_only(tmp_path, monkeypatch):
         return report(field, sample_points)
 
     monkeypatch.setattr(coefficients, "ellipticity_report", recording)
-    code, _ = run(
-        tmp_path, "beltrami", "--domain", "disk:r=1", "--h", "0.1",
-        "--sigma", "randholder:seed=3", "--g", "x1",
-    )
+    sigma = ["--sigma", descriptor] if args[0] != "meyers" else []
+    code, _ = run(tmp_path, *args, *sigma)
     assert code == 0
-    assert checked == ["randholder:seed=3"] * 4
+    assert checked == [descriptor] * checks
 
 
 #: 1e200 I is elliptic, with eigenvalues 1e200 and 1e-200; its determinant
@@ -273,6 +286,8 @@ def test_solve_at_extreme_sigma_scale(tmp_path, capsys):
         ["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,w=1e-160"],
         ["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,cx=1e200"],
         ["solve-nd", "--domain", "rect:w=1e-150,h=1e-150", "--spacing", "2e-151"],
+        # areas near 1e-302: the L2 error's squares are scaled before they underflow
+        ["solve", "--domain", "disk:r=1e-150", "--h", "3e-151"],
     ],
 )
 def test_extreme_but_valid_input_solves(tmp_path, capsys, args):
@@ -415,6 +430,14 @@ def test_failed_run_leaves_no_files(tmp_path):
          "grid spacing 2e-301 is too small: 1/spacing^2 is not a finite double"),
         (["solve-nd", "--domain", "rect:w=1e-159,h=1e-159", "--spacing", "2e-160", "--g", "x1"],
          "grid spacing 2e-160 is too small: 1/spacing^2 is not a finite double"),
+        # subnormal triangle areas would lose the stiffness entries' digits
+        (["solve", "--domain", "disk:r=1e-154", "--h", "3e-155", "--g", "x1"],
+         "mesh size h=3e-155 is too small: triangle 0 has area 4.811e-310"),
+        # grids with no node whose 8 neighbours are all in the domain
+        (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "1", "--g", "x1"],
+         "grid spacing 1.0 leaves no interior node"),
+        (["solve-nd", "--domain", "annulus:rin=0.2,rout=0.3", "--spacing", "0.5", "--g", "x1"],
+         "grid spacing 0.5 leaves no interior node"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
@@ -475,8 +498,9 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, content, message):
 
 def test_verify_direction_count_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("solved before the direction count was checked")
+        raise AssertionError("sampled or solved before the direction count was checked")
 
+    monkeypatch.setattr(coefficients, "require_elliptic", unreachable)
     monkeypatch.setattr(fem, "solve_dirichlet", unreachable)
     code, out = run(tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.3",
                     "--g", "identity", "--directions", str(10**15))

@@ -170,6 +170,23 @@ def test_divergence_meyers_richardson():
     assert max(abs(b3[0] - b4[0]), abs(b3[1] - b4[1])) <= 1e-4
 
 
+def test_divergence_that_overflows_is_refused():
+    # sigma = 1e300 diag(a(x), 1) is elliptic and finite, but a jumps from 1
+    # to 1e6 across x = 0, so the difference quotient there overflows
+    def ev(X, Y):
+        m = np.tile(1e300 * np.eye(2), (len(X), 1, 1))
+        m[:, 0, 0] = np.where(X > 0, 1e306, 1e300)
+        return m
+
+    field = CoefficientField(ev, symmetric=True, descriptor="jump")
+    points = [(0.5, 0.5), (0.0, 0.25)]
+    assert require_elliptic(field, points).elliptic
+    with np.errstate(over="ignore"):
+        with pytest.raises(EllipticityError, match=r"drift 'div\(jump\);step=0.001' has "
+                           r"non-finite entries at \(0.0, 0.25\)"):
+            divergence_of_sigma(field, points, 1e-3)
+
+
 def test_divergence_second_order_decay():
     field = holder_bump_field(0.5, 0.1, -0.2, 0.4, 0.3)
     p = (0.25, 0.15)

@@ -20,9 +20,11 @@ from sigmalab import (
 from sigmalab.coefficients import (
     CoefficientField,
     constant_field,
+    divergence_of_sigma,
     holder_bump_field,
     identity_field,
     meyers_sigma,
+    require_elliptic,
 )
 from sigmalab.fd import (
     GridDomain,
@@ -33,11 +35,21 @@ from sigmalab.fd import (
     grid_from_predicate,
     rectangle_grid,
     solve_nondivergence,
-    to_nondivergence,
-    zero_drift,
 )
 from sigmalab.oracles import holomorphic_oracle, meyers_solution
 from text_mutations import mutated_texts
+
+
+def drift_free(grid, sigma):
+    """sigma's checked samples at the interior nodes and a zero drift."""
+    S = require_elliptic(sigma, grid.points(grid.interior_mask)).samples
+    return S, np.zeros((len(S), 2))
+
+
+def divergence_form(grid, sigma, step=1e-5):
+    """sigma's checked samples at the interior nodes and the drift b = div sigma."""
+    pts = grid.points(grid.interior_mask)
+    return require_elliptic(sigma, pts).samples, divergence_of_sigma(sigma, pts, step)
 
 
 def rel_l2(grid, field, exact):
@@ -49,7 +61,9 @@ def rel_l2(grid, field, exact):
 
 def test_affine_data_exact():
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
-    (u,), residual = solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: 1 + 2 * x - y)
+    (u,), residual = solve_nondivergence(
+        grid, *drift_free(grid, identity_field()), lambda x, y: 1 + 2 * x - y
+    )
     pts = grid.points(grid.interior_mask)
     exact = 1 + 2 * pts[:, 0] - pts[:, 1]
     assert np.abs(u.values[grid.interior_mask] - exact).max() <= 1e-10
@@ -57,7 +71,7 @@ def test_affine_data_exact():
 
 def test_bilinear_data_exact_for_cross_stencil():
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
-    (u,), _ = solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: x * y)
+    (u,), _ = solve_nondivergence(grid, *drift_free(grid, identity_field()), lambda x, y: x * y)
     pts = grid.points(grid.interior_mask)
     assert np.abs(u.values[grid.interior_mask] - pts[:, 0] * pts[:, 1]).max() <= 1e-9
 
@@ -67,7 +81,7 @@ def test_harmonic_convergence_factor():
 
     def err(s):
         grid = rectangle_grid((0, 0), 1.0, 1.0, s)
-        (u,), _ = solve_nondivergence(grid, identity_field(), zero_drift(), exact)
+        (u,), _ = solve_nondivergence(grid, *drift_free(grid, identity_field()), exact)
         return rel_l2(grid, u, exact)
 
     # x^2 - y^2 is stencil-exact; use a genuinely curved harmonic instead
@@ -76,32 +90,31 @@ def test_harmonic_convergence_factor():
 
 
 def test_meyers_annulus_nondivergence():
-    sigma = meyers_sigma(2.0)
-    b = to_nondivergence(sigma, step=1e-5)
     grid = annulus_grid((0, 0), 0.25, 0.95, 0.04)
     sol = meyers_solution(2.0)
-    (u,), _ = solve_nondivergence(grid, sigma, b, lambda x, y: sol.value(x, y)[0])
+    (u,), _ = solve_nondivergence(
+        grid, *divergence_form(grid, meyers_sigma(2.0)), lambda x, y: sol.value(x, y)[0]
+    )
     err = rel_l2(grid, u, lambda x, y: sol.value(x, y)[0])
     assert err < 0.01
 
 
-def test_to_nondivergence_cases():
-    b = to_nondivergence(identity_field(), step=1e-4)
-    assert b.at_points([(0.3, 0.7)])[0] == pytest.approx((0.0, 0.0), abs=1e-12)
+def test_divergence_drift_cases():
+    b = divergence_of_sigma(identity_field(), [(0.3, 0.7)], 1e-4)
+    assert b[0] == pytest.approx((0.0, 0.0), abs=1e-12)
 
     ramp = CoefficientField(
         lambda X, Y: np.eye(2) + X[:, None, None] * [[1.0, 0.0], [0.0, 0.0]],
         symmetric=True,
         descriptor="ramp",
     )
-    b = to_nondivergence(ramp, step=1e-4)
-    v = b.at_points([(0.2, -0.3)])[0]
+    v = divergence_of_sigma(ramp, [(0.2, -0.3)], 1e-4)[0]
     assert v[0] == pytest.approx(1.0, abs=1e-8)
     assert v[1] == pytest.approx(0.0, abs=1e-8)
 
-    b3 = to_nondivergence(meyers_sigma(2.0), step=1e-3)
-    b4 = to_nondivergence(meyers_sigma(2.0), step=1e-4)
-    d = np.abs(b3.at_points([(0.5, 0.5)]) - b4.at_points([(0.5, 0.5)])).max()
+    b3 = divergence_of_sigma(meyers_sigma(2.0), [(0.5, 0.5)], 1e-3)
+    b4 = divergence_of_sigma(meyers_sigma(2.0), [(0.5, 0.5)], 1e-4)
+    d = np.abs(b3 - b4).max()
     assert d <= 1e-4
 
 
@@ -110,7 +123,7 @@ def test_dominance_refusal_names_worst_node():
     bad = constant_field([[1.0, 1.35], [1.35, 2.2]])
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.25)
     with pytest.raises(SolverError, match="dominance"):
-        solve_nondivergence(grid, bad, zero_drift(), lambda x, y: x)
+        solve_nondivergence(grid, *drift_free(grid, bad), lambda x, y: x)
 
 
 def test_mask_invariants():
@@ -148,6 +161,7 @@ def test_rectangle_grid_gives_grid_or_error(x0, width, height, spacing):
         return
     assert grid.nx * grid.ny <= SMALL_CAP
     assert (grid.nx, grid.ny) == (round(width / spacing) + 1, round(height / spacing) + 1)
+    assert grid.interior_mask.any()
     assert grid.interior_mask[1:-1, 1:-1].all() and not grid.boundary_mask[1:-1, 1:-1].any()
     assert (grid.interior_mask | grid.boundary_mask).all()
 
@@ -292,17 +306,37 @@ def test_predicate_grid_drops_orphans():
 def test_bad_boundary_data_raises(g, message):
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
     with pytest.raises(SolverError, match=message):
-        solve_nondivergence(grid, identity_field(), zero_drift(), g)
+        solve_nondivergence(grid, *drift_free(grid, identity_field()), g)
+
+
+@pytest.mark.parametrize(
+    "which, shape, bad, message",
+    [
+        ("S", (2, 2), None, "sigma samples has shape"),
+        ("S", (None, 2), None, "sigma samples has shape"),
+        ("S", (None, 2, 2), np.nan, "sigma samples has non-finite"),
+        ("B", (None,), None, "drift samples has shape"),
+        ("B", (None, 2), np.inf, "drift samples has non-finite"),
+    ],
+)
+def test_bad_samples_raise(which, shape, bad, message):
+    # None stands for the interior node count; bad, when given, goes into one entry
+    grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
+    arrays = dict(zip("SB", drift_free(grid, identity_field())))
+    arrays[which] = np.ones([len(arrays["S"]) if n is None else n for n in shape])
+    if bad is not None:
+        arrays[which][5, 1] = bad
+    with pytest.raises(SolverError, match=message):
+        solve_nondivergence(grid, arrays["S"], arrays["B"], lambda x, y: x)
 
 
 def test_two_rows_match_two_single_solves():
-    sigma = meyers_sigma(2.0)
-    b = to_nondivergence(sigma, step=1e-5)
     grid = annulus_grid((0, 0), 0.25, 0.95, 0.04)
+    S, B = divergence_form(grid, meyers_sigma(2.0))
     sol = meyers_solution(2.0)
-    pair, residual = solve_nondivergence(grid, sigma, b, sol.value)
+    pair, residual = solve_nondivergence(grid, S, B, sol.value)
     singles = [
-        solve_nondivergence(grid, sigma, b, lambda x, y, c=c: sol.value(x, y)[c])
+        solve_nondivergence(grid, S, B, lambda x, y, c=c: sol.value(x, y)[c])
         for c in (0, 1)
     ]
     assert len(pair) == 2
@@ -319,7 +353,7 @@ def test_singular_factorization_is_solver_error(monkeypatch):
     monkeypatch.setattr(fd, "splu", singular)
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
     with pytest.raises(SolverError, match="singular"):
-        solve_nondivergence(grid, identity_field(), zero_drift(), lambda x, y: x)
+        solve_nondivergence(grid, *drift_free(grid, identity_field()), lambda x, y: x)
 
 
 # The nested-dissection numbering of the interior nodes. A key's base-4 digit
@@ -373,9 +407,9 @@ _SIGMA = meyers_sigma(2.0)
     ids=["square", "annulus", "thin"],
 )
 def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
-    b = to_nondivergence(_SIGMA, step=1e-5)
+    S, B = divergence_form(grid, _SIGMA)
     g = meyers_solution(2.0).value
-    pair, _ = solve_nondivergence(grid, _SIGMA, b, g)
+    pair, _ = solve_nondivergence(grid, S, B, g)
     # the reference: row-major numbering, minimum-degree ordering on A + A^T
     real = fd.splu
     monkeypatch.setattr(fd, "nested_dissection_key", lambda ii, jj: np.arange(len(ii)))
@@ -383,7 +417,7 @@ def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
         fd, "splu",
         lambda A, **kw: real(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)),
     )
-    reference, _ = solve_nondivergence(grid, _SIGMA, b, g)
+    reference, _ = solve_nondivergence(grid, S, B, g)
     for f, r in zip(pair, reference):
         assert np.abs(f.values - r.values).max() <= 1e-12 * np.abs(r.values).max()
 
@@ -398,7 +432,7 @@ def test_readme_solve_nd_fill(monkeypatch):
 
     monkeypatch.setattr(fd, "splu", recording)
     grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
-    solve_nondivergence(grid, _SIGMA, to_nondivergence(_SIGMA, 1e-5), meyers_solution(2.0).value)
+    solve_nondivergence(grid, *divergence_form(grid, _SIGMA), meyers_solution(2.0).value)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 345_000
 
@@ -485,9 +519,9 @@ def _convex_data(kind, axes, theta, eps, phase, orientation):
     c_arg=st.floats(0.0, 2 * np.pi),
 )
 def test_pair_jacobian_sign(sigma, kind, axes, theta, eps, phase, orientation, c_abs, c_arg):
-    b = to_nondivergence(sigma, step=1e-5)
+    S, B = divergence_form(_RECT, sigma)
     data = _convex_data(kind, axes, theta, eps, phase, orientation)
-    (u1, u2), _ = solve_nondivergence(_RECT, sigma, b, data)
+    (u1, u2), _ = solve_nondivergence(_RECT, S, B, data)
     assert (orientation * _det_du_on_inset(u1, u2) > 0).all()
 
     z2 = holomorphic_oracle(2)
@@ -497,7 +531,7 @@ def test_pair_jacobian_sign(sigma, kind, axes, theta, eps, phase, orientation, c
         w = c * (x - 1j * y)
         return z2.value(x, y) + np.array([w.real, w.imag])
 
-    (v1, v2), _ = solve_nondivergence(_RECT, sigma, b, fold)
+    (v1, v2), _ = solve_nondivergence(_RECT, S, B, fold)
     det = _det_du_on_inset(v1, v2)
     assert (det < 0).any() and (det > 0).any()
 
@@ -514,10 +548,10 @@ def test_pair_jacobian_agrees_with_p1():
         return np.array([x, y])
 
     grid = rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.025)
-    (f1, f2), _ = solve_nondivergence(grid, sigma, to_nondivergence(sigma, step=1e-5), pair)
+    (f1, f2), _ = solve_nondivergence(grid, *divergence_form(grid, sigma), pair)
     det, X, Y = _central_det(f1, f2)
     p1_mesh = generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.02)
-    (u1, u2), _ = solve_dirichlet(p1_mesh, sigma, pair)
+    (u1, u2), _ = solve_dirichlet(p1_mesh, require_elliptic(sigma, p1_mesh.centroids).samples, pair)
     tri, _ = p1_mesh.locate(np.column_stack([X.ravel(), Y.ravel()]))
     assert (tri >= 0).all()
     p1 = jacobian_field(MappingField(u1, u2))[tri].reshape(det.shape)

@@ -25,14 +25,20 @@ from sigmalab.coefficients import (
     meyers_sigma,
     nonsymmetric_field,
     random_nonsymmetric_field,
+    require_elliptic,
 )
 from sigmalab.fem import field_from_text, field_to_text
 from sigmalab.oracles import meyers_solution
 from text_mutations import mutated_texts
 
 
+def samples(mesh, sigma):
+    """sigma at the centroids, checked elliptic, as each command passes it."""
+    return require_elliptic(sigma, mesh.centroids).samples
+
+
 def solve(mesh, sigma, g):
-    (u,), _ = solve_dirichlet(mesh, sigma, g)
+    (u,), _ = solve_dirichlet(mesh, samples(mesh, sigma), g)
     return u
 
 
@@ -55,7 +61,7 @@ def test_patch_test_affine_columns_exact(disk_mesh, l1, l2, theta, tau):
     R = np.array([[c, -s], [s, c]])
     sigma = constant_field(R @ np.diag([l1, l2]) @ R.T + tau * ROTATION)
     us, residual = solve_dirichlet(
-        disk_mesh, sigma, lambda x, y: np.array([np.ones_like(x), x, y])
+        disk_mesh, samples(disk_mesh, sigma), lambda x, y: np.array([np.ones_like(x), x, y])
     )
     assert residual <= 1e-10
     X, Y = disk_mesh.vertices.T
@@ -64,12 +70,10 @@ def test_patch_test_affine_columns_exact(disk_mesh, l1, l2, theta, tau):
 
 
 def test_multi_column_solve_matches_single_solves_bitwise(disk_mesh):
-    sigma = random_nonsymmetric_field(5)
+    S = samples(disk_mesh, random_nonsymmetric_field(5))
     g = lambda x, y: np.array([x * x - y * y, np.cos(3 * x), x * y + 0.5])
-    us, residual = solve_dirichlet(disk_mesh, sigma, g)
-    singles = [
-        solve_dirichlet(disk_mesh, sigma, lambda x, y, k=k: g(x, y)[k]) for k in range(3)
-    ]
+    us, residual = solve_dirichlet(disk_mesh, S, g)
+    singles = [solve_dirichlet(disk_mesh, S, lambda x, y, k=k: g(x, y)[k]) for k in range(3)]
     for u, ((single,), _) in zip(us, singles):
         assert np.array_equal(u.values, single.values)
     assert residual == max(r for _, r in singles)
@@ -88,7 +92,7 @@ def test_multi_column_solve_matches_single_solves_bitwise(disk_mesh):
 )
 def test_bad_boundary_data_raises(disk_mesh, g, message):
     with pytest.raises(SolverError, match=message):
-        solve_dirichlet(disk_mesh, identity_field(), g)
+        solve_dirichlet(disk_mesh, samples(disk_mesh, identity_field()), g)
 
 
 def test_singular_multi_column_system_raises(disk_mesh, monkeypatch):
@@ -96,7 +100,38 @@ def test_singular_multi_column_system_raises(disk_mesh, monkeypatch):
     zero = lambda mesh, S: sparse.csr_matrix((nv, nv))
     monkeypatch.setattr(fem, "assemble_stiffness", zero)
     with pytest.raises(SolverError, match="singular"):
-        solve_dirichlet(disk_mesh, identity_field(), lambda x, y: np.array([x, y]))
+        solve_dirichlet(
+            disk_mesh, samples(disk_mesh, identity_field()), lambda x, y: np.array([x, y])
+        )
+
+
+@pytest.mark.parametrize(
+    "shape, bad, message",
+    [
+        ((2, 2), None, "shape"),
+        ((None, 2), None, "shape"),
+        ((None, 2, 2), np.nan, "non-finite"),
+        ((None, 2, 2), np.inf, "non-finite"),
+    ],
+)
+def test_bad_sigma_samples_raise(disk_mesh, shape, bad, message):
+    # None stands for the triangle count; bad, when given, goes into one entry
+    S = np.ones([disk_mesh.num_triangles if n is None else n for n in shape])
+    if bad is not None:
+        S[7, 1, 0] = bad
+    with pytest.raises(SolverError, match=message):
+        solve_dirichlet(disk_mesh, S, lambda x, y: x)
+
+
+def test_l2_error_is_the_unscaled_quadrature(disk_mesh):
+    # the power-of-two scaling is exact: the same bits as the plain sums
+    u = solve(disk_mesh, random_nonsymmetric_field(2), lambda x, y: np.cos(2 * x) * y)
+    exact = lambda x, y: np.cos(2 * x) * y + 0.01 * x
+    uh = u.values[disk_mesh.triangles].mean(axis=1)
+    ue = exact(*disk_mesh.centroids.T)
+    a = disk_mesh.areas
+    plain = float(np.sqrt(np.sum(a * (uh - ue) ** 2) / np.sum(a * ue * ue)))
+    assert relative_l2_error(u, exact) == plain
 
 
 def test_reference_of_wrong_shape_raises(disk_mesh):

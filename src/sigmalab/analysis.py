@@ -24,7 +24,7 @@ from .errors import (
     NotInjectiveError,
     SolverError,
 )
-from .fem import ScalarField, assemble_stiffness, gradient_field
+from .fem import ScalarField, _factor_solve, assemble_stiffness, gradient_field
 from .mesh import Mesh, _extract_loops, edge_table, signed_areas
 
 log = logging.getLogger(__name__)
@@ -114,11 +114,9 @@ class LewyReport:
 
 
 def spsolve(A, b):
-    """scipy's spsolve, imported on the first call (see _component_containing);
-    apart from fem.spsolve, so that a trace of fem's solves leaves this one out."""
-    from scipy.sparse import linalg
-
-    return linalg.spsolve(A, b)
+    """fem._factor_solve for the stream-function Laplacian; apart from
+    fem.spsolve, so that a trace of fem's solves leaves this one out."""
+    return _factor_solve(A, b, "stream-function Laplacian")
 
 
 def stream_function(

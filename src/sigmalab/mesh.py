@@ -477,10 +477,15 @@ def _divisions(length: float, h: float) -> int:
 
 def _check_cap(expected: int, what: str = "mesh") -> None:
     """ResourceLimitError when a mesh (or an FD grid, what="grid") would need
-    more vertices than DEFAULT_VERTEX_CAP."""
+    more vertices than DEFAULT_VERTEX_CAP. A count of ten or more digits is
+    written as its leading four and a power of ten, read off the integer's
+    digits: it can exceed the largest double."""
     if expected > DEFAULT_VERTEX_CAP:
+        count = str(expected)
+        if len(count) >= 10:
+            count = f"{count[0]}.{count[1:4]}e{len(count) - 1}"
         raise ResourceLimitError(
-            f"{what} would need about {expected} vertices, above the cap of "
+            f"{what} would need about {count} vertices, above the cap of "
             f"{DEFAULT_VERTEX_CAP}; use a coarser mesh size or spacing"
         )
 

@@ -92,6 +92,37 @@ def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_beltrami_singular_stream_function_exits_3(tmp_path, capsys, monkeypatch):
+    # beltrami factors the stiffness system, then the stream-function
+    # Laplacian; SuperLU finds the second exactly singular
+    from scipy.sparse import linalg
+
+    real, calls = linalg.splu, []
+
+    def second_singular(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("Factor is exactly singular")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", second_singular)
+    code, out = run(tmp_path, "beltrami", "--domain", "disk:r=1", "--h", "0.2",
+                    "--sigma", "identity", "--g", "x1")
+    assert code == 3 and len(calls) == 2
+    err = capsys.readouterr().err
+    assert "stream-function Laplacian is singular" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_mesh_far_above_the_cap_gives_a_short_message(tmp_path, capsys):
+    # about 3e320 vertices: the count is written as digits and a power of ten
+    code, out = run(tmp_path, "mesh", "--domain", "disk:r=1", "--h", "1e-160")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err) < 200 and "about 3.000e320 vertices, above the cap of 1000000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "domain, spacing", [("rect:w=1,h=1", "1e-300"), ("rect:w=1e300,h=1", "0.5")]
 )
@@ -453,21 +484,53 @@ def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
-# sha256 of lewy_report.json, recorded before lewy_verify read the Jacobian
-# from jacobian_field and verify stopped rerunning the injectivity check
+#: the holder report's floats in file order, as they were while the P1 solves
+#: used scipy's spsolve (COLAMD); SuperLU's symmetric mode on an MMD ordering
+#: moved their last bits (at most 2.6e-15 relative) and so the digest
+HOLDER_FLOATS_COLAMD = [
+    0.1, 0.8803879528228036, 0.9319489328705932, 0.8922743418057594,
+    0.8812351768833704, 0.9066421477441284, 0.9503463978494577, 0.9830395511702158,
+    0.9940183519423749, 0.967916880944414, 0.10699717583813895, 0.6904220233645737,
+    0.2139943516762779, 0.0, 0.0, 0.12043817795656425, 0.43525483599785736,
+    0.2408763559131285, 0.0, -0.3999999999999999, 0.11429196369491218,
+    0.4333913032450729, 0.22858392738982436, -0.3999999999999999, 0.0,
+    0.10874802679648243, 0.43039641951797863, 0.21749605359296487,
+    0.40000000000000013, 0.0, 0.11198756367172247, 0.4235855264816406,
+    0.22397512734344494, 0.0, 0.40000000000000013,
+]
+
+
+def json_floats(x):
+    """The float leaves of parsed JSON, in file order."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [f for v in x for f in json_floats(v)]
+    return [x] if isinstance(x, float) else []
+
+
+# sha256 of lewy_report.json; the holder digest was re-recorded when the P1
+# factorization changed, and its floats stay within 1e-13 of the old ones
 @pytest.mark.parametrize(
-    "sigma, g, code, digest",
+    "sigma, g, code, digest, floats",
     [("holder:eps=0.4,cx=0.2,cy=-0.1,w=0.5,theta=0.7", "identity", 0,
-      "d3b6618587dfbd24d2f5958dec1621789586c0e2a6ac80921b32e4056bfeaba5"),
+      "a6f0662920d13d42fe0df9d51df82e8eda6135fb80937b2fc333617f9648beb9",
+      HOLDER_FLOATS_COLAMD),
      # z^2 is not injective: the hypothesis-failure report with its violations
      ("identity", "holo:m=2", 4,
-      "9ae6ddb3feab0d496b06b4428f47b55b6958ead25a5868bdf231028950b807a4")],
+      "9ae6ddb3feab0d496b06b4428f47b55b6958ead25a5868bdf231028950b807a4", None)],
 )
-def test_lewy_report_bytes_pinned(tmp_path, sigma, g, code, digest):
+def test_lewy_report_bytes_pinned(tmp_path, sigma, g, code, digest, floats):
     got, out = run(tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.1",
                    "--sigma", sigma, "--g", g, "--no-svg")
     assert got == code
-    assert hashlib.sha256((out / "lewy_report.json").read_bytes()).hexdigest() == digest
+    report = (out / "lewy_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
+    if floats is not None:
+        got_floats = json_floats(json.loads(report))
+        assert len(got_floats) == len(floats)
+        for new, old in zip(got_floats, floats):
+            assert abs(new - old) <= 1e-13 * abs(old)
 
 
 def test_non_string_out_is_config_error(tmp_path, capsys):

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse import linalg
 
 from sigmalab import (
     EllipticityError,
     MeshError,
     ScalarField,
     SolverError,
+    generate_annulus,
     generate_disk,
     generate_rectangle,
     gradient_field,
     relative_l2_error,
     solve_dirichlet,
 )
-from sigmalab import fem
+from sigmalab import analysis, fem
 from sigmalab.coefficients import (
     ROTATION,
     constant_field,
@@ -103,6 +105,92 @@ def test_singular_multi_column_system_raises(disk_mesh, monkeypatch):
         solve_dirichlet(
             disk_mesh, samples(disk_mesh, identity_field()), lambda x, y: np.array([x, y])
         )
+
+
+def einsum_stiffness(mesh, S):
+    """The stiffness matrix with K[t] summed by the three-operand einsum."""
+    G = mesh.basis_gradients
+    K = np.einsum("tia,tab,tjb->tij", G, S, G) * mesh.areas[:, None, None]
+    t, nv = mesh.triangles, mesh.num_vertices
+    rows, cols = np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+    return sparse.coo_matrix((K.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+@st.composite
+def meshes_and_samples(draw):
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.5, 2.0))
+        mesh = generate_disk((0.0, 0.0), radius, draw(st.floats(0.1, 0.5)) * radius)
+    else:
+        r_in = draw(st.floats(0.1, 0.5))
+        mesh = generate_annulus((0.0, 0.0), r_in, r_in + draw(st.floats(0.4, 1.5)),
+                                draw(st.floats(0.1, 0.35)))
+    # every entry drawn on its own, of either sign and across twenty decades,
+    # so the samples are nonsymmetric; a few set to hypothesis' own floats
+    nt = mesh.num_triangles
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = rng.standard_normal((nt, 2, 2)) * 10.0 ** rng.integers(-10, 11, (nt, 2, 2))
+    entries = st.tuples(st.integers(0, nt - 1), st.integers(0, 1), st.integers(0, 1),
+                        st.floats(-1e100, 1e100))
+    for t, a, b, x in draw(st.lists(entries, max_size=6)):
+        S[t, a, b] = x
+    return mesh, S
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(meshes_and_samples())
+def test_stiffness_kernel_is_the_einsum_bit_for_bit(mesh_and_S):
+    mesh, S = mesh_and_S
+    A, ref = fem.assemble_stiffness(mesh, S), einsum_stiffness(mesh, S)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, part), getattr(ref, part))
+
+
+def test_field_sweep_factor_fill_is_bounded(fine_disk_mesh, monkeypatch):
+    # disk:r=1 at h=0.05, the field-sweep mesh: MMD on A^T + A fills 41,670
+    # L+U nonzeros, COLAMD 56,678
+    real, factors = linalg.splu, []
+
+    def recording(*args, **kwargs):
+        factors.append(real(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    solve_dirichlet(fine_disk_mesh, samples(fine_disk_mesh, random_nonsymmetric_field(3)),
+                    lambda x, y: np.array([x, y]))
+    (lu,) = factors
+    assert lu.shape == (1141, 1141)
+    assert lu.L.nnz + lu.U.nnz <= 45_000
+
+
+@pytest.mark.parametrize("module", [fem, analysis], ids=["fem", "stream-function"])
+def test_factor_solve_agrees_with_scipy_spsolve(disk_mesh, monkeypatch, module):
+    systems, real = [], module.spsolve
+
+    def recording(A, b):
+        systems.append((A, b, real(A, b)))
+        return systems[-1][2]
+
+    monkeypatch.setattr(module, "spsolve", recording)
+    sigma = random_nonsymmetric_field(3)
+    (u, _), _ = solve_dirichlet(disk_mesh, samples(disk_mesh, sigma),
+                                lambda x, y: np.array([np.cos(2 * x) * y, x * x]))
+    analysis.stream_function(u, sigma)
+    ((A, b, x),) = systems
+    ref = linalg.spsolve(A, b).reshape(x.shape)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_singular_factor_is_solver_error(disk_mesh, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    u = solve(disk_mesh, identity_field(), lambda x, y: x)
+    monkeypatch.setattr(linalg, "splu", singular)
+    with pytest.raises(SolverError, match="stiffness system is singular"):
+        solve(disk_mesh, identity_field(), lambda x, y: x)
+    with pytest.raises(SolverError, match="stream-function Laplacian is singular"):
+        analysis.stream_function(u, identity_field())
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,22 @@ def test_overflowing_division_count_is_resource_limit(make):
 
 
 @pytest.mark.parametrize(
+    "count, written",
+    [(1_000_001, "1000001"), (999_999_999, "999999999"), (1_000_000_000, "1.000e9"),
+     # past the largest double, so no float can carry it
+     (123_456_789 * 10**400, "1.234e408")],
+    ids=["7-digits", "9-digits", "10-digits", "409-digits"],
+)
+def test_cap_message_writes_long_counts_as_a_power_of_ten(count, written):
+    with pytest.raises(ResourceLimitError) as info:
+        meshmod._check_cap(count)
+    assert str(info.value) == (
+        f"mesh would need about {written} vertices, above the cap of 1000000; "
+        "use a coarser mesh size or spacing"
+    )
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: generate_annulus((0, 0), 0.2, math.inf, 1.0),

@@ -29,15 +29,7 @@ import numpy as np
 
 from . import analysis, coefficients, fd, fem, mesh as meshmod, oracles, svgplots
 from .coefficients import Family, parse_family
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    EllipticityError,
-    MeshError,
-    NotInjectiveError,
-    ResourceLimitError,
-    SolverError,
-)
+from .errors import ConfigError, NotInjectiveError, ResourceLimitError, SigmalabError
 from .reports import dumps
 
 EXIT_OK = 0
@@ -48,15 +40,6 @@ EXIT_VERIFICATION = 5
 
 #: meyers measures the Jacobian error on centroids at least this far from the center
 JACOBIAN_RMIN = 0.3
-
-_NUMERICAL_ERRORS = (
-    MeshError,
-    SolverError,
-    EllipticityError,
-    ResourceLimitError,
-    DegenerateInputError,
-)
-
 
 #: domain descriptors; build(params, h) gives the mesh at mesh size h
 DOMAINS = {
@@ -529,7 +512,7 @@ def main(argv=None) -> int:
     except NotInjectiveError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except _NUMERICAL_ERRORS as exc:
+    except SigmalabError as exc:  # DomainError and NotEllipticError are ConfigErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

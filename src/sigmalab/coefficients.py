@@ -34,12 +34,10 @@ class CoefficientField:
     """Matrix-valued map x -> sigma(x).
 
     evaluator takes coordinate arrays (X, Y) of shape (n,) and returns an
-    (n, 2, 2) array; symmetric is the caller's claim, checked wherever
-    matrices are evaluated.
+    (n, 2, 2) array; descriptor names the field in reports and errors.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    symmetric: bool
     descriptor: str
 
     def at_points(self, points) -> np.ndarray:
@@ -53,12 +51,6 @@ class CoefficientField:
         _raise_at_first(
             P, ~np.isfinite(S).all(axis=(1, 2)), f"field '{self.descriptor}' has non-finite entries"
         )
-        if self.symmetric:
-            _raise_at_first(
-                P,
-                np.abs(S[:, 0, 1] - S[:, 1, 0]) > 1e-12 * (1.0 + np.abs(S[:, 0, 1])),
-                f"field '{self.descriptor}' claims symmetry but sigma12 != sigma21",
-            )
         return S
 
 
@@ -241,10 +233,7 @@ def identity_field() -> CoefficientField:
 
 def constant_field(matrix, descriptor: str = "const") -> CoefficientField:
     m = np.array(matrix, dtype=float)
-    sym = abs(m[0, 1] - m[1, 0]) < 1e-15
-    return CoefficientField(
-        lambda X, Y: np.tile(m, (len(X), 1, 1)), symmetric=sym, descriptor=descriptor
-    )
+    return CoefficientField(lambda X, Y: np.tile(m, (len(X), 1, 1)), descriptor)
 
 
 def anisotropic_field(l1: float, l2: float, theta: float = 0.0) -> CoefficientField:
@@ -273,7 +262,7 @@ def meyers_sigma(alpha: float) -> CoefficientField:
         s11, s22 = (ai * X * X + alpha * Y * Y) / r2, (alpha * X * X + ai * Y * Y) / r2
         return np.stack([s11, off, off, s22], axis=-1).reshape(-1, 2, 2)
 
-    return CoefficientField(ev, symmetric=True, descriptor=f"meyers:alpha={alpha}")
+    return CoefficientField(ev, f"meyers:alpha={alpha}")
 
 
 def _bump(X, Y, cx, cy, w) -> np.ndarray:
@@ -299,25 +288,20 @@ def holder_bump_field(
     def ev(X, Y):
         return eye + (eps * _bump(X, Y, cx, cy, w)) * P
 
-    return CoefficientField(
-        ev,
-        symmetric=True,
-        descriptor=f"holder:eps={eps},cx={cx},cy={cy},w={w},theta={theta}",
-    )
+    return CoefficientField(ev, f"holder:eps={eps},cx={cx},cy={cy},w={w},theta={theta}")
+
+
+def _plus_skew(base: CoefficientField, tau: float, descriptor: str) -> CoefficientField:
+    """base plus tau J; the skew part never enters sigma xi . xi."""
+    skew = tau * ROTATION
+    return CoefficientField(lambda X, Y: base.evaluator(X, Y) + skew, descriptor)
 
 
 def nonsymmetric_field(tau: float, base: Optional[CoefficientField] = None) -> CoefficientField:
-    """Symmetric base plus tau J; the skew part never enters sigma xi . xi."""
+    """Symmetric base (the identity by default) plus tau J."""
     if base is None:
         base = identity_field()
-    skew = tau * ROTATION
-
-    def ev(X, Y):
-        return base.evaluator(X, Y) + skew
-
-    return CoefficientField(
-        ev, symmetric=False, descriptor=f"nonsym:tau={tau},base={base.descriptor}"
-    )
+    return _plus_skew(base, tau, f"nonsym:tau={tau},base={base.descriptor}")
 
 
 def random_holder_field(seed: int) -> CoefficientField:
@@ -342,7 +326,7 @@ def random_holder_field(seed: int) -> CoefficientField:
             m += eps * _bump(X, Y, cx, cy, w) * P
         return m
 
-    return CoefficientField(ev, symmetric=True, descriptor=f"randholder:seed={seed}")
+    return CoefficientField(ev, f"randholder:seed={seed}")
 
 
 def random_nonsymmetric_field(seed: int, tau: Optional[float] = None) -> CoefficientField:
@@ -352,10 +336,7 @@ def random_nonsymmetric_field(seed: int, tau: Optional[float] = None) -> Coeffic
         tau = float(np.random.default_rng(seed ^ 0x5EED).uniform(0.05, 0.3))
     if not abs(tau) < 1.0:
         raise ConfigError("need |tau| < 1")
-    f = nonsymmetric_field(tau, base)
-    return CoefficientField(
-        f.evaluator, symmetric=False, descriptor=f"randnonsym:seed={seed},tau={tau}"
-    )
+    return _plus_skew(base, tau, f"randnonsym:seed={seed},tau={tau}")
 
 
 # ---------------------------------------------------------------------------

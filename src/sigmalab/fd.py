@@ -11,7 +11,7 @@ would be lost, rather than returning silently wrong answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,28 +23,36 @@ from .mesh import _check_cap, read_line, read_rows
 _NEIGHBORS8 = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1) if (di, dj) != (0, 0)]
 
 
+def _neighbors(mask: np.ndarray) -> list[np.ndarray]:
+    """The 8 neighbor views of a (ny, nx) mask, False beyond its edge."""
+    ny, nx = mask.shape
+    padded = np.pad(mask, 1)
+    return [padded[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx] for di, dj in _NEIGHBORS8]
+
+
 @dataclass(frozen=True)
 class GridDomain:
-    """Masked rectangular grid.
+    """Masked rectangular grid given by its member nodes.
 
-    Masks have shape (ny, nx), indexed [j, i] for the node at
-    (origin_x + i*spacing, origin_y + j*spacing). interior is not empty;
-    interior and boundary are disjoint; every interior node has all 8
-    neighbors in interior or boundary.
+    member has shape (ny, nx), indexed [j, i] for the node at
+    (origin_x + i*spacing, origin_y + j*spacing). The masks are derived:
+    interior nodes are members whose 8 neighbors are all members, boundary
+    nodes the other members next to an interior node (members touching no
+    interior node belong to neither). So the masks are disjoint and every
+    interior node has all 8 neighbors in interior or boundary; a grid with
+    no interior node raises DomainError.
     """
 
     origin: tuple[float, float]
     spacing: float
-    nx: int
-    ny: int
-    interior_mask: np.ndarray
-    boundary_mask: np.ndarray
+    member: np.ndarray
+    interior_mask: np.ndarray = field(init=False, repr=False)
+    boundary_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        im = np.asarray(self.interior_mask, dtype=bool)
-        bm = np.asarray(self.boundary_mask, dtype=bool)
-        if im.shape != (self.ny, self.nx) or bm.shape != (self.ny, self.nx):
-            raise MeshError("mask shapes must be (ny, nx)")
+        member = np.array(self.member, dtype=bool)
+        if member.ndim != 2:
+            raise MeshError("the member mask must have shape (ny, nx)")
         if not (self.spacing > 0 and np.isfinite([*self.origin, self.spacing]).all()):
             raise MeshError("grid spacing must be positive, origin and spacing finite")
         h2 = float(self.spacing) * float(self.spacing)  # the stencil divides by it
@@ -52,23 +60,22 @@ class GridDomain:
             raise DomainError(
                 f"grid spacing {self.spacing} is too small: 1/spacing^2 is not a finite double"
             )
-        if not im.any():
+        interior = member & np.logical_and.reduce(_neighbors(member))
+        if not interior.any():
             raise DomainError(f"grid spacing {self.spacing} leaves no interior node")
-        if (im & bm).any():
-            raise MeshError("interior and boundary masks overlap")
-        alive = im | bm
-        jj, ii = np.where(im)
-        for di, dj in _NEIGHBORS8:
-            j2, i2 = jj + dj, ii + di
-            ok = (0 <= j2.min()) and (j2.max() < self.ny) and (0 <= i2.min()) and (i2.max() < self.nx)
-            if not ok or not alive[j2, i2].all():
-                raise MeshError(
-                    "an interior node has a neighbor outside interior + boundary"
-                )
-        im.setflags(write=False)
-        bm.setflags(write=False)
-        object.__setattr__(self, "interior_mask", im)
-        object.__setattr__(self, "boundary_mask", bm)
+        boundary = member & ~interior & np.logical_or.reduce(_neighbors(interior))
+        for name, mask in (("member", member), ("interior_mask", interior),
+                           ("boundary_mask", boundary)):
+            mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
+
+    @property
+    def nx(self) -> int:
+        return self.member.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.member.shape[0]
 
     def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         x = self.origin[0] + self.spacing * np.arange(self.nx)
@@ -103,30 +110,10 @@ def grid_from_predicate(
     ny: int,
     inside: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> GridDomain:
-    """Build masks from a vectorized point membership predicate.
-
-    interior = nodes whose 8 neighbors are all inside; boundary = remaining
-    inside nodes adjacent to an interior node. Orphan inside nodes (touching
-    no interior node) are dropped.
-    """
+    """The grid whose members are the nodes where the vectorized predicate holds."""
     x = origin[0] + spacing * np.arange(nx)
     y = origin[1] + spacing * np.arange(ny)
-    X, Y = np.meshgrid(x, y, indexing="xy")
-    member = np.asarray(inside(X, Y), dtype=bool)
-    interior = member.copy()
-    interior[0, :] = interior[-1, :] = False
-    interior[:, 0] = interior[:, -1] = False
-    for di, dj in _NEIGHBORS8:
-        interior[1:-1, 1:-1] &= member[1 + dj : ny - 1 + dj, 1 + di : nx - 1 + di]
-    near_interior = np.zeros_like(member)
-    for di, dj in _NEIGHBORS8:
-        lo_j, hi_j = max(0, dj), ny + min(0, dj)
-        lo_i, hi_i = max(0, di), nx + min(0, di)
-        near_interior[lo_j:hi_j, lo_i:hi_i] |= interior[
-            lo_j - dj : hi_j - dj, lo_i - di : hi_i - di
-        ]
-    boundary = member & ~interior & near_interior
-    return GridDomain(origin, spacing, nx, ny, interior, boundary)
+    return GridDomain(origin, spacing, inside(*np.meshgrid(x, y, indexing="xy")))
 
 
 def _check_placement(point: tuple[float, float], spacing: float) -> None:
@@ -164,11 +151,7 @@ def rectangle_grid(corner: tuple[float, float], width: float, height: float, spa
         raise DomainError("rectangle sides must be positive and finite")
     nx, ny = _nodes(width, spacing), _nodes(height, spacing)
     _check_cap(nx * ny, "grid")
-    member = np.ones((ny, nx), dtype=bool)
-    interior = np.zeros_like(member)
-    interior[1:-1, 1:-1] = True
-    boundary = member & ~interior
-    return GridDomain(corner, spacing, nx, ny, interior, boundary)
+    return GridDomain(corner, spacing, np.ones((ny, nx), dtype=bool))
 
 
 def nested_dissection_key(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -302,17 +285,21 @@ def solve_nondivergence(
 # plain-text format: "grid v1"  (masks as 0/1/2 = exterior/interior/boundary)
 
 
-def grid_field_to_text(f: GridField) -> str:
-    g = f.grid
+def _mask_codes(g: GridDomain) -> np.ndarray:
     code = np.zeros((g.ny, g.nx), dtype=int)
     code[g.interior_mask] = 1
     code[g.boundary_mask] = 2
+    return code
+
+
+def grid_field_to_text(f: GridField) -> str:
+    g = f.grid
     mask_rows = (" ".join(["%d"] * g.nx) + "\n") * g.ny
     value_rows = (" ".join(["%r"] * g.nx) + "\n") * g.ny
     return (
         f"grid v1\norigin {float(g.origin[0])!r} {float(g.origin[1])!r}\n"
         f"spacing {float(g.spacing)!r}\nsize {g.nx} {g.ny}\nmask\n"
-        + mask_rows % tuple(code.ravel().tolist())
+        + mask_rows % tuple(_mask_codes(g).ravel().tolist())
         + "values\n"
         + value_rows % tuple(f.values.ravel().tolist())
     )
@@ -334,7 +321,8 @@ def grid_field_from_text(text: str) -> GridField:
             raise MeshError(f"missing {word} block")
         blocks[word], pos = read_rows(lines, pos + 1, ny, nx, dtype, f"{word} row")
     code = blocks["mask"]
-    if not np.isin(code, (0, 1, 2)).all():
-        raise MeshError("mask codes must be 0, 1 or 2")
-    grid = GridDomain(tuple(origin.tolist()), float(spacing), nx, ny, code == 1, code == 2)
+    grid = GridDomain(tuple(origin.tolist()), float(spacing), code != 0)
+    if not np.array_equal(code, _mask_codes(grid)):
+        # codes other than 0, 1 and 2 land here too
+        raise MeshError("stored mask codes do not match the masks derived from the member nodes")
     return GridField(grid, blocks["values"])

@@ -112,12 +112,16 @@ def holomorphic_oracle(m: int) -> AnalyticSolution:
     if m < 1:
         raise ConfigError("power m must be a positive integer")
 
+    # far from the origin z^m overflows to inf or nan; the callers' finiteness
+    # checks refuse such values, so numpy need not warn about them
     def value(x, y):
-        w = (x + 1j * y) ** m
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (x + 1j * y) ** m
         return np.array([w.real, w.imag])
 
     def gradient(x, y):
-        d = m * (x + 1j * y) ** (m - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = m * (x + 1j * y) ** (m - 1)
         return np.array([[d.real, -d.imag], [d.imag, d.real]])
 
     return AnalyticSolution(f"holo:m={m}", 2, value, gradient)

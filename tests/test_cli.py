@@ -6,6 +6,7 @@ import pytest
 
 from sigmalab import coefficients, fem, generate_disk, mesh
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
+from sigmalab.errors import SigmalabError
 
 
 def run(tmp_path, *args):
@@ -134,6 +135,39 @@ def test_solve_nd_oversized_grid_exits_3(tmp_path, capsys, domain, spacing):
     assert code == 3
     err = capsys.readouterr().err
     assert "above the cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_any_package_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a package error class that main names nowhere still exits 3
+    class FreshError(SigmalabError):
+        pass
+
+    def failing(cfg):
+        raise FreshError("fresh failure")
+
+    monkeypatch.setitem(COMMANDS, "mesh", (failing, COMMANDS["mesh"][1]))
+    code, out = run(tmp_path, "mesh", "--domain", "disk:r=1", "--h", "0.2")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: fresh failure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, g",
+    [
+        ("map", "holo:m=40"),
+        ("verify", "holo:m=40"),
+        ("solve", "holo:m=40,component=1"),
+        ("unimodal", "holo:m=40,component=2"),
+    ],
+)
+def test_overflowing_boundary_data_exits_3(tmp_path, capsys, command, g):
+    # z^40 overflows near x = 1e9; tier-1 turns a numpy RuntimeWarning into an error
+    code, out = run(tmp_path, command, "--domain", "disk:r=0.1,cx=1e9", "--h", "0.05", "--g", g)
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 

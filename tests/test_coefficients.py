@@ -155,9 +155,7 @@ def test_divergence_constant_field_is_zero():
 def test_divergence_linear_entry():
     import sigmalab.coefficients as co
 
-    field = co.CoefficientField(
-        lambda X, Y: X[:, None, None] * np.eye(2), symmetric=True, descriptor="x*I"
-    )
+    field = co.CoefficientField(lambda X, Y: X[:, None, None] * np.eye(2), descriptor="x*I")
     b = divergence_of_sigma(field, [(0.7, -0.2)], 1e-4)[0]
     assert b[0] == pytest.approx(1.0, abs=1e-6)
     assert b[1] == pytest.approx(0.0, abs=1e-6)
@@ -178,7 +176,7 @@ def test_divergence_that_overflows_is_refused():
         m[:, 0, 0] = np.where(X > 0, 1e306, 1e300)
         return m
 
-    field = CoefficientField(ev, symmetric=True, descriptor="jump")
+    field = CoefficientField(ev, descriptor="jump")
     points = [(0.5, 0.5), (0.0, 0.25)]
     assert require_elliptic(field, points).elliptic
     with np.errstate(over="ignore"):
@@ -293,7 +291,8 @@ def test_seeded_random_fields_reproducible_and_elliptic():
     rep = ellipticity_report(a, CIRCLE)
     assert rep.elliptic
     n = random_nonsymmetric_field(5)
-    assert not n.symmetric
+    S = n.at_points(CIRCLE)
+    assert (S[:, 0, 1] != S[:, 1, 0]).all()
     assert max_dilatation(require_elliptic(n, CIRCLE).samples) < 1.0
 
 
@@ -366,7 +365,7 @@ def test_checks_are_exact_under_power_of_two_scaling(S, k):
     # expressions set no floating-point flag they agree with them bit for bit
     m = np.ldexp(np.array(S).reshape(-1, 2, 2), k)
     pts = np.array([(float(i), 0.0) for i in range(len(m))])
-    field = CoefficientField(lambda X, Y: m, symmetric=False, descriptor="scaled")
+    field = CoefficientField(lambda X, Y: m, descriptor="scaled")
 
     def report(field, pts):
         r = ellipticity_report(field, pts)

@@ -5,8 +5,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sigmalab import (
+    DomainError,
     MappingField,
     MeshError,
     ResourceLimitError,
@@ -104,9 +106,7 @@ def test_divergence_drift_cases():
     assert b[0] == pytest.approx((0.0, 0.0), abs=1e-12)
 
     ramp = CoefficientField(
-        lambda X, Y: np.eye(2) + X[:, None, None] * [[1.0, 0.0], [0.0, 0.0]],
-        symmetric=True,
-        descriptor="ramp",
+        lambda X, Y: np.eye(2) + X[:, None, None] * [[1.0, 0.0], [0.0, 0.0]], descriptor="ramp"
     )
     v = divergence_of_sigma(ramp, [(0.2, -0.3)], 1e-4)[0]
     assert v[0] == pytest.approx(1.0, abs=1e-8)
@@ -187,14 +187,6 @@ def test_annulus_grid_gives_grid_or_error(cx, r_in, width, spacing):
     assert grid.interior_mask.any() and ((R >= r_in) & (R <= r_out)).all()
 
 
-def test_grid_domain_rejects_bad_masks():
-    im = np.zeros((4, 4), dtype=bool)
-    bm = np.zeros((4, 4), dtype=bool)
-    im[1, 1] = True  # neighbors are dead
-    with pytest.raises(MeshError):
-        GridDomain((0, 0), 0.1, 4, 4, im, bm)
-
-
 def test_grid_file_roundtrip(tmp_path):
     grid = annulus_grid((0, 0), 0.3, 0.9, 0.1)
     vals = np.zeros((grid.ny, grid.nx))
@@ -256,6 +248,14 @@ _RECT_VALUES = _RECT_TEXT[_RECT_TEXT.index("values"):]
         _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "2 2 2\n2 1 1 2"),
         _SMALL_TEXT.replace("mask\n0 ", "mask\n7 "),
         _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "2 2 2 2\n2 1.0 1 2"),
+        # codes that differ from the masks derived from the member nodes: an
+        # interior code with an exterior neighbor, a boundary code on a member
+        # touching no interior node, a boundary node coded interior and an
+        # interior node coded boundary
+        _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "0 2 2 2\n2 1 1 2"),
+        _SMALL_TEXT.replace("mask\n0 ", "mask\n2 "),
+        _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "2 2 2 2\n1 1 1 2"),
+        _RECT_TEXT.replace("2 2 2 2\n2 1 1 2", "2 2 2 2\n2 2 1 2"),
         _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES.replace(" 5.0 ", " x ")),
         _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES.replace("7.0", "7.0 # seven")),
         _RECT_TEXT.replace(_RECT_VALUES, _RECT_VALUES.replace("\n12.0", "\n\n12.0")),
@@ -281,6 +281,46 @@ def test_grid_field_from_text_gives_field_or_error(text):
     except (MeshError, SolverError):
         return
     assert isinstance(f, GridField)
+
+
+#: membership masks of every shape up to 9 x 9, denser than half so that
+#: grids with interior nodes are common
+MEMBER_MASKS = arrays(
+    bool,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+    elements=st.sampled_from([True, True, True, False]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(member=MEMBER_MASKS)
+@example(member=np.ones((3, 3), dtype=bool))
+@example(member=np.ones((2, 9), dtype=bool))
+def test_grid_masks_are_derived_from_the_members(member):
+    try:
+        grid = GridDomain((0.5, -1.0), 0.1, member)
+    except DomainError:  # no member has 8 member neighbors
+        assert not any(
+            member[j - 1 : j + 2, i - 1 : i + 2].all()
+            for j in range(1, member.shape[0] - 1)
+            for i in range(1, member.shape[1] - 1)
+        )
+        return
+    im, bm = grid.interior_mask, grid.boundary_mask
+    assert (grid.ny, grid.nx) == member.shape
+    assert not (im & bm).any()
+    padded = [np.pad(mask, 1) for mask in (member, im, im | bm)]
+    for j, i in np.ndindex(member.shape):
+        # the 3 x 3 blocks around node (j, i)
+        members, inner, alive = (p[j : j + 3, i : i + 3] for p in padded)
+        assert im[j, i] == members.all()
+        assert bm[j, i] == (member[j, i] and not im[j, i] and inner.any())
+        assert alive.all() or not im[j, i]
+    text = grid_field_to_text(GridField(grid, np.zeros(member.shape)))
+    back = grid_field_from_text(text)
+    assert grid_field_to_text(back) == text
+    assert np.array_equal(back.grid.interior_mask, im)
+    assert np.array_equal(back.grid.boundary_mask, bm)
 
 
 def test_predicate_grid_drops_orphans():
@@ -459,7 +499,7 @@ def _smooth_sigma(diag, amp, freq):
         s12 = c + amp[2] * np.sin(k[4] * X * Y + k[5])
         return np.stack([np.stack([s11, s12], -1), np.stack([s12, s22], -1)], -2)
 
-    return CoefficientField(ev, symmetric=True, descriptor="smooth")
+    return CoefficientField(ev, descriptor="smooth")
 
 
 SMOOTH_SIGMAS = st.builds(

@@ -18,13 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
-from .errors import (
-    DegenerateInputError,
-    MeshError,
-    NotInjectiveError,
-    SolverError,
-)
-from .fem import ScalarField, _factor_solve, assemble_stiffness, gradient_field
+from .errors import DegenerateInputError, MeshError, NotInjectiveError
+from .fem import ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field
 from .mesh import Mesh, _extract_loops, edge_table, signed_areas
 
 log = logging.getLogger(__name__)
@@ -58,7 +53,7 @@ class MappingField:
         return ScalarField(self.mesh, xi[0] * self.u1.values + xi[1] * self.u2.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexDerivativeField:
     """Per-triangle Wirtinger derivatives of f = u + iv.
 
@@ -87,7 +82,7 @@ class InjectivityResult:
     violations: list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PullbackSubdomain:
     """Preimage of a target disk: its triangles and the boundary loops of
     their union, both in the parent mesh's ids, the outer loop first."""
@@ -116,7 +111,7 @@ class LewyReport:
 def spsolve(A, b):
     """fem._factor_solve for the stream-function Laplacian; apart from
     fem.spsolve, so that a trace of fem's solves leaves this one out."""
-    return _factor_solve(A, b, "stream-function Laplacian")
+    return _factor_solve(A, b, "stream-function Laplacian", "MMD_AT_PLUS_A")
 
 
 def stream_function(
@@ -156,8 +151,6 @@ def stream_function(
     rhs = np.bincount(mesh.triangles.ravel(), load.ravel(), minlength=mesh.num_vertices)
     v = np.zeros(mesh.num_vertices)
     v[1:] = spsolve(L[1:, 1:].tocsc(), rhs[1:])  # anchor v = 0 at vertex 0
-    if not np.isfinite(v).all():
-        raise SolverError("stream-function least squares produced non-finite values")
 
     v = ScalarField(mesh, v)
     d = gradient_field(v) - w
@@ -181,10 +174,12 @@ def complex_derivatives(u: ScalarField, v: ScalarField) -> ComplexDerivativeFiel
     return ComplexDerivativeField(u.mesh, fz, fzbar, value_scale=scale)
 
 
-def beltrami_residual(cd: ComplexDerivativeField, sigma: CoefficientField) -> float:
-    """Area-weighted relative L2 defect of fzbar = mu fz + nu conj(fz)."""
+def beltrami_residual(cd: ComplexDerivativeField, S: np.ndarray) -> float:
+    """Area-weighted relative L2 defect of fzbar = mu fz + nu conj(fz), with
+    mu and nu from sigma's (nt, 2, 2) samples S at the centroids (SolverError
+    when S has the wrong shape or non-finite entries)."""
     mesh = cd.mesh
-    d = dilatations(require_elliptic(sigma, mesh.centroids).samples)
+    d = dilatations(checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples"))
     den = float(np.sqrt(np.sum(mesh.areas * np.abs(cd.fz) ** 2)))
     # constant nodal data leaves roundoff-sized gradients, not exact zeros
     floor = 1e-12 * cd.value_scale * math.sqrt(float(mesh.areas.sum())) / mesh.h

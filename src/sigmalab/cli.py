@@ -353,7 +353,7 @@ def cmd_beltrami(cfg):
             u, sigma, allow_multiply_connected=cfg["allow_holes"]
         )
         cd = analysis.complex_derivatives(u, v)
-        res = analysis.beltrami_residual(cd, sigma)
+        res = analysis.beltrami_residual(cd, ell.samples)
         report["stream_residual"] = stream_res
         report["beltrami_residual"] = res
         report["boundary_data"] = data.descriptor

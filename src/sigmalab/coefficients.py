@@ -43,7 +43,8 @@ class CoefficientField:
     def at_points(self, points) -> np.ndarray:
         P = np.asarray(points, dtype=float).reshape(-1, 2)
         X, Y = np.ascontiguousarray(P.T)
-        S = np.asarray(self.evaluator(X, Y), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+            S = np.asarray(self.evaluator(X, Y), dtype=float)
         if S.shape != (len(P), 2, 2):
             raise EllipticityError(
                 f"field '{self.descriptor}' returned shape {S.shape}, expected {(len(P), 2, 2)}"
@@ -214,10 +215,11 @@ def divergence_of_sigma(field: CoefficientField, p, step: float) -> np.ndarray:
             f"at ({x:.6g}, {y:.6g})"
         )
     # b_j = sum_a d_a s_aj: row a of sigma differenced along axis a
-    B = sum(
-        (field.at_points(pts + e)[:, a] - field.at_points(pts - e)[:, a]) / (2 * step)
-        for a, e in enumerate(np.eye(2) * step)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        B = sum(
+            (field.at_points(pts + e)[:, a] - field.at_points(pts - e)[:, a]) / (2 * step)
+            for a, e in enumerate(np.eye(2) * step)
+        )
     bad = ~np.isfinite(B).all(axis=1)
     _raise_at_first(pts, bad, f"drift 'div({field.descriptor});step={step}' has non-finite entries")
     return B

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MeshError, ResourceLimitError, SolverError
-from .fem import boundary_values, checked_residual, checked_samples
+from .fem import _factor_solve, boundary_values, checked_residual, checked_samples
 from .mesh import _check_cap, read_line, read_rows
 
 _NEIGHBORS8 = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1) if (di, dj) != (0, 0)]
@@ -30,7 +30,7 @@ def _neighbors(mask: np.ndarray) -> list[np.ndarray]:
     return [padded[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx] for di, dj in _NEIGHBORS8]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDomain:
     """Masked rectangular grid given by its member nodes.
 
@@ -87,7 +87,7 @@ class GridDomain:
         return np.column_stack([X[mask], Y[mask]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     grid: GridDomain
     values: np.ndarray
@@ -186,11 +186,10 @@ def nested_dissection_key(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     return keys[0][ii - lo[0]] + keys[1][jj - lo[1]]
 
 
-def splu(A, **kwargs):
-    """scipy's splu, imported on the first call (see analysis._component_containing)."""
-    from scipy.sparse import linalg
-
-    return linalg.splu(A, **kwargs)
+def spsolve(A, b):
+    """fem._factor_solve for the finite-difference system, under the name a
+    trace of fd's solves wraps; NATURAL keeps the nested-dissection numbering."""
+    return _factor_solve(A, b, "finite-difference system", "NATURAL")
 
 
 def solve_nondivergence(
@@ -266,13 +265,7 @@ def solve_nondivergence(
     M = sparse.csc_matrix((vals, (rows, cols)), shape=(n, n + G.shape[1]))
     A = M[:, :n]
     rhs = -M[:, n:] @ G.T
-    # the numbering is the fill-reducing order: NATURAL keeps it, and on this
-    # structurally symmetric matrix SymmetricMode's diagonal pivots do too
-    try:
-        lu = splu(A, permc_spec="NATURAL", options=dict(SymmetricMode=True))
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"finite-difference system is singular: {exc}") from exc
-    U = lu.solve(rhs)
+    U = spsolve(A, rhs)
     relative = checked_residual(A, U, rhs)
 
     out = np.zeros((len(G), grid.ny, grid.nx))

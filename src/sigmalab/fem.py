@@ -30,7 +30,7 @@ def checked_samples(S, shape: tuple, what: str) -> np.ndarray:
     return S
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Piecewise-linear nodal function on a mesh."""
 
@@ -53,30 +53,34 @@ class ScalarField:
         return out
 
 
-def _factor_solve(A, b, what: str) -> np.ndarray:
+def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
     """A^-1 b for the (n,) or (n, k) right-hand side b, every column through one
-    SuperLU factor of the CSC matrix A; SolverError naming `what` when the
-    factor is exactly singular.
+    SuperLU factor of the structurally symmetric CSC matrix A, in symmetric
+    mode on the column ordering permc_spec with scipy's default partial
+    pivoting; SolverError naming `what` when the factor is exactly singular or
+    the solution is not finite.
 
-    The P1 matrices are structurally symmetric, so the factor is taken in
-    symmetric mode on a minimum-degree ordering of A^T + A, which fills less
-    than the COLAMD column ordering (41,670 against 56,678 L+U nonzeros at
-    1141 unknowns); scipy's default diag_pivot_thresh keeps partial pivoting.
-    scipy is imported on the first call (see analysis._component_containing).
+    The P1 systems use MMD_AT_PLUS_A, which fills less than COLAMD (41,670
+    against 56,678 L+U nonzeros at 1141 unknowns); fd's nested-dissection
+    numbering keeps its order with NATURAL. scipy is imported on the first
+    call (see analysis._component_containing).
     """
     from scipy.sparse import linalg
 
     try:
-        lu = linalg.splu(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        lu = linalg.splu(A, permc_spec=permc_spec, options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"{what} is singular: {exc}") from exc
-    return lu.solve(b)
+    x = lu.solve(b)
+    if not np.isfinite(x).all():
+        raise SolverError(f"{what} solve produced non-finite values")
+    return x
 
 
 def spsolve(A, b):
     """_factor_solve for the stiffness system, under the name a trace of fem's
     solves wraps."""
-    return _factor_solve(A, b, "stiffness system")
+    return _factor_solve(A, b, "stiffness system", "MMD_AT_PLUS_A")
 
 
 def assemble_stiffness(mesh: Mesh, S: np.ndarray):
@@ -115,9 +119,7 @@ def boundary_values(g, points) -> np.ndarray:
 
 def checked_residual(A, x, rhs: np.ndarray) -> float:
     """The largest relative max-norm residual of A x = rhs over the (n, k)
-    columns; SolverError when x is not finite or a residual exceeds 1e-10."""
-    if not np.isfinite(x).all():
-        raise SolverError("linear solve produced non-finite values")
+    columns; SolverError when a residual exceeds 1e-10."""
     scale = np.abs(rhs).max(axis=0)
     residual = np.abs(A @ x - rhs).max(axis=0)
     relative = float(np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0).max())

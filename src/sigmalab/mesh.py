@@ -149,13 +149,13 @@ class Mesh:
             areas = signed_areas(vertices, triangles)
         if not np.isfinite(areas).all():
             raise MeshError("triangle areas overflow; vertex coordinates are too large")
-        if areas.min() <= DEGENERATE_AREA_FACTOR * h * h:
-            t = int(np.argmin(areas))
+        floor = DEGENERATE_AREA_FACTOR * h * h  # a subnormal floor cannot tell 0 from underflow
+        t = int(np.argmin(areas))
+        if areas[t] < 0 or (areas[t] <= floor and floor >= sys.float_info.min):
             raise MeshError(
                 f"triangle {t} is degenerate or inverted (signed area {areas[t]:.3e})"
             )
-        if areas.min() < sys.float_info.min:  # stiffness entries would lose their digits
-            t = int(np.argmin(areas))
+        if areas[t] < sys.float_info.min:  # stiffness entries would lose their digits
             raise DomainError(
                 f"mesh size h={h} is too small: triangle {t} has area {areas[t]:.3e}, "
                 "below the smallest normal double"

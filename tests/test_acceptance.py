@@ -174,7 +174,8 @@ class AcceptanceRun:
             for _ in range(levels):
                 u = solve(m, sigma, g)
                 v, _ = stream_function(u, sigma, allow_multiply_connected=allow_holes)
-                out.append(beltrami_residual(complex_derivatives(u, v), sigma))
+                S = require_elliptic(sigma, m.centroids).samples
+                out.append(beltrami_residual(complex_derivatives(u, v), S))
                 m = refine(m)
             return out
 

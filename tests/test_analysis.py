@@ -16,11 +16,13 @@ from sigmalab import (
     MeshError,
     NotInjectiveError,
     ScalarField,
+    SolverError,
     UnimodalityVerdict,
     analysis,
     beltrami_residual,
     complex_derivatives,
     critical_point_candidates,
+    fd,
     generate_annulus,
     generate_disk,
     generate_rectangle,
@@ -212,13 +214,25 @@ def test_complex_derivatives_mesh_mismatch(disk_mesh, fine_disk_mesh):
 def test_beltrami_residual_exact_holomorphic(disk_mesh):
     u = nodal(disk_mesh, lambda x, y: x)
     v = nodal(disk_mesh, lambda x, y: y)
-    assert beltrami_residual(complex_derivatives(u, v), identity_field()) <= 1e-12
+    assert beltrami_residual(complex_derivatives(u, v), samples(disk_mesh, identity_field())) <= 1e-12
 
 
 def test_beltrami_residual_constant_f_raises(disk_mesh):
     c = nodal(disk_mesh, lambda x, y: 1.0)
     with pytest.raises(DegenerateInputError):
-        beltrami_residual(complex_derivatives(c, c), identity_field())
+        beltrami_residual(complex_derivatives(c, c), samples(disk_mesh, identity_field()))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda S: S[1:], lambda S: S[:, 0], lambda S: np.where(S == 1.0, np.nan, S)],
+    ids=["too-few", "vectors", "non-finite"],
+)
+def test_beltrami_residual_refuses_bad_samples(disk_mesh, bad):
+    u = nodal(disk_mesh, lambda x, y: x)
+    v = nodal(disk_mesh, lambda x, y: y)
+    with pytest.raises(SolverError, match="sigma samples"):
+        beltrami_residual(complex_derivatives(u, v), bad(samples(disk_mesh, identity_field())))
 
 
 def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
@@ -228,7 +242,7 @@ def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
     for _ in range(2):
         u = solve(m, sigma, lambda x, y: x * x - y * y)
         v, _ = stream_function(u, sigma)
-        res.append(beltrami_residual(complex_derivatives(u, v), sigma))
+        res.append(beltrami_residual(complex_derivatives(u, v), samples(m, sigma)))
         m = refine(m)
     assert res[0] <= 0.05
     assert res[1] <= res[0] / 1.8
@@ -953,3 +967,33 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
         m = refine(m)
     for coarse, fine in zip(*minima):
         assert fine >= 0.9 * coarse
+
+
+# ---------------------------------------------------------------------------
+# value objects that hold arrays compare and hash by identity
+
+
+def _identity_twins():
+    mesh = generate_disk((0.0, 0.0), 1.0, 0.3)
+    u = nodal(mesh, lambda x, y: x)
+    v = nodal(mesh, lambda x, y: y)
+    grid = fd.rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.25)
+    return {
+        "GridDomain": lambda: fd.rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.25),
+        "GridField": lambda: fd.GridField(grid, np.zeros((grid.ny, grid.nx))),
+        "ScalarField": lambda: nodal(mesh, lambda x, y: x),
+        "ComplexDerivativeField": lambda: complex_derivatives(u, v),
+        "PullbackSubdomain": lambda: pullback_subdomain(MappingField(u, v), (0.0, 0.0), 0.5),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["GridDomain", "GridField", "ScalarField", "ComplexDerivativeField", "PullbackSubdomain"],
+)
+def test_array_holders_compare_and_hash_by_identity(name):
+    make = _identity_twins()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr("sigmalab.fd.splu", singular)
+    monkeypatch.setattr("scipy.sparse.linalg.splu", singular)
     code, out = run(
         tmp_path, "solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1",
         "--sigma", "identity", "--g", "x1", "--b", "zero",
@@ -167,6 +168,20 @@ def test_overflowing_boundary_data_exits_3(tmp_path, capsys, command, g):
     # z^40 overflows near x = 1e9; tier-1 turns a numpy RuntimeWarning into an error
     code, out = run(tmp_path, command, "--domain", "disk:r=0.1,cx=1e9", "--h", "0.05", "--g", g)
     assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_sigma_exits_3_with_no_warning(tmp_path, capsys):
+    # x * x overflows in the meyers evaluator at the drift's difference
+    # points x +- 1e300, then 0/0; at_points refuses the values without a
+    # numpy RuntimeWarning first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1",
+                        "--sigma", "meyers:alpha=2", "--g", "oracle", "--fd-step", "1e300")
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
@@ -307,15 +322,16 @@ def test_beltrami_command(tmp_path):
         (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1"], "randholder:seed=3", 1),
         (["meyers", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.2", "--levels", "3"],
          "meyers:alpha=2.0", 3),
-        (["beltrami", "--domain", "disk:r=1", "--h", "0.1", "--g", "x1"], "randholder:seed=3", 3),
+        (["beltrami", "--domain", "disk:r=1", "--h", "0.1", "--g", "x1"], "randholder:seed=3", 2),
     ],
     ids=["solve", "map", "verify", "solve-nd", "meyers", "beltrami"],
 )
 def test_sigma_checks_per_command(tmp_path, monkeypatch, args, descriptor, checks):
     # each command checks its sigma once per mesh or grid (meyers once per
-    # level) and hands the samples to the solver; beltrami's stream function
-    # and Beltrami residual check it again, and the stream function's
-    # Laplacian is assembled from identity samples, which need no check
+    # level) and hands the samples to the solver and, in beltrami, to the
+    # Beltrami residual; beltrami's stream function checks it again, and the
+    # stream function's Laplacian is assembled from identity samples, which
+    # need no check
     checked = []
     report = coefficients.ellipticity_report
 
@@ -498,6 +514,11 @@ def test_failed_run_leaves_no_files(tmp_path):
         # subnormal triangle areas would lose the stiffness entries' digits
         (["solve", "--domain", "disk:r=1e-154", "--h", "3e-155", "--g", "x1"],
          "mesh size h=3e-155 is too small: triangle 0 has area 4.811e-310"),
+        # areas that underflow to zero are too small, not degenerate
+        (["mesh", "--domain", "disk:r=1e-200", "--h", "1e-201"],
+         "mesh size h=1e-201 is too small: triangle 0 has area 0.000e+00"),
+        (["mesh", "--domain", "rect:w=1e-200,h=1e-200", "--h", "1e-201"],
+         "mesh size h=1e-201 is too small: triangle 0 has area 0.000e+00"),
         # grids with no node whose 8 neighbours are all in the domain
         (["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "1", "--g", "x1"],
          "grid spacing 1.0 leaves no interior node"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.sparse import linalg
 
 from sigmalab import (
     DomainError,
@@ -38,6 +39,7 @@ from sigmalab.fd import (
     rectangle_grid,
     solve_nondivergence,
 )
+from sigmalab.fem import _factor_solve
 from sigmalab.oracles import holomorphic_oracle, meyers_solution
 from text_mutations import mutated_texts
 
@@ -390,7 +392,7 @@ def test_singular_factorization_is_solver_error(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(fd, "splu", singular)
+    monkeypatch.setattr(linalg, "splu", singular)
     grid = rectangle_grid((0, 0), 1.0, 1.0, 0.1)
     with pytest.raises(SolverError, match="singular"):
         solve_nondivergence(grid, *drift_free(grid, identity_field()), lambda x, y: x)
@@ -451,11 +453,10 @@ def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
     g = meyers_solution(2.0).value
     pair, _ = solve_nondivergence(grid, S, B, g)
     # the reference: row-major numbering, minimum-degree ordering on A + A^T
-    real = fd.splu
     monkeypatch.setattr(fd, "nested_dissection_key", lambda ii, jj: np.arange(len(ii)))
     monkeypatch.setattr(
-        fd, "splu",
-        lambda A, **kw: real(A, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)),
+        fd, "spsolve",
+        lambda A, b: _factor_solve(A, b, "finite-difference system", "MMD_AT_PLUS_A"),
     )
     reference, _ = solve_nondivergence(grid, S, B, g)
     for f, r in zip(pair, reference):
@@ -464,13 +465,13 @@ def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
 
 def test_readme_solve_nd_fill(monkeypatch):
     factors = []
-    real = fd.splu
+    real = linalg.splu
 
     def recording(A, **kwargs):
         factors.append(real(A, **kwargs))
         return factors[-1]
 
-    monkeypatch.setattr(fd, "splu", recording)
+    monkeypatch.setattr(linalg, "splu", recording)
     grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.02)
     solve_nondivergence(grid, *divergence_form(grid, _SIGMA), meyers_solution(2.0).value)
     (lu,) = factors

@@ -19,7 +19,7 @@ from sigmalab import (
     relative_l2_error,
     solve_dirichlet,
 )
-from sigmalab import analysis, fem
+from sigmalab import analysis, fd, fem
 from sigmalab.coefficients import (
     ROTATION,
     constant_field,
@@ -191,6 +191,34 @@ def test_singular_factor_is_solver_error(disk_mesh, monkeypatch):
         solve(disk_mesh, identity_field(), lambda x, y: x)
     with pytest.raises(SolverError, match="stream-function Laplacian is singular"):
         analysis.stream_function(u, identity_field())
+
+
+class _NaNFactor:
+    """A SuperLU stand-in whose solve returns NaN."""
+
+    def __init__(self, A, **kwargs):
+        pass
+
+    def solve(self, b):
+        return np.full(np.shape(b), np.nan)
+
+
+@pytest.mark.parametrize(
+    "system", ["stiffness system", "finite-difference system", "stream-function Laplacian"]
+)
+def test_non_finite_solution_is_solver_error_naming_the_system(disk_mesh, monkeypatch, system):
+    u = solve(disk_mesh, identity_field(), lambda x, y: x)
+    grid = fd.rectangle_grid((0, 0), 1.0, 1.0, 0.1)
+    n = int(grid.interior_mask.sum())
+    run = {
+        "stiffness system": lambda: solve(disk_mesh, identity_field(), lambda x, y: x),
+        "finite-difference system": lambda: fd.solve_nondivergence(
+            grid, np.tile(np.eye(2), (n, 1, 1)), np.zeros((n, 2)), lambda x, y: x),
+        "stream-function Laplacian": lambda: analysis.stream_function(u, identity_field()),
+    }[system]
+    monkeypatch.setattr(linalg, "splu", _NaNFactor)
+    with pytest.raises(SolverError, match=f"{system} solve produced non-finite values"):
+        run()
 
 
 @pytest.mark.parametrize(

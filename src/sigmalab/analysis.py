@@ -47,11 +47,6 @@ class MappingField:
         values.setflags(write=False)
         return values
 
-    def directional(self, xi) -> ScalarField:
-        """Component xi . U; solves the same equation by linearity."""
-        xi = np.asarray(xi, dtype=float)
-        return ScalarField(self.mesh, xi[0] * self.u1.values + xi[1] * self.u2.values)
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexDerivativeField:
@@ -391,24 +386,20 @@ def unimodality_check(values, atol: float = 1e-12) -> UnimodalityVerdict:
 # pullback subdomains
 
 
-def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
+def pullback_subdomain(U: MappingField, t: int, bary, r: float) -> PullbackSubdomain:
     """The triangles whose vertex images fall in the disk of radius r around
-    U(z0), restricted to the edge-connected piece around z0.
+    the image of a located probe, restricted to the edge-connected piece
+    around the probe's triangle.
 
-    Requires z0 strictly inside the mesh and the closed target disk compactly
-    inside the discrete image (every boundary-image point farther than r from
-    the disk center).
+    The probe is triangle t and barycentric weights bary, as Mesh.locate
+    gives them (default_probe_points keeps only points well inside the mesh).
+    Requires the closed target disk compactly inside the discrete image
+    (every boundary-image point farther than r from the disk center).
     """
     if not r > 0:
         raise DegenerateInputError("pullback radius must be positive")
     mesh = U.mesh
-    z0 = np.asarray(z0, dtype=float)
-    tri, bary = mesh.locate(z0[None, :])
-    if tri[0] < 0:
-        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} is outside the mesh")
-    if mesh.boundary_distance(z0[None, :])[0] <= 0.0:
-        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} lies on the boundary")
-    w0, gap = _image_center(U, tri[0], bary[0])
+    w0, gap = _image_center(U, t, bary)
     if gap <= r:
         raise DegenerateInputError(
             f"target disk of radius {r} is not compactly contained in the image "
@@ -422,7 +413,7 @@ def pullback_subdomain(U: MappingField, z0, r: float) -> PullbackSubdomain:
         raise DegenerateInputError(
             f"no triangle has all vertex images inside the radius-{r} disk"
         )
-    keep_tri = _component_containing(mesh, keep_tri, int(tri[0]))
+    keep_tri = _component_containing(mesh, keep_tri, int(t))
 
     tri_ids = np.where(keep_tri)[0]
     kept = mesh.triangles[tri_ids]
@@ -553,9 +544,8 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
         g = math.cos(theta) * g1 + math.sin(theta) * g2
         min_abs_grad.append(float(np.hypot(g[:, 0], g[:, 1])[inset].min()))
 
-    components = [U.directional((math.cos(theta), math.sin(theta))) for theta in angles]
     probes = [
-        _probe_unimodality(U, z0, _image_center(U, t, bary)[1], components)
+        _probe_unimodality(U, z0, t, bary, angles)
         for z0, t, bary in zip(*default_probe_points(mesh, margin))
     ]
 
@@ -571,13 +561,14 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
     )
 
 
-def _probe_unimodality(U, z0, gap, components) -> dict:
-    """The probe at z0, whose image lies gap from the boundary image."""
-    r = 0.7 * gap
+def _probe_unimodality(U, z0, t, bary, angles) -> dict:
+    """The probe at z0, located in triangle t with barycentric weights bary;
+    the trace of cos(theta) u1 + sin(theta) u2 is tested for each angle."""
+    r = 0.7 * _image_center(U, t, bary)[1]
     sub = None
     for _ in range(5):
         try:
-            sub = pullback_subdomain(U, z0, r)
+            sub = pullback_subdomain(U, t, bary, r)
             break
         except MeshError as exc:
             # grazing level set; shrink and retry
@@ -585,7 +576,7 @@ def _probe_unimodality(U, z0, gap, components) -> dict:
                       tuple(z0.tolist()), r, r * 0.9, exc)
             r *= 0.9
     if sub is None:
-        sub = pullback_subdomain(U, z0, r)
+        sub = pullback_subdomain(U, t, bary, r)
 
     loop = sub.loops[0]
     trace_img = U.values[loop]
@@ -614,8 +605,9 @@ def _probe_unimodality(U, z0, gap, components) -> dict:
 
     changes = []
     unimodal = []
-    for component in components:
-        verdict = unimodality_check(component.values[loop], atol=atol)
+    for theta in angles:
+        trace = math.cos(theta) * trace_img[:, 0] + math.sin(theta) * trace_img[:, 1]
+        verdict = unimodality_check(trace, atol=atol)
         changes.append(verdict.direction_changes)
         unimodal.append(verdict.unimodal)
     probe.update(

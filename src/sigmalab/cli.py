@@ -29,7 +29,8 @@ import numpy as np
 
 from . import analysis, coefficients, fd, fem, mesh as meshmod, oracles, svgplots
 from .coefficients import Family, parse_family
-from .errors import ConfigError, NotInjectiveError, ResourceLimitError, SigmalabError
+from .errors import (ConfigError, DegenerateInputError, NotInjectiveError, ResourceLimitError,
+                     SigmalabError)
 from .reports import dumps
 
 EXIT_OK = 0
@@ -116,9 +117,11 @@ def cmd_solve(cfg):
 
     g = fem.gradient_field(u)
     grad_norms = np.hypot(g[:, 0], g[:, 1])
-    ref = data.value(*m.vertices.T)
-    linf = float(np.abs(u.values - ref).max())
-    l2 = fem.relative_l2_error(u, data.value)
+    try:
+        linf = float(np.abs(u.values - data.value(*m.vertices.T)).max())
+        l2 = fem.relative_l2_error(u, data.value)
+    except DegenerateInputError:  # the oracle is undefined at some point
+        linf = l2 = math.nan
     summary_data = {
         "vertices": m.num_vertices,
         "triangles": m.num_triangles,
@@ -163,10 +166,13 @@ def cmd_solve_nd(cfg):
         B, drift = np.zeros((len(pts), 2)), "zero"
     (u,), residual = fd.solve_nondivergence(grid, S, B, data.value)
 
-    ref = data.value(*pts.T)
     uh = u.values[grid.interior_mask]
-    denom = float(np.sqrt(np.sum(ref**2)))
-    l2 = float(np.sqrt(np.sum((uh - ref) ** 2))) / denom if denom > 0 else math.inf
+    try:
+        ref = data.value(*pts.T)
+        denom = float(np.sqrt(np.sum(ref**2)))
+        l2 = float(np.sqrt(np.sum((uh - ref) ** 2))) / denom if denom > 0 else math.inf
+    except DegenerateInputError:  # the oracle is undefined at some node
+        l2 = math.nan
     summary_data = {
         "interior_nodes": int(grid.interior_mask.sum()),
         "boundary_nodes": int(grid.boundary_mask.sum()),
@@ -192,16 +198,15 @@ def cmd_solve_nd(cfg):
 def _solve_mapping(cfg, directions=0):
     """The solved map, its Jacobian and the files map and verify both write.
 
-    verify's check holds one nv-length component per direction, so
-    ResourceLimitError refuses directions * nv above the vertex cap before
-    the solve."""
+    verify's work grows with directions * nv, so ResourceLimitError refuses
+    that product above the vertex cap before the solve."""
     m = build_domain(cfg["domain"], cfg["h"])
     sigma = coefficients.field_from_descriptor(cfg["sigma"])
     data = resolve_data(cfg, 2)
     if directions * m.num_vertices > meshmod.DEFAULT_VERTEX_CAP:
         raise ResourceLimitError(
-            f"{directions} directions on {m.num_vertices} vertices would need "
-            f"{directions * m.num_vertices} values, above the cap of "
+            f"{directions} directions on {m.num_vertices} vertices make "
+            f"{directions * m.num_vertices} direction-vertex pairs, above the cap of "
             f"{meshmod.DEFAULT_VERTEX_CAP}; use fewer directions or a coarser mesh size"
         )
     S = coefficients.require_elliptic(sigma, m.centroids).samples

@@ -293,17 +293,9 @@ def holder_bump_field(
     return CoefficientField(ev, f"holder:eps={eps},cx={cx},cy={cy},w={w},theta={theta}")
 
 
-def _plus_skew(base: CoefficientField, tau: float, descriptor: str) -> CoefficientField:
-    """base plus tau J; the skew part never enters sigma xi . xi."""
-    skew = tau * ROTATION
-    return CoefficientField(lambda X, Y: base.evaluator(X, Y) + skew, descriptor)
-
-
-def nonsymmetric_field(tau: float, base: Optional[CoefficientField] = None) -> CoefficientField:
-    """Symmetric base (the identity by default) plus tau J."""
-    if base is None:
-        base = identity_field()
-    return _plus_skew(base, tau, f"nonsym:tau={tau},base={base.descriptor}")
+def nonsymmetric_field(tau: float) -> CoefficientField:
+    """The identity plus tau J; the skew part never enters sigma xi . xi."""
+    return constant_field(np.eye(2) + tau * ROTATION, f"nonsym:tau={tau},base=identity")
 
 
 def random_holder_field(seed: int) -> CoefficientField:
@@ -338,7 +330,9 @@ def random_nonsymmetric_field(seed: int, tau: Optional[float] = None) -> Coeffic
         tau = float(np.random.default_rng(seed ^ 0x5EED).uniform(0.05, 0.3))
     if not abs(tau) < 1.0:
         raise ConfigError("need |tau| < 1")
-    return _plus_skew(base, tau, f"randnonsym:seed={seed},tau={tau}")
+    skew = tau * ROTATION
+    return CoefficientField(lambda X, Y: base.evaluator(X, Y) + skew,
+                            f"randnonsym:seed={seed},tau={tau}")
 
 
 # ---------------------------------------------------------------------------

@@ -610,9 +610,17 @@ def test_unimodality_matches_array_reference(vals, atol):
 # pullback subdomains
 
 
+def located(mesh, z0):
+    """The triangle and barycentric weights of a point inside the mesh, as
+    Mesh.locate gives them."""
+    tri, bary = mesh.locate(np.array([z0], dtype=float))
+    assert tri[0] >= 0
+    return int(tri[0]), bary[0]
+
+
 def test_pullback_identity_disk(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
-    sub = pullback_subdomain(U, (0.0, 0.0), 0.5)
+    sub = pullback_subdomain(U, *located(fine_disk_mesh, (0.0, 0.0)), 0.5)
     area = float(fine_disk_mesh.areas[sub.parent_triangles].sum())
     assert abs(area - math.pi / 4) / (math.pi / 4) < 0.05
     assert len(sub.loops) == 1
@@ -621,50 +629,27 @@ def test_pullback_identity_disk(fine_disk_mesh):
 def test_pullback_disk_escapes_image(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
     with pytest.raises(DegenerateInputError):
-        pullback_subdomain(U, (0.0, 0.0), 2.0)
+        pullback_subdomain(U, *located(fine_disk_mesh, (0.0, 0.0)), 2.0)
 
 
 def test_pullback_meyers(annulus_mesh):
     U = meyers_solution(2.0).mapping_field(annulus_mesh)
-    sub = pullback_subdomain(U, (0.6, 0.0), 0.1)
+    t, bary = located(annulus_mesh, (0.6, 0.0))
+    sub = pullback_subdomain(U, t, bary, 0.1)
     assert len(sub.parent_triangles) > 0
     w0 = np.array(sub.center_image)
     imgs = U.values[annulus_mesh.triangles[sub.parent_triangles].ravel()]
     assert (np.hypot(*(imgs - w0).T) <= 0.1 + 1e-12).all()
-    tri, _ = annulus_mesh.locate(np.array([[0.6, 0.0]]))
-    assert tri[0] in sub.parent_triangles  # contains the probe point
+    assert t in sub.parent_triangles  # contains the probe point
 
 
-def test_pullback_boundary_point_rejected(fine_disk_mesh):
-    U = identity_oracle().mapping_field(fine_disk_mesh)
-    with pytest.raises(DegenerateInputError):
-        pullback_subdomain(U, (1.0, 0.0), 0.1)
-
-
-def test_pullback_probe_messages_print_plain_floats(fine_disk_mesh):
-    # the same text under numpy 1 and 2: no np.float64(...) reprs
-    U = identity_oracle().mapping_field(fine_disk_mesh)
-    with pytest.raises(DegenerateInputError) as outside:
-        pullback_subdomain(U, (5.0, 5.0), 0.1)
-    assert str(outside.value) == "probe point (5.0, 5.0) is outside the mesh"
-    with pytest.raises(DegenerateInputError) as on_boundary:
-        pullback_subdomain(U, (1.0, 0.0), 0.1)
-    assert str(on_boundary.value) == "probe point (1.0, 0.0) lies on the boundary"
-
-
-def submesh_pullback_loops(U, z0, r):
+def submesh_pullback_loops(U, t, bary, r):
     """Reference: the boundary loops of pullback_subdomain as it found them
     when it built a submesh Mesh of the kept triangles, in parent vertex ids."""
     if not r > 0:
         raise DegenerateInputError("pullback radius must be positive")
     mesh = U.mesh
-    z0 = np.asarray(z0, dtype=float)
-    tri, bary = mesh.locate(z0[None, :])
-    if tri[0] < 0:
-        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} is outside the mesh")
-    if mesh.boundary_distance(z0[None, :])[0] <= 0.0:
-        raise DegenerateInputError(f"probe point {tuple(z0.tolist())} lies on the boundary")
-    w0, gap = analysis._image_center(U, tri[0], bary[0])
+    w0, gap = analysis._image_center(U, t, bary)
     if gap <= r:
         raise DegenerateInputError(
             f"target disk of radius {r} is not compactly contained in the image "
@@ -676,7 +661,7 @@ def submesh_pullback_loops(U, z0, r):
         raise DegenerateInputError(
             f"no triangle has all vertex images inside the radius-{r} disk"
         )
-    keep_tri = _component_containing(mesh, keep_tri, int(tri[0]))
+    keep_tri = _component_containing(mesh, keep_tri, t)
     tri_ids = np.where(keep_tri)[0]
     old_vertices = np.unique(mesh.triangles[tri_ids])
     remap = -np.ones(mesh.num_vertices, dtype=np.int64)
@@ -685,14 +670,14 @@ def submesh_pullback_loops(U, z0, r):
     return [old_vertices[loop] for loop in sub.loops]
 
 
-def pullback_loops(U, z0, r):
-    return pullback_subdomain(U, z0, r).loops
+def pullback_loops(U, t, bary, r):
+    return pullback_subdomain(U, t, bary, r).loops
 
 
-def pullback_outcome(pullback, U, z0, r):
+def pullback_outcome(pullback, U, t, bary, r):
     """The loops as lists, or the type and message of the error raised."""
     try:
-        return [loop.tolist() for loop in pullback(U, z0, r)]
+        return [loop.tolist() for loop in pullback(U, t, bary, r)]
     except (DegenerateInputError, MeshError) as exc:
         return type(exc), str(exc)
 
@@ -728,9 +713,10 @@ PULLBACK_MAPS = st.one_of(
 
 @st.composite
 def pullback_cases(draw):
-    """(map, z0, r): z0 anywhere in the box or inside a drawn triangle, r a
-    fraction of the gap from U(z0) to the boundary image, as the probes of
-    lewy_verify choose it; past 1 the target disk is refused."""
+    """(map, t, bary, r): a located probe, that is a drawn triangle and
+    positive barycentric weights, and r a fraction of the gap from the probe's image to
+    the boundary image, as the probes of lewy_verify choose it; past 1 the
+    target disk is refused."""
     name = draw(st.sampled_from(["disk", "annulus", "rect"]))
     mesh = coarse_mesh(name)
     maps = PULLBACK_MAPS
@@ -739,14 +725,9 @@ def pullback_cases(draw):
     U = draw(maps)(mesh)
     t = draw(st.integers(0, mesh.num_triangles - 1))
     w = np.array(draw(st.tuples(*[st.floats(0.01, 1.0)] * 3)))
-    z0 = draw(st.one_of(
-        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(np.array),
-        st.just(w @ mesh.vertices[mesh.triangles[t]] / w.sum()),
-    ))
+    bary = w / w.sum()
     fraction = draw(st.floats(0.05, 1.1))
-    tri, bary = mesh.locate(z0[None, :])
-    gap = analysis._image_center(U, tri[0], bary[0])[1] if tri[0] >= 0 else 1.0
-    return U, z0, fraction * gap
+    return U, t, bary, fraction * analysis._image_center(U, t, bary)[1]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -762,9 +743,10 @@ def test_pullback_pinch_raises_like_the_submesh_reference():
     mesh = generate_rectangle((-2.0, -2.0), 4.0, 4.0, 0.25)
     x, y = mesh.vertices.T
     U = sent_far(mesh, (y == 0.0) & ((x == 0.25) | (x == 0.75)))
-    got = pullback_outcome(pullback_loops, U, (-0.4, 0.1), 1.5)
+    probe = located(mesh, (-0.4, 0.1))
+    got = pullback_outcome(pullback_loops, U, *probe, 1.5)
     assert got == (MeshError, "boundary is not a disjoint union of simple loops")
-    assert got == pullback_outcome(submesh_pullback_loops, U, (-0.4, 0.1), 1.5)
+    assert got == pullback_outcome(submesh_pullback_loops, U, *probe, 1.5)
 
 
 def flood_fill_component(mesh, keep_tri, seed_tri):
@@ -817,6 +799,45 @@ def test_component_containing_matches_flood_fill(annulus_mesh, oracle, z0, r, se
 # lewy_verify
 
 
+@pytest.mark.parametrize(
+    "name, margin",
+    [("disk", 0.1), ("disk", 0.5), ("annulus", 0.05), ("rect", 0.0), ("rect", 0.7)],
+)
+def test_probe_points_are_located_and_deeper_than_margin_and_2h(name, margin):
+    # pullback_subdomain takes these points as located and well inside: the
+    # disk's lattice corners lie outside it, the annulus's centre in its hole,
+    # 2h alone drops the square's outer ring at margin 0, and margin 0.7
+    # leaves the square one point
+    mesh = coarse_mesh(name)
+    pts, tri, bary = analysis.default_probe_points(mesh, margin)
+    depth = max(margin, 2.0 * mesh.h)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    ticks = np.linspace(0.1, 0.9, 5)
+    lattice = [lo + np.array([x, y]) * (hi - lo) for y in ticks for x in ticks]
+    deep = [z for z in lattice
+            if mesh.locate(z[None, :])[0][0] >= 0 and mesh.boundary_distance(z[None, :])[0] > depth]
+    # the first deep lattice points, nearest the box centre first
+    assert len(pts) == min(5, len(deep))
+    assert all(any(np.allclose(p, z, rtol=0, atol=1e-12) for z in deep) for p in pts)
+    centre = 0.5 * (lo + hi)
+    dist = np.hypot(*(pts - centre).T)
+    assert (np.diff(dist) >= -1e-12).all()
+    left = [z for z in deep if not np.isclose(np.hypot(*(pts - z).T), 0, atol=1e-12).any()]
+    assert all(np.hypot(*(z - centre)) >= dist.max() - 1e-12 for z in left)
+    assert (tri >= 0).all() and (mesh.boundary_distance(pts) > depth).all()
+    loc_tri, loc_bary = mesh.locate(pts)
+    assert np.array_equal(tri, loc_tri) and np.array_equal(bary, loc_bary)
+    assert np.allclose(bary @ np.ones(3), 1.0)
+    # the weights give the points back from their triangles' corners
+    corners = mesh.vertices[mesh.triangles[tri]]
+    assert np.allclose(np.einsum("pk,pkd->pd", bary, corners), pts, atol=1e-12)
+
+
+def test_probe_points_refuse_a_margin_past_every_lattice_point():
+    with pytest.raises(DegenerateInputError, match="no lattice probe point"):
+        analysis.default_probe_points(coarse_mesh("disk"), 1.0)
+
+
 def test_lewy_identity(fine_disk_mesh):
     U = identity_oracle().mapping_field(fine_disk_mesh)
     report = lewy_verify(U, directions=8, margin=0.1)
@@ -850,17 +871,18 @@ def test_lewy_direction_sign_invariance(fine_disk_mesh):
         fine_disk_mesh, samples(fine_disk_mesh, sigma), lambda x, y: np.array([x, y])
     )
     U = MappingField(u1, u2)
-    g1 = np.array([U.directional((1.0, 0.0)).values])
-    g2 = np.array([U.directional((-1.0, 0.0)).values])
+    g1 = ScalarField(fine_disk_mesh, 1.0 * u1.values + 0.0 * u2.values).values
+    g2 = ScalarField(fine_disk_mesh, -1.0 * u1.values + 0.0 * u2.values).values
     assert np.allclose(np.abs(g1), np.abs(g2))
     report = lewy_verify(U, directions=4, margin=0.1)
     assert report.passed
 
 
 def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
-    # gradients of u1 and u2 once each; locate once for the probe lattice and
-    # once in each pullback_subdomain attempt, one attempt per probe here; no
-    # Mesh is built, since a pullback is its parent's triangles and loops
+    # gradients of u1 and u2 once each; locate once, for the probe lattice,
+    # whose triangles and weights each pullback_subdomain attempt takes (one
+    # attempt per probe here); no Mesh is built, since a pullback is its
+    # parent's triangles and loops
     sigma = field_from_descriptor("randholder:seed=2024")
     (u1, u2), _ = solve_dirichlet(
         fine_disk_mesh, samples(fine_disk_mesh, sigma), identity_oracle().value
@@ -882,7 +904,7 @@ def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
     counted(Mesh, "__init__")
     report = lewy_verify(MappingField(u1, u2), directions=8, margin=0.1)
     assert report.passed and len(report.probes) == 5
-    assert counts == {"gradient_field": 2, "pullback_subdomain": 5, "locate": 1 + 5}
+    assert counts == {"gradient_field": 2, "pullback_subdomain": 5, "locate": 1}
     assert counts["__init__"] == 0
 
 
@@ -893,7 +915,7 @@ def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog)
     calls = []
 
     def fails_once(*args):
-        calls.append(args[2])
+        calls.append(args[3])
         if len(calls) == 1:
             raise MeshError("boundary is not a disjoint union of simple loops")
         return inner(*args)
@@ -954,14 +976,12 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
     m = disk_mesh
     for _ in range(2):
         (u1, u2), _ = solve_dirichlet(m, samples(m, sigma), sol.value)
-        U = MappingField(u1, u2)
         inset = m.boundary_distance(m.centroids) >= 0.1
-        from sigmalab import gradient_field
-
         level = []
         for k in range(4):
             theta = math.pi * k / 4
-            g = gradient_field(U.directional((math.cos(theta), math.sin(theta))))
+            c, s = math.cos(theta), math.sin(theta)
+            g = gradient_field(ScalarField(m, c * u1.values + s * u2.values))
             level.append(float(np.hypot(g[:, 0], g[:, 1])[inset].min()))
         minima.append(level)
         m = refine(m)
@@ -983,7 +1003,8 @@ def _identity_twins():
         "GridField": lambda: fd.GridField(grid, np.zeros((grid.ny, grid.nx))),
         "ScalarField": lambda: nodal(mesh, lambda x, y: x),
         "ComplexDerivativeField": lambda: complex_derivatives(u, v),
-        "PullbackSubdomain": lambda: pullback_subdomain(MappingField(u, v), (0.0, 0.0), 0.5),
+        "PullbackSubdomain": lambda: pullback_subdomain(
+            MappingField(u, v), *located(mesh, (0.0, 0.0)), 0.5),
     }
 
 

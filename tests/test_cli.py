@@ -567,16 +567,20 @@ def json_floats(x):
 # sha256 of lewy_report.json; the holder digest was re-recorded when the P1
 # factorization changed, and its floats stay within 1e-13 of the old ones
 @pytest.mark.parametrize(
-    "sigma, g, code, digest, floats",
-    [("holder:eps=0.4,cx=0.2,cy=-0.1,w=0.5,theta=0.7", "identity", 0,
+    "domain, h, sigma, g, code, digest, floats",
+    [("disk:r=1", "0.1", "holder:eps=0.4,cx=0.2,cy=-0.1,w=0.5,theta=0.7", "identity", 0,
       "a6f0662920d13d42fe0df9d51df82e8eda6135fb80937b2fc333617f9648beb9",
       HOLDER_FLOATS_COLAMD),
      # z^2 is not injective: the hypothesis-failure report with its violations
-     ("identity", "holo:m=2", 4,
-      "9ae6ddb3feab0d496b06b4428f47b55b6958ead25a5868bdf231028950b807a4", None)],
+     ("disk:r=1", "0.1", "identity", "holo:m=2", 4,
+      "9ae6ddb3feab0d496b06b4428f47b55b6958ead25a5868bdf231028950b807a4", None),
+     # a square, where all five probes resolve and every trace is tested
+     ("rect:w=2,h=2,x0=-1,y0=-1", "0.05", "meyers:alpha=1.5", "oracle", 0,
+      "0ea0b7452adf68b766b9624e9d2b093d87f043de8c6b2be7586dac5bd6849e91", None)],
+    ids=["holder", "holo-m2", "rect-meyers"],
 )
-def test_lewy_report_bytes_pinned(tmp_path, sigma, g, code, digest, floats):
-    got, out = run(tmp_path, "verify", "--domain", "disk:r=1", "--h", "0.1",
+def test_lewy_report_bytes_pinned(tmp_path, domain, h, sigma, g, code, digest, floats):
+    got, out = run(tmp_path, "verify", "--domain", domain, "--h", h,
                    "--sigma", sigma, "--g", g, "--no-svg")
     assert got == code
     report = (out / "lewy_report.json").read_bytes()
@@ -586,6 +590,26 @@ def test_lewy_report_bytes_pinned(tmp_path, sigma, g, code, digest, floats):
         assert len(got_floats) == len(floats)
         for new, old in zip(got_floats, floats):
             assert abs(new - old) <= 1e-13 * abs(old)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("solve", "--domain", "disk:r=1", "--h", "0.1", "--g", "costheta", "--no-svg"),
+     ("solve", "--domain", "disk:r=1", "--h", "0.1", "--g", "meyers:alpha=0.5,component=1",
+      "--no-svg"),
+     ("solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.1",
+      "--g", "costheta:cx=0.5,cy=0.5")],
+    ids=["costheta", "meyers-alpha-0.5", "solve-nd-costheta"],
+)
+def test_reference_undefined_at_a_point_is_nan(tmp_path, capsys, args):
+    # the data are fine on the boundary, but the oracle is undefined at an
+    # interior vertex or node (the centre): the solve stands, the comparison is nan
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rel_l2_vs_reference"] == "nan"
+    assert summary.get("linf_vs_reference", "nan") == "nan"
+    assert "rel_l2_vs_reference=nan" in capsys.readouterr().out
 
 
 def test_non_string_out_is_config_error(tmp_path, capsys):

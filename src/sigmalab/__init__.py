@@ -8,7 +8,6 @@ nonvanishing Jacobian determinants.
 """
 
 from .analysis import (
-    ComplexDerivativeField,
     InjectivityResult,
     LewyReport,
     MappingField,
@@ -26,7 +25,6 @@ from .analysis import (
 )
 from .coefficients import (
     CoefficientField,
-    DilatationPair,
     EllipticityReport,
     dilatations,
     divergence_of_sigma,

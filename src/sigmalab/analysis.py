@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
-from .errors import DegenerateInputError, MeshError, NotInjectiveError
+from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
 from .fem import ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field
 from .mesh import Mesh, _extract_loops, edge_table, signed_areas
 
@@ -46,20 +46,6 @@ class MappingField:
         values = np.column_stack([self.u1.values, self.u2.values])
         values.setflags(write=False)
         return values
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexDerivativeField:
-    """Per-triangle Wirtinger derivatives of f = u + iv.
-
-    value_scale records max |u| + max |v| so downstream checks can tell a
-    genuinely constant f (gradients at roundoff level) from a small one.
-    """
-
-    mesh: Mesh
-    fz: np.ndarray
-    fzbar: np.ndarray
-    value_scale: float
 
 
 @dataclass(frozen=True)
@@ -122,12 +108,12 @@ def stream_function(
     along integration paths, and the residual measures exactly that defect.
 
     On a domain with holes the continuous stream function can be multivalued,
-    so more than one boundary loop is rejected unless the caller opts in; a
-    large residual then flags nonzero circulation around a hole.
+    so more than one boundary loop is a DomainError unless the caller opts in;
+    a large residual then flags nonzero circulation around a hole.
     """
     mesh = u.mesh
     if len(mesh.loops) != 1 and not allow_multiply_connected:
-        raise MeshError(
+        raise DomainError(
             f"stream function needs a simply connected domain; mesh has "
             f"{len(mesh.loops)} boundary loops"
         )
@@ -157,30 +143,32 @@ def stream_function(
 # complex derivatives and Beltrami residual
 
 
-def complex_derivatives(u: ScalarField, v: ScalarField) -> ComplexDerivativeField:
-    """Wirtinger derivatives of f = u + iv from the two P1 gradients."""
+def complex_derivatives(u: ScalarField, v: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle Wirtinger derivatives (fz, fzbar) of f = u + iv from the
+    two P1 gradients."""
     if u.mesh is not v.mesh:
         raise MeshError("u and v must live on the same mesh")
     gu = gradient_field(u)
     gv = gradient_field(v)
     fz = 0.5 * ((gu[:, 0] + gv[:, 1]) + 1j * (gv[:, 0] - gu[:, 1]))
     fzbar = 0.5 * ((gu[:, 0] - gv[:, 1]) + 1j * (gv[:, 0] + gu[:, 1]))
-    scale = float(np.abs(u.values).max() + np.abs(v.values).max())
-    return ComplexDerivativeField(u.mesh, fz, fzbar, value_scale=scale)
+    return fz, fzbar
 
 
-def beltrami_residual(cd: ComplexDerivativeField, S: np.ndarray) -> float:
-    """Area-weighted relative L2 defect of fzbar = mu fz + nu conj(fz), with
-    mu and nu from sigma's (nt, 2, 2) samples S at the centroids (SolverError
-    when S has the wrong shape or non-finite entries)."""
-    mesh = cd.mesh
-    d = dilatations(checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples"))
-    den = float(np.sqrt(np.sum(mesh.areas * np.abs(cd.fz) ** 2)))
+def beltrami_residual(u: ScalarField, v: ScalarField, S: np.ndarray) -> float:
+    """Area-weighted relative L2 defect of fzbar = mu fz + nu conj(fz) for
+    f = u + iv, with mu and nu from sigma's (nt, 2, 2) samples S at the
+    centroids (SolverError when S has the wrong shape or non-finite entries)."""
+    fz, fzbar = complex_derivatives(u, v)
+    mesh = u.mesh
+    mu, nu = dilatations(checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples"))
+    den = float(np.sqrt(np.sum(mesh.areas * np.abs(fz) ** 2)))
     # constant nodal data leaves roundoff-sized gradients, not exact zeros
-    floor = 1e-12 * cd.value_scale * math.sqrt(float(mesh.areas.sum())) / mesh.h
+    scale = float(np.abs(u.values).max() + np.abs(v.values).max())
+    floor = 1e-12 * scale * math.sqrt(float(mesh.areas.sum())) / mesh.h
     if den <= floor:
         raise DegenerateInputError("fz vanishes identically; f is constant")
-    defect = cd.fzbar - d.mu * cd.fz - d.nu * np.conj(cd.fz)
+    defect = fzbar - mu * fz - nu * np.conj(fz)
     return float(np.sqrt(np.sum(mesh.areas * np.abs(defect) ** 2))) / den
 
 

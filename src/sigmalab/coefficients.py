@@ -86,16 +86,6 @@ class EllipticityReport:
         }
 
 
-@dataclass(frozen=True)
-class DilatationPair:
-    mu: complex | np.ndarray
-    nu: complex | np.ndarray
-
-    @property
-    def magnitude(self) -> float | np.ndarray:
-        return abs(self.mu) + abs(self.nu)
-
-
 def _min_sym_eig(S: np.ndarray) -> np.ndarray:
     # eigenvalues of the symmetric part; only it enters sigma xi . xi
     half = 0.5 * (S[..., 0, 1] + S[..., 1, 0])
@@ -164,7 +154,7 @@ def require_elliptic(field: CoefficientField, sample_points) -> EllipticityRepor
     return report
 
 
-def dilatations(m) -> DilatationPair:
+def dilatations(m) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """Complex dilatations (mu, nu) of a 2x2 matrix or of a stack (..., 2, 2).
 
     mu = (s22 - s11 - i(s12 + s21)) / (1 + tr + det)
@@ -189,12 +179,13 @@ def dilatations(m) -> DilatationPair:
         )
     mu = (t * (s22 - s11) - 1j * (t * (s12 + s21))) / denom
     nu = (tt - det + 1j * (t * (s12 - s21))) / denom
-    return DilatationPair(mu=mu, nu=nu)
+    return mu, nu
 
 
 def max_dilatation(samples) -> float:
     """Supremum of |mu| + |nu| over elliptic (n, 2, 2) samples; must come out below 1."""
-    k = float(np.max(dilatations(samples).magnitude))
+    mu, nu = dilatations(samples)
+    k = float(np.max(abs(mu) + abs(nu)))
     if not k < 1.0:
         raise EllipticityError(f"dilatation bound {k} is not below 1")
     return k

@@ -18,7 +18,6 @@ from sigmalab import (
     MappingField,
     beltrami_residual,
     brute_force_injectivity,
-    complex_derivatives,
     critical_point_candidates,
     generate_annulus,
     generate_disk,
@@ -175,7 +174,7 @@ class AcceptanceRun:
                 u = solve(m, sigma, g)
                 v, _ = stream_function(u, sigma, allow_multiply_connected=allow_holes)
                 S = require_elliptic(sigma, m.centroids).samples
-                out.append(beltrami_residual(complex_derivatives(u, v), S))
+                out.append(beltrami_residual(u, v, S))
                 m = refine(m)
             return out
 

@@ -186,22 +186,22 @@ def test_energy_is_the_centroid_sum(fine_disk_mesh):
 def test_complex_derivatives_identity_and_conjugate(disk_mesh):
     u = nodal(disk_mesh, lambda x, y: x)
     v = nodal(disk_mesh, lambda x, y: y)
-    cd = complex_derivatives(u, v)
-    assert np.allclose(cd.fz, 1.0, atol=1e-12)
-    assert np.allclose(cd.fzbar, 0.0, atol=1e-12)
-    cd = complex_derivatives(u, nodal(disk_mesh, lambda x, y: -y))
-    assert np.allclose(cd.fz, 0.0, atol=1e-12)
-    assert np.allclose(cd.fzbar, 1.0, atol=1e-12)
+    fz, fzbar = complex_derivatives(u, v)
+    assert np.allclose(fz, 1.0, atol=1e-12)
+    assert np.allclose(fzbar, 0.0, atol=1e-12)
+    fz, fzbar = complex_derivatives(u, nodal(disk_mesh, lambda x, y: -y))
+    assert np.allclose(fz, 0.0, atol=1e-12)
+    assert np.allclose(fzbar, 1.0, atol=1e-12)
 
 
 def test_complex_derivatives_z_squared(fine_disk_mesh):
     m = fine_disk_mesh
     u = nodal(m, lambda x, y: x * x - y * y)
     v = nodal(m, lambda x, y: 2 * x * y)
-    cd = complex_derivatives(u, v)
+    fz, fzbar = complex_derivatives(u, v)
     zc = m.centroids[:, 0] + 1j * m.centroids[:, 1]
-    assert np.abs(cd.fz - 2 * zc).max() <= m.h
-    assert np.abs(cd.fzbar).max() <= m.h
+    assert np.abs(fz - 2 * zc).max() <= m.h
+    assert np.abs(fzbar).max() <= m.h
 
 
 def test_complex_derivatives_mesh_mismatch(disk_mesh, fine_disk_mesh):
@@ -214,13 +214,13 @@ def test_complex_derivatives_mesh_mismatch(disk_mesh, fine_disk_mesh):
 def test_beltrami_residual_exact_holomorphic(disk_mesh):
     u = nodal(disk_mesh, lambda x, y: x)
     v = nodal(disk_mesh, lambda x, y: y)
-    assert beltrami_residual(complex_derivatives(u, v), samples(disk_mesh, identity_field())) <= 1e-12
+    assert beltrami_residual(u, v, samples(disk_mesh, identity_field())) <= 1e-12
 
 
 def test_beltrami_residual_constant_f_raises(disk_mesh):
     c = nodal(disk_mesh, lambda x, y: 1.0)
     with pytest.raises(DegenerateInputError):
-        beltrami_residual(complex_derivatives(c, c), samples(disk_mesh, identity_field()))
+        beltrami_residual(c, c, samples(disk_mesh, identity_field()))
 
 
 @pytest.mark.parametrize(
@@ -232,7 +232,7 @@ def test_beltrami_residual_refuses_bad_samples(disk_mesh, bad):
     u = nodal(disk_mesh, lambda x, y: x)
     v = nodal(disk_mesh, lambda x, y: y)
     with pytest.raises(SolverError, match="sigma samples"):
-        beltrami_residual(complex_derivatives(u, v), bad(samples(disk_mesh, identity_field())))
+        beltrami_residual(u, v, bad(samples(disk_mesh, identity_field())))
 
 
 def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
@@ -242,7 +242,7 @@ def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
     for _ in range(2):
         u = solve(m, sigma, lambda x, y: x * x - y * y)
         v, _ = stream_function(u, sigma)
-        res.append(beltrami_residual(complex_derivatives(u, v), samples(m, sigma)))
+        res.append(beltrami_residual(u, v, samples(m, sigma)))
         m = refine(m)
     assert res[0] <= 0.05
     assert res[1] <= res[0] / 1.8
@@ -275,9 +275,9 @@ def test_jacobian_equals_wirtinger_identity(disk_mesh):
     u = solve(disk_mesh, sigma, lambda x, y: x * x - y * y)
     v, _ = stream_function(u, sigma)
     U = MappingField(u, v)
-    cd = complex_derivatives(u, v)
+    fz, fzbar = complex_derivatives(u, v)
     lhs = jacobian_field(U)
-    rhs = np.abs(cd.fz) ** 2 - np.abs(cd.fzbar) ** 2
+    rhs = np.abs(fz) ** 2 - np.abs(fzbar) ** 2
     assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -1002,7 +1002,6 @@ def _identity_twins():
         "GridDomain": lambda: fd.rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.25),
         "GridField": lambda: fd.GridField(grid, np.zeros((grid.ny, grid.nx))),
         "ScalarField": lambda: nodal(mesh, lambda x, y: x),
-        "ComplexDerivativeField": lambda: complex_derivatives(u, v),
         "PullbackSubdomain": lambda: pullback_subdomain(
             MappingField(u, v), *located(mesh, (0.0, 0.0)), 0.5),
     }
@@ -1010,7 +1009,7 @@ def _identity_twins():
 
 @pytest.mark.parametrize(
     "name",
-    ["GridDomain", "GridField", "ScalarField", "ComplexDerivativeField", "PullbackSubdomain"],
+    ["GridDomain", "GridField", "ScalarField", "PullbackSubdomain"],
 )
 def test_array_holders_compare_and_hash_by_identity(name):
     make = _identity_twins()[name]

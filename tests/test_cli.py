@@ -524,6 +524,16 @@ def test_failed_run_leaves_no_files(tmp_path):
          "grid spacing 1.0 leaves no interior node"),
         (["solve-nd", "--domain", "annulus:rin=0.2,rout=0.3", "--spacing", "0.5", "--g", "x1"],
          "grid spacing 0.5 leaves no interior node"),
+        # a stream function on a domain with holes needs --allow-holes
+        (["beltrami", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.1",
+          "--sigma", "meyers:alpha=2", "--g", "oracle"],
+         "stream function needs a simply connected domain; mesh has 2 boundary loops"),
+        # the meyers field and its exact solution are centred at the origin
+        (["meyers", "--domain", "annulus:rin=0.2,rout=1,cx=0.5", "--h", "0.1",
+          "--levels", "2", "--alpha", "0.5"],
+         "the meyers reproduction runs on an annulus centred at the origin"),
+        (["meyers", "--domain", "annulus:rin=0.2,rout=1,cy=-0.1", "--h", "0.1", "--levels", "2"],
+         "the meyers reproduction runs on an annulus centred at the origin"),
     ],
 )
 def test_malformed_input_is_config_error(tmp_path, capsys, args, message):
@@ -590,6 +600,30 @@ def test_lewy_report_bytes_pinned(tmp_path, domain, h, sigma, g, code, digest, f
         assert len(got_floats) == len(floats)
         for new, old in zip(got_floats, floats):
             assert abs(new - old) <= 1e-13 * abs(old)
+
+
+# sha256 of beltrami_report.json: the README example, a nonsymmetric field on
+# the disk and on the annulus (whose stream function needs --allow-holes), and
+# an anisotropic field on the unit square
+@pytest.mark.parametrize(
+    "args, digest",
+    [(("--domain", "disk:r=1", "--sigma", "meyers:alpha=2", "--g", "oracle"),
+      "b6d3bdacb42495471d7eb93c8c8d609cbe6d206e777cdcff2cfae15d6364d591"),
+     (("--domain", "disk:r=1", "--sigma", "randnonsym:seed=5", "--g", "x1"),
+      "704c70d194dfa2037ceb0de46b2b0d17b4651061e1c8e7f0df6bbc9c1dcdbe05"),
+     (("--domain", "annulus:rin=0.2,rout=1", "--sigma", "randnonsym:seed=5", "--g", "x1",
+       "--allow-holes"),
+      "b7510861073974e97ddec0f59b939c55dec05444c7028d09dba3c0bfc93c33a5"),
+     (("--domain", "rect:w=1,h=1", "--sigma", "aniso:l1=2,l2=0.5,theta=0.3",
+       "--g", "costheta:cx=0.5,cy=0.5"),
+      "07b375d4c5293a8fee286acfd517e94ffaf850db25d42dd9de14a40fc07d2695")],
+    ids=["readme", "randnonsym-disk", "randnonsym-annulus", "aniso-rect"],
+)
+def test_beltrami_report_bytes_pinned(tmp_path, args, digest):
+    code, out = run(tmp_path, "beltrami", "--h", "0.05", *args)
+    assert code == 0
+    report = (out / "beltrami_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,16 @@ def spsolve(A, b):
     return _factor_solve(A, b, "stream-function Laplacian", "MMD_AT_PLUS_A")
 
 
+def require_simply_connected(mesh: Mesh) -> None:
+    """DomainError unless the mesh has one boundary loop, as stream_function
+    needs when the caller does not opt in to holes."""
+    if len(mesh.loops) != 1:
+        raise DomainError(
+            f"stream function needs a simply connected domain; mesh has "
+            f"{len(mesh.loops)} boundary loops"
+        )
+
+
 def stream_function(
     u: ScalarField,
     sigma: CoefficientField,
@@ -112,11 +122,8 @@ def stream_function(
     a large residual then flags nonzero circulation around a hole.
     """
     mesh = u.mesh
-    if len(mesh.loops) != 1 and not allow_multiply_connected:
-        raise DomainError(
-            f"stream function needs a simply connected domain; mesh has "
-            f"{len(mesh.loops)} boundary loops"
-        )
+    if not allow_multiply_connected:
+        require_simply_connected(mesh)
     S = require_elliptic(sigma, mesh.centroids).samples
     gu = gradient_field(u)
     w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gu)
@@ -236,13 +243,16 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _vertex_collisions(pts: np.ndarray, scale: float) -> list[tuple[int, int]]:
-    """The pairs i < j of points closer than 1e-12 * scale, in lexicographic order."""
-    thr2 = (1e-12 * scale) ** 2
+    """The pairs i < j of points closer than 1e-12 * scale, in lexicographic order.
+
+    Two such points differ by less than d = 1e-12 * scale in each coordinate,
+    so their boxes of half side d overlap, and the sweep finds every pair.
+    """
+    d = 1e-12 * scale
+    thr2 = d**2
     if thr2 == 0.0:  # underflow: no squared distance is below it
         return []
-    from scipy.spatial import cKDTree
-
-    i, j = cKDTree(pts).query_pairs(2e-12 * scale, output_type="ndarray").T
+    i, j = _overlapping_boxes(pts - d, pts + d)
     close = np.sum((pts[i] - pts[j]) ** 2, axis=-1) < thr2
     return sorted(zip(i[close].tolist(), j[close].tolist()))
 
@@ -280,9 +290,10 @@ def _boundary_violations(imgs: np.ndarray, loops: list) -> list:
     and self-intersections, then the crossings between loops, each in
     lexicographic order.
 
-    Only near pairs are tested: image vertices within twice the collision
-    distance (a KD-tree) and segments whose closed bounding boxes overlap (a
-    sweep), which holds every crossing and collinear touch.
+    Only near pairs are tested, both found by one sweep of closed bounding
+    boxes: image vertices whose boxes of half side the collision distance
+    overlap, and segments whose boxes overlap, which holds every crossing and
+    collinear touch.
     """
     violations: list = []
     scale = max(float(np.abs(imgs).max()), 1e-300)
@@ -429,22 +440,22 @@ def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np
             "the probe point's triangle is not inside the pullback disk; "
             "the radius is too small for this mesh"
         )
-    # scipy is imported where it is called, here and across the package: a
-    # module-level import costs every command about 0.5 s at start-up, and
-    # only verify needs csgraph and scipy.spatial
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    # kept triangles are adjacent when they share an edge; the pairs come
-    # sorted, so the kept ones are the rows of a CSR graph as they stand
+    # label propagation over the kept adjacent pairs: every label is a
+    # triangle of its own component; a pair whose labels differ moves the
+    # larger label to the smaller, then each label follows its chain to the
+    # end, until the labels of every pair agree
     a, b = mesh.triangle_neighbours.T
     both = keep_tri[a] & keep_tri[b]
     a, b = a[both], b[both]
-    nt = mesh.num_triangles
-    indptr = np.searchsorted(a, np.arange(nt + 1))
-    graph = sparse.csr_matrix((np.ones(len(a)), b, indptr), shape=(nt, nt))
-    _, labels = connected_components(graph, directed=False)
-    return labels == labels[seed_tri]
+    labels = np.arange(mesh.num_triangles)
+    while True:
+        la, lb = labels[a], labels[b]
+        split = la != lb
+        if not split.any():
+            return labels == labels[seed_tri]
+        labels[np.maximum(la, lb)[split]] = np.minimum(la, lb)[split]
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
 
 
 # ---------------------------------------------------------------------------

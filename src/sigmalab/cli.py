@@ -341,6 +341,8 @@ def cmd_meyers(cfg):
 
 def cmd_beltrami(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
+    if cfg["g"] and not cfg["allow_holes"]:  # refuse before the solve
+        analysis.require_simply_connected(m)
     sigma = coefficients.field_from_descriptor(cfg["sigma"])
     ell = coefficients.require_elliptic(sigma, m.centroids)
     k = coefficients.max_dilatation(ell.samples)

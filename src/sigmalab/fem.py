@@ -62,9 +62,11 @@ def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
 
     The P1 systems use MMD_AT_PLUS_A, which fills less than COLAMD (41,670
     against 56,678 L+U nonzeros at 1141 unknowns); fd's nested-dissection
-    numbering keeps its order with NATURAL. scipy is imported on the first
-    call (see analysis._component_containing).
+    numbering keeps its order with NATURAL.
     """
+    # scipy is imported where it is called, here and across the package: a
+    # module-level import costs every command about 0.5 s at start-up, and a
+    # command loads only the parts of scipy that it runs
     from scipy.sparse import linalg
 
     try:

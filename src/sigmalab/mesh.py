@@ -31,7 +31,7 @@ DEGENERATE_AREA_FACTOR = 1e-14
 
 #: points per batch of Mesh.locate; keeps its (point, triangle) temporaries
 #: to a few MB when an injectivity lattice passes millions of points
-LOCATE_CHUNK = 4096
+LOCATE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,6 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     @cached_property
-    def _vertex_tree(self):
-        from scipy.spatial import cKDTree
-
-        return cKDTree(self.vertices)
-
-    @cached_property
     def _triangle_frames(self) -> np.ndarray:
         """Per triangle: first vertex, both edge vectors from it and their
         determinant, as (7, nt) rows ox, oy, e1x, e1y, e2x, e2y, det."""
@@ -269,11 +263,12 @@ class Mesh:
         """Find containing triangles for an (n, 2) array of points.
 
         Returns (tri_index, barycentric) where tri_index is -1 for points
-        outside the mesh. Candidate triangles come from all vertices within
-        one maximal edge length, which always covers the containing triangle;
-        a point in several triangles (on an edge, within the 1e-12
-        barycentric tolerance) gets the lowest triangle index. Points are
-        processed in chunks of LOCATE_CHUNK, which bounds the temporaries.
+        outside the mesh, and for points that are not finite. Candidate
+        triangles come from a grid that holds all vertices within one maximal
+        edge length, which always covers the containing triangle; a point in
+        several triangles (on an edge, within the 1e-12 barycentric
+        tolerance) gets the lowest triangle index. Points are processed in
+        chunks of LOCATE_CHUNK, which bounds the temporaries.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
@@ -299,21 +294,57 @@ class Mesh:
             bary[rows] = np.column_stack([1.0 - l1 - l2, l1, l2])
         return tri_idx, bary
 
+    @cached_property
+    def _vertex_grid(self) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray, np.ndarray]:
+        """The triangles' vertices in a uniform grid whose cell side is the
+        locate radius: (lo, hi, side, rows, keys, verts), verts sorted by cell
+        key and keys their keys.
+
+        lo and hi bound the vertices grown by one cell. Cell (i, j) lies i and
+        j sides from lo and has key (i + 1) * rows + j + 1, distinct for
+        -1 <= i, j <= rows - 2. A mesh is connected, so its box spans fewer
+        cells per axis than it has vertices, and no key overflows.
+        """
+        offsets, _ = self._vertex_to_triangles
+        used = np.flatnonzero(np.diff(offsets))
+        # per-column gathers and reductions: several times faster than on rows
+        x, y = self.vertices[:, 0][used], self.vertices[:, 1][used]
+        side = self.max_edge_length * (1.0 + 1e-9) + 1e-300
+        lo = np.array([x.min(), y.min()]) - side
+        hi = np.array([x.max(), y.max()]) + side
+        rows = int(np.floor((hi[1] - lo[1]) / side)) + 3
+        keys = _cell_keys(x, y, lo, side, rows)
+        order = np.argsort(keys, kind="stable")
+        return lo, hi, side, rows, keys[order], used[order]
+
     def _candidates(self, points) -> tuple[np.ndarray, np.ndarray]:
         """The (point, triangle) candidate pairs of locate, unique and sorted
-        by point, then triangle."""
-        radius = self.max_edge_length * (1.0 + 1e-9) + 1e-300
-        near = self._vertex_tree.query_ball_point(points, r=radius)
-        counts = np.fromiter(map(len, near), np.int64, len(near))
-        verts = np.fromiter(chain.from_iterable(near), np.int64, int(counts.sum()))
+        by point, then triangle: the triangles of the vertices in the 3 x 3
+        grid cells around the point's own cell, a superset of the vertices
+        within one cell side. A point outside the grid, or not finite, has
+        none."""
+        lo, hi, side, rows, keys, verts = self._vertex_grid
+        with np.errstate(invalid="ignore"):  # NaN compares False
+            inside = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
+        block = (rows * np.arange(-1, 2)[:, None] + np.arange(-1, 2)).ravel()
+        own = _cell_keys(points[inside, 0], points[inside, 1], lo, side, rows)
+        near = (own[:, None] + block).ravel()
+        start = np.searchsorted(keys, near, side="left")
+        size = np.searchsorted(keys, near, side="right") - start
+        point = np.repeat(np.repeat(inside, 9), size)
+        v = verts[_ranges(start, size)]
         offsets, ids = self._vertex_to_triangles
-        start = offsets[verts]
-        size = offsets[verts + 1] - start
+        start = offsets[v]
+        size = offsets[v + 1] - start
         # the triangles of every (point, vertex) pair, as one gather from ids
-        base = np.repeat(start - np.cumsum(size) + size, size)
-        tris = ids[base + np.arange(len(base))]
+        tris = ids[_ranges(start, size)]
         nt = self.num_triangles
-        key = np.unique(np.repeat(np.repeat(np.arange(len(points)), counts), size) * nt + tris)
+        # sorted, then each key once: numpy 2.4's np.unique hashes int64
+        # keys and takes up to ten times as long here
+        key = np.sort(np.repeat(point, size) * nt + tris)
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        key = key[first]
         return key // nt, key % nt
 
     def boundary_distance(self, points) -> np.ndarray:
@@ -348,11 +379,21 @@ class Mesh:
 
 def signed_areas(vertices, triangles) -> np.ndarray:
     """Signed area of each triangle of points, positive when counterclockwise."""
-    p = vertices[triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+    # (3, nt) corner coordinates: row gathers, faster than vertices[triangles]
+    x, y = vertices[:, 0][triangles.T], vertices[:, 1][triangles.T]
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+
+
+def _cell_keys(x, y, lo: np.ndarray, side: float, rows: int) -> np.ndarray:
+    """The keys (i + 1) * rows + j + 1 of the grid cells (i, j) of the points (x, y)."""
+    i = np.floor((x - lo[0]) / side).astype(np.int64)
+    j = np.floor((y - lo[1]) / side).astype(np.int64)
+    return (i + 1) * rows + j + 1
+
+
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices start[k] + i, 0 <= i < size[k], of every k in turn."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
 
 
 def _loop_signed_area(points: np.ndarray) -> float:

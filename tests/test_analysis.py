@@ -415,6 +415,39 @@ def test_boundary_violations_match_dense_reference(polylines):
     assert got == dense_boundary_violations(imgs, loops)
 
 
+def all_pairs_collisions(pts, scale):
+    """Reference: the pairs i < j of the dense distance matrix closer than
+    1e-12 * scale, in lexicographic order."""
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    i, j = np.nonzero(np.triu(d2 < (1e-12 * scale) ** 2, 1))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+@st.composite
+def planted_stacks(draw):
+    """(points, scale): 1 to 4 collinear stacks, along an axis or a diagonal,
+    whose consecutive points lie 0, 0.5, 0.999, 1.001 or 2 collision
+    distances 1e-12 * scale apart; at the smallest scale the squared
+    distance underflows to 0."""
+    scale = draw(st.sampled_from([1.0, 1.75, 1e-140, 1e140, 1e-170]))
+    stacks = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2))) * scale
+        direction = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])))
+        gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]), max_size=12))
+        steps = np.concatenate([[0.0], np.cumsum(gaps)]) * (1e-12 * scale)
+        stacks.append(start + steps[:, None] * direction)
+    pts = np.concatenate(stacks)
+    return pts[np.array(draw(st.permutations(range(len(pts)))))], scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(planted_stacks())
+def test_vertex_collisions_match_all_pairs(case):
+    pts, scale = case
+    assert analysis._vertex_collisions(pts, scale) == all_pairs_collisions(pts, scale)
+
+
 @pytest.mark.parametrize(
     "mesh_name, oracle",
     [("disk_mesh", holomorphic_oracle(2)), ("disk_mesh", holomorphic_oracle(3)),

@@ -686,6 +686,23 @@ def test_verify_direction_count_is_refused_before_the_solve(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_beltrami_refuses_holes_before_the_solve(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = fem.solve_dirichlet
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_dirichlet", spy)
+    code, out = run(tmp_path, "beltrami", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.1",
+                    "--sigma", "meyers:alpha=2", "--g", "oracle")
+    assert (code, len(calls)) == (2, 0)
+    err = capsys.readouterr().err
+    assert "stream function needs a simply connected domain; mesh has 2 boundary loops" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("directions, code", [(8, 0), (9, 3)])
 def test_verify_direction_cap_counts_directions_times_vertices(tmp_path, monkeypatch,
                                                                directions, code):

@@ -302,25 +302,33 @@ def test_locate_points(disk_mesh):
 
 def locate_reference(mesh, points):
     """locate by brute force: over all triangles, the lowest index whose
-    barycentrics (same expressions) pass the 1e-12 tolerance."""
+    barycentrics (same expressions) pass the 1e-12 tolerance; a point that is
+    not finite fails every comparison."""
     v = mesh.vertices[mesh.triangles][None]
     e1x, e1y = v[..., 1, 0] - v[..., 0, 0], v[..., 1, 1] - v[..., 0, 1]
     e2x, e2y = v[..., 2, 0] - v[..., 0, 0], v[..., 2, 1] - v[..., 0, 1]
-    rx, ry = points[:, 0, None] - v[..., 0, 0], points[:, 1, None] - v[..., 0, 1]
-    det = e1x * e2y - e2x * e1y
-    l1 = (e2y * rx - e2x * ry) / det
-    l2 = (-e1y * rx + e1x * ry) / det
-    ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
-    first = ok.argmax(axis=1)
-    tri = np.where(ok.any(axis=1), first, -1)
-    rows = np.arange(len(points))
-    l1, l2 = l1[rows, first], l2[rows, first]
-    bary = np.where((tri >= 0)[:, None], np.column_stack([1.0 - l1 - l2, l1, l2]), 0.0)
+    with np.errstate(invalid="ignore"):
+        rx, ry = points[:, 0, None] - v[..., 0, 0], points[:, 1, None] - v[..., 0, 1]
+        det = e1x * e2y - e2x * e1y
+        l1 = (e2y * rx - e2x * ry) / det
+        l2 = (-e1y * rx + e1x * ry) / det
+        ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+        first = ok.argmax(axis=1)
+        tri = np.where(ok.any(axis=1), first, -1)
+        rows = np.arange(len(points))
+        l1, l2 = l1[rows, first], l2[rows, first]
+        bary = np.where((tri >= 0)[:, None], np.column_stack([1.0 - l1 - l2, l1, l2]), 0.0)
     return tri, bary
 
 
+#: points no grid cell holds: huge, infinite or not a number
+UNPLACEABLE = np.array([[1e300, 0.0], [-1e300, 1e300], [0.0, -1e300], [np.inf, 0.0],
+                        [0.0, -np.inf], [np.nan, 0.5], [0.5, np.nan], [np.nan, np.inf]])
+
+
 def locate_probes(mesh, rng, n):
-    """n random points around the mesh, plus vertices, edge midpoints and far points."""
+    """n random points around the mesh, plus vertices, edge midpoints, far
+    points and the unplaceable ones."""
     edges = mesh.edge_table.edges
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     return np.concatenate([
@@ -328,6 +336,7 @@ def locate_probes(mesh, rng, n):
         mesh.vertices[rng.integers(0, mesh.num_vertices, n)],
         0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])[rng.integers(0, len(edges), n)],
         rng.uniform(3.0, 4.0, size=(3, 2)),
+        UNPLACEABLE[rng.permutation(len(UNPLACEABLE))],
     ])
 
 
@@ -354,6 +363,31 @@ def test_locate_more_points_than_one_chunk(disk_mesh):
     tri, bary = disk_mesh.locate(pts)
     ref_tri, ref_bary = locate_reference(disk_mesh, pts)
     assert np.array_equal(tri, ref_tri) and np.array_equal(bary, ref_bary)
+
+
+def signed_areas_reference(vertices, triangles):
+    """Reference: signed_areas as it was written over vertices[triangles],
+    before it took per-column row gathers; the same expression in the same
+    order."""
+    p = vertices[triangles]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(*[st.floats(-1e100, 1e100)] * 2), min_size=1, max_size=20),
+    st.lists(st.tuples(*[st.integers(0, 19)] * 3), min_size=1, max_size=30),
+)
+def test_signed_areas_match_the_gathered_reference(points, corners):
+    vertices = np.array(points, dtype=float)
+    triangles = np.array(corners, dtype=np.int64) % len(vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = meshmod.signed_areas(vertices, triangles)
+        want = signed_areas_reference(vertices, triangles)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_boundary_distance(disk_mesh, annulus_mesh):

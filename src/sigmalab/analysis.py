@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
 from .fem import ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field
-from .mesh import Mesh, _extract_loops, edge_table, signed_areas
+from .mesh import Mesh, signed_areas
 
 log = logging.getLogger(__name__)
 
@@ -414,10 +414,9 @@ def pullback_subdomain(U: MappingField, t: int, bary, r: float) -> PullbackSubdo
         )
     keep_tri = _component_containing(mesh, keep_tri, int(t))
 
-    tri_ids = np.where(keep_tri)[0]
-    kept = mesh.triangles[tri_ids]
+    tri_ids = np.flatnonzero(keep_tri)
     # a MeshError here is a pinched boundary: the kept triangles meet at a vertex
-    loops = _extract_loops(mesh.vertices, kept, edge_table(kept, mesh.num_vertices))
+    loops = mesh.loops_of(tri_ids)
     return PullbackSubdomain(
         loops=loops,
         parent_triangles=tri_ids,

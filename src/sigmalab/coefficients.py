@@ -285,7 +285,12 @@ def holder_bump_field(
 
 
 def nonsymmetric_field(tau: float) -> CoefficientField:
-    """The identity plus tau J; the skew part never enters sigma xi . xi."""
+    """The identity plus tau J; the skew part never enters sigma xi . xi.
+
+    A constant skew part drops out of div(sigma grad u), and up to roundoff
+    out of the P1 equations at interior vertices, so u solves as for the
+    identity; tau enters only where sigma itself is read, as in the
+    dilatations. It does not exercise the non-symmetric theory."""
     return constant_field(np.eye(2) + tau * ROTATION, f"nonsym:tau={tau},base=identity")
 
 
@@ -315,7 +320,11 @@ def random_holder_field(seed: int) -> CoefficientField:
 
 
 def random_nonsymmetric_field(seed: int, tau: Optional[float] = None) -> CoefficientField:
-    """Seeded nonsymmetric field: random smooth symmetric part plus tau J."""
+    """Seeded field: random smooth symmetric part plus a constant skew part tau J.
+
+    As in `nonsymmetric_field`, the constant tau J drops out of the solves,
+    so u solves as for the symmetric part; tau enters only where sigma itself
+    is read, as in the dilatations."""
     base = random_holder_field(seed)  # refuses a negative seed first
     if tau is None:
         tau = float(np.random.default_rng(seed ^ 0x5EED).uniform(0.05, 0.3))

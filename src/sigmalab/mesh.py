@@ -162,7 +162,12 @@ class Mesh:
             )
         self._areas = areas
 
-        self.loops = _extract_loops(vertices, triangles, self.edge_table)
+        table = self.edge_table
+        if table.counts.max() > 2:
+            bad = table.edges[np.argmax(table.counts)]
+            raise MeshError(f"edge {tuple(bad.tolist())} belongs to more than two triangles")
+        f = table.first[table.counts == 1]  # the one directed edge of each boundary edge
+        self.loops = _extract_loops(vertices, *_edge_ends(triangles, f))
         if loop_geometry is None:
             loop_geometry = [None] * len(self.loops)
         if len(loop_geometry) != len(self.loops):
@@ -192,7 +197,9 @@ class Mesh:
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        # row gathers, the same bits as vertices[triangles].mean(axis=1)
+        x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
+        return np.column_stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3])
 
     @cached_property
     def basis_gradients(self) -> np.ndarray:
@@ -230,10 +237,27 @@ class Mesh:
         rest = np.arange(len(table.inverse)) != table.first[table.inverse]
         second[table.inverse[rest]] = np.flatnonzero(rest)
         inner = table.counts == 2
-        pairs = np.sort(np.column_stack([table.first[inner], second[inner]]) // 3, axis=1)
-        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        s, t = table.first[inner] // 3, second[inner] // 3
+        # s * nt + t sorts exactly like the (s, t) rows
+        nt = self.num_triangles
+        key = np.sort(np.minimum(s, t) * nt + np.maximum(s, t))
+        pairs = np.column_stack([key // nt, key % nt])
         pairs.setflags(write=False)
         return pairs
+
+    def loops_of(self, tri_ids) -> list[np.ndarray]:
+        """The boundary loops of the union of the distinct triangles tri_ids,
+        ordered and oriented like Mesh.loops; MeshError when that boundary is
+        not a disjoint union of simple loops, as where two of the triangles
+        meet at a vertex and at no edge.
+
+        A boundary edge is an edge of the table that exactly one of the
+        triangles holds, so no second edge table is built.
+        """
+        d = (3 * np.asarray(tri_ids, dtype=np.int64)[:, None] + np.arange(3)).ravel()
+        e = self.edge_table.inverse[d]
+        d = d[np.bincount(e, minlength=len(self.edge_table.edges))[e] == 1]
+        return _extract_loops(self.vertices, *_edge_ends(self.triangles, d))
 
     # -- point location ---------------------------------------------------
 
@@ -401,19 +425,21 @@ def _loop_signed_area(points: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _extract_loops(vertices, triangles, table: EdgeTable) -> list[np.ndarray]:
-    """Chain the directed boundary edges into closed loops.
+def _edge_ends(triangles: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end vertices of the directed edges d, 3 * t + j."""
+    t, j = d // 3, d % 3
+    return triangles[t, j], triangles[t, (j + 1) % 3]
+
+
+def _extract_loops(vertices, src: np.ndarray, dst: np.ndarray) -> list[np.ndarray]:
+    """Chain the directed boundary edges src[k] -> dst[k] into closed loops.
 
     Directed edges inherit the (counterclockwise) triangle orientation, so
     the outer loop comes out counterclockwise and holes clockwise. Loops
     start at their smallest vertex index; the outer loop (largest absolute
     enclosed area) is listed first, the others follow by starting vertex.
+    The order of the edges does not matter.
     """
-    if table.counts.max() > 2:
-        bad = table.edges[np.argmax(table.counts)]
-        raise MeshError(f"edge {tuple(bad.tolist())} belongs to more than two triangles")
-    f = table.first[table.counts == 1]  # the one directed edge of each boundary edge
-    src, dst = triangles[f // 3, f % 3], triangles[f // 3, (f + 1) % 3]
     starts = np.unique(src)
     # each boundary vertex starts exactly one boundary edge and ends exactly one
     if len(starts) == 0 or not np.array_equal(starts, np.sort(dst)):
@@ -486,28 +512,6 @@ class _Polygon:
         return out
 
 
-def _stitch_rings(inner_ids, inner_ang, outer_ids, outer_ang) -> np.ndarray:
-    """Triangulate the band between two concentric vertex rings.
-
-    Both rings are ordered counterclockwise by angle. The band is a merge of
-    the two rings' next-vertex angles: each step advances the ring whose next
-    vertex has the smaller angle (the inner ring on ties), which keeps
-    triangles positively oriented and distributes count mismatches evenly.
-    Returns the (m + n, 3) triangles in merge order.
-    """
-    m, n = len(inner_ids), len(outer_ids)
-    ia = np.append(inner_ang, inner_ang[0] + 2.0 * math.pi)
-    oa = np.append(outer_ang, outer_ang[0] + 2.0 * math.pi)
-    # both lists ascend, so a stable sort of the two, inner first, is their merge
-    order = np.argsort(np.concatenate([ia[1:], oa[1:]]), kind="stable")
-    inner = order < m
-    step = np.arange(m + n)
-    i = np.where(inner, order, step - (order - m))  # inner pointer before the step
-    j = step - i  # outer pointer before the step
-    third = np.where(inner, inner_ids[(i + 1) % m], outer_ids[(j + 1) % n])
-    return np.column_stack([inner_ids[i % m], outer_ids[j % n], third])
-
-
 def _divisions(length: float, h: float) -> int:
     """max(1, round(length / h)); ResourceLimitError when length / h overflows."""
     q = length / h
@@ -531,13 +535,44 @@ def _check_cap(expected: int, what: str = "mesh") -> None:
         )
 
 
-def _ring(center, radius, count, start_id):
-    ang = 2.0 * math.pi * np.arange(count) / count
-    pts = np.column_stack(
-        [center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)]
-    )
-    ids = np.arange(start_id, start_id + count)
-    return ids, ang, pts
+def _ring_mesh(center, radii: np.ndarray, counts: np.ndarray, first_id: int):
+    """The vertices of concentric rings and the triangles of the bands between
+    consecutive rings, built in one pass.
+
+    Ring k holds counts[k] vertices at angles 2 pi j / counts[k] on radius
+    radii[k], numbered from first_id on, ring after ring. Each band is a merge
+    of its two rings' next-vertex angles: each step advances the ring whose
+    next vertex has the smaller angle (the inner ring on ties), which keeps
+    triangles positively oriented and distributes count mismatches evenly.
+    Returns the vertices and the triangles, band after band in merge order.
+    """
+    total = int(counts.sum())
+    start = np.cumsum(counts) - counts
+    ring = np.repeat(np.arange(len(counts)), counts)
+    ang = 2.0 * math.pi * (np.arange(total) - start[ring]) / counts[ring]
+    r = radii[ring]
+    pts = np.column_stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang)])
+
+    # the angle of each vertex's successor on its ring, 2 pi after the last
+    nxt = np.append(ang[1:], 0.0)
+    nxt[start + counts - 1] = 2.0 * math.pi
+    # band b lists its inner ring's successor angles, then its outer ring's;
+    # a stable sort by band, then angle, is every band's merge, inner first
+    m, n = counts[:-1], counts[1:]  # the inner and outer ring sizes of each band
+    size = m + n
+    entry = _ranges(np.column_stack([start[:-1], start[1:]]).ravel(),
+                    np.column_stack([m, n]).ravel())
+    band = np.repeat(np.arange(len(size)), size)
+    order = np.lexsort((nxt[entry], band))
+    base = (np.cumsum(size) - size)[band]
+    local, step = order - base, np.arange(len(order)) - base
+    m, n = m[band], n[band]  # per step
+    inner = local < m
+    i = np.where(inner, local, step - (local - m))  # inner pointer before the step
+    j = step - i  # outer pointer before the step
+    lo, hi = first_id + start[:-1][band], first_id + start[1:][band]
+    third = np.where(inner, lo + (i + 1) % m, hi + (j + 1) % n)
+    return pts, np.column_stack([lo + i % m, hi + j % n, third])
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +593,15 @@ def generate_disk(center: Point2, radius: float, h: float) -> Mesh:
     n = _divisions(radius, h)
     _check_cap(1 + 3 * n * (n + 1))
 
-    verts = [np.array([center], dtype=float)]
-    rings = []
-    start = 1
-    for i in range(1, n + 1):
-        ids, ang, pts = _ring(center, radius * i / n, 6 * i, start)
-        verts.append(pts)
-        rings.append((ids, ang))
-        start += 6 * i
-    ids1 = rings[0][0]
-    tris = [np.column_stack([np.zeros(6, np.int64), ids1, np.roll(ids1, -1)])]
-    tris += [_stitch_rings(*rings[k], *rings[k + 1]) for k in range(len(rings) - 1)]
+    i = np.arange(1, n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # Mesh refuses what is not finite
+        pts, bands = _ring_mesh(center, radius * i / n, 6 * i, 1)
+    fan = np.column_stack([np.zeros(6, np.int64), np.arange(1, 7), np.roll(np.arange(1, 7), -1)])
+    verts = np.concatenate([np.array([center], dtype=float), pts])
+    tris = np.concatenate([fan, bands])
 
     geom = [CircleLoop(center[0], center[1], radius)]
-    return Mesh(np.concatenate(verts), np.concatenate(tris), h, geom)
+    return Mesh(verts, tris, h, geom)
 
 
 def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mesh:
@@ -582,24 +612,22 @@ def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mes
         raise DomainError(f"mesh size h={h} must satisfy 0 < h < r_out - r_in")
     n = _divisions(r_out - r_in, h)
     _check_cap(6 * (n + 1))  # every ring has 6 or more vertices
-    radii = [r_in + (r_out - r_in) * i / n for i in range(n + 1)]
-    counts = [max(6, round(2.0 * math.pi * r / h)) for r in radii]
+    with np.errstate(over="ignore"):  # refused below
+        radii = r_in + (r_out - r_in) * np.arange(n + 1) / n
+    # the radii ascend, so the last circumference is the largest
+    lengths = [2.0 * math.pi * r for r in radii.tolist()]
+    if not math.isfinite(lengths[-1]):
+        raise MeshError(f"annulus radius {r_out} is too large: the ring circumferences overflow")
+    counts = [max(6, round(length / h)) for length in lengths]
     _check_cap(sum(counts))
-
-    verts, rings = [], []
-    start = 0
-    for r, m in zip(radii, counts):
-        ids, ang, pts = _ring(center, r, m, start)
-        verts.append(pts)
-        rings.append((ids, ang))
-        start += m
-    tris = [_stitch_rings(*rings[k], *rings[k + 1]) for k in range(len(rings) - 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # Mesh refuses what is not finite
+        verts, tris = _ring_mesh(center, radii, np.array(counts), 0)
 
     geom = [
         CircleLoop(center[0], center[1], r_out),
         CircleLoop(center[0], center[1], r_in),
     ]
-    return Mesh(np.concatenate(verts), np.concatenate(tris), h, geom)
+    return Mesh(verts, tris, h, geom)
 
 
 def generate_rectangle(corner: Point2, width: float, height: float, h: float) -> Mesh:
@@ -612,8 +640,9 @@ def generate_rectangle(corner: Point2, width: float, height: float, h: float) ->
     ny = _divisions(height, h)
     _check_cap((nx + 1) * (ny + 1))
 
-    xs = corner[0] + width * np.arange(nx + 1) / nx
-    ys = corner[1] + height * np.arange(ny + 1) / ny
+    with np.errstate(over="ignore", invalid="ignore"):  # Mesh refuses what is not finite
+        xs = corner[0] + width * np.arange(nx + 1) / nx
+        ys = corner[1] + height * np.arange(ny + 1) / ny
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
 

@@ -126,6 +126,28 @@ def test_mesh_far_above_the_cap_gives_a_short_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "domain, h, message",
+    [("annulus:rin=1e307,rout=1e308", "1e307",
+      "annulus radius 1e+308 is too large: the ring circumferences overflow"),
+     ("annulus:rin=1,rout=1e308", "1e306",
+      "annulus radius 1e+308 is too large: the ring circumferences overflow"),
+     # radius * i overflows before the division by the ring count
+     ("disk:r=1e308", "1e307", "non-finite vertex coordinates"),
+     ("disk:r=1.7e308", "1e308", "non-finite vertex coordinates"),
+     ("rect:w=1e308,h=1e308", "5e307", "non-finite vertex coordinates"),
+     ("disk:r=1e200", "1e199", "triangle areas overflow; vertex coordinates are too large")],
+)
+def test_mesh_near_the_largest_double_exits_3_in_one_line(tmp_path, capsys, domain, h, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(tmp_path, "mesh", "--domain", domain, "--h", h)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "domain, spacing", [("rect:w=1,h=1", "1e-300"), ("rect:w=1e300,h=1", "0.5")]
 )
 def test_solve_nd_oversized_grid_exits_3(tmp_path, capsys, domain, spacing):

@@ -22,6 +22,7 @@ from sigmalab import (
 from sigmalab import analysis, fd, fem
 from sigmalab.coefficients import (
     ROTATION,
+    CoefficientField,
     constant_field,
     identity_field,
     meyers_sigma,
@@ -358,6 +359,47 @@ def test_nonsymmetric_rotation_part_is_invisible(disk_mesh):
     u_ns = solve(disk_mesh, nonsymmetric_field(0.35), g)
     scale = np.abs(u_id.values).max()
     assert np.abs(u_id.values - u_ns.values).max() <= 1e-8 * scale
+
+
+def skew_field(e: float) -> CoefficientField:
+    """sigma = [[1 + e phi_y, -e psi_y], [-e phi_x, 1 + e psi_x]] with
+    phi = sin 2x cos 3y and psi = 0.
+
+    Both columns are divergence-free, so both components of the identity map
+    are sigma-harmonic, with stream functions y + e phi and -(x + e psi)
+    (grad v = J sigma grad u). Its skew part varies, unlike that of `nonsym`
+    and `randnonsym`, whose constant skew part drops out of div(sigma grad u).
+    """
+
+    def ev(X, Y):
+        phi_x = 2.0 * np.cos(2.0 * X) * np.cos(3.0 * Y)
+        phi_y = -3.0 * np.sin(2.0 * X) * np.sin(3.0 * Y)
+        S = np.zeros((len(X), 2, 2))
+        S[:, 0, 0] = 1.0 + e * phi_y
+        S[:, 1, 0] = -e * phi_x
+        S[:, 1, 1] = 1.0
+        return S
+
+    return CoefficientField(ev, f"skew:e={e}")
+
+
+def test_varying_skew_part_converges_to_the_identity_map():
+    # a solver that read sigma^T for sigma keeps an error near 0.13 at every h
+    sigma = skew_field(0.3)
+    errors = []
+    for h in (0.1, 0.05, 0.025):
+        m = generate_disk((0.0, 0.0), 1.0, h)
+        S = samples(m, sigma)
+        A = fem.assemble_stiffness(m, S)
+        inner = m.interior_vertices
+        block = A[inner][:, inner]
+        # the oracle itself: the solver sees a non-symmetric system
+        assert abs(block - block.T).max() > 1e-3 * abs(block).max()
+        (u1, u2), _ = solve_dirichlet(m, S, lambda x, y: np.array([x, y]))
+        errors.append(relative_l2_error(u1, lambda x, y: x))
+        # sigma's second column is constant, so u2 = y is reproduced exactly
+        assert relative_l2_error(u2, lambda x, y: y) < 1e-12
+    assert errors[0] / errors[1] >= 3.0 and errors[1] / errors[2] >= 3.0
 
 
 def test_no_interior_vertices_raises():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,8 @@ from sigmalab import (
     refine,
 )
 from sigmalab import mesh as meshmod
-from sigmalab.mesh import LOCATE_CHUNK, Mesh, mesh_from_text, mesh_to_text, read_rows
+from sigmalab.mesh import LOCATE_CHUNK, CircleLoop, Mesh, mesh_from_text, mesh_to_text, read_rows
+from ring_reference import reference_annulus, reference_disk
 from text_mutations import mutated_texts
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -519,6 +521,187 @@ def test_ring_mesh_text_bytes_pinned(key):
     make = generate_disk if kind == "disk" else generate_annulus
     m = make((0.0, 0.0), *radii, h)
     assert hashlib.sha256(mesh_to_text(m).encode()).hexdigest() == RING_MESH_TEXT_SHA256[key]
+
+
+def assert_matches_reference(make, reference, center, radii, h):
+    """make(center, *radii, h) and Mesh over reference(center, *radii, h)
+    give the same vertices and triangles bit for bit, or the same MeshError."""
+    vertices, triangles = reference(center, *radii, h)
+    geom = [CircleLoop(center[0], center[1], r) for r in sorted(radii, reverse=True)]
+    try:
+        m = make(center, *radii, h)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as info:
+            Mesh(vertices, triangles, h, geom)
+        assert str(info.value) == str(exc)
+        return
+    assert m.vertices.tobytes() == vertices.tobytes()
+    assert m.triangles.tobytes() == triangles.tobytes()
+
+
+#: a size as (mantissa, power of ten); the centre scales with it
+SCALED = st.tuples(st.floats(0.5, 2.0), st.integers(-100, 100))
+CENTER = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@PROPERTY
+@given(size=SCALED, step=st.floats(0.04, 0.99), center=CENTER)
+@example(size=(1.0, 0), step=0.05, center=(0.0, 0.0))
+@example(size=(1.0, 0), step=0.0173, center=(0.0, 0.0))
+def test_disk_matches_the_per_ring_reference(size, step, center):
+    radius = size[0] * 10.0 ** size[1]
+    center = (center[0] * 10.0 ** size[1], center[1] * 10.0 ** size[1])
+    assert_matches_reference(generate_disk, reference_disk, center, (radius,), radius * step)
+
+
+@PROPERTY
+@given(
+    size=SCALED,
+    shape=st.one_of(
+        # thin annuli: a few rings of nearly equal counts, so that their angles tie
+        st.tuples(st.floats(0.02, 0.2), st.floats(0.3, 0.99)),
+        st.tuples(st.floats(0.2, 10.0), st.floats(0.04, 0.99)),
+    ),
+    center=CENTER,
+)
+@example(size=(0.2, 0), shape=(4.0, 0.029 / 0.8), center=(0.0, 0.0))
+@example(size=(0.5, 0), shape=(0.2, 0.3), center=(0.0, 0.0))
+def test_annulus_matches_the_per_ring_reference(size, shape, center):
+    scale = 10.0 ** size[1]
+    r_in = size[0] * scale
+    r_out = r_in + r_in * shape[0]
+    center = (center[0] * scale, center[1] * scale)
+    h = (r_out - r_in) * shape[1]
+    assert_matches_reference(generate_annulus, reference_annulus, center, (r_in, r_out), h)
+
+
+@pytest.mark.parametrize(
+    "make, reference, radii, h",
+    [(generate_disk, reference_disk, (1.0,), 0.2),
+     (generate_disk, reference_disk, (1.0,), 0.05),
+     (generate_annulus, reference_annulus, (0.5, 0.6), 0.03),
+     (generate_annulus, reference_annulus, (0.2, 1.0), 0.16)],
+)
+def test_outer_first_ties_fail_the_reference_comparison(make, reference, radii, h):
+    # every band ties at 2 pi, where its two rings close
+    def outer_first(*args):
+        return reference(*args, inner_first=False)
+
+    with pytest.raises(AssertionError):
+        assert_matches_reference(make, outer_first, (0.0, 0.0), radii, h)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), min_size=1, max_size=20),
+    st.lists(st.tuples(*[st.integers(0, 19)] * 3), min_size=1, max_size=30),
+)
+def test_centroids_match_the_mean_reference(points, corners):
+    vertices = np.array(points, dtype=float)
+    triangles = np.array(corners, dtype=np.int64) % len(vertices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = Mesh.centroids.func(SimpleNamespace(vertices=vertices, triangles=triangles))
+        want = vertices[triangles].mean(axis=1)
+    # equal values; the bits differ only where all three coordinates are -0.0,
+    # a triangle on a line, which Mesh refuses
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(DOMAINS)), st.floats(0.15, 0.45), st.integers(0, 2),
+       st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_mesh_centroids_match_the_mean_reference_bit_for_bit(name, h, levels, shift):
+    m = DOMAINS[name](h)
+    for _ in range(levels):
+        m = refine(m)
+    m = Mesh(m.vertices + shift, m.triangles, m.h)
+    assert m.centroids.tobytes() == m.vertices[m.triangles].mean(axis=1).tobytes()
+
+
+def triangle_neighbours_reference(mesh):
+    """Reference: triangle_neighbours as a row sort of the (first, second)
+    directed-edge pairs, then a lexsort of the rows."""
+    table = mesh.edge_table
+    second = np.empty(len(table.edges), dtype=np.int64)
+    rest = np.arange(len(table.inverse)) != table.first[table.inverse]
+    second[table.inverse[rest]] = np.flatnonzero(rest)
+    inner = table.counts == 2
+    pairs = np.sort(np.column_stack([table.first[inner], second[inner]]) // 3, axis=1)
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(DOMAINS)), st.floats(0.1, 0.45), st.integers(0, 2))
+def test_triangle_neighbours_match_the_lexsort_reference(name, h, levels):
+    m = DOMAINS[name](h)
+    for _ in range(levels):
+        m = refine(m)
+    assert np.array_equal(m.triangle_neighbours, triangle_neighbours_reference(m))
+
+
+def loops_reference(mesh, tri_ids):
+    """The loops of the triangles tri_ids from an edge table of their own."""
+    kept = mesh.triangles[tri_ids]
+    table = meshmod.edge_table(kept, mesh.num_vertices)
+    f = table.first[table.counts == 1]
+    return meshmod._extract_loops(mesh.vertices, kept[f // 3, f % 3], kept[f // 3, (f + 1) % 3])
+
+
+def pinched_pair(mesh, rng):
+    """Two triangles that share one vertex and no edge."""
+    t = mesh.triangles
+    while True:
+        a, b = rng.integers(0, len(t), 2)
+        if len(set(t[a].tolist()) & set(t[b].tolist())) == 1:
+            return np.array([a, b])
+
+
+def kept_set(mesh, rng, kind):
+    """Distinct triangle ids: a random sample, a disk of centroids, that disk
+    with a few triangles or the fan of a vertex taken out, or a pinched pair."""
+    nt = mesh.num_triangles
+    if kind == "pinched":
+        return np.sort(pinched_pair(mesh, rng))
+    if kind == "random":
+        return np.flatnonzero(rng.random(nt) < rng.uniform(0.02, 1.0))
+    c = mesh.centroids
+    keep = np.hypot(*(c - c[rng.integers(0, nt)]).T) <= rng.uniform(0.2, 2.0)
+    if kind == "holes":
+        keep[rng.integers(0, nt, rng.integers(1, 4))] = False
+    if kind == "fan":
+        keep[np.flatnonzero((mesh.triangles == rng.integers(0, mesh.num_vertices)).any(axis=1))] = False
+    return np.flatnonzero(keep)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(DOMAINS)), st.floats(0.1, 0.4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "disk", "holes", "fan", "pinched"]))
+def test_loops_of_match_a_fresh_edge_table(name, h, seed, kind):
+    m = DOMAINS[name](h)
+    tri_ids = kept_set(m, np.random.default_rng(seed), kind)
+    if len(tri_ids) == 0:
+        tri_ids = np.array([0])
+    try:
+        want = loops_reference(m, tri_ids)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as info:
+            m.loops_of(tri_ids)
+        assert str(info.value) == str(exc)
+        return
+    assert kind != "pinched"
+    got = m.loops_of(tri_ids)
+    assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_loops_of_a_disk_with_a_hole():
+    m = generate_disk((0.0, 0.0), 1.0, 0.2)
+    ring = np.flatnonzero(~(m.triangles == 0).any(axis=1))  # every triangle off the centre
+    loops = m.loops_of(ring)
+    assert [len(l) for l in loops] == [len(m.loops[0]), 6]
+    assert np.array_equal(loops[0], m.loops[0])
+    assert loop_signed_area(m, loops[1]) < 0
+    assert all(np.array_equal(a, b) for a, b in zip(loops, loops_reference(m, ring)))
+    assert all(np.array_equal(a, b) for a, b in zip(m.loops_of(np.arange(m.num_triangles)), m.loops))
 
 
 @pytest.mark.parametrize("name", sorted(MESH_TEXT_SHA256))

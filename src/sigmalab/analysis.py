@@ -68,7 +68,7 @@ class PullbackSubdomain:
     """Preimage of a target disk: its triangles and the boundary loops of
     their union, both in the parent mesh's ids, the outer loop first."""
 
-    loops: list
+    loops: tuple
     parent_triangles: np.ndarray
     center_image: tuple[float, float]
     radius: float
@@ -285,7 +285,7 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
     return InjectivityResult(injective=not violations, violations=violations)
 
 
-def _boundary_violations(imgs: np.ndarray, loops: list) -> list:
+def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     """The boundary part of injectivity_check: per loop, its vertex collisions
     and self-intersections, then the crossings between loops, each in
     lexicographic order.

@@ -3,12 +3,14 @@
 Disk and annulus meshes are built from concentric polar rings stitched by an
 angular merge, rectangles from split squares. Generation is deterministic:
 the same parameters always produce the same mesh, with no external mesher
-involved. Meshes are immutable after construction and safe to share between
-workers.
+involved. Meshes are immutable after construction, every array they expose
+or cache read-only, and safe to share: a generator call that repeats the
+previous one returns that call's mesh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -70,6 +72,13 @@ class EdgeTable(NamedTuple):
     inverse: np.ndarray
 
 
+def _read_only(*arrays: np.ndarray):
+    """The arrays, each flagged read-only; one array comes back as itself."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
 def _check_vertices(vertices: np.ndarray) -> None:
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (nv, 2) array")
@@ -93,12 +102,8 @@ def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
     uniq, first, inverse, counts = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True
     )
-    table = EdgeTable(
-        np.column_stack([uniq // num_vertices, uniq % num_vertices]), counts, first, inverse
-    )
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+    edges = np.column_stack([uniq // num_vertices, uniq % num_vertices])
+    return EdgeTable(*_read_only(edges, counts, first, inverse))
 
 
 def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -128,7 +133,9 @@ class Mesh:
 
     Boundary loops are derived from edge incidence: an edge lies on the
     boundary iff it belongs to exactly one triangle. The outer loop comes
-    first and runs counterclockwise; hole loops run clockwise.
+    first and runs counterclockwise; hole loops run clockwise. ``loops`` and
+    ``loop_geometry`` are tuples, and every array a Mesh holds, built or
+    cached, is read-only: one Mesh may serve many commands in a process.
     """
 
     def __init__(self, vertices, triangles, h, loop_geometry=None):
@@ -160,7 +167,7 @@ class Mesh:
                 f"mesh size h={h} is too small: triangle {t} has area {areas[t]:.3e}, "
                 "below the smallest normal double"
             )
-        self._areas = areas
+        self._areas = _read_only(areas)
 
         table = self.edge_table
         if table.counts.max() > 2:
@@ -169,16 +176,14 @@ class Mesh:
         f = table.first[table.counts == 1]  # the one directed edge of each boundary edge
         self.loops = _extract_loops(vertices, *_edge_ends(triangles, f))
         if loop_geometry is None:
-            loop_geometry = [None] * len(self.loops)
+            loop_geometry = (None,) * len(self.loops)
         if len(loop_geometry) != len(self.loops):
             raise MeshError(
                 f"loop_geometry has {len(loop_geometry)} entries for "
                 f"{len(self.loops)} boundary loops"
             )
-        self.loop_geometry = list(loop_geometry)
-
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
+        self.loop_geometry = tuple(loop_geometry)
+        _read_only(self.vertices, self.triangles)
 
     # -- basic queries ----------------------------------------------------
 
@@ -199,7 +204,7 @@ class Mesh:
     def centroids(self) -> np.ndarray:
         # row gathers, the same bits as vertices[triangles].mean(axis=1)
         x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
-        return np.column_stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3])
+        return _read_only(np.column_stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3]))
 
     @cached_property
     def basis_gradients(self) -> np.ndarray:
@@ -211,17 +216,17 @@ class Mesh:
             j, k = (i + 1) % 3, (i + 2) % 3
             G[:, i, 0] = (y[:, j] - y[:, k]) / (2.0 * self._areas)
             G[:, i, 1] = (x[:, k] - x[:, j]) / (2.0 * self._areas)
-        return G
+        return _read_only(G)
 
     @cached_property
     def boundary_vertices(self) -> np.ndarray:
-        return np.unique(np.concatenate(self.loops))
+        return _read_only(np.unique(np.concatenate(self.loops)))
 
     @cached_property
     def interior_vertices(self) -> np.ndarray:
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[self.boundary_vertices] = False
-        return np.where(mask)[0]
+        return _read_only(np.where(mask)[0])
 
     @cached_property
     def max_edge_length(self) -> float:
@@ -241,11 +246,9 @@ class Mesh:
         # s * nt + t sorts exactly like the (s, t) rows
         nt = self.num_triangles
         key = np.sort(np.minimum(s, t) * nt + np.maximum(s, t))
-        pairs = np.column_stack([key // nt, key % nt])
-        pairs.setflags(write=False)
-        return pairs
+        return _read_only(np.column_stack([key // nt, key % nt]))
 
-    def loops_of(self, tri_ids) -> list[np.ndarray]:
+    def loops_of(self, tri_ids) -> tuple[np.ndarray, ...]:
         """The boundary loops of the union of the distinct triangles tri_ids,
         ordered and oriented like Mesh.loops; MeshError when that boundary is
         not a disjoint union of simple loops, as where two of the triangles
@@ -270,9 +273,7 @@ class Mesh:
         x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
         e1x, e1y = x[1] - x[0], y[1] - y[0]
         e2x, e2y = x[2] - x[0], y[2] - y[0]
-        frames = np.array([x[0], y[0], e1x, e1y, e2x, e2y, e1x * e2y - e2x * e1y])
-        frames.setflags(write=False)
-        return frames
+        return _read_only(np.array([x[0], y[0], e1x, e1y, e2x, e2y, e1x * e2y - e2x * e1y]))
 
     @cached_property
     def _vertex_to_triangles(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +282,7 @@ class Mesh:
         flat = self.triangles.ravel()
         offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(flat, minlength=self.num_vertices), out=offsets[1:])
-        return offsets, np.argsort(flat, kind="stable") // 3
+        return _read_only(offsets, np.argsort(flat, kind="stable") // 3)
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Find containing triangles for an (n, 2) array of points.
@@ -339,7 +340,7 @@ class Mesh:
         rows = int(np.floor((hi[1] - lo[1]) / side)) + 3
         keys = _cell_keys(x, y, lo, side, rows)
         order = np.argsort(keys, kind="stable")
-        return lo, hi, side, rows, keys[order], used[order]
+        return (*_read_only(lo, hi), side, rows, *_read_only(keys[order], used[order]))
 
     def _candidates(self, points) -> tuple[np.ndarray, np.ndarray]:
         """The (point, triangle) candidate pairs of locate, unique and sorted
@@ -389,12 +390,12 @@ class Mesh:
         return dist
 
     @cached_property
-    def _polygons(self) -> list:
+    def _polygons(self) -> tuple:
         """Per boundary loop, None for a CircleLoop, else its _Polygon."""
-        return [
+        return tuple(
             None if isinstance(geom, CircleLoop) else _Polygon(self.vertices[loop])
             for loop, geom in zip(self.loops, self.loop_geometry)
-        ]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +432,15 @@ def _edge_ends(triangles: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.nda
     return triangles[t, j], triangles[t, (j + 1) % 3]
 
 
-def _extract_loops(vertices, src: np.ndarray, dst: np.ndarray) -> list[np.ndarray]:
+def _extract_loops(vertices, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, ...]:
     """Chain the directed boundary edges src[k] -> dst[k] into closed loops.
 
     Directed edges inherit the (counterclockwise) triangle orientation, so
     the outer loop comes out counterclockwise and holes clockwise. Loops
     start at their smallest vertex index; the outer loop (largest absolute
     enclosed area) is listed first, the others follow by starting vertex.
-    The order of the edges does not matter.
+    The order of the edges does not matter. Returns a tuple of read-only
+    arrays.
     """
     starts = np.unique(src)
     # each boundary vertex starts exactly one boundary edge and ends exactly one
@@ -455,11 +457,11 @@ def _extract_loops(vertices, src: np.ndarray, dst: np.ndarray) -> list[np.ndarra
         while (v := succ[loop[-1]]) != start:
             loop.append(v)
         seen.update(loop)
-        loops.append(np.array(loop, dtype=np.int64))
+        loops.append(_read_only(np.array(loop, dtype=np.int64)))
 
     areas = [abs(_loop_signed_area(vertices[l])) for l in loops]
     outer = int(np.argmax(areas))
-    loops = [loops[outer]] + [l for i, l in enumerate(loops) if i != outer]
+    loops = (loops[outer], *(l for i, l in enumerate(loops) if i != outer))
     if _loop_signed_area(vertices[loops[0]]) <= 0:
         raise MeshError("outer boundary loop is not counterclockwise")
     for l in loops[1:]:
@@ -474,9 +476,9 @@ class _Polygon:
     def __init__(self, poly: np.ndarray):
         from scipy.spatial import cKDTree
 
-        self.a = poly
-        self.ab = np.roll(poly, -1, axis=0) - poly  # segment k runs from a[k] to a[k + 1]
-        self.denom = np.einsum("sd,sd->s", self.ab, self.ab)
+        # segment k runs from a[k] to a[k + 1]
+        self.a, self.ab = _read_only(poly, np.roll(poly, -1, axis=0) - poly)
+        self.denom = _read_only(np.einsum("sd,sd->s", self.ab, self.ab))
         self.longest = float(np.sqrt(self.denom.max()))
         self.extent = float(np.abs(poly).max())
         self.tree = cKDTree(poly)
@@ -578,7 +580,33 @@ def _ring_mesh(center, radii: np.ndarray, counts: np.ndarray, first_id: int):
 # ---------------------------------------------------------------------------
 # generators
 
+# the last generator call's key and mesh: one entry at most
+_last_build: dict = {}
 
+
+def _memoized(generate):
+    """generate, returning the previous generator call's mesh when a call
+    repeats it: the same generator, arguments and DEFAULT_VERTEX_CAP.
+
+    The three generators share this one entry. Arguments are compared by
+    their repr, with arrays printed to every digit: -0.0 == 0.0, but a disk
+    centred at -0.0 writes "-0.0" in its text, where repr tells them apart.
+    """
+
+    @functools.wraps(generate)
+    def memo(*args, **kwargs):
+        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+            key = (generate.__name__, repr(args), repr(kwargs), DEFAULT_VERTEX_CAP)
+        if key not in _last_build:
+            mesh = generate(*args, **kwargs)
+            _last_build.clear()
+            _last_build[key] = mesh
+        return _last_build[key]
+
+    return memo
+
+
+@_memoized
 def generate_disk(center: Point2, radius: float, h: float) -> Mesh:
     """Triangulate a disk with concentric rings of 6i vertices.
 
@@ -604,6 +632,7 @@ def generate_disk(center: Point2, radius: float, h: float) -> Mesh:
     return Mesh(verts, tris, h, geom)
 
 
+@_memoized
 def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mesh:
     """Triangulate an annulus; ring vertex counts grow with the radius."""
     if not (0 < r_in < r_out < math.inf):
@@ -630,6 +659,7 @@ def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mes
     return Mesh(verts, tris, h, geom)
 
 
+@_memoized
 def generate_rectangle(corner: Point2, width: float, height: float, h: float) -> Mesh:
     """Triangulate an axis-aligned rectangle by splitting grid squares."""
     if not (0 < width < math.inf and 0 < height < math.inf):
@@ -681,9 +711,7 @@ def refine(mesh: Mesh) -> Mesh:
     a, b, c = mesh.triangles.T
     ab, bc, ca = (nv + rank[table.inverse]).reshape(-1, 3).T
     tris = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
-    return Mesh(
-        np.concatenate([mesh.vertices, mid]), tris, mesh.h / 2.0, list(mesh.loop_geometry)
-    )
+    return Mesh(np.concatenate([mesh.vertices, mid]), tris, mesh.h / 2.0, mesh.loop_geometry)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,38 @@ def test_mesh_command(tmp_path, capsys):
     assert "vertices" in capsys.readouterr().out
 
 
+def output_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("order", [("-0", "0"), ("0", "-0")])
+def test_mesh_text_of_a_centre_at_minus_zero_is_kept_apart(tmp_path, order):
+    # -0.0 == 0.0: a memo keyed on values would write whichever ran first
+    texts = {}
+    for cx in order:
+        (tmp_path / cx).mkdir()
+        code, out = run(tmp_path / cx, "mesh", "--domain", f"disk:r=1,cx={cx}", "--h", "0.5")
+        assert code == 0
+        texts[cx] = (out / "mesh.txt").read_bytes()
+        fresh = mesh.generate_disk.__wrapped__((float(cx), 0.0), 1.0, 0.5)
+        assert texts[cx] == mesh.mesh_to_text(fresh).encode()
+    assert texts["-0"].splitlines()[2] == b"-0.0 0.0"
+    assert texts["0"].splitlines()[2] == b"0.0 0.0"
+
+
+def test_verify_repeated_in_one_process_writes_the_same_bytes(tmp_path):
+    disk = ["--domain", "disk:r=1", "--h", "0.1", "--sigma", "randholder:seed=3"]
+    verify = ["verify", *disk, "--g", "identity", "--margin", "0.1", "--directions", "8"]
+    runs = [verify, ["beltrami", *disk, "--g", "x1"], verify]
+    outputs = []
+    for k, argv in enumerate(runs):
+        (tmp_path / str(k)).mkdir()
+        code, out = run(tmp_path / str(k), *argv)
+        assert code == 0
+        outputs.append(output_bytes(out))
+    assert outputs[2] == outputs[0]
+
+
 def test_solve_affine_reference(tmp_path, capsys):
     code, out = run(
         tmp_path, "solve", "--domain", "disk:r=1", "--h", "0.1",

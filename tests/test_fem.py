@@ -402,6 +402,28 @@ def test_varying_skew_part_converges_to_the_identity_map():
     assert errors[0] / errors[1] >= 3.0 and errors[1] / errors[2] >= 3.0
 
 
+def skew_identity_map(h):
+    """The P1 solve of the identity map under skew_field(0.3) on the unit disk."""
+    m = generate_disk((0.0, 0.0), 1.0, h)
+    (u1, u2), _ = solve_dirichlet(m, samples(m, skew_field(0.3)), lambda x, y: np.array([x, y]))
+    return analysis.MappingField(u1, u2)
+
+
+def test_varying_skew_part_passes_verify():
+    report = analysis.lewy_verify(skew_identity_map(0.05), directions=8, margin=0.1)
+    assert report.passed and report.injective
+    assert all(p["resolved"] and p["unimodal_all_directions"] for p in report.probes)
+
+
+def test_varying_skew_part_jacobian_approaches_one():
+    # the exact map is the identity, det DU = 1
+    errors = [
+        float(np.abs(analysis.jacobian_field(skew_identity_map(h)) - 1.0).max())
+        for h in (0.1, 0.05, 0.025)
+    ]
+    assert errors[0] > errors[1] > errors[2]
+
+
 def test_no_interior_vertices_raises():
     tiny = generate_rectangle((0, 0), 1.0, 1.0, 1.0)  # 4 vertices, 2 triangles
     with pytest.raises(SolverError):

@@ -860,3 +860,119 @@ def test_read_rows_integer_leading_zeros_and_signs():
     rows = ["+7 -0", "00000000000000000000000000001 -0009223372036854775808"]
     values, _ = read_rows(rows, 0, 2, 2, np.int64, "row")
     assert values.tolist() == [[7, 0], [1, -(2**63)]]
+
+
+# ---------------------------------------------------------------------------
+# the one-entry generator memo, and read-only meshes
+
+BASE_CALLS = {
+    "disk": (generate_disk, ((0.0, 0.0), 1.0, 0.2)),
+    "annulus": (generate_annulus, ((0.0, 0.0), 0.2, 1.0, 0.2)),
+    "rect": (generate_rectangle, ((0.0, 0.0), 1.0, 2.0, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", BASE_CALLS)
+def test_a_repeated_generator_call_returns_the_same_mesh(name):
+    generate, args = BASE_CALLS[name]
+    m = generate(*args)
+    assert generate(*args) is m
+    assert generate(*args) is m
+
+
+@pytest.mark.parametrize(
+    "name, other",
+    [
+        ("disk", ((0.0, 0.0), 1.0, 0.25)),  # h
+        ("disk", ((0.5, 0.0), 1.0, 0.2)),  # centre
+        ("disk", ((0.0, -0.0), 1.0, 0.2)),  # a centre equal to the base one, other bits
+        ("disk", ((0.0, 0.0), 2.0, 0.2)),  # radius
+        ("annulus", ((0.0, 0.0), 0.2, 1.0, 0.25)),  # h
+        ("annulus", ((0.0, 0.5), 0.2, 1.0, 0.2)),  # centre
+        ("annulus", ((0.0, 0.0), 0.3, 1.0, 0.2)),  # inner radius
+        ("annulus", ((0.0, 0.0), 0.2, 1.5, 0.2)),  # outer radius
+        ("rect", ((0.0, 0.0), 1.0, 2.0, 0.2)),  # h
+        ("rect", ((-0.0, 0.0), 1.0, 2.0, 0.25)),  # corner
+        ("rect", ((0.0, 0.0), 1.5, 2.0, 0.25)),  # width
+        ("rect", ((0.0, 0.0), 1.0, 1.5, 0.25)),  # height
+    ],
+)
+def test_a_different_generator_call_builds_its_own_mesh(name, other):
+    generate, args = BASE_CALLS[name]
+    m = generate(*args)
+    got = generate(*other)
+    assert got is not m
+    assert mesh_to_text(got) == mesh_to_text(generate.__wrapped__(*other))
+
+
+def test_the_generators_share_one_entry_keyed_by_generator():
+    annulus = generate_annulus((0.0, 0.0), 0.2, 1.0, 0.2)
+    # the same arguments to another generator
+    rect = generate_rectangle((0.0, 0.0), 0.2, 1.0, 0.2)
+    assert len(rect.loops) == 1
+    assert mesh_to_text(rect) == mesh_to_text(generate_rectangle.__wrapped__((0.0, 0.0), 0.2, 1.0, 0.2))
+    # one entry: the rectangle replaced the annulus
+    assert generate_annulus((0.0, 0.0), 0.2, 1.0, 0.2) is not annulus
+
+
+def test_array_arguments_are_told_apart_in_every_digit():
+    # an array's default repr rounds both centres to 0.12345679
+    a = generate_disk(np.array([0.1234567891, 0.0]), 1.0, 0.5)
+    b = generate_disk(np.array([0.1234567892, 0.0]), 1.0, 0.5)
+    assert b is not a
+    assert b.vertices[0].tolist() == [0.1234567892, 0.0]
+
+
+def test_a_lower_vertex_cap_refuses_a_mesh_built_under_the_default_cap():
+    m = generate_disk((0.0, 0.0), 1.0, 0.1)
+    with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", m.num_vertices - 1):
+        with pytest.raises(ResourceLimitError):
+            generate_disk((0.0, 0.0), 1.0, 0.1)
+
+
+def held_arrays(obj, name: str, out: dict) -> dict:
+    """Every array held by obj, a Mesh attribute, by its path from the Mesh."""
+    if isinstance(obj, np.ndarray):
+        out[name] = obj
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            held_arrays(item, f"{name}[{i}]", out)
+    elif isinstance(obj, meshmod._Polygon):
+        for attr, value in vars(obj).items():
+            held_arrays(value, f"{name}.{attr}", out)
+    return out
+
+
+@pytest.mark.parametrize("source", ["disk", "annulus", "rect", "annulus text"])
+def test_every_array_of_a_mesh_is_read_only(source):
+    if source == "annulus text":  # two polygon loops
+        m = mesh_from_text(mesh_to_text(DOMAINS["annulus"](0.25)))
+    else:
+        m = DOMAINS[source](0.25)
+    # build the caches of locate, boundary_distance and the rest
+    m.locate(m.centroids[:5])
+    m.boundary_distance(m.centroids[:5])
+    for cached in ("basis_gradients", "interior_vertices", "triangle_neighbours"):
+        getattr(m, cached)
+    arrays = {}
+    for attr, value in vars(m).items():
+        held_arrays(value, attr, arrays)
+    expected = [
+        "vertices", "triangles", "_areas", "centroids", "basis_gradients", "boundary_vertices",
+        "interior_vertices", "triangle_neighbours", "_triangle_frames", "edge_table[0]",
+        "loops[0]", "_vertex_to_triangles[0]", "_vertex_to_triangles[1]", "_vertex_grid[0]",
+        "_vertex_grid[1]", "_vertex_grid[4]", "_vertex_grid[5]",
+    ]
+    if "annulus" in source:
+        expected.append("loops[1]")
+    if source in ("rect", "annulus text"):
+        expected += ["_polygons[0].a", "_polygons[0].ab", "_polygons[0].denom"]
+    assert set(expected) <= set(arrays)
+    for name, a in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    assert m.areas is m._areas
+    for held in (m.loops, m.loop_geometry, m._polygons):
+        assert isinstance(held, tuple)
+        with pytest.raises(AttributeError):
+            held.append(None)

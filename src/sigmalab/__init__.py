@@ -15,7 +15,6 @@ from .analysis import (
     UnimodalityVerdict,
     beltrami_residual,
     complex_derivatives,
-    critical_point_candidates,
     injectivity_check,
     jacobian_field,
     lewy_verify,
@@ -31,7 +30,6 @@ from .coefficients import (
     ellipticity_report,
     field_from_descriptor,
     identity_field,
-    library_fields,
     max_dilatation,
     meyers_sigma,
 )
@@ -70,7 +68,6 @@ from .mesh import (
 )
 from .oracles import (
     AnalyticSolution,
-    brute_force_injectivity,
     holomorphic_oracle,
     meyers_jacobian,
     meyers_solution,

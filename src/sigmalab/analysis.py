@@ -458,22 +458,6 @@ def _component_containing(mesh: Mesh, keep_tri: np.ndarray, seed_tri: int) -> np
 
 
 # ---------------------------------------------------------------------------
-# critical point candidates
-
-
-def critical_point_candidates(u: ScalarField, rel_tol: float) -> list[tuple[int, float]]:
-    """Triangles where |grad u| drops below rel_tol times the median, ascending."""
-    if not 0.0 < rel_tol < 1.0:
-        raise DegenerateInputError("rel_tol must lie in (0, 1)")
-    g = gradient_field(u)
-    norms = np.hypot(g[:, 0], g[:, 1])
-    threshold = rel_tol * float(np.median(norms))
-    idx = np.where(norms < threshold)[0]
-    ranked = sorted(((int(t), float(norms[t])) for t in idx), key=lambda p: (p[1], p[0]))
-    return ranked
-
-
-# ---------------------------------------------------------------------------
 # the end-to-end verification
 
 
@@ -563,18 +547,17 @@ def _probe_unimodality(U, z0, t, bary, angles) -> dict:
     """The probe at z0, located in triangle t with barycentric weights bary;
     the trace of cos(theta) u1 + sin(theta) u2 is tested for each angle."""
     r = 0.7 * _image_center(U, t, bary)[1]
-    sub = None
-    for _ in range(5):
+    for attempt in range(6):
         try:
             sub = pullback_subdomain(U, t, bary, r)
             break
         except MeshError as exc:
+            if attempt == 5:
+                raise
             # grazing level set; shrink and retry
             log.debug("probe %s: pullback radius %r -> %r after MeshError: %s",
                       tuple(z0.tolist()), r, r * 0.9, exc)
             r *= 0.9
-    if sub is None:
-        sub = pullback_subdomain(U, t, bary, r)
 
     loop = sub.loops[0]
     trace_img = U.values[loop]

@@ -418,15 +418,3 @@ def field_from_descriptor(text: str) -> CoefficientField:
     """Resolve a coefficient descriptor string to a field."""
     name, p = parse_family(text, FIELDS, "field")
     return FIELDS[name].build(p, text)
-
-
-def library_fields() -> list[CoefficientField]:
-    """Representative members of every built-in family, for sweep tests."""
-    return [
-        identity_field(),
-        anisotropic_field(2.0, 0.5),
-        anisotropic_field(3.0, 0.8, theta=0.3),
-        meyers_sigma(2.0),
-        holder_bump_field(0.4, 0.2, -0.1, 0.5, 0.7),
-        nonsymmetric_field(0.2),
-    ]

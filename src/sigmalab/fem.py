@@ -42,16 +42,6 @@ class ScalarField:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def interpolate(self, points) -> np.ndarray:
-        """Evaluate the interpolant at points; NaN outside the mesh."""
-        tri, bary = self.mesh.locate(points)
-        out = np.full(len(tri), np.nan)
-        ok = tri >= 0
-        out[ok] = np.einsum(
-            "pi,pi->p", self.values[self.mesh.triangles[tri[ok]]], bary[ok]
-        )
-        return out
-
 
 def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
     """A^-1 b for the (n,) or (n, k) right-hand side b, every column through one

@@ -1,25 +1,18 @@
-"""Closed-form reference solutions and brute-force checkers.
+"""Closed-form reference solutions.
 
 Oracles expose exact gradients next to exact values so that solver error can
-be split into value error and derivative error. The brute-force injectivity
-scan is the independent counterpart of the discrete geometric check.
+be split into value error and derivative error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .analysis import MappingField
-from .errors import ConfigError, DegenerateInputError, ResourceLimitError
-from .fem import ScalarField
-from .mesh import Mesh
+from .errors import ConfigError, DegenerateInputError
 from .coefficients import Family, parse_family
-
-SAMPLE_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -51,12 +44,6 @@ class AnalyticSolution:
             value=lambda x, y, _k=k: self.value(x, y)[_k],
             gradient=lambda x, y, _k=k: self.gradient(x, y)[_k],
         )
-
-    def mapping_field(self, mesh: Mesh) -> MappingField:
-        if self.components != 2:
-            raise ConfigError("need a pair-valued oracle")
-        u1, u2 = self.value(*mesh.vertices.T)
-        return MappingField(ScalarField(mesh, u1), ScalarField(mesh, u2))
 
 
 def _constant(c, x) -> np.ndarray:
@@ -201,63 +188,3 @@ def oracle_from_descriptor(text: str) -> AnalyticSolution:
     component = p.pop("component", None)
     sol = ORACLES[name].build(p)
     return sol if component is None else sol.component(component - 1)
-
-
-# ---------------------------------------------------------------------------
-# brute-force injectivity
-
-
-def interior_lattice(mesh: Mesh, sample_step: float) -> np.ndarray:
-    """Axis-aligned lattice clipped to the mesh, symmetric about the origin."""
-    if sample_step <= 0:
-        raise ConfigError("sample step must be positive")
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    ax = np.arange(math.floor(lo[0] / sample_step), math.ceil(hi[0] / sample_step) + 1)
-    ay = np.arange(math.floor(lo[1] / sample_step), math.ceil(hi[1] / sample_step) + 1)
-    if len(ax) * len(ay) > 40 * SAMPLE_BUDGET:
-        raise ResourceLimitError("sample step is far too small for this domain")
-    X, Y = np.meshgrid(ax * sample_step, ay * sample_step, indexing="xy")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    tri, _ = mesh.locate(pts)
-    return pts[tri >= 0]
-
-
-def brute_force_injectivity(U: MappingField, sample_step: float) -> bool:
-    """All-pairs image-coincidence scan on an interior lattice.
-
-    Quadratic cost, accepted at desk scale; refuses more than 50000 sample
-    points. Two distinct lattice points whose images agree within 1e-9 make
-    the verdict False.
-    """
-    mesh = U.mesh
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    bbox_count = ((hi[0] - lo[0]) / sample_step + 1) * ((hi[1] - lo[1]) / sample_step + 1)
-    estimate = bbox_count * float(mesh.areas.sum()) / float(np.prod(hi - lo))
-    if estimate > 2 * SAMPLE_BUDGET:
-        raise ResourceLimitError(
-            f"about {int(estimate)} sample points would exceed the budget of "
-            f"{SAMPLE_BUDGET}; increase sample_step"
-        )
-    pts = interior_lattice(mesh, sample_step)
-    if len(pts) > SAMPLE_BUDGET:
-        raise ResourceLimitError(
-            f"{len(pts)} sample points exceed the budget of {SAMPLE_BUDGET}; "
-            "increase sample_step"
-        )
-    img = np.column_stack([U.u1.interpolate(pts), U.u2.interpolate(pts)])
-    tol2 = 1e-9 ** 2
-    block = 2048
-    n = len(img)
-    for lo in range(0, n, block):
-        a = img[lo : lo + block]
-        for lo2 in range(lo, n, block):
-            c = img[lo2 : lo2 + block]
-            d2 = np.sum((a[:, None, :] - c[None, :, :]) ** 2, axis=-1)
-            near = d2 <= tol2
-            if lo2 == lo:
-                np.fill_diagonal(near, False)
-            if near.any():
-                return False
-    return True

@@ -1,0 +1,101 @@
+"""Test-side references that no sigmalab command runs: the oracles' nodal
+maps, point evaluation of a P1 field, a brute-force injectivity scan,
+small-gradient triangles and a representative member of each coefficient
+family.
+"""
+
+import math
+
+import numpy as np
+
+from sigmalab import ResourceLimitError
+from sigmalab.analysis import MappingField
+from sigmalab.coefficients import (
+    anisotropic_field,
+    holder_bump_field,
+    identity_field,
+    meyers_sigma,
+    nonsymmetric_field,
+)
+from sigmalab.fem import ScalarField, gradient_field
+
+SAMPLE_BUDGET = 50_000
+
+
+def mapping_field(sol, mesh) -> MappingField:
+    """The pair-valued oracle sol at the mesh's vertices, as a P1 map."""
+    u1, u2 = sol.value(*mesh.vertices.T)
+    return MappingField(ScalarField(mesh, u1), ScalarField(mesh, u2))
+
+
+def interpolate(u: ScalarField, points) -> np.ndarray:
+    """The P1 field u at the (n, 2) points; NaN outside the mesh."""
+    tri, bary = u.mesh.locate(points)
+    out = np.full(len(tri), np.nan)
+    ok = tri >= 0
+    out[ok] = np.einsum("pi,pi->p", u.values[u.mesh.triangles[tri[ok]]], bary[ok])
+    return out
+
+
+def interior_lattice(mesh, sample_step: float) -> np.ndarray:
+    """Axis-aligned lattice clipped to the mesh, symmetric about the origin."""
+    lo = mesh.vertices.min(axis=0)
+    hi = mesh.vertices.max(axis=0)
+    ax = np.arange(math.floor(lo[0] / sample_step), math.ceil(hi[0] / sample_step) + 1)
+    ay = np.arange(math.floor(lo[1] / sample_step), math.ceil(hi[1] / sample_step) + 1)
+    X, Y = np.meshgrid(ax * sample_step, ay * sample_step, indexing="xy")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    tri, _ = mesh.locate(pts)
+    return pts[tri >= 0]
+
+
+def brute_force_injectivity(U: MappingField, sample_step: float) -> bool:
+    """All-pairs image-coincidence scan on an interior lattice.
+
+    Quadratic cost; ResourceLimitError for more than SAMPLE_BUDGET lattice
+    points. Two distinct lattice points whose images agree within 1e-9 make
+    the verdict False.
+    """
+    pts = interior_lattice(U.mesh, sample_step)
+    if len(pts) > SAMPLE_BUDGET:
+        raise ResourceLimitError(
+            f"{len(pts)} sample points exceed the budget of {SAMPLE_BUDGET}; "
+            "increase sample_step"
+        )
+    img = np.column_stack([interpolate(U.u1, pts), interpolate(U.u2, pts)])
+    tol2 = 1e-9 ** 2
+    block = 2048
+    n = len(img)
+    for lo in range(0, n, block):
+        a = img[lo : lo + block]
+        for lo2 in range(lo, n, block):
+            c = img[lo2 : lo2 + block]
+            d2 = np.sum((a[:, None, :] - c[None, :, :]) ** 2, axis=-1)
+            near = d2 <= tol2
+            if lo2 == lo:
+                np.fill_diagonal(near, False)
+            if near.any():
+                return False
+    return True
+
+
+def critical_point_candidates(u: ScalarField, rel_tol: float) -> list[tuple[int, float]]:
+    """Triangles where |grad u| drops below rel_tol times the median, as
+    (triangle, |grad u|) pairs, ascending."""
+    g = gradient_field(u)
+    norms = np.hypot(g[:, 0], g[:, 1])
+    threshold = rel_tol * float(np.median(norms))
+    idx = np.where(norms < threshold)[0]
+    return sorted(((int(t), float(norms[t])) for t in idx), key=lambda p: (p[1], p[0]))
+
+
+def library_fields() -> list:
+    """Representative members of every built-in family, for sweep tests."""
+    return [
+        identity_field(),
+        anisotropic_field(2.0, 0.5),
+        anisotropic_field(3.0, 0.8, theta=0.3),
+        meyers_sigma(2.0),
+        holder_bump_field(0.4, 0.2, -0.1, 0.5, 0.7),
+        nonsymmetric_field(0.2),
+    ]

@@ -8,6 +8,7 @@ Heavy artifacts (the radial-coefficient solves) are shared between criteria
 through a lazily-computed run object; a session fixture holds the first run.
 """
 
+import hashlib
 import time
 from functools import cached_property
 
@@ -17,8 +18,6 @@ import pytest
 from sigmalab import (
     MappingField,
     beltrami_residual,
-    brute_force_injectivity,
-    critical_point_candidates,
     generate_annulus,
     generate_disk,
     gradient_field,
@@ -45,6 +44,12 @@ from sigmalab.coefficients import (
 from sigmalab.fd import annulus_grid, rectangle_grid, solve_nondivergence
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
 from sigmalab.reports import dumps
+from reference import (
+    brute_force_injectivity,
+    critical_point_candidates,
+    interpolate,
+    mapping_field,
+)
 
 SEED = 2024
 
@@ -279,7 +284,7 @@ class AcceptanceRun:
         vals = uh.values[grid.interior_mask]
         err_exact = float(np.sqrt(np.sum((vals - exact) ** 2) / np.sum(exact**2)))
 
-        fem_vals = self.meyers2_mapping_h02.u1.interpolate(pts)
+        fem_vals = interpolate(self.meyers2_mapping_h02.u1, pts)
         err_fem = float(
             np.sqrt(np.nansum((vals - fem_vals) ** 2) / np.sum(exact**2))
         )
@@ -311,11 +316,11 @@ class AcceptanceRun:
         disk = generate_disk((0.0, 0.0), 1.0, 0.05)
         annulus = generate_annulus((0.0, 0.0), 0.2, 1.0, 0.05)
         cases = [
-            ("identity", identity_oracle().mapping_field(disk), 0.1),
-            ("z2", holomorphic_oracle(2).mapping_field(disk), 0.1),
-            ("meyers-0.5", meyers_solution(0.5).mapping_field(annulus), 0.05),
-            ("meyers-1", meyers_solution(1.0).mapping_field(annulus), 0.05),
-            ("meyers-2", meyers_solution(2.0).mapping_field(annulus), 0.05),
+            ("identity", mapping_field(identity_oracle(), disk), 0.1),
+            ("z2", mapping_field(holomorphic_oracle(2), disk), 0.1),
+            ("meyers-0.5", mapping_field(meyers_solution(0.5), annulus), 0.05),
+            ("meyers-1", mapping_field(meyers_solution(1.0), annulus), 0.05),
+            ("meyers-2", mapping_field(meyers_solution(2.0), annulus), 0.05),
         ]
         rows = []
         for name, U, step in cases:
@@ -472,3 +477,23 @@ def test_criterion_9_determinism(run, tmp_path):
         [("byte-identical reports", all(identical.values()))]
         + [(name, ok) for name, ok in identical.items()],
     )
+
+
+# sha256 of each serialized payload of all_reports, recorded before the
+# brute-force scan and the other test-only references moved from the library
+# to tests/reference.py; a change to any payload byte must be deliberate
+PAYLOAD_SHA256 = {
+    "c1_report.json": "2dd0ae3e25312fde3541c4a26b0e2349dc23df7239b05c5bae1243354c1cf1f6",
+    "c2_report.json": "c302e7ccb352d64662b9b84c49415ce17a95c7cd41e0bd3cbcc717d968145994",
+    "c3_report.json": "f621a0fd3fec131e5d22b4e75dab0512c5af3d06d864233626c48ce45c231a5c",
+    "c4_report.json": "c117d5ed9d629c6b09032b7c37762343c190f7ca9db2660e264071cd63b17e9d",
+    "c5_report.json": "59c112cb4bb8f79a52dfebdb3debd6beaa9f0c2d0ecc8e7de847dc461d3bdb2e",
+    "c6_report.json": "165ea3d438b2f77e488bc04d5317d60183fb67b1603483446866f4dd4ea345f6",
+    "c7_report.json": "b13cfcc5e206aa683388e5cd3d581f3b433068fc870b5f40ee0d20c65758891b",
+    "c8_report.json": "557fddbc80fcdef2548df1e8f3fc8b0e372db372ee262b3e372b6390159e5ea2",
+}
+
+
+def test_payloads_match_the_pinned_digests(run):
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in run.all_reports().items()}
+    assert digests == PAYLOAD_SHA256

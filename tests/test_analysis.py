@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import logging
 import math
 import tracemalloc
@@ -21,7 +22,6 @@ from sigmalab import (
     analysis,
     beltrami_residual,
     complex_derivatives,
-    critical_point_candidates,
     fd,
     generate_annulus,
     generate_disk,
@@ -48,6 +48,7 @@ from sigmalab.coefficients import (
 from sigmalab.analysis import _component_containing
 from sigmalab.fem import assemble_stiffness
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
+from reference import critical_point_candidates, mapping_field
 
 
 def samples(mesh, sigma):
@@ -253,12 +254,12 @@ def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
 
 
 def test_jacobian_identity_map(disk_mesh):
-    U = identity_oracle().mapping_field(disk_mesh)
+    U = mapping_field(identity_oracle(), disk_mesh)
     assert np.allclose(jacobian_field(U), 1.0, atol=1e-12)
 
 
 def test_jacobian_meyers_matches_formula(annulus_mesh):
-    U = meyers_solution(2.0).mapping_field(annulus_mesh)
+    U = mapping_field(meyers_solution(2.0), annulus_mesh)
     det = jacobian_field(U)
     r2 = np.sum(annulus_mesh.centroids**2, axis=1)
     assert (np.abs(det - 2 * r2) / (2 * r2)).max() <= 0.10
@@ -282,20 +283,20 @@ def test_jacobian_equals_wirtinger_identity(disk_mesh):
 
 
 def test_injectivity_identity(disk_mesh):
-    res = injectivity_check(identity_oracle().mapping_field(disk_mesh))
+    res = injectivity_check(mapping_field(identity_oracle(), disk_mesh))
     assert res.injective and not res.violations
     assert res.injective is True and res.violations == []
 
 
 def test_injectivity_z2_double_cover(disk_mesh):
-    res = injectivity_check(holomorphic_oracle(2).mapping_field(disk_mesh))
+    res = injectivity_check(mapping_field(holomorphic_oracle(2), disk_mesh))
     assert not res.injective
     kinds = {v[0] for v in res.violations}
     assert kinds & {"boundary_self_intersection", "boundary_vertex_collision"}
 
 
 def test_injectivity_meyers(annulus_mesh):
-    res = injectivity_check(meyers_solution(2.0).mapping_field(annulus_mesh))
+    res = injectivity_check(mapping_field(meyers_solution(2.0), annulus_mesh))
     assert res.injective
 
 
@@ -455,7 +456,7 @@ def test_vertex_collisions_match_all_pairs(case):
 )
 def test_injectivity_violations_match_dense_reference(request, mesh_name, oracle):
     mesh = request.getfixturevalue(mesh_name)
-    U = oracle.mapping_field(mesh)
+    U = mapping_field(oracle, mesh)
     res = injectivity_check(U)
     boundary = [v for v in res.violations if v[0] != "triangle_orientation"]
     assert boundary == dense_boundary_violations(U.values, mesh.loops)
@@ -466,7 +467,7 @@ def test_injectivity_memory_on_a_long_boundary(width, height):
     # 4004 boundary segments; the dense matrices peaked at 857 MB here
     mesh = generate_rectangle((0.0, 0.0), width, height, 0.01)
     assert len(mesh.loops[0]) == 4004
-    U = identity_oracle().mapping_field(mesh)
+    U = mapping_field(identity_oracle(), mesh)
     tracemalloc.start()
     try:
         res = injectivity_check(U)
@@ -481,11 +482,11 @@ def test_injectivity_memory_on_a_long_boundary(width, height):
 def scaling_cases():
     coarse = generate_disk((0.0, 0.0), 1.0, 0.25)
     return [
-        holomorphic_oracle(2).mapping_field(coarse),  # 28 violations
-        holomorphic_oracle(3).mapping_field(coarse_mesh("disk")),
-        holomorphic_oracle(2).mapping_field(coarse_mesh("annulus")),
-        meyers_solution(2.0).mapping_field(coarse_mesh("annulus")),
-        identity_oracle().mapping_field(coarse_mesh("rect")),
+        mapping_field(holomorphic_oracle(2), coarse),  # 28 violations
+        mapping_field(holomorphic_oracle(3), coarse_mesh("disk")),
+        mapping_field(holomorphic_oracle(2), coarse_mesh("annulus")),
+        mapping_field(meyers_solution(2.0), coarse_mesh("annulus")),
+        mapping_field(identity_oracle(), coarse_mesh("rect")),
         folded_identity(coarse_mesh("disk")),
     ]
 
@@ -652,7 +653,7 @@ def located(mesh, z0):
 
 
 def test_pullback_identity_disk(fine_disk_mesh):
-    U = identity_oracle().mapping_field(fine_disk_mesh)
+    U = mapping_field(identity_oracle(), fine_disk_mesh)
     sub = pullback_subdomain(U, *located(fine_disk_mesh, (0.0, 0.0)), 0.5)
     area = float(fine_disk_mesh.areas[sub.parent_triangles].sum())
     assert abs(area - math.pi / 4) / (math.pi / 4) < 0.05
@@ -660,13 +661,13 @@ def test_pullback_identity_disk(fine_disk_mesh):
 
 
 def test_pullback_disk_escapes_image(fine_disk_mesh):
-    U = identity_oracle().mapping_field(fine_disk_mesh)
+    U = mapping_field(identity_oracle(), fine_disk_mesh)
     with pytest.raises(DegenerateInputError):
         pullback_subdomain(U, *located(fine_disk_mesh, (0.0, 0.0)), 2.0)
 
 
 def test_pullback_meyers(annulus_mesh):
-    U = meyers_solution(2.0).mapping_field(annulus_mesh)
+    U = mapping_field(meyers_solution(2.0), annulus_mesh)
     t, bary = located(annulus_mesh, (0.6, 0.0))
     sub = pullback_subdomain(U, t, bary, 0.1)
     assert len(sub.parent_triangles) > 0
@@ -739,7 +740,7 @@ def punctured_identity(seed):
 #: the disk and of the square), is added on the annulus only
 PULLBACK_MAPS = st.one_of(
     st.sampled_from([identity_oracle(), meyers_solution(2.0), holomorphic_oracle(2),
-                     holomorphic_oracle(3)]).map(lambda oracle: oracle.mapping_field),
+                     holomorphic_oracle(3)]).map(lambda oracle: lambda mesh: mapping_field(oracle, mesh)),
     st.integers(0, 2**16).map(punctured_identity),
 )
 
@@ -754,7 +755,7 @@ def pullback_cases(draw):
     mesh = coarse_mesh(name)
     maps = PULLBACK_MAPS
     if name == "annulus":
-        maps = st.one_of(maps, st.just(meyers_solution(0.5).mapping_field))
+        maps = st.one_of(maps, st.just(lambda mesh: mapping_field(meyers_solution(0.5), mesh)))
     U = draw(maps)(mesh)
     t = draw(st.integers(0, mesh.num_triangles - 1))
     w = np.array(draw(st.tuples(*[st.floats(0.01, 1.0)] * 3)))
@@ -816,7 +817,7 @@ def flood_fill_component(mesh, keep_tri, seed_tri):
     ],
 )
 def test_component_containing_matches_flood_fill(annulus_mesh, oracle, z0, r, several):
-    U = oracle.mapping_field(annulus_mesh)
+    U = mapping_field(oracle, annulus_mesh)
     tri, bary = annulus_mesh.locate(np.array([z0]))
     w0 = U.values[annulus_mesh.triangles[tri[0]]].T @ bary[0]
     keep = (np.hypot(*(U.values - w0).T) <= r)[annulus_mesh.triangles].all(axis=1)
@@ -872,7 +873,7 @@ def test_probe_points_refuse_a_margin_past_every_lattice_point():
 
 
 def test_lewy_identity(fine_disk_mesh):
-    U = identity_oracle().mapping_field(fine_disk_mesh)
+    U = mapping_field(identity_oracle(), fine_disk_mesh)
     report = lewy_verify(U, directions=8, margin=0.1)
     assert report.passed
     assert report.min_abs_det == pytest.approx(1.0, abs=1e-12)
@@ -943,7 +944,7 @@ def test_lewy_computes_each_quantity_once(fine_disk_mesh, monkeypatch):
 
 def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog):
     # the first pullback fails once; at h = 0.1 two probes stay unresolved
-    U = identity_oracle().mapping_field(disk_mesh)
+    U = mapping_field(identity_oracle(), disk_mesh)
     inner = analysis.pullback_subdomain
     calls = []
 
@@ -972,6 +973,89 @@ def test_lewy_logs_retries_and_unresolved_probes(disk_mesh, monkeypatch, caplog)
         f"radius {p['radius']!r}, trace length {p['trace_length']}"
         for p in unresolved
     ]
+
+
+def test_lewy_raises_after_six_pullback_attempts(disk_mesh, monkeypatch, caplog):
+    # every pullback fails: the first probe tries radii r0 * 0.9^k for
+    # k = 0..5, logs the first five failures and lets the sixth propagate
+    U = mapping_field(identity_oracle(), disk_mesh)
+    calls = []
+
+    def always_fails(*args):
+        calls.append(args[3])
+        raise MeshError(f"pinched at radius {args[3]!r}")
+
+    monkeypatch.setattr(analysis, "pullback_subdomain", always_fails)
+    with caplog.at_level(logging.DEBUG, logger="sigmalab"):
+        with pytest.raises(MeshError, match="pinched at radius") as info:
+            lewy_verify(U, directions=4, margin=0.1)
+    z0, t, bary = (a[0] for a in analysis.default_probe_points(disk_mesh, 0.1))
+    r0 = 0.7 * analysis._image_center(U, t, bary)[1]
+    assert calls == pytest.approx([r0 * 0.9**k for k in range(6)], rel=1e-14)
+    assert str(info.value) == f"pinched at radius {calls[5]!r}"
+    messages = [r.getMessage() for r in caplog.records if r.name == "sigmalab.analysis"]
+    assert messages == [
+        f"probe {tuple(z0.tolist())}: pullback radius {calls[k]!r} -> {calls[k + 1]!r} "
+        f"after MeshError: pinched at radius {calls[k]!r}"
+        for k in range(5)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Floater's premise: a discrete Rado-Kneser-Choquet theorem
+
+
+@functools.cache
+def hexagonal_patch(n, h):
+    """The hexagon of side n of the equilateral lattice of spacing h, centred
+    at the origin: 3n(n + 1) + 1 vertices and 6n^2 triangles."""
+    axial = [(q, r) for r in range(-n, n + 1) for q in range(-n, n + 1) if abs(q + r) <= n]
+    index = {p: k for k, p in enumerate(axial)}
+    q, r = np.array(axial, dtype=float).T
+    vertices = h * np.column_stack([q + 0.5 * r, 0.5 * math.sqrt(3.0) * r])
+    # each lattice cell holds an upward and a downward triangle, counterclockwise
+    triangles = [
+        [index[p] for p in tri]
+        for a, b in itertools.product(range(-n - 1, n + 1), repeat=2)
+        for tri in (((a, b), (a + 1, b), (a, b + 1)), ((a + 1, b), (a + 1, b + 1), (a, b + 1)))
+        if all(p in index for p in tri)
+    ]
+    return Mesh(vertices, np.array(triangles), h)
+
+
+def positive_interior_off_diagonals(mesh, S):
+    """How many off-diagonal entries of the interior rows of the stiffness
+    matrix are positive."""
+    A = assemble_stiffness(mesh, S)[mesh.interior_vertices].tocoo()
+    off = mesh.interior_vertices[A.row] != A.col
+    return int(np.sum(A.data[off] > 0))
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["identity", "randholder:seed=3", "randnonsym:seed=3", "randnonsym:seed=8"]
+)
+def test_floater_premise_gives_an_injective_map(descriptor):
+    # Floater (Math. Comp. 72, 2003): if every interior vertex is a convex
+    # combination of its neighbours, that is no interior off-diagonal is
+    # positive (the rows sum to zero), and the boundary goes one-to-one onto
+    # a convex polygon, the P1 map is one-to-one and keeps every orientation
+    mesh = hexagonal_patch(20, 0.05)
+    assert (mesh.num_vertices, mesh.num_triangles) == (1261, 2400)
+    S = samples(mesh, field_from_descriptor(descriptor))
+    assert positive_interior_off_diagonals(mesh, S) == 0
+    (u1, u2), _ = solve_dirichlet(mesh, S, lambda x, y: np.array([x, y]))
+    U = MappingField(u1, u2)
+    assert (jacobian_field(U) > 0).all()
+    assert injectivity_check(U).injective
+    report = lewy_verify(U, directions=8, margin=0.1)
+    assert report.passed and report.injective and report.min_abs_det > 0
+
+
+def test_anisotropy_breaks_floater_premise():
+    # the premise is sufficient, not necessary: this map is one-to-one too
+    mesh = hexagonal_patch(20, 0.05)
+    S = samples(mesh, field_from_descriptor("aniso:l1=2,l2=0.5,theta=0.3"))
+    assert positive_interior_off_diagonals(mesh, S) == 2282
 
 
 # ---------------------------------------------------------------------------

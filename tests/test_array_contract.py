@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from sigmalab.coefficients import (
     divergence_of_sigma,
     ellipticity_report,
-    library_fields,
     random_holder_field,
     random_nonsymmetric_field,
 )
@@ -26,6 +25,7 @@ from sigmalab.oracles import (
     meyers_jacobian,
     meyers_solution,
 )
+from reference import library_fields
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -18,7 +18,6 @@ from sigmalab.coefficients import (
     field_from_descriptor,
     holder_bump_field,
     identity_field,
-    library_fields,
     max_dilatation,
     meyers_sigma,
     nonsymmetric_field,
@@ -28,6 +27,7 @@ from sigmalab.coefficients import (
     random_nonsymmetric_field,
     require_elliptic,
 )
+from reference import library_fields
 from sigmalab.mesh import Mesh
 from sigmalab.oracles import ORACLES, AnalyticSolution, oracle_from_descriptor
 

@@ -14,6 +14,7 @@ from sigmalab import (
 from sigmalab.cli import main
 from sigmalab.oracles import holomorphic_oracle
 from sigmalab.svgplots import contour_svg, heatmap_svg
+from reference import mapping_field
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def test_contour_svg_rejects_zero_levels(sample_field):
 
 
 def test_heatmap_svg_sign_colors(disk_mesh):
-    U = holomorphic_oracle(2).mapping_field(disk_mesh)
+    U = mapping_field(holomorphic_oracle(2), disk_mesh)
     det = jacobian_field(U)
     svg = heatmap_svg(disk_mesh, det)
     assert svg == heatmap_svg(disk_mesh, det)

@@ -242,21 +242,6 @@ def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     return np.minimum(i, j), np.maximum(i, j)
 
 
-def _vertex_collisions(pts: np.ndarray, scale: float) -> list[tuple[int, int]]:
-    """The pairs i < j of points closer than 1e-12 * scale, in lexicographic order.
-
-    Two such points differ by less than d = 1e-12 * scale in each coordinate,
-    so their boxes of half side d overlap, and the sweep finds every pair.
-    """
-    d = 1e-12 * scale
-    thr2 = d**2
-    if thr2 == 0.0:  # underflow: no squared distance is below it
-        return []
-    i, j = _overlapping_boxes(pts - d, pts + d)
-    close = np.sum((pts[i] - pts[j]) ** 2, axis=-1) < thr2
-    return sorted(zip(i[close].tolist(), j[close].tolist()))
-
-
 def injectivity_check(U: MappingField) -> InjectivityResult:
     """Sufficient discrete surrogate for local injectivity.
 
@@ -287,16 +272,16 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
 
 def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     """The boundary part of injectivity_check: per loop, its vertex collisions
-    and self-intersections, then the crossings between loops, each in
+    and then its self-intersections, then the crossings between loops, each in
     lexicographic order.
 
-    Only near pairs are tested, both found by one sweep of closed bounding
-    boxes: image vertices whose boxes of half side the collision distance
-    overlap, and segments whose boxes overlap, which holds every crossing and
-    collinear touch.
+    Only near pairs are tested, all found by one sweep of the segments'
+    closed bounding boxes grown by the collision distance d. Two image
+    vertices closer than d start segments whose grown boxes overlap, so the
+    sweep finds every collision. Crossings are tested on the pairs whose
+    ungrown boxes overlap, which hold every crossing and collinear touch.
     """
-    violations: list = []
-    scale = max(float(np.abs(imgs).max()), 1e-300)
+    d = 1e-12 * max(float(np.abs(imgs).max()), 1e-300)
     # segment k of a loop runs from its vertex k to its vertex k + 1, cyclically
     sizes = np.array([len(loop) for loop in loops])
     start = np.cumsum(sizes) - sizes
@@ -304,22 +289,26 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
         [imgs[np.concatenate(loops)], imgs[np.concatenate([np.roll(l, -1) for l in loops])]],
         axis=1,
     )
-    p, q = _overlapping_boxes(seg.min(axis=1), seg.max(axis=1))
+    lo, hi = seg.min(axis=1), seg.max(axis=1)
+    p, q = _overlapping_boxes(lo - d, hi + d)
     loop_of = np.repeat(np.arange(len(loops)), sizes)
     li, lj = loop_of[p], loop_of[q]
     i, j = p - start[li], q - start[lj]
+    # repeated image vertices pinch the boundary polygon; when d**2 underflows
+    # to 0, no pair is close
+    close = (li == lj) & (np.sum((seg[p, 0] - seg[q, 0]) ** 2, axis=-1) < d**2)
+    meet = ((lo[p] <= hi[q]) & (lo[q] <= hi[p])).all(axis=1)
     # neighbours along a loop share an endpoint
     adjacent = (li == lj) & ((j == i + 1) | ((i == 0) & (j == sizes[lj] - 1)))
-    cross = ~adjacent & _segments_properly_intersect(seg[p], seg[q])
+    cross = meet & ~adjacent & _segments_properly_intersect(seg[p], seg[q])
+    collisions = sorted(zip(li[close].tolist(), i[close].tolist(), j[close].tolist()))
     crossings = sorted(
         zip(li[cross].tolist(), lj[cross].tolist(), i[cross].tolist(), j[cross].tolist())
     )
 
-    for k, loop in enumerate(loops):
-        # repeated image vertices pinch the boundary polygon
-        violations.extend(
-            ("boundary_vertex_collision", k, a, b) for a, b in _vertex_collisions(imgs[loop], scale)
-        )
+    violations: list = []
+    for k in range(len(loops)):
+        violations.extend(("boundary_vertex_collision", k, a, b) for l, a, b in collisions if l == k)
         violations.extend(
             ("boundary_self_intersection", k, a, b) for l1, l2, a, b in crossings if l1 == l2 == k
         )

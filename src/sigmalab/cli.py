@@ -169,8 +169,12 @@ def cmd_solve_nd(cfg):
     uh = u.values[grid.interior_mask]
     try:
         ref = data.value(*pts.T)
+        # exact power-of-two scaling: the squares neither overflow nor underflow
+        diff, e_num = fem._scaled(uh - ref)
+        ref, e_den = fem._scaled(ref)
         denom = float(np.sqrt(np.sum(ref**2)))
-        l2 = float(np.sqrt(np.sum((uh - ref) ** 2))) / denom if denom > 0 else math.inf
+        l2 = (float(np.ldexp(np.sqrt(np.sum(diff**2)) / denom, e_num - e_den))
+              if denom > 0 else math.inf)
     except DegenerateInputError:  # the oracle is undefined at some node
         l2 = math.nan
     summary_data = {

@@ -31,8 +31,10 @@ DEFAULT_VERTEX_CAP = 1_000_000
 # gradient formulas divide by the area
 DEGENERATE_AREA_FACTOR = 1e-14
 
-#: points per batch of Mesh.locate; keeps its (point, triangle) temporaries
-#: to a few MB when an injectivity lattice passes millions of points
+#: points per batch of Mesh.locate; its (point, triangle) temporaries scale
+#: with the strip, about sqrt(nt) pairs per point (some 75 MB a batch on the
+#: unit disk at h = 0.03, 6534 triangles), and a batch bounds them however
+#: many points a lattice passes
 LOCATE_CHUNK = 2048
 
 
@@ -276,40 +278,65 @@ class Mesh:
         return _read_only(np.array([x[0], y[0], e1x, e1y, e2x, e2y, e1x * e2y - e2x * e1y]))
 
     @cached_property
-    def _vertex_to_triangles(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (offsets, ids): the triangles of vertex v, ascending, are
-        ids[offsets[v] : offsets[v + 1]]."""
-        flat = self.triangles.ravel()
-        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.num_vertices), out=offsets[1:])
-        return _read_only(offsets, np.argsort(flat, kind="stable") // 3)
+    def _strip(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """The triangles sorted by their lowest corner coordinate along the
+        axis of larger extent: (axis, low, ids, lo, hi, slack, reach), where
+        low[k] is that coordinate of triangle ids[k], ascending, and lo, hi
+        bound the corners grown by reach.
+
+        No triangle spans more than the longest edge along an axis, so one
+        that holds a point at x, within locate's tolerance, has its low in
+        [x - reach, x + slack]: slack, 1e-9 of the longest edge, covers the
+        tolerance and rounding, and reach is the longest edge plus slack.
+        """
+        # (3, nt) corner coordinates: per-column row gathers, as in _triangle_frames
+        x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
+        lo, hi = np.array([x.min(), y.min()]), np.array([x.max(), y.max()])
+        axis = int(hi[1] - lo[1] > hi[0] - lo[0])
+        low = (x, y)[axis].min(axis=0)
+        ids = np.argsort(low, kind="stable")
+        slack = 1e-9 * self.max_edge_length + 1e-300
+        reach = self.max_edge_length + slack
+        return axis, *_read_only(low[ids], ids, lo - reach, hi + reach), slack, reach
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Find containing triangles for an (n, 2) array of points.
 
         Returns (tri_index, barycentric) where tri_index is -1 for points
         outside the mesh, and for points that are not finite. Candidate
-        triangles come from a grid that holds all vertices within one maximal
-        edge length, which always covers the containing triangle; a point in
-        several triangles (on an edge, within the 1e-12 barycentric
-        tolerance) gets the lowest triangle index. Points are processed in
-        chunks of LOCATE_CHUNK, which bounds the temporaries.
+        triangles are those of the strip whose low lies in
+        [x - reach, x + slack], which holds every triangle that holds the
+        point; a point in several triangles (on an edge, within the 1e-12
+        barycentric tolerance) gets the lowest triangle index. Points are
+        processed in chunks of LOCATE_CHUNK, which bounds the temporaries.
+
+        Cost: a point tests the triangles within about one longest edge of it
+        along the strip's axis, some sqrt(nt) on a mesh of even size, where a
+        grid would test a constant number. The commands locate a few dozen
+        probes per mesh, for which one sort costs less than a grid.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
         tri_idx = np.full(n, -1, dtype=np.int64)
         bary = np.zeros((n, 3))
+        axis, low, ids, box_lo, box_hi, slack, reach = self._strip
         for lo in range(0, n, LOCATE_CHUNK):
             chunk = points[lo : lo + LOCATE_CHUNK]
-            p, t = self._candidates(chunk)
+            with np.errstate(invalid="ignore"):  # NaN compares False: no candidates
+                inside = np.flatnonzero(((chunk >= box_lo) & (chunk <= box_hi)).all(axis=1))
+            x = chunk[inside, axis]
+            start = np.searchsorted(low, x - reach, side="left")
+            size = np.searchsorted(low, x + slack, side="right") - start
+            p, t = np.repeat(inside, size), ids[_ranges(start, size)]
             ox, oy, e1x, e1y, e2x, e2y, det = self._triangle_frames[:, t]
             rx, ry = chunk[p, 0] - ox, chunk[p, 1] - oy
             l1 = (e2y * rx - e2x * ry) / det
             l2 = (-e1y * rx + e1x * ry) / det
             ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
-            # pairs come sorted by (point, triangle): the first hit of a point
-            # is its lowest-index containing triangle
+            # pairs come grouped by point: with its hits sorted by triangle, the
+            # first hit of a point is its lowest-index containing triangle
             hits = np.flatnonzero(ok)
+            hits = hits[np.lexsort((t[hits], p[hits]))]
             first = np.ones(len(hits), dtype=bool)
             first[1:] = p[hits[1:]] != p[hits[:-1]]
             hits = hits[first]
@@ -318,59 +345,6 @@ class Mesh:
             l1, l2 = l1[hits], l2[hits]
             bary[rows] = np.column_stack([1.0 - l1 - l2, l1, l2])
         return tri_idx, bary
-
-    @cached_property
-    def _vertex_grid(self) -> tuple[np.ndarray, np.ndarray, float, int, np.ndarray, np.ndarray]:
-        """The triangles' vertices in a uniform grid whose cell side is the
-        locate radius: (lo, hi, side, rows, keys, verts), verts sorted by cell
-        key and keys their keys.
-
-        lo and hi bound the vertices grown by one cell. Cell (i, j) lies i and
-        j sides from lo and has key (i + 1) * rows + j + 1, distinct for
-        -1 <= i, j <= rows - 2. A mesh is connected, so its box spans fewer
-        cells per axis than it has vertices, and no key overflows.
-        """
-        offsets, _ = self._vertex_to_triangles
-        used = np.flatnonzero(np.diff(offsets))
-        # per-column gathers and reductions: several times faster than on rows
-        x, y = self.vertices[:, 0][used], self.vertices[:, 1][used]
-        side = self.max_edge_length * (1.0 + 1e-9) + 1e-300
-        lo = np.array([x.min(), y.min()]) - side
-        hi = np.array([x.max(), y.max()]) + side
-        rows = int(np.floor((hi[1] - lo[1]) / side)) + 3
-        keys = _cell_keys(x, y, lo, side, rows)
-        order = np.argsort(keys, kind="stable")
-        return (*_read_only(lo, hi), side, rows, *_read_only(keys[order], used[order]))
-
-    def _candidates(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """The (point, triangle) candidate pairs of locate, unique and sorted
-        by point, then triangle: the triangles of the vertices in the 3 x 3
-        grid cells around the point's own cell, a superset of the vertices
-        within one cell side. A point outside the grid, or not finite, has
-        none."""
-        lo, hi, side, rows, keys, verts = self._vertex_grid
-        with np.errstate(invalid="ignore"):  # NaN compares False
-            inside = np.flatnonzero(((points >= lo) & (points <= hi)).all(axis=1))
-        block = (rows * np.arange(-1, 2)[:, None] + np.arange(-1, 2)).ravel()
-        own = _cell_keys(points[inside, 0], points[inside, 1], lo, side, rows)
-        near = (own[:, None] + block).ravel()
-        start = np.searchsorted(keys, near, side="left")
-        size = np.searchsorted(keys, near, side="right") - start
-        point = np.repeat(np.repeat(inside, 9), size)
-        v = verts[_ranges(start, size)]
-        offsets, ids = self._vertex_to_triangles
-        start = offsets[v]
-        size = offsets[v + 1] - start
-        # the triangles of every (point, vertex) pair, as one gather from ids
-        tris = ids[_ranges(start, size)]
-        nt = self.num_triangles
-        # sorted, then each key once: numpy 2.4's np.unique hashes int64
-        # keys and takes up to ten times as long here
-        key = np.sort(np.repeat(point, size) * nt + tris)
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        key = key[first]
-        return key // nt, key % nt
 
     def boundary_distance(self, points) -> np.ndarray:
         """Distance from points to the mesh boundary.
@@ -407,13 +381,6 @@ def signed_areas(vertices, triangles) -> np.ndarray:
     # (3, nt) corner coordinates: row gathers, faster than vertices[triangles]
     x, y = vertices[:, 0][triangles.T], vertices[:, 1][triangles.T]
     return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-
-
-def _cell_keys(x, y, lo: np.ndarray, side: float, rows: int) -> np.ndarray:
-    """The keys (i + 1) * rows + j + 1 of the grid cells (i, j) of the points (x, y)."""
-    i = np.floor((x - lo[0]) / side).astype(np.int64)
-    j = np.floor((y - lo[1]) / side).astype(np.int64)
-    return (i + 1) * rows + j + 1
 
 
 def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:

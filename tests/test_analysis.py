@@ -426,27 +426,45 @@ def all_pairs_collisions(pts, scale):
 
 @st.composite
 def planted_stacks(draw):
-    """(points, scale): 1 to 4 collinear stacks, along an axis or a diagonal,
+    """(images, loops): 1 to 4 collinear stacks, along an axis or a diagonal,
     whose consecutive points lie 0, 0.5, 0.999, 1.001 or 2 collision
-    distances 1e-12 * scale apart; at the smallest scale the squared
-    distance underflows to 0."""
+    distances apart, each stack one loop in a drawn order over shuffled
+    image rows. The scale is 1, 1.75, 1e-140, 1e140 or 1e-170, and the first
+    stack starts at a coordinate of that size, so the collision distance,
+    1e-12 times the largest coordinate, is 1e-12 * scale to a relative 3e-11;
+    at the smallest scale its square underflows to 0."""
     scale = draw(st.sampled_from([1.0, 1.75, 1e-140, 1e140, 1e-170]))
     stacks = []
     for _ in range(draw(st.integers(1, 4))):
         start = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2))) * scale
+        if not stacks:
+            start[0] = draw(st.sampled_from([-1.0, 1.0])) * scale
         direction = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])))
         gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]), max_size=12))
         steps = np.concatenate([[0.0], np.cumsum(gaps)]) * (1e-12 * scale)
         stacks.append(start + steps[:, None] * direction)
     pts = np.concatenate(stacks)
-    return pts[np.array(draw(st.permutations(range(len(pts)))))], scale
+    order = np.array(draw(st.permutations(range(len(pts)))))
+    row = np.argsort(order)  # the image row of each point
+    sizes = [len(stack) for stack in stacks]
+    loops = [row[ids][np.array(draw(st.permutations(range(len(ids)))))]
+             for ids in np.split(np.arange(len(pts)), np.cumsum(sizes)[:-1])]
+    return pts[order], loops
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(planted_stacks())
 def test_vertex_collisions_match_all_pairs(case):
-    pts, scale = case
-    assert analysis._vertex_collisions(pts, scale) == all_pairs_collisions(pts, scale)
+    imgs, loops = case
+    # at the scale 1e140 the orientation products of the crossing test
+    # overflow (injectivity_check hands over images scaled to [1, 2)); this
+    # test reads only the collisions
+    with np.errstate(over="ignore"):
+        got = analysis._boundary_violations(imgs, loops)
+    scale = max(float(np.abs(imgs).max()), 1e-300)
+    for k, loop in enumerate(loops):
+        collisions = [v[2:] for v in got if v[:2] == ("boundary_vertex_collision", k)]
+        assert collisions == all_pairs_collisions(imgs[loop], scale)
 
 
 @pytest.mark.parametrize(

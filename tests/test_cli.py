@@ -421,6 +421,8 @@ def test_solve_at_extreme_sigma_scale(tmp_path, capsys):
         ["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,w=1e-160"],
         ["solve", "--domain", "disk:r=1", "--h", "0.3", "--sigma", "holder:eps=0.5,cx=1e200"],
         ["solve-nd", "--domain", "rect:w=1e-150,h=1e-150", "--spacing", "2e-151"],
+        # nodal values near 1e300: the error's squares are scaled before they overflow
+        ["solve-nd", "--domain", "rect:w=1,h=1,x0=1e300", "--spacing", "0.3", "--b", "zero"],
         # areas near 1e-302: the L2 error's squares are scaled before they underflow
         ["solve", "--domain", "disk:r=1e-150", "--h", "3e-151"],
     ],

@@ -20,7 +20,7 @@ import numpy as np
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
 from .fem import ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh, box_pairs, box_sweep, signed_areas
 
 log = logging.getLogger(__name__)
 
@@ -194,52 +194,14 @@ def _det(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
 
 def _segments_properly_intersect(p, q):
-    """Proper-intersection mask of the segment pairs p[k], q[k].
-
-    p, q: (n, 2, 2). A shared endpoint does not count; crossing or collinear
-    overlap does.
-    """
-
-    def orient(a, b, c):
-        return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (
-            b[..., 1] - a[..., 1]
-        ) * (c[..., 0] - a[..., 0])
-
-    a, b = p[:, 0], p[:, 1]
-    c, d = q[:, 0], q[:, 1]
-    d1 = orient(a, b, c)
-    d2 = orient(a, b, d)
-    d3 = orient(c, d, a)
-    d4 = orient(c, d, b)
-    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
-
-    # collinear overlap: all orientations 0 and bounding boxes overlap
-    flat = (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
-    if flat.any():
-        lo_p, hi_p = np.minimum(a, b), np.maximum(a, b)
-        lo_q, hi_q = np.minimum(c, d), np.maximum(c, d)
-        crossing |= flat & np.all((lo_p <= hi_q) & (lo_q <= hi_p), axis=-1)
-    return crossing
-
-
-def _overlapping_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j of closed boxes [lo[i], hi[i]] that overlap, as two
-    index arrays, by a sort and sweep along the axis of larger extent.
-
-    Along the other axis a long straight run of a polyline, such as the side
-    of a rectangle, is one stack of boxes that all meet in the sweep axis.
-    """
-    if np.ptp(hi[:, 1]) > np.ptp(hi[:, 0]):
-        lo, hi = lo[:, ::-1], hi[:, ::-1]
-    order = np.argsort(lo[:, 0], kind="stable")
-    lo, hi = lo[order], hi[order]
-    # box k in x order meets in x the later boxes that start by its right edge
-    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(lo) + 1)
-    first = np.repeat(np.arange(len(lo)), count)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    keep = (lo[second, 1] <= hi[first, 1]) & (lo[first, 1] <= hi[second, 1])
-    i, j = order[first[keep]], order[second[keep]]
-    return np.minimum(i, j), np.maximum(i, j)
+    """Intersection mask of the segment pairs p[k], q[k], (n, 2, 2): a proper
+    crossing, or four collinear endpoints, which overlap or touch where the
+    pair's boxes meet (the caller's test). One shared endpoint of segments
+    that are not collinear does not count."""
+    a, b, c, d = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
+    d1, d2 = _det(b - a, c - a), _det(b - a, d - a)
+    d3, d4 = _det(d - c, a - c), _det(d - c, b - c)
+    return ((d1 * d2 < 0) & (d3 * d4 < 0)) | ((d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0))
 
 
 def injectivity_check(U: MappingField) -> InjectivityResult:
@@ -275,10 +237,10 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     and then its self-intersections, then the crossings between loops, each in
     lexicographic order.
 
-    Only near pairs are tested, all found by one sweep of the segments'
-    closed bounding boxes grown by the collision distance d. Two image
-    vertices closer than d start segments whose grown boxes overlap, so the
-    sweep finds every collision. Crossings are tested on the pairs whose
+    Only near pairs are tested, all found by one box_pairs self-join of the
+    segments' closed bounding boxes grown by the collision distance d. Two
+    image vertices closer than d start segments whose grown boxes overlap, so
+    the join finds every collision. Crossings are tested on the pairs whose
     ungrown boxes overlap, which hold every crossing and collinear touch.
     """
     d = 1e-12 * max(float(np.abs(imgs).max()), 1e-300)
@@ -290,7 +252,9 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
         axis=1,
     )
     lo, hi = seg.min(axis=1), seg.max(axis=1)
-    p, q = _overlapping_boxes(lo - d, hi + d)
+    glo, ghi = lo - d, hi + d
+    p, q = box_pairs(glo, ghi, box_sweep(glo, ghi))
+    p, q = p[p < q], q[p < q]
     loop_of = np.repeat(np.arange(len(loops)), sizes)
     li, lj = loop_of[p], loop_of[q]
     i, j = p - start[li], q - start[lj]
@@ -468,7 +432,8 @@ def default_probe_points(mesh: Mesh, margin: float) -> tuple[np.ndarray, np.ndar
     order = np.argsort(np.hypot(*(pts - center).T), kind="stable")
     pts = pts[order]
     tri, bary = mesh.locate(pts)
-    deep = mesh.boundary_distance(pts) > max(margin, 2.0 * mesh.h)
+    depth = max(margin, 2.0 * mesh.h)
+    deep = mesh.boundary_distance(pts, depth) > depth
     chosen = np.flatnonzero((tri >= 0) & deep)[:5]
     if len(chosen) == 0:
         raise DegenerateInputError("no lattice probe point is safely interior")
@@ -502,7 +467,7 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
             result=inj,
         )
     mesh = U.mesh
-    inset = mesh.boundary_distance(mesh.centroids) >= margin
+    inset = mesh.boundary_distance(mesh.centroids, margin) >= margin
     if not inset.any():
         raise DegenerateInputError(f"margin {margin} leaves no interior triangles")
 

@@ -21,7 +21,10 @@ import argparse
 import functools
 import json
 import math
+import os
+import shutil
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -511,6 +514,36 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def write_outputs(outdir: Path, files: dict) -> None:
+    """Write the files, name -> text, into outdir, staged in a new directory:
+    in the nearest existing ancestor of a fresh outdir, then renamed into
+    place, or inside an existing outdir, each file then replacing its target
+    (a new file: a symlink is replaced, not written through). A failure while
+    staging, or a target that is a directory, leaves outdir as it was; a
+    failed rename keeps those before it, and a fresh outdir's new parents."""
+    fresh = not outdir.exists()
+    base = next(p for p in outdir.parents if p.exists()) if fresh else outdir
+    # mkdir gives the stage the umask's mode, which a fresh outdir keeps; the
+    # process id and the clock keep its name apart from any other run's
+    stage = base / f".sigmalab-{os.getpid()}-{time.monotonic_ns()}"
+    stage.mkdir()
+    try:
+        for name, text in files.items():
+            with open(stage / name, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
+        if fresh:
+            if base != outdir.parent:
+                outdir.parent.mkdir(parents=True, exist_ok=True)
+            stage.rename(outdir)
+        elif taken := [name for name in files if (outdir / name).is_dir()]:
+            raise IsADirectoryError(f"{outdir / taken[0]} is a directory")
+        else:
+            for name in files:
+                os.replace(stage / name, outdir / name)
+    finally:  # the stage is gone once renamed, and empty once its files are
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -530,10 +563,7 @@ def main(argv=None) -> int:
     # the output location is not part of the run's identity
     files["config.json"] = dumps({k: v for k, v in cfg.items() if k != "out"})
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            with open(outdir / name, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
+        write_outputs(outdir, files)
     except OSError as exc:
         print(f"config error: cannot write outputs to {outdir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +30,10 @@ DEFAULT_VERTEX_CAP = 1_000_000
 # gradient formulas divide by the area
 DEGENERATE_AREA_FACTOR = 1e-14
 
-#: points per batch of Mesh.locate; its (point, triangle) temporaries scale
-#: with the strip, about sqrt(nt) pairs per point (some 75 MB a batch on the
-#: unit disk at h = 0.03, 6534 triangles), and a batch bounds them however
-#: many points a lattice passes
+#: points per batch of Mesh.locate and Mesh.boundary_distance: their box_pairs
+#: candidates, about sqrt(nt) a point in locate, stay bounded however many
+#: points a lattice passes (50176 points on the unit disk at h = 0.03 raise
+#: the peak RSS by some 9 MB)
 LOCATE_CHUNK = 2048
 
 
@@ -278,56 +277,38 @@ class Mesh:
         return _read_only(np.array([x[0], y[0], e1x, e1y, e2x, e2y, e1x * e2y - e2x * e1y]))
 
     @cached_property
-    def _strip(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """The triangles sorted by their lowest corner coordinate along the
-        axis of larger extent: (axis, low, ids, lo, hi, slack, reach), where
-        low[k] is that coordinate of triangle ids[k], ascending, and lo, hi
-        bound the corners grown by reach.
-
-        No triangle spans more than the longest edge along an axis, so one
-        that holds a point at x, within locate's tolerance, has its low in
-        [x - reach, x + slack]: slack, 1e-9 of the longest edge, covers the
-        tolerance and rounding, and reach is the longest edge plus slack.
-        """
-        # (3, nt) corner coordinates: per-column row gathers, as in _triangle_frames
-        x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
-        lo, hi = np.array([x.min(), y.min()]), np.array([x.max(), y.max()])
-        axis = int(hi[1] - lo[1] > hi[0] - lo[0])
-        low = (x, y)[axis].min(axis=0)
-        ids = np.argsort(low, kind="stable")
+    def _triangle_boxes(self) -> tuple:
+        """The box_sweep of the triangles' corner boxes grown by a slack, 1e-9
+        of the longest edge, that covers locate's tolerance and rounding."""
+        # (3, nt) corner coordinates, row-major: reductions across rows are fast
+        corners = self.triangles.T.copy()
+        x, y = self.vertices[:, 0][corners], self.vertices[:, 1][corners]
         slack = 1e-9 * self.max_edge_length + 1e-300
-        reach = self.max_edge_length + slack
-        return axis, *_read_only(low[ids], ids, lo - reach, hi + reach), slack, reach
+        lo = np.column_stack([x.min(axis=0), y.min(axis=0)]) - slack
+        return box_sweep(lo, np.column_stack([x.max(axis=0), y.max(axis=0)]) + slack)
 
     def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Find containing triangles for an (n, 2) array of points.
 
         Returns (tri_index, barycentric) where tri_index is -1 for points
-        outside the mesh, and for points that are not finite. Candidate
-        triangles are those of the strip whose low lies in
-        [x - reach, x + slack], which holds every triangle that holds the
-        point; a point in several triangles (on an edge, within the 1e-12
-        barycentric tolerance) gets the lowest triangle index. Points are
-        processed in chunks of LOCATE_CHUNK, which bounds the temporaries.
+        outside the mesh, and for points that are not finite. A point's
+        candidates are the triangles whose grown corner boxes hold it
+        (box_pairs); a point in several triangles (on an edge, within the
+        1e-12 barycentric tolerance) gets the lowest triangle index. Points
+        are processed in chunks of LOCATE_CHUNK, which bounds the temporaries.
 
-        Cost: a point tests the triangles within about one longest edge of it
-        along the strip's axis, some sqrt(nt) on a mesh of even size, where a
-        grid would test a constant number. The commands locate a few dozen
-        probes per mesh, for which one sort costs less than a grid.
+        Cost: a point tests the boxes within about one longest edge of it
+        along the sweep axis, some sqrt(nt) on a mesh of even size, where a
+        grid would test a constant number; for the few dozen probes the
+        commands locate per mesh, one sort costs less than a grid.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = len(points)
         tri_idx = np.full(n, -1, dtype=np.int64)
         bary = np.zeros((n, 3))
-        axis, low, ids, box_lo, box_hi, slack, reach = self._strip
         for lo in range(0, n, LOCATE_CHUNK):
             chunk = points[lo : lo + LOCATE_CHUNK]
-            with np.errstate(invalid="ignore"):  # NaN compares False: no candidates
-                inside = np.flatnonzero(((chunk >= box_lo) & (chunk <= box_hi)).all(axis=1))
-            x = chunk[inside, axis]
-            start = np.searchsorted(low, x - reach, side="left")
-            size = np.searchsorted(low, x + slack, side="right") - start
-            p, t = np.repeat(inside, size), ids[_ranges(start, size)]
+            p, t = box_pairs(chunk, chunk, self._triangle_boxes)
             ox, oy, e1x, e1y, e2x, e2y, det = self._triangle_frames[:, t]
             rx, ry = chunk[p, 0] - ox, chunk[p, 1] - oy
             l1 = (e2y * rx - e2x * ry) / det
@@ -346,30 +327,59 @@ class Mesh:
             bary[rows] = np.column_stack([1.0 - l1 - l2, l1, l2])
         return tri_idx, bary
 
-    def boundary_distance(self, points) -> np.ndarray:
-        """Distance from points to the mesh boundary.
+    def boundary_distance(self, points, bound: float) -> np.ndarray:
+        """Distance from points to the mesh boundary where it is at most
+        bound, inf where it is larger, and NaN at points that are not finite.
 
-        Circle loops are measured analytically; polygonal loops by distance
-        to their segments. Meaningful for points inside the domain.
+        Circle loops are measured analytically. A polygon loop's segments go
+        in runs of 8: box_pairs finds the runs within bound of a point, the
+        nearest run start bounds its distance, and only the runs whose boxes
+        come within that, plus a rounding slack, have their segments
+        measured, so the result is the minimum over every segment, bit for
+        bit. A point measures about two runs; growing its box by the bound
+        alone would measure some 2 bound / h segments of each side in reach.
+        Points go in chunks of LOCATE_CHUNK.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         dist = np.full(len(points), np.inf)
-        for geom, polygon in zip(self.loop_geometry, self._polygons):
-            if polygon is None:
+        for geom in self.loop_geometry:
+            if geom is not None:
                 r = np.hypot(points[:, 0] - geom.cx, points[:, 1] - geom.cy)
-                d = np.abs(r - geom.radius)
-            else:
-                d = polygon.distance(points)
-            dist = np.minimum(dist, d)
-        return dist
+                dist = np.minimum(dist, np.abs(r - geom.radius))
+        a, b, lo, hi, run, sweep = self._segments
+        if len(a):
+            slack = 1e-9 * (bound + float(np.abs(a).max())) + 1e-300
+            for start in range(0, len(points), LOCATE_CHUNK):
+                p = points[start : start + LOCATE_CHUNK]
+                q, j = box_pairs(p - (bound + slack), p + (bound + slack), sweep)
+                # take: a row gather of an (n, 2) array by [] is many times slower
+                u = p.take(q, axis=0)
+                gap = np.maximum(np.maximum(lo.take(j, axis=0) - u, u - hi.take(j, axis=0)), 0)
+                near = np.full(len(p), np.inf)
+                np.minimum.at(near, q, np.hypot(*(u - a.take(j * run, axis=0)).T))
+                keep = np.hypot(*gap.T) <= np.minimum(near, bound)[q] + slack
+                size = np.minimum(run, len(a) - j[keep] * run)
+                q, k = np.repeat(q[keep], size), _ranges(j[keep] * run, size)
+                u, v = p.take(q, axis=0), a.take(k, axis=0)
+                ab = b.take(k, axis=0) - v
+                s = np.clip(np.einsum("kd,kd->k", u - v, ab) / np.einsum("kd,kd->k", ab, ab), 0, 1)
+                d = np.hypot(*(u - (v + s[:, None] * ab)).T)
+                np.minimum.at(dist[start : start + LOCATE_CHUNK], q, d)
+        finite = np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
+        return np.where(finite, np.where(dist <= bound, dist, np.inf), np.nan)
 
     @cached_property
-    def _polygons(self) -> tuple:
-        """Per boundary loop, None for a CircleLoop, else its _Polygon."""
-        return tuple(
-            None if isinstance(geom, CircleLoop) else _Polygon(self.vertices[loop])
-            for loop, geom in zip(self.loops, self.loop_geometry)
-        )
+    def _segments(self) -> tuple:
+        """(a, b, lo, hi, run, sweep): the segments a[k] -> b[k] of the loops
+        without a CircleLoop, the boxes [lo[j], hi[j]] of their runs, the
+        segments k in [j * run, (j + 1) * run), and the box_sweep of those."""
+        loops = [loop for loop, geom in zip(self.loops, self.loop_geometry) if geom is None]
+        a = self.vertices[np.concatenate([np.empty(0, np.int64), *loops])]
+        b = self.vertices[np.concatenate([np.empty(0, np.int64), *(np.roll(l, -1) for l in loops)])]
+        run, first = 8, np.arange(0, len(a), 8)
+        lo = np.minimum.reduceat(np.minimum(a, b), first, axis=0)
+        hi = np.maximum.reduceat(np.maximum(a, b), first, axis=0)
+        return *_read_only(a, b, lo, hi), run, box_sweep(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +396,41 @@ def signed_areas(vertices, triangles) -> np.ndarray:
 def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The indices start[k] + i, 0 <= i < size[k], of every k in turn."""
     return np.repeat(start - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
+
+
+def box_sweep(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The closed boxes [lo[k], hi[k]], (n, 2) arrays, sorted for box_pairs:
+    (axis, order, lo, hi, width), the axis of larger extent, the box order by
+    low along it, the corners in that order, and the widest box along it."""
+    # column by column: a reduction down an (n, 2) array is slow
+    with np.errstate(invalid="ignore"):  # inf - inf
+        extent = [hi[:, d].max(initial=-np.inf) - lo[:, d].min(initial=np.inf) for d in (0, 1)]
+        axis = int(extent[1] > extent[0])
+        width = float(np.fmax.reduce(hi[:, axis] - lo[:, axis], initial=0.0))
+    order = np.argsort(lo[:, axis], kind="stable")
+    return axis, *_read_only(order, lo.take(order, axis=0), hi.take(order, axis=0)), width
+
+
+def box_pairs(qlo: np.ndarray, qhi: np.ndarray, sweep: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The overlapping pairs of a query box [qlo[q], qhi[q]] and a box k of
+    sweep = box_sweep(lo, hi), as index arrays (q, k) grouped by q; a NaN
+    coordinate overlaps nothing. A self-join gives each pair both ways.
+
+    Box k can meet query q only if its low along the sweep axis lies in
+    [qlo - width, qhi]: one searchsorted pair finds that window, and the
+    test on both axes keeps the pairs that overlap.
+    """
+    axis, order, lo, hi, width = sweep
+    x = qlo[:, axis]
+    # a query at +inf reaches back to every box when the widest box is infinite
+    reach = x - width if width < np.inf else np.full(len(x), -np.inf)
+    start = np.searchsorted(lo[:, axis], reach, side="left")
+    size = np.maximum(np.searchsorted(lo[:, axis], qhi[:, axis], side="right") - start, 0)
+    q, j = np.repeat(np.arange(len(x)), size), _ranges(start, size)
+    keep = np.ones(len(q), dtype=bool)
+    for d in (0, 1):
+        keep &= (qlo[:, d][q] <= hi[:, d][j]) & (lo[:, d][j] <= qhi[:, d][q])
+    return q[keep], order[j[keep]]
 
 
 def _loop_signed_area(points: np.ndarray) -> float:
@@ -435,50 +480,6 @@ def _extract_loops(vertices, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarr
         if _loop_signed_area(vertices[l]) >= 0:
             raise MeshError("inner boundary loop is not clockwise")
     return loops
-
-
-class _Polygon:
-    """A closed polygon and a KD-tree of its vertices, for point distances."""
-
-    def __init__(self, poly: np.ndarray):
-        from scipy.spatial import cKDTree
-
-        # segment k runs from a[k] to a[k + 1]
-        self.a, self.ab = _read_only(poly, np.roll(poly, -1, axis=0) - poly)
-        self.denom = _read_only(np.einsum("sd,sd->s", self.ab, self.ab))
-        self.longest = float(np.sqrt(self.denom.max()))
-        self.extent = float(np.abs(poly).max())
-        self.tree = cKDTree(poly)
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        """Distance from each point to the nearest segment.
-
-        The nearest vertex bounds it from above, so only segments that start
-        within that bound plus the longest segment can hold the minimum; the
-        slack covers rounding. A point the tree cannot place, one not finite
-        or so far out that squared distances overflow, is measured against
-        every segment. Points go in chunks of LOCATE_CHUNK.
-        """
-        out = np.empty(len(points))
-        for lo in range(0, len(points), LOCATE_CHUNK):
-            p = points[lo : lo + LOCATE_CHUNK]
-            near = [range(len(self.a))] * len(p)
-            size = np.abs(p).max(axis=1)
-            placed = np.flatnonzero(size + self.extent < 2.0**500)  # False for NaN
-            if len(placed):
-                bound, _ = self.tree.query(p[placed])
-                reach = (bound + self.longest) * (1.0 + 1e-9) + 1e-9 * size[placed]
-                for k, ids in zip(placed.tolist(), self.tree.query_ball_point(p[placed], r=reach)):
-                    near[k] = ids
-            counts = np.fromiter(map(len, near), np.int64, len(near))
-            seg = np.fromiter(chain.from_iterable(near), np.int64, int(counts.sum()))
-            q = p[np.repeat(np.arange(len(p)), counts)]
-            a, ab = self.a[seg], self.ab[seg]
-            s = np.clip(np.einsum("kd,kd->k", q - a, ab) / self.denom[seg], 0.0, 1.0)
-            closest = a + s[:, None] * ab
-            d = np.hypot(*(q - closest).T)
-            out[lo : lo + LOCATE_CHUNK] = np.minimum.reduceat(d, np.cumsum(counts) - counts)
-        return out
 
 
 def _divisions(length: float, h: float) -> int:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 
 from sigmalab import (
@@ -405,8 +405,12 @@ def closed_polylines(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(closed_polylines())
-# a bowtie, two loops crossing, a collinear overlap and a touching pair
+# a bowtie, two loops crossing, a collinear overlap and a touching pair, and
+# collinear segments of two loops nearer than the collision distance that do
+# not touch: their grown boxes overlap, their boxes do not
 @example((np.array([[0, 0], [1, 1], [1, 0], [0, 1.0]]), [np.arange(4)]))
+@example((np.array([[0, 0], [1, 0], [0, -1], [1 + 2**-40, 0], [3, 0], [2, 1.0]]),
+          [np.arange(3), np.arange(3, 6)]))
 @example((np.array([[0, 0], [2, 0], [2, 2], [1, 1], [3, 1], [3, 3.0]]), [np.arange(3), np.arange(3, 6)]))
 @example((np.array([[0, 0], [2, 0], [1, 0], [3, 0], [3, 1.0]]), [np.arange(5)]))
 @example((np.array([[0, 0], [2, 0], [2, 1], [4, 1], [4, 0], [6, 0], [6, 2.0]]), [np.arange(7)]))
@@ -867,7 +871,7 @@ def test_probe_points_are_located_and_deeper_than_margin_and_2h(name, margin):
     ticks = np.linspace(0.1, 0.9, 5)
     lattice = [lo + np.array([x, y]) * (hi - lo) for y in ticks for x in ticks]
     deep = [z for z in lattice
-            if mesh.locate(z[None, :])[0][0] >= 0 and mesh.boundary_distance(z[None, :])[0] > depth]
+            if mesh.locate(z[None, :])[0][0] >= 0 and mesh.boundary_distance(z[None, :], depth)[0] > depth]
     # the first deep lattice points, nearest the box centre first
     assert len(pts) == min(5, len(deep))
     assert all(any(np.allclose(p, z, rtol=0, atol=1e-12) for z in deep) for p in pts)
@@ -876,7 +880,7 @@ def test_probe_points_are_located_and_deeper_than_margin_and_2h(name, margin):
     assert (np.diff(dist) >= -1e-12).all()
     left = [z for z in deep if not np.isclose(np.hypot(*(pts - z).T), 0, atol=1e-12).any()]
     assert all(np.hypot(*(z - centre)) >= dist.max() - 1e-12 for z in left)
-    assert (tri >= 0).all() and (mesh.boundary_distance(pts) > depth).all()
+    assert (tri >= 0).all() and (mesh.boundary_distance(pts, depth) > depth).all()
     loc_tri, loc_bary = mesh.locate(pts)
     assert np.array_equal(tri, loc_tri) and np.array_equal(bary, loc_bary)
     assert np.allclose(bary @ np.ones(3), 1.0)
@@ -1049,24 +1053,55 @@ def positive_interior_off_diagonals(mesh, S):
     return int(np.sum(A.data[off] > 0))
 
 
-@pytest.mark.parametrize(
-    "descriptor", ["identity", "randholder:seed=3", "randnonsym:seed=3", "randnonsym:seed=8"]
+def moved_patch(n, angle, jitter, seed):
+    """hexagonal_patch(n, 1 / n), a hexagon of side 1, with each interior
+    vertex moved by up to jitter / n along each axis (seeded), then rotated
+    by angle about the origin. The boundary stays a convex hexagon."""
+    mesh = hexagonal_patch(n, 1.0 / n)
+    v = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    v[inner] += jitter / n * np.random.default_rng(seed).uniform(-1.0, 1.0, (len(inner), 2))
+    c, s = math.cos(angle), math.sin(angle)
+    return Mesh(np.column_stack([c * v[:, 0] - s * v[:, 1], s * v[:, 0] + c * v[:, 1]]),
+                mesh.triangles, mesh.h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 12), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.25),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["identity", "randholder", "randnonsym"]), st.integers(0, 1000),
 )
-def test_floater_premise_gives_an_injective_map(descriptor):
+@example(20, 0.0, 0.0, 0, "identity", 0)
+@example(20, 0.0, 0.0, 0, "randholder", 3)
+@example(20, 0.0, 0.0, 0, "randnonsym", 3)
+@example(20, 0.0, 0.0, 0, "randnonsym", 8)
+def test_floater_premise_gives_an_injective_map(n, angle, jitter, seed, kind, field_seed):
     # Floater (Math. Comp. 72, 2003): if every interior vertex is a convex
     # combination of its neighbours, that is no interior off-diagonal is
     # positive (the rows sum to zero), and the boundary goes one-to-one onto
-    # a convex polygon, the P1 map is one-to-one and keeps every orientation
-    mesh = hexagonal_patch(20, 0.05)
-    assert (mesh.num_vertices, mesh.num_triangles) == (1261, 2400)
+    # a convex polygon, the P1 map is one-to-one and keeps every orientation.
+    # The hexagon is a polygon loop: lewy_verify runs point location,
+    # boundary crossings and polygon distances, all three box_pairs queries.
+    mesh = moved_patch(n, angle, jitter, seed)
+    descriptor = kind if kind == "identity" else f"{kind}:seed={field_seed}"
     S = samples(mesh, field_from_descriptor(descriptor))
-    assert positive_interior_off_diagonals(mesh, S) == 0
+    assume(positive_interior_off_diagonals(mesh, S) == 0)
     (u1, u2), _ = solve_dirichlet(mesh, S, lambda x, y: np.array([x, y]))
     U = MappingField(u1, u2)
     assert (jacobian_field(U) > 0).all()
     assert injectivity_check(U).injective
     report = lewy_verify(U, directions=8, margin=0.1)
     assert report.passed and report.injective and report.min_abs_det > 0
+
+
+def test_the_side_20_patch_is_1261_vertices_and_meets_the_floater_premise():
+    mesh = hexagonal_patch(20, 0.05)
+    assert (mesh.num_vertices, mesh.num_triangles) == (1261, 2400)
+    assert moved_patch(20, 0.0, 0.0, 0).vertices.tolist() == mesh.vertices.tolist()
+    # the explicit examples above would be skipped, not failed, by assume
+    for descriptor in ("identity", "randholder:seed=3", "randnonsym:seed=3", "randnonsym:seed=8"):
+        assert positive_interior_off_diagonals(mesh, samples(mesh, field_from_descriptor(descriptor))) == 0
 
 
 def test_anisotropy_breaks_floater_premise():
@@ -1111,7 +1146,7 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
     m = disk_mesh
     for _ in range(2):
         (u1, u2), _ = solve_dirichlet(m, samples(m, sigma), sol.value)
-        inset = m.boundary_distance(m.centroids) >= 0.1
+        inset = m.boundary_distance(m.centroids, 0.1) >= 0.1
         level = []
         for k in range(4):
             theta = math.pi * k / 4

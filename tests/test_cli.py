@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from sigmalab import coefficients, fem, generate_disk, mesh
+from sigmalab import cli, coefficients, fem, generate_disk, mesh
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 from sigmalab.errors import SigmalabError
 
@@ -831,6 +831,57 @@ def test_out_naming_an_existing_file_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"cannot write outputs to {taken}" in err and "Traceback" not in err
     assert taken.read_text() == ""
+
+
+def tree(root):
+    """Every path under root, each file with its bytes and each directory as None."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+SOLVE = ["solve", "--domain", "disk:r=1", "--h", "0.2", "--g", "x1"]
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "existing-out"])
+def test_a_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, existing):
+    # a fresh --out whose parent is fresh too: neither is left behind
+    out = tmp_path / "out" if existing else tmp_path / "new" / "out"
+    if existing:
+        out.mkdir()
+        (out / "mesh.txt").write_text("an earlier mesh")
+        (out / "notes.txt").write_text("not an output")
+    before = tree(tmp_path)
+    opened = []
+
+    def second_open_fails(path, *args, **kwargs):
+        opened.append(path)
+        if len(opened) == 2:
+            raise OSError("injected write failure")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", second_open_fails, raising=False)
+    assert main(SOLVE + ["--out", str(out)]) == 2
+    assert len(opened) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write outputs to {out}: injected write failure" in err
+    assert tree(tmp_path) == before
+    # the same run, once the writes succeed, replaces the outputs and nothing else
+    monkeypatch.undo()
+    assert main(SOLVE + ["--out", str(out)]) == 0
+    assert main(SOLVE + ["--out", str(tmp_path / "twin")]) == 0
+    written = tree(out)
+    assert written.pop("notes.txt", b"not an output") == b"not an output"
+    assert written == tree(tmp_path / "twin")
+    top = out.relative_to(tmp_path).parts[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([top, "twin"])
+
+
+def test_an_output_name_taken_by_a_directory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "pw" / "out"
+    (out / "u.txt").mkdir(parents=True)
+    assert main(SOLVE + ["--out", str(out)]) == 2
+    assert f"cannot write outputs to {out}" in capsys.readouterr().err
+    assert tree(tmp_path) == {"pw": None, "pw/out": None, "pw/out/u.txt": None}
 
 
 #: the options each command reads, besides --out and --config

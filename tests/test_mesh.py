@@ -377,6 +377,49 @@ def test_locate_more_points_than_one_chunk(disk_mesh):
     assert np.array_equal(tri, ref_tri) and np.array_equal(bary, ref_bary)
 
 
+#: box corners: small integers, so that boxes touch and stack, and the values
+#: that are not finite
+BOX_COORDS = st.one_of(
+    st.integers(-4, 4).map(float), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(-5.0, 5.0),
+)
+#: box sides: zero (a segment or a point), small integers and infinite ones
+BOX_SIDES = st.one_of(st.integers(0, 3).map(float), st.just(math.inf), st.floats(0.0, 2.0))
+
+
+def corner_and_sides(rows):
+    """(lo, hi) of the boxes with lower corners rows[:, :2] and sides rows[:, 2:]."""
+    rows = np.array(rows, dtype=float).reshape(-1, 4)
+    with np.errstate(invalid="ignore"):  # -inf + inf: a NaN corner
+        return rows[:, :2], rows[:, :2] + rows[:, 2:]
+
+
+def boxes(max_size):
+    """(lo, hi) of up to max_size closed boxes, each a corner and two sides."""
+    corners = st.tuples(BOX_COORDS, BOX_COORDS, BOX_SIDES, BOX_SIDES)
+    return st.lists(corners, max_size=max_size).map(corner_and_sides)
+
+
+def box_pairs_reference(qlo, qhi, lo, hi):
+    """Every pair (q, k) of a query box and a box that overlap, closed boxes,
+    tested one pair at a time."""
+    return [(q, k) for q in range(len(qlo)) for k in range(len(lo))
+            if (qlo[q] <= hi[k]).all() and (lo[k] <= qhi[q]).all()]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(boxes(8), boxes(14))
+def test_box_pairs_match_all_pairs(queries, held):
+    (qlo, qhi), (lo, hi) = queries, held
+    q, k = meshmod.box_pairs(qlo, qhi, meshmod.box_sweep(lo, hi))
+    assert sorted(zip(q.tolist(), k.tolist())) == box_pairs_reference(qlo, qhi, lo, hi)
+    assert q.tolist() == sorted(q.tolist())  # grouped by query
+    # a self-join gives each overlapping pair both ways, and each box that
+    # holds a point paired with itself
+    q, k = meshmod.box_pairs(lo, hi, meshmod.box_sweep(lo, hi))
+    assert sorted(zip(q.tolist(), k.tolist())) == box_pairs_reference(lo, hi, lo, hi)
+
+
 def signed_areas_reference(vertices, triangles):
     """Reference: signed_areas as it was written over vertices[triangles],
     before it took per-column row gathers; the same expression in the same
@@ -403,16 +446,19 @@ def test_signed_areas_match_the_gathered_reference(points, corners):
 
 
 def test_boundary_distance(disk_mesh, annulus_mesh):
-    d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0]]))
+    d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
     assert np.allclose(d, [1.0, 0.5], atol=1e-12)
-    d = annulus_mesh.boundary_distance(np.array([[0.5, 0.0]]))
+    d = annulus_mesh.boundary_distance(np.array([[0.5, 0.0]]), 1.0)
     assert np.allclose(d, [0.3], atol=1e-12)
+    # beyond the bound, inf; a point that is not finite, NaN
+    d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0], [np.inf, 0.0]]), 0.75)
+    assert d[0] == np.inf and abs(d[1] - 0.5) < 1e-12 and np.isnan(d[2])
 
 
 def dense_distance_to_polygon(points, poly):
     """Reference: the distance from each point to every segment of the closed
-    polygon, minimized, as boundary_distance computed it before it kept only
-    the segments near each point's nearest vertex."""
+    polygon, minimized, as boundary_distance computed it before it measured
+    only the segments within its bound of each point."""
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a
@@ -475,8 +521,10 @@ def test_boundary_distance_matches_dense_reference(mesh, seed):
         0.5 * (poly + np.roll(poly, -1, axis=0))[rng.integers(0, len(poly), 20)],
         mesh.centroids[rng.integers(0, mesh.num_triangles, 100)],
     ])
-    want = np.min([dense_distance_to_polygon(pts, mesh.vertices[l]) for l in mesh.loops], axis=0)
-    assert mesh.boundary_distance(pts).tolist() == want.tolist()
+    dense = np.min([dense_distance_to_polygon(pts, mesh.vertices[l]) for l in mesh.loops], axis=0)
+    for bound in (0.0, mesh.h, float(span.max()) / 3, 50 * float(span.max())):
+        want = np.where(dense <= bound, dense, np.inf)
+        assert mesh.boundary_distance(pts, bound).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize(
@@ -484,12 +532,17 @@ def test_boundary_distance_matches_dense_reference(mesh, seed):
     [generate_rectangle((0.0, 0.0), 1.0, 0.5, 0.25), star_mesh(np.linspace(0.5, 1.5, 7), np.zeros(7), (0.0, 0.0))],
 )
 def test_boundary_distance_of_non_finite_points_matches_dense_reference(mesh):
-    # no KD-tree takes these: they are measured against every segment, as before
+    # a point that is not finite is NaN; the finite ones, far ones included,
+    # match the reference within each bound
     pts = np.array([[0.5, 0.2], [np.nan, 0.2], [np.inf, 0.3], [0.1, -np.inf], [1e308, -1e308]])
-    with np.errstate(invalid="ignore", over="ignore"):
-        got = mesh.boundary_distance(pts)
-        want = dense_distance_to_polygon(pts, mesh.vertices[mesh.loops[0]])
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    finite = np.isfinite(pts).all(axis=1)
+    with np.errstate(over="ignore"):
+        dense = dense_distance_to_polygon(pts[finite], mesh.vertices[mesh.loops[0]])
+    for bound in (0.0, 0.1, 1.0, 1e300):
+        got = mesh.boundary_distance(pts, bound)
+        want = np.where(dense <= bound, dense, np.inf)
+        assert np.isnan(got[~finite]).all()
+        assert got[finite].view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 # sha256 of mesh_to_text at h = 0.2 and 0, 1, 2 refinements, recorded before
@@ -947,9 +1000,6 @@ def held_arrays(obj, name: str, out: dict) -> dict:
     elif isinstance(obj, (tuple, list)):
         for i, item in enumerate(obj):
             held_arrays(item, f"{name}[{i}]", out)
-    elif isinstance(obj, meshmod._Polygon):
-        for attr, value in vars(obj).items():
-            held_arrays(value, f"{name}.{attr}", out)
     return out
 
 
@@ -961,7 +1011,7 @@ def test_every_array_of_a_mesh_is_read_only(source):
         m = DOMAINS[source](0.25)
     # build the caches of locate, boundary_distance and the rest
     m.locate(m.centroids[:5])
-    m.boundary_distance(m.centroids[:5])
+    m.boundary_distance(m.centroids[:5], 0.1)
     for cached in ("basis_gradients", "interior_vertices", "triangle_neighbours"):
         getattr(m, cached)
     arrays = {}
@@ -970,18 +1020,20 @@ def test_every_array_of_a_mesh_is_read_only(source):
     expected = [
         "vertices", "triangles", "_areas", "centroids", "basis_gradients", "boundary_vertices",
         "interior_vertices", "triangle_neighbours", "_triangle_frames", "edge_table[0]",
-        "loops[0]", "_strip[1]", "_strip[2]", "_strip[3]", "_strip[4]",
+        "loops[0]", "_triangle_boxes[1]", "_triangle_boxes[2]", "_triangle_boxes[3]",
+        "_segments[0]", "_segments[1]", "_segments[2]", "_segments[3]",
+        "_segments[5][1]", "_segments[5][2]", "_segments[5][3]",
     ]
     if "annulus" in source:
         expected.append("loops[1]")
     if source in ("rect", "annulus text"):
-        expected += ["_polygons[0].a", "_polygons[0].ab", "_polygons[0].denom"]
+        assert len(m._segments[0]) == sum(map(len, m.loops))
     assert set(expected) <= set(arrays)
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
-            a.flat[0] = a.flat[0]
+            a[...] = a  # raises for an empty array too
     assert m.areas is m._areas
-    for held in (m.loops, m.loop_geometry, m._polygons):
+    for held in (m.loops, m.loop_geometry, m._triangle_boxes, m._segments):
         assert isinstance(held, tuple)
         with pytest.raises(AttributeError):
             held.append(None)

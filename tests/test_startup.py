@@ -37,11 +37,12 @@ SOLVES = [
      "--g", "oracle"],
     ["solve-nd", "--domain", "rect:w=1,h=1", "--spacing", "0.25"],
 ]
-#: point location, boundary collisions and pullback components are numpy
-#: code; only the distance to a polygon loop (rect) needs scipy.spatial
+#: point location, boundary collisions, distances to circle and polygon
+#: loops (rect) and pullback components are numpy code
 VERIFY = [
     ["verify", "--domain", "disk:r=1", "--h", "0.3", "--g", "identity"],
     ["verify", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.1", "--g", "identity"],
+    ["verify", "--domain", "rect:w=1,h=1", "--h", "0.1", "--g", "identity"],
 ]
 
 
@@ -61,7 +62,7 @@ def _scipy_loaded(tmp_path, argvs) -> list:
     [(NO_SOLVE, ("scipy.sparse", "scipy.spatial"), []),
      (SOLVES, ("scipy.spatial", "scipy.sparse.csgraph"), ["scipy.sparse.linalg"]),
      (VERIFY, ("scipy.spatial", "scipy.sparse.csgraph"), ["scipy.sparse.linalg"])],
-    ids=["mesh-unimodal", "solves", "verify-circles"],
+    ids=["mesh-unimodal", "solves", "verify"],
 )
 def test_commands_load_only_the_scipy_they_call(tmp_path, argvs, absent, present):
     loaded = _scipy_loaded(tmp_path, argvs)

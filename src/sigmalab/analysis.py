@@ -19,7 +19,8 @@ import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
-from .fem import ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field
+from .fem import (ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field,
+                  relative_l2)
 from .mesh import Mesh, box_pairs, box_sweep, signed_areas
 
 log = logging.getLogger(__name__)
@@ -128,8 +129,7 @@ def stream_function(
     gu = gradient_field(u)
     w = np.einsum("ab,tbc,tc->ta", ROTATION, S, gu)
 
-    den = float(np.sqrt(np.sum(mesh.areas * np.einsum("td,td->t", w, w))))
-    if den == 0.0:
+    if not w.any():
         return ScalarField(mesh, np.zeros(mesh.num_vertices)), 0.0
 
     # normal equations of the least squares: the stiffness matrix of the
@@ -141,9 +141,7 @@ def stream_function(
     v[1:] = spsolve(L[1:, 1:].tocsc(), rhs[1:])  # anchor v = 0 at vertex 0
 
     v = ScalarField(mesh, v)
-    d = gradient_field(v) - w
-    num = float(np.sqrt(np.sum(mesh.areas * np.einsum("td,td->t", d, d))))
-    return v, num / den
+    return v, relative_l2(gradient_field(v) - w, w, mesh.areas)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +167,13 @@ def beltrami_residual(u: ScalarField, v: ScalarField, S: np.ndarray) -> float:
     fz, fzbar = complex_derivatives(u, v)
     mesh = u.mesh
     mu, nu = dilatations(checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples"))
-    den = float(np.sqrt(np.sum(mesh.areas * np.abs(fz) ** 2)))
-    # constant nodal data leaves roundoff-sized gradients, not exact zeros
+    abs_fz = np.abs(fz)
+    # constant nodal data leaves roundoff-sized gradients, not exact zeros: fz's
+    # area-weighted root mean square is compared against a floor set by the data
     scale = float(np.abs(u.values).max() + np.abs(v.values).max())
-    floor = 1e-12 * scale * math.sqrt(float(mesh.areas.sum())) / mesh.h
-    if den <= floor:
+    if relative_l2(abs_fz, np.ones(len(fz)), mesh.areas) <= 1e-12 * scale / mesh.h:
         raise DegenerateInputError("fz vanishes identically; f is constant")
-    defect = fzbar - mu * fz - nu * np.conj(fz)
-    return float(np.sqrt(np.sum(mesh.areas * np.abs(defect) ** 2))) / den
+    return relative_l2(fzbar - mu * fz - nu * np.conj(fz), abs_fz, mesh.areas)
 
 
 # ---------------------------------------------------------------------------

@@ -172,12 +172,7 @@ def cmd_solve_nd(cfg):
     uh = u.values[grid.interior_mask]
     try:
         ref = data.value(*pts.T)
-        # exact power-of-two scaling: the squares neither overflow nor underflow
-        diff, e_num = fem._scaled(uh - ref)
-        ref, e_den = fem._scaled(ref)
-        denom = float(np.sqrt(np.sum(ref**2)))
-        l2 = (float(np.ldexp(np.sqrt(np.sum(diff**2)) / denom, e_num - e_den))
-              if denom > 0 else math.inf)
+        l2 = fem.relative_l2(uh - ref, ref)
     except DegenerateInputError:  # the oracle is undefined at some node
         l2 = math.nan
     summary_data = {

@@ -9,6 +9,7 @@ so results are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +178,29 @@ def relative_l2_error(u: ScalarField, exact) -> float:
     if den == 0.0:
         raise SolverError("reference function is identically zero on centroids")
     return float(np.ldexp(np.sqrt(np.sum(a * d**2) / den), e_num - e_den))
+
+
+def relative_l2(x, ref, weights=None) -> float:
+    """sqrt(sum w |x|^2) / sqrt(sum w |ref|^2) over the rows of the real or
+    complex (n,) or (n, d) arrays x and ref, with the (n,) weights w (ones
+    when None); inf when ref is zero. |x| and |ref| are each divided by a
+    power of two and w by an even one, which the roots take out exactly: the
+    plain formula's bits wherever its squares neither overflow nor underflow.
+    """
+    x, e_num = _scaled(np.abs(x))
+    ref, e_den = _scaled(np.abs(ref))
+    if not ref.any():
+        return math.inf
+    w = 1.0
+    if weights is not None:
+        e = int(np.frexp(np.max(weights))[1])
+        w = np.ldexp(weights, -(e + e % 2))
+
+    def norm(a):
+        return np.sqrt(np.sum(w * (a * a if a.ndim == 1 else np.sum(a * a, axis=1))))
+
+    with np.errstate(over="ignore"):  # a ratio beyond the largest double is inf
+        return float(np.ldexp(norm(x) / norm(ref), e_num - e_den))
 
 
 def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:

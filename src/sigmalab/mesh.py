@@ -433,9 +433,12 @@ def box_pairs(qlo: np.ndarray, qhi: np.ndarray, sweep: tuple) -> tuple[np.ndarra
     return q[keep], order[j[keep]]
 
 
-def _loop_signed_area(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _loop_signed_area(vertices: np.ndarray, loop: np.ndarray) -> float:
+    """The signed area of the polygon loop, as the sum of signed_areas over the
+    fan of triangles from its first vertex: every product is of coordinates
+    relative to a loop vertex, so nothing cancels far from the origin."""
+    fan = np.column_stack([np.full_like(loop[2:], loop[0]), loop[1:-1], loop[2:]])
+    return float(signed_areas(vertices, fan).sum())
 
 
 def _edge_ends(triangles: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,15 +474,13 @@ def _extract_loops(vertices, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarr
         seen.update(loop)
         loops.append(_read_only(np.array(loop, dtype=np.int64)))
 
-    areas = [abs(_loop_signed_area(vertices[l])) for l in loops]
-    outer = int(np.argmax(areas))
-    loops = (loops[outer], *(l for i, l in enumerate(loops) if i != outer))
-    if _loop_signed_area(vertices[loops[0]]) <= 0:
+    areas = np.array([_loop_signed_area(vertices, l) for l in loops])
+    outer = int(np.argmax(np.abs(areas)))
+    if areas[outer] <= 0:
         raise MeshError("outer boundary loop is not counterclockwise")
-    for l in loops[1:]:
-        if _loop_signed_area(vertices[l]) >= 0:
-            raise MeshError("inner boundary loop is not clockwise")
-    return loops
+    if (np.delete(areas, outer) >= 0).any():
+        raise MeshError("inner boundary loop is not clockwise")
+    return (loops[outer], *(l for i, l in enumerate(loops) if i != outer))
 
 
 def _divisions(length: float, h: float) -> int:
@@ -699,38 +700,15 @@ def mesh_to_text(mesh: Mesh) -> str:
     return "".join(parts)
 
 
-#: bytes of integer rows: digits, signs and the separators of joined rows
-_INTEGER_BYTES = b"0123456789+- \t\n"
-_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
-
-
-def _check_integer_rows(rows: list[str], what: str) -> None:
-    """Reject integer tokens that numpy would only read through a float.
-
-    numpy 1.23-1.26 read an integer token such as "1.0", "1e3" or one past
-    int64 as a float, with only a DeprecationWarning, where numpy 2 raises.
-    Checking the characters, and the value of any token of 19 or more
-    digits, gives the same MeshError on every numpy.
-    """
-    data = "\n".join(rows).encode("ascii", "replace")
-    if data.translate(None, _INTEGER_BYTES):
-        raise MeshError(f"malformed {what}: an integer holds only digits and a sign")
-    if b"0" * 19 in data.translate(_DIGITS_TO_ZERO):
-        try:
-            ok = all(-(2**63) <= int(t) < 2**63 for t in data.split())
-        except ValueError:  # a sign inside a token: not an integer on any numpy
-            ok = False
-        if not ok:
-            raise MeshError(f"malformed {what}: not an int64 integer")
-
-
 def read_rows(lines: list[str], pos: int, n: int, width: int, dtype, what: str):
     """The (n, width) array of the numbers on lines[pos : pos + n], with pos + n.
 
     The rows hold whitespace-separated numbers and are parsed in one C-level
     call; floats read back bit for bit from their repr. A missing, blank,
-    ragged or non-numeric row raises MeshError naming `what`. This is the
-    number parser of the "mesh v1", "field v1" and "grid v1" formats.
+    ragged or non-numeric row raises MeshError naming `what`, and so does an
+    integer token that is not an int64 ("1.0", "1e3", one past int64), which
+    numpy 2's loadtxt refuses itself. This is the number parser of the "mesh
+    v1", "field v1" and "grid v1" formats.
     """
     rows = lines[pos : pos + n]
     if len(rows) < n:
@@ -741,8 +719,10 @@ def read_rows(lines: list[str], pos: int, n: int, width: int, dtype, what: str):
     # blank first row is refused here, because an all-blank section warns
     if not rows[0].strip():
         raise MeshError(f"blank {what}")
-    if np.dtype(dtype).kind == "i":
-        _check_integer_rows(rows, what)
+    # numpy's int64 parser reads out of bounds on some non-ASCII characters
+    # (U+FFFFF segfaults numpy 2.4.6 about one call in three), so none reach it
+    if np.dtype(dtype).kind == "i" and not all(r.isascii() for r in rows):
+        raise MeshError(f"malformed {what}: an integer holds only ASCII digits and a sign")
     try:
         values = np.loadtxt(rows, dtype, comments=None, ndmin=2)
     except ValueError as exc:

@@ -23,12 +23,8 @@ def to_jsonable(obj: Any) -> Any:
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return to_jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -90,8 +90,9 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
     tri_pts = mesh.vertices[mesh.triangles]
     for li, level in enumerate(level_values):
         color = f"hsl({int(240 - 240 * li / max(1, len(level_values) - 1))},70%,45%)"
-        off = tri_vals - level
-        crossed = off * off[:, [1, 2, 0]] < 0
+        # signs, not products: a product of two offsets underflows or overflows
+        side = np.sign(tri_vals - level)
+        crossed = side * side[:, [1, 2, 0]] < 0
         keep = crossed.sum(axis=1) == 2
         if not keep.any():
             continue

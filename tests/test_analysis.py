@@ -249,6 +249,31 @@ def test_beltrami_residual_z2_pipeline_converges(disk_mesh):
     assert res[1] <= res[0] / 1.8
 
 
+def beltrami_pair(k, m, sigma):
+    """(stream_residual, beltrami_residual) as beltrami reports them for
+    holo:m=m,component=1 on the disk of radius 2**k at h = 2**(k - 3)."""
+    mesh = generate_disk((0.0, 0.0), 2.0**k, 2.0 ** (k - 3))
+    S = samples(mesh, sigma)
+    (u,), _ = solve_dirichlet(mesh, S, holomorphic_oracle(m).component(0).value)
+    v, stream_res = stream_function(u, sigma)
+    return stream_res, beltrami_residual(u, v, S)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(-300, 300), st.sampled_from([2, 3]), st.floats(1.0, 10.0),
+       st.floats(0.1, 1.0), st.floats(0.0, math.pi))
+@example(300, 2, 4.0, 0.25, 0.3)
+@example(-300, 3, 4.0, 0.25, 0.3)
+@example(120, 3, 1.0, 1.0, 0.0)
+@example(-120, 2, 1.0, 1.0, 0.0)
+def test_beltrami_residuals_are_invariant_under_power_of_two_scaling(k, m, l1, l2, theta):
+    # a power of two scales the mesh, the data and every gradient exactly, and
+    # both residuals are relative; unscaled sums of squares overflowed at
+    # 2**300 and underflowed at 2**-300 ("f is constant")
+    sigma = anisotropic_field(l1, l2, theta)
+    assert beltrami_pair(k, m, sigma) == beltrami_pair(0, m, sigma)
+
+
 # ---------------------------------------------------------------------------
 # jacobian and injectivity
 
@@ -1088,6 +1113,45 @@ def test_floater_premise_gives_an_injective_map(n, angle, jitter, seed, kind, fi
     S = samples(mesh, field_from_descriptor(descriptor))
     assume(positive_interior_off_diagonals(mesh, S) == 0)
     (u1, u2), _ = solve_dirichlet(mesh, S, lambda x, y: np.array([x, y]))
+    U = MappingField(u1, u2)
+    assert (jacobian_field(U) > 0).all()
+    assert injectivity_check(U).injective
+    report = lewy_verify(U, directions=8, margin=0.1)
+    assert report.passed and report.injective and report.min_abs_det > 0
+
+
+def circle_data(a, j):
+    """Boundary data moving the point at angle t to the unit-circle point at
+    angle t + a sin(j t): monotone in t when |a| j < 1, so the boundary goes
+    one-to-one, in order, onto a polygon inscribed in the circle."""
+    def g(x, y):
+        t = np.arctan2(y, x)
+        t = t + a * np.sin(j * t)
+        return np.array([np.cos(t), np.sin(t)])
+    return g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 12), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.25),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["identity", "randholder", "randnonsym"]), st.integers(0, 1000),
+    st.integers(1, 6), st.floats(-0.9, 0.9),
+)
+@example(20, 0.0, 0.0, 0, "randnonsym", 3, 3, 0.9)
+def test_floater_premise_with_data_along_the_circle(n, angle, jitter, seed, kind, field_seed,
+                                                     j, aj):
+    # the Floater draw above with boundary data other than the identity: the
+    # boundary vertices slide monotonically along the unit circle, a j = aj.
+    # Near |a| j = 1 the data crowd the boundary images, and on the coarsest
+    # patches a probe's pullback disk can then be smaller than its triangle's
+    # image (lewy_verify raises, n=3, randholder:seed=1, a j = -0.97), a
+    # resolution limit outside the premise; so |a| j stays at most 0.9
+    mesh = moved_patch(n, angle, jitter, seed)
+    descriptor = kind if kind == "identity" else f"{kind}:seed={field_seed}"
+    S = samples(mesh, field_from_descriptor(descriptor))
+    assume(positive_interior_off_diagonals(mesh, S) == 0)
+    (u1, u2), _ = solve_dirichlet(mesh, S, circle_data(aj / j, j))
     U = MappingField(u1, u2)
     assert (jacobian_field(U) > 0).all()
     assert injectivity_check(U).injective

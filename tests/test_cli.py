@@ -433,6 +433,29 @@ def test_extreme_but_valid_input_solves(tmp_path, capsys, args):
     assert json.loads((out / "summary.json").read_text())["rel_l2_vs_reference"] < 1e-14
 
 
+def test_a_square_far_from_the_origin_meshes(tmp_path, capsys):
+    # a shoelace sum on absolute coordinates cancelled here: exit 3, "outer
+    # boundary loop is not counterclockwise"
+    code, out = run(tmp_path, "mesh", "--domain", "rect:w=1,h=1,x0=1e8,y0=1e8", "--h", "0.25")
+    assert code == 0, capsys.readouterr().err
+    assert (out / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "r, m, unit",
+    [("1e100", 2, 0.04711642365071369), ("1e60", 3, 0.08188128729394668),
+     ("1e-100", 3, 0.08188128729394668)],
+)
+def test_beltrami_residual_at_extreme_scales(tmp_path, capsys, r, m, unit):
+    # unscaled sums of squares wrote "nan" at r=1e100 and called the map
+    # constant at r=1e-100; unit is the residual on the unit disk
+    code, out = run(tmp_path, "beltrami", "--domain", f"disk:r={r}", "--h", f"{float(r) / 10!r}",
+                    "--g", f"holo:m={m},component=1")
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "beltrami_report.json").read_text())
+    assert report["beltrami_residual"] == pytest.approx(unit, rel=1e-12)
+
+
 def test_unimodal_command(tmp_path, capsys):
     code, out = run(
         tmp_path, "unimodal", "--domain", "disk:r=1", "--h", "0.1", "--g", "costheta",

@@ -258,6 +258,46 @@ def test_reference_of_wrong_shape_raises(disk_mesh):
         relative_l2_error(u, lambda x, y: np.array([x, y]))
 
 
+@pytest.mark.parametrize("shape", [(), (2,), "complex"])
+def test_relative_l2_is_the_plain_ratio_of_roots(disk_mesh, shape):
+    # the power-of-two scalings are exact, and the weights' is even, which
+    # the roots take out exactly: the same bits as the plain sums
+    rng = np.random.default_rng(3)
+    n = disk_mesh.num_triangles
+    draw = (lambda: rng.normal(size=n) + 1j * rng.normal(size=n)) if shape == "complex" else (
+        lambda: rng.normal(size=(n, *shape)))
+    x, ref = draw(), draw()
+    sq = lambda z: np.abs(z) ** 2 if np.ndim(z) == 1 else np.sum(z * z, axis=1)
+    for w in (disk_mesh.areas, None):
+        ww = 1.0 if w is None else w
+        plain = float(np.sqrt(np.sum(ww * sq(x))) / np.sqrt(np.sum(ww * sq(ref))))
+        assert fem.relative_l2(x, ref, w) == plain
+    assert fem.relative_l2(x, 0.0 * ref, disk_mesh.areas) == math.inf
+    assert fem.relative_l2(0.0 * x, ref) == 0.0
+
+
+finite_rows = st.lists(
+    st.tuples(st.floats(1.0, 2.0), st.integers(-20, 20), st.booleans()), min_size=1, max_size=12
+).map(lambda rows: np.array([(-m if neg else m) * 2.0**e for m, e, neg in rows]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(finite_rows, finite_rows, st.integers(-1000, 1000), st.integers(-1000, 1000),
+       st.integers(-500, 500), st.integers(0, 2**32 - 1))
+def test_relative_l2_scales_exactly_by_powers_of_two(x, ref, a, b, half_c, seed):
+    n = min(len(x), len(ref))
+    x, ref = x[:n], ref[:n]
+    w = np.random.default_rng(seed).uniform(0.5, 4.0, n)
+    base = fem.relative_l2(x, ref, w)
+    scaled = fem.relative_l2(np.ldexp(x, a), np.ldexp(ref, b), np.ldexp(w, 2 * half_c))
+    with np.errstate(over="ignore"):  # a - b up to 2000 overflows to inf, as it should
+        assert scaled == np.ldexp(base, a - b)
+    # weights scaled by an odd power of two go into the roots as a factor
+    # sqrt(2), which can move the ratio of the two rounded roots by an ulp
+    odd = fem.relative_l2(x, ref, np.ldexp(w, 2 * half_c + 1))
+    assert odd == pytest.approx(base, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
 def test_harmonic_oracle_convergence(disk_mesh, fine_disk_mesh):
     exact = lambda x, y: x * x - y * y
     e1 = relative_l2_error(solve(disk_mesh, identity_field(), exact), exact)

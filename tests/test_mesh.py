@@ -183,6 +183,30 @@ def test_annulus_two_loops_and_orientation(annulus_mesh):
     assert loop_signed_area(annulus_mesh, annulus_mesh.loops[1]) < 0
 
 
+PLACED = {
+    "disk": lambda c: generate_disk(c, 1.0, 0.25),
+    "annulus": lambda c: generate_annulus(c, 0.2, 1.0, 0.25),
+    "rect": lambda c: generate_rectangle(c, 1.75, 1.75, 0.25),
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(PLACED)), st.floats(-1e15, 1e15), st.floats(-1e15, 1e15))
+@example("rect", 1e8, 1e8)
+@example("rect", 1e15, 1e15)
+@example("annulus", -1e15, 1e12)
+def test_translated_domains_keep_their_loops(name, x0, y0):
+    # a shoelace sum on absolute coordinates cancelled far from the origin and
+    # refused the square at (1e8, 1e8) as "not counterclockwise"
+    at_origin = PLACED[name]((0.0, 0.0))
+    moved = PLACED[name]((x0, y0))
+    assert [l.tolist() for l in moved.loops] == [l.tolist() for l in at_origin.loops]
+    # the shoelace sum of each loop taken relative to its first vertex
+    areas = [loop_signed_area(SimpleNamespace(vertices=moved.vertices - moved.vertices[l[0]]), l)
+             for l in moved.loops]
+    assert areas[0] > 0 and all(a < 0 for a in areas[1:])
+
+
 def test_annulus_area():
     m = generate_annulus((0, 0), 0.2, 1.0, 0.1)
     exact = math.pi * (1 - 0.04)
@@ -916,6 +940,16 @@ def test_read_rows_random_float_bits_exact():
 def test_read_rows_rejects_non_integers(token):
     with pytest.raises(MeshError):
         read_rows(["0 " + token], 0, 1, 2, np.int64, "row")
+
+
+@pytest.mark.parametrize("token", ["\U000fffff", "\U0010ffff", "\U0010349d\U00047bbf"])
+def test_read_rows_keeps_non_ascii_integers_from_numpy(token):
+    # numpy's int64 parser reads out of bounds on these and segfaults the
+    # process about one call in three (numpy 2.4.6); the repeats make a
+    # missing guard show
+    for _ in range(30):
+        with pytest.raises(MeshError, match="ASCII"):
+            read_rows([token + " 0"], 0, 1, 2, np.int64, "row")
 
 
 @pytest.mark.filterwarnings("error::UserWarning")

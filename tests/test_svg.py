@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sigmalab import (
     ConfigError,
@@ -106,6 +106,16 @@ def test_readme_svg_bytes_pinned(tmp_path, argv):
     assert sha256((tmp_path / "out" / name).read_text()) == digest
 
 
+@pytest.mark.parametrize("r", ["1e-100", "1", "1e100"])
+def test_contour_levels_at_extreme_scales(tmp_path, r):
+    # products of two offsets near 1e-200 underflowed to zero and drew no
+    # level; near 1e200 they overflowed with a RuntimeWarning
+    argv = ["solve", "--domain", f"disk:r={r}", "--h", f"{float(r) / 10!r}",
+            "--g", "holo:m=2,component=1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "contour.svg").read_text().count("<path") == 10
+
+
 def test_svg_bytes_pinned(disk_mesh, sample_field):
     x = disk_mesh.vertices[:, 0]
     centroids = disk_mesh.centroids
@@ -147,7 +157,7 @@ def crossed_triangles(values, triangles, level) -> int:
         crossings = 0
         for a, b in ((0, 1), (1, 2), (2, 0)):
             va, vb = values[tri[a]], values[tri[b]]
-            if (va - level) * (vb - level) < 0:
+            if va < level < vb or vb < level < va:
                 crossings += 1
         count += crossings == 2
     return count
@@ -165,6 +175,8 @@ def field_and_levels(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(field_and_levels())
+# offsets near 1e-216, whose products underflow to zero: 43 crossed triangles
+@example(([-1e-216 if i % 3 == 0 else 0.0 for i in range(_SMALL_DISK.num_vertices)], [-6e-217]))
 def test_contour_segments_match_a_plain_loop(case):
     values, levels = case
     svg = contour_svg(ScalarField(_SMALL_DISK, np.array(values)), levels=levels)

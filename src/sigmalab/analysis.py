@@ -13,13 +13,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
-from .fem import (ScalarField, _factor_solve, assemble_stiffness, checked_samples, gradient_field,
+from .fem import (ScalarField, _factor, assemble_stiffness, checked_samples, gradient_field,
                   relative_l2)
 from .mesh import Mesh, box_pairs, box_sweep, signed_areas
 
@@ -90,10 +90,25 @@ class LewyReport:
 # stream function
 
 
-def spsolve(A, b):
-    """fem._factor_solve for the stream-function Laplacian; apart from
+@lru_cache(maxsize=1)
+def _stream_laplacian(mesh: Mesh):
+    """The factored normal-equation matrix of stream_function on the mesh: the
+    identity's stiffness matrix without vertex 0's row and column (the anchor
+    v[0] = 0). It depends on the mesh alone, so the last mesh's factor is
+    kept, keyed by the Mesh object: one entry, as the generators keep their
+    last mesh. A singular factor raises and is not kept."""
+    L = assemble_stiffness(mesh, np.tile(np.eye(2), (mesh.num_triangles, 1, 1)))[1:, 1:].tocsc()
+    solve = _factor(L, "stream-function Laplacian", "MMD_AT_PLUS_A")
+    log.debug("stream-function Laplacian factored: %d vertices, %d unknowns",
+              mesh.num_vertices, L.shape[0])
+    return solve
+
+
+def spsolve(mesh: Mesh, b):
+    """The stream-function Laplacian of the mesh solved for the loads b at
+    vertices 1..nv-1, through the mesh's cached factor; apart from
     fem.spsolve, so that a trace of fem's solves leaves this one out."""
-    return _factor_solve(A, b, "stream-function Laplacian", "MMD_AT_PLUS_A")
+    return _stream_laplacian(mesh)(b)
 
 
 def require_simply_connected(mesh: Mesh) -> None:
@@ -121,6 +136,10 @@ def stream_function(
     On a domain with holes the continuous stream function can be multivalued,
     so more than one boundary loop is a DomainError unless the caller opts in;
     a large residual then flags nonzero circulation around a hole.
+
+    The normal-equation matrix depends on the mesh alone: it is assembled and
+    factored on the first call for a mesh, and later calls on the same mesh
+    reuse that factor (spsolve).
     """
     mesh = u.mesh
     if not allow_multiply_connected:
@@ -134,11 +153,10 @@ def stream_function(
 
     # normal equations of the least squares: the stiffness matrix of the
     # identity against the loads sum_T area (grad phi_i . w)
-    L = assemble_stiffness(mesh, np.tile(np.eye(2), (mesh.num_triangles, 1, 1)))
     load = mesh.areas[:, None] * np.einsum("tid,td->ti", mesh.basis_gradients, w)
     rhs = np.bincount(mesh.triangles.ravel(), load.ravel(), minlength=mesh.num_vertices)
     v = np.zeros(mesh.num_vertices)
-    v[1:] = spsolve(L[1:, 1:].tocsc(), rhs[1:])  # anchor v = 0 at vertex 0
+    v[1:] = spsolve(mesh, rhs[1:])  # anchor v = 0 at vertex 0
 
     v = ScalarField(mesh, v)
     return v, relative_l2(gradient_field(v) - w, w, mesh.areas)

@@ -44,12 +44,12 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
-def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
-    """A^-1 b for the (n,) or (n, k) right-hand side b, every column through one
-    SuperLU factor of the structurally symmetric CSC matrix A, in symmetric
-    mode on the column ordering permc_spec with scipy's default partial
-    pivoting; SolverError naming `what` when the factor is exactly singular or
-    the solution is not finite.
+def _factor(A, what: str, permc_spec: str):
+    """One SuperLU factor of the structurally symmetric CSC matrix A, in
+    symmetric mode on the column ordering permc_spec with scipy's default
+    partial pivoting, as solve(b) = A^-1 b for an (n,) or (n, k) right-hand
+    side b; SolverError naming `what` when the factor is exactly singular, or
+    when a solution is not finite.
 
     The P1 systems use MMD_AT_PLUS_A, which fills less than COLAMD (41,670
     against 56,678 L+U nonzeros at 1141 unknowns); fd's nested-dissection
@@ -64,10 +64,19 @@ def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
         lu = linalg.splu(A, permc_spec=permc_spec, options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"{what} is singular: {exc}") from exc
-    x = lu.solve(b)
-    if not np.isfinite(x).all():
-        raise SolverError(f"{what} solve produced non-finite values")
-    return x
+
+    def solve(b):
+        x = lu.solve(b)
+        if not np.isfinite(x).all():
+            raise SolverError(f"{what} solve produced non-finite values")
+        return x
+
+    return solve
+
+
+def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
+    """A^-1 b, every column of b through one _factor of A."""
+    return _factor(A, what, permc_spec)(b)
 
 
 def spsolve(A, b):

@@ -48,6 +48,7 @@ from sigmalab.coefficients import (
 from sigmalab.analysis import _component_containing
 from sigmalab.fem import assemble_stiffness
 from sigmalab.oracles import holomorphic_oracle, identity_oracle, meyers_solution
+from laminate import laminate
 from reference import critical_point_candidates, mapping_field
 
 
@@ -68,11 +69,12 @@ def nodal(mesh, f):
 @functools.cache
 def coarse_mesh(name):
     """Small meshes for the properties, built once: the unit disk, an annulus
-    and the square [-1, 1]^2."""
+    and the square [-1, 1]^2 at h = 0.125 and, for the laminates, 0.1."""
     return {
         "disk": lambda: generate_disk((0.0, 0.0), 1.0, 0.1),
         "annulus": lambda: generate_annulus((0.0, 0.0), 0.2, 1.0, 0.1),
         "rect": lambda: generate_rectangle((-1.0, -1.0), 2.0, 2.0, 0.125),
+        "laminate": lambda: generate_rectangle((-1.0, -1.0), 2.0, 2.0, 0.1),
     }[name]()
 
 
@@ -167,6 +169,86 @@ def test_stream_solves_the_least_squares_normal_equations(fine_disk_mesh):
     normal = Dx.T @ W @ (Dx @ v.values - w[:, 0]) + Dy.T @ W @ (Dy @ v.values - w[:, 1])
     load = Dx.T @ W @ w[:, 0] + Dy.T @ W @ w[:, 1]
     assert np.abs(normal[1:]).max() <= 1e-10 * np.abs(load).max()
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The matrices SuperLU factors, in order, through the real splu."""
+    from scipy.sparse import linalg
+
+    real, calls = linalg.splu, []
+
+    def recording(A, *args, **kwargs):
+        calls.append(A)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    return calls
+
+
+@pytest.mark.usefixtures("fresh_stream_factor")
+def test_stream_laplacian_is_factored_once_per_mesh(disk_mesh, splu_calls):
+    other = coarse_mesh("rect")
+    u = nodal(disk_mesh, lambda x, y: x * x - y * y)
+    w = nodal(other, lambda x, y: x + 0.5 * y)
+    sigma = anisotropic_field(2.0, 0.5, 0.3)
+    stream_function(u, sigma)
+    stream_function(u, identity_field())
+    assert [A.shape[0] for A in splu_calls] == [disk_mesh.num_vertices - 1]
+    stream_function(w, sigma)  # one entry: the second mesh replaces the first
+    stream_function(w, sigma)
+    stream_function(u, sigma)
+    assert [A.shape[0] for A in splu_calls] == [
+        disk_mesh.num_vertices - 1, other.num_vertices - 1, disk_mesh.num_vertices - 1
+    ]
+
+
+@pytest.mark.usefixtures("fresh_stream_factor")
+def test_a_cached_stream_factor_gives_the_bits_of_a_fresh_one(fine_disk_mesh):
+    sigma = field_from_descriptor("randnonsym:seed=3")
+    u1 = solve(fine_disk_mesh, sigma, lambda x, y: x)
+    u2 = solve(fine_disk_mesh, sigma, lambda x, y: y + 0.3 * x * x)
+    fresh = stream_function(u2, sigma)  # a miss
+    stream_function(u1, sigma)
+    cached = stream_function(u2, sigma)  # a hit
+    assert np.array_equal(cached[0].values, fresh[0].values)
+    assert cached[1] == fresh[1]
+
+
+@pytest.mark.usefixtures("fresh_stream_factor")
+def test_a_singular_stream_factor_is_not_cached(disk_mesh, monkeypatch, splu_calls):
+    from scipy.sparse import linalg
+
+    u = nodal(disk_mesh, lambda x, y: x)
+    real = linalg.splu
+
+    def singular(*args, **kwargs):
+        splu_calls.append(args[0])
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linalg, "splu", singular)
+    for _ in range(2):
+        with pytest.raises(SolverError, match="stream-function Laplacian is singular"):
+            stream_function(u, identity_field())
+    assert len(splu_calls) == 2
+    monkeypatch.setattr(linalg, "splu", real)
+    v, res = stream_function(u, identity_field())
+    assert len(splu_calls) == 3
+    assert np.abs(v.values - disk_mesh.vertices[:, 1]).max() <= 1e-10 and res <= 1e-10
+
+
+@pytest.mark.usefixtures("fresh_stream_factor")
+def test_the_stream_factorization_logs_once_per_mesh(disk_mesh, caplog):
+    u = nodal(disk_mesh, lambda x, y: x)
+    with caplog.at_level(logging.DEBUG, logger="sigmalab"):
+        stream_function(u, identity_field())
+        stream_function(u, anisotropic_field(2.0, 0.5))
+    records = [r for r in caplog.records if r.name == "sigmalab.analysis"]
+    assert [(r.levelno, r.getMessage()) for r in records] == [(
+        logging.DEBUG,
+        f"stream-function Laplacian factored: {disk_mesh.num_vertices} vertices, "
+        f"{disk_mesh.num_vertices - 1} unknowns",
+    )]
 
 
 def test_energy_is_the_centroid_sum(fine_disk_mesh):
@@ -305,6 +387,70 @@ def test_jacobian_equals_wirtinger_identity(disk_mesh):
     lhs = jacobian_field(U)
     rhs = np.abs(fz) ** 2 - np.abs(fzbar) ** 2
     assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+def conductivity(scale, theta, l, tau):
+    """scale (R(theta) diag(1, l) R(theta)^T + tau J): elliptic for l > 0,
+    with the skew part scale tau J."""
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    return scale * (R @ np.diag([1.0, l]) @ R.T + tau * ROTATION)
+
+
+@st.composite
+def laminate_sides(draw):
+    """(S1, S2): contrast up to 1e3, and skew parts of opposite signs, so that
+    the skew jump across the interface is at least 0.3 of the larger side."""
+    angle, shape, skew = st.floats(0.0, math.pi), st.floats(0.2, 1.0), st.floats(0.3, 2.0)
+    e = draw(st.floats(-3.0, 3.0))
+    return (
+        conductivity(1.0, draw(angle), draw(shape), draw(skew)),
+        conductivity(10.0**e, draw(angle), draw(shape), -draw(skew)),
+    )
+
+
+@st.composite
+def positive_maps(draw):
+    """R(phi) [[a, b], [0, d]] with a, d in [0.2, 2]: det a d > 0."""
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    a, d = draw(st.floats(0.2, 2.0)), draw(st.floats(0.2, 2.0))
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]]) @ np.array([[a, draw(st.floats(-1.0, 1.0))], [0.0, d]])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sides=laminate_sides(), A1=positive_maps(), normal=st.sampled_from([(1.0, 0.0), (1.0, -1.0)]))
+@example(  # contrast 20, skew parts -0.7 and 5
+    sides=(np.array([[1.0, -0.4], [1.0, 2.0]]), np.array([[20.0, 3.0], [-7.0, 0.5]])),
+    A1=np.array([[1.0, 0.2], [-0.1, 1.0]]),
+    normal=(1.0, 0.0),
+)
+def test_a_laminate_map_is_its_own_p1_solution(sides, A1, normal):
+    # the interface x = 0 or y = x: generate_rectangle splits each square
+    # along its (1, 1) diagonal, so both lines are mesh edges
+    mesh = coarse_mesh("laminate")
+    S1, S2 = sides
+    sigma, A2, exact = laminate(S1, S2, A1, normal)
+    S = samples(mesh, sigma)
+    # the roundoff bound scales with the contrast: the largest |sigma| over
+    # the least eigenvalue of a symmetric part
+    contrast = max(np.linalg.norm(M, 2) for M in sides) / min(
+        np.linalg.eigvalsh(M + M.T)[0] / 2 for M in sides
+    )
+    tol = 64 * np.finfo(float).eps * contrast
+
+    # guard the oracle: the skew jump makes the interior block non-symmetric
+    i = mesh.interior_vertices
+    Aii = assemble_stiffness(mesh, S)[i][:, i].toarray()
+    assert np.abs(Aii - Aii.T).max() > 1e-2 * np.abs(Aii).max()
+
+    (u1, u2), _ = solve_dirichlet(mesh, S, exact)
+    U = exact(*mesh.vertices.T)
+    assert np.abs(np.stack([u1.values, u2.values]) - U).max() <= tol * np.abs(U).max()
+    det = np.where(mesh.centroids @ normal > 0, np.linalg.det(A2), np.linalg.det(A1))
+    scale = max(np.abs(A1).max(), np.abs(A2).max()) ** 2
+    assert np.abs(jacobian_field(MappingField(u1, u2)) - det).max() <= tol / mesh.h * scale
+    assert injectivity_check(MappingField(u1, u2)).injective
 
 
 def test_injectivity_identity(disk_mesh):

@@ -126,9 +126,11 @@ def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("fresh_stream_factor")
 def test_beltrami_singular_stream_function_exits_3(tmp_path, capsys, monkeypatch):
     # beltrami factors the stiffness system, then the stream-function
-    # Laplacian; SuperLU finds the second exactly singular
+    # Laplacian (no earlier call has cached it); SuperLU finds the second
+    # exactly singular
     from scipy.sparse import linalg
 
     real, calls = linalg.splu, []

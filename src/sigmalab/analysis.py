@@ -13,14 +13,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
-from .fem import (ScalarField, _factor, assemble_stiffness, checked_samples, gradient_field,
-                  relative_l2)
+from .fem import (ScalarField, _factor, _keep, _kept, assemble_stiffness, checked_samples,
+                  gradient_field, relative_l2)
 from .mesh import Mesh, box_pairs, box_sweep, signed_areas
 
 log = logging.getLogger(__name__)
@@ -90,25 +90,27 @@ class LewyReport:
 # stream function
 
 
-@lru_cache(maxsize=1)
-def _stream_laplacian(mesh: Mesh):
-    """The factored normal-equation matrix of stream_function on the mesh: the
-    identity's stiffness matrix without vertex 0's row and column (the anchor
-    v[0] = 0). It depends on the mesh alone, so the last mesh's factor is
-    kept, keyed by the Mesh object: one entry, as the generators keep their
-    last mesh. A singular factor raises and is not kept."""
+def spsolve(mesh: Mesh, b):
+    """The stream-function Laplacian of the mesh solved for the loads b at
+    vertices 1..nv-1; apart from fem.spsolve, so that a trace of fem's solves
+    leaves this one out.
+
+    The Laplacian is stream_function's normal-equation matrix: the identity's
+    stiffness matrix without vertex 0's row and column (the anchor v[0] = 0).
+    It depends on the mesh alone, so its factor is kept in fem's per-mesh
+    store once it has solved; a singular or non-finite factor raises and is
+    not kept.
+    """
+    solve = _kept(mesh, "stream-function Laplacian", b"")
+    if solve is not None:
+        return solve(b)
     L = assemble_stiffness(mesh, np.tile(np.eye(2), (mesh.num_triangles, 1, 1)))[1:, 1:].tocsc()
     solve = _factor(L, "stream-function Laplacian", "MMD_AT_PLUS_A")
     log.debug("stream-function Laplacian factored: %d vertices, %d unknowns",
               mesh.num_vertices, L.shape[0])
-    return solve
-
-
-def spsolve(mesh: Mesh, b):
-    """The stream-function Laplacian of the mesh solved for the loads b at
-    vertices 1..nv-1, through the mesh's cached factor; apart from
-    fem.spsolve, so that a trace of fem's solves leaves this one out."""
-    return _stream_laplacian(mesh)(b)
+    x = solve(b)
+    _keep(mesh, "stream-function Laplacian", b"", solve)
+    return x
 
 
 def require_simply_connected(mesh: Mesh) -> None:
@@ -257,8 +259,13 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     image vertices closer than d start segments whose grown boxes overlap, so
     the join finds every collision. Crossings are tested on the pairs whose
     ungrown boxes overlap, which hold every crossing and collinear touch.
+
+    d is 1e-12 times the image's extent, the largest side of its bounding
+    box, so that it does not grow with the image's distance from the origin;
+    an image that is one point takes its largest coordinate instead.
     """
-    d = 1e-12 * max(float(np.abs(imgs).max()), 1e-300)
+    extent = float(np.max(imgs.max(axis=0) - imgs.min(axis=0)))
+    d = 1e-12 * max(extent or float(np.abs(imgs).max()), 1e-300)
     # segment k of a loop runs from its vertex k to its vertex k + 1, cyclically
     sizes = np.array([len(loop) for loop in loops])
     start = np.cumsum(sizes) - sizes

@@ -10,6 +10,7 @@ so results are deterministic.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,34 @@ def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
 
 
 def spsolve(A, b):
-    """_factor_solve for the stiffness system, under the name a trace of fem's
-    solves wraps."""
-    return _factor_solve(A, b, "stiffness system", "MMD_AT_PLUS_A")
+    """(A^-1 b, solve): the stiffness system's one _factor, solved for b and
+    handed back for later right-hand sides, under the name a trace of fem's
+    factorizations wraps."""
+    solve = _factor(A, "stiffness system", "MMD_AT_PLUS_A")
+    return solve(b), solve
+
+
+#: per mesh, the last operator of each system factored on it, as
+#: {system: (key, operator)}; an entry dies with its mesh
+_factors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kept(mesh: Mesh, system: str, key: bytes):
+    """The operator of `system` kept for the mesh when it was built from the
+    same key bytes; otherwise None, with the kept one dropped, so that the
+    caller builds the next operator while no reference holds the old one (a
+    factor held while the next was built grew the process's heap)."""
+    entries = _factors.get(mesh, {})
+    entry = entries.get(system)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    entries.pop(system, None)
+    return None
+
+
+def _keep(mesh: Mesh, system: str, key: bytes, operator) -> None:
+    """Keep the operator of `system` built from key for the mesh's next _kept."""
+    _factors.setdefault(mesh, {})[system] = key, operator
 
 
 def assemble_stiffness(mesh: Mesh, S: np.ndarray):
@@ -138,24 +164,36 @@ def solve_dirichlet(mesh: Mesh, S: np.ndarray, g) -> tuple[list[ScalarField], fl
     S holds sigma's (nt, 2, 2) samples at the centroids. g takes the
     boundary-vertex coordinate arrays (X, Y) and returns the nodal boundary
     values, shape (n,) for one solution or (k, n) for k (the
-    AnalyticSolution.value contract). The operator is assembled once and the
-    k right-hand sides share one sparse direct solve. Returns the k fields and
-    the largest relative max-norm residual. Raises SolverError when S has the
-    wrong shape or non-finite entries, the mesh has no interior vertices, g
-    returns the wrong shape or non-finite values, the system is singular, or
-    a residual exceeds 1e-10.
+    AnalyticSolution.value contract). The k right-hand sides share one sparse
+    direct solve. Returns the k fields and the largest relative max-norm
+    residual. Raises SolverError when S has the wrong shape or non-finite
+    entries, the mesh has no interior vertices, g returns the wrong shape or
+    non-finite values, the system is singular, or a residual exceeds 1e-10.
+
+    The interior system and its factor are kept for the mesh (_kept), and a
+    later call whose samples are the same bytes (-0.0 and 0.0 differ) solves
+    through them: verify and beltrami on one field share one factorization.
+    Other samples drop the kept system before the next is assembled.
     """
-    A = assemble_stiffness(mesh, checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples"))
+    S = checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples")
     interior = mesh.interior_vertices
     if len(interior) == 0:
         raise SolverError("mesh has no interior vertices; nothing to solve for")
     bnd = mesh.boundary_vertices
     G = boundary_values(g, mesh.vertices[bnd])
 
-    Ai = A[interior]
-    rhs = -Ai[:, bnd] @ G.T
-    Aii = Ai[:, interior].tocsc()
-    ui = spsolve(Aii, rhs)
+    key = S.tobytes()
+    operator = _kept(mesh, "stiffness system", key)
+    if operator is None:
+        Ai = assemble_stiffness(mesh, S)[interior]
+        Aib, Aii = Ai[:, bnd], Ai[:, interior].tocsc()
+        rhs = -Aib @ G.T
+        ui, solve = spsolve(Aii, rhs)
+        _keep(mesh, "stiffness system", key, (Aib, Aii, solve))
+    else:
+        Aib, Aii, solve = operator
+        rhs = -Aib @ G.T
+        ui = solve(rhs)
     relative = checked_residual(Aii, ui, rhs)
     u = np.zeros((len(G), mesh.num_vertices))
     u[:, bnd] = G

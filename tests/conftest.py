@@ -1,6 +1,6 @@
 import pytest
 
-from sigmalab import analysis, generate_annulus, generate_disk, generate_rectangle
+from sigmalab import fem, generate_annulus, generate_disk, generate_rectangle
 
 
 @pytest.fixture(scope="session")
@@ -24,10 +24,25 @@ def rect_mesh():
 
 
 @pytest.fixture
-def fresh_stream_factor():
-    """No cached stream-function factor before the test or after it: the test's
-    first stream_function call factors, and a factor it injects is not left
-    for a later test on the same mesh."""
-    analysis._stream_laplacian.cache_clear()
+def fresh_factors():
+    """No kept factor before the test or after it: the test's first solve and
+    stream_function call on a mesh factor, and a factor it injects is not
+    left for a later test on the same mesh."""
+    fem._factors.clear()
     yield
-    analysis._stream_laplacian.cache_clear()
+    fem._factors.clear()
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The matrices SuperLU factors, in order, through the real splu."""
+    from scipy.sparse import linalg
+
+    real, calls = linalg.splu, []
+
+    def recording(A, *args, **kwargs):
+        calls.append(A)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    return calls

@@ -171,22 +171,7 @@ def test_stream_solves_the_least_squares_normal_equations(fine_disk_mesh):
     assert np.abs(normal[1:]).max() <= 1e-10 * np.abs(load).max()
 
 
-@pytest.fixture
-def splu_calls(monkeypatch):
-    """The matrices SuperLU factors, in order, through the real splu."""
-    from scipy.sparse import linalg
-
-    real, calls = linalg.splu, []
-
-    def recording(A, *args, **kwargs):
-        calls.append(A)
-        return real(A, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "splu", recording)
-    return calls
-
-
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 def test_stream_laplacian_is_factored_once_per_mesh(disk_mesh, splu_calls):
     other = coarse_mesh("rect")
     u = nodal(disk_mesh, lambda x, y: x * x - y * y)
@@ -195,15 +180,15 @@ def test_stream_laplacian_is_factored_once_per_mesh(disk_mesh, splu_calls):
     stream_function(u, sigma)
     stream_function(u, identity_field())
     assert [A.shape[0] for A in splu_calls] == [disk_mesh.num_vertices - 1]
-    stream_function(w, sigma)  # one entry: the second mesh replaces the first
+    stream_function(w, sigma)  # a second mesh factors; the first keeps its entry
     stream_function(w, sigma)
     stream_function(u, sigma)
     assert [A.shape[0] for A in splu_calls] == [
-        disk_mesh.num_vertices - 1, other.num_vertices - 1, disk_mesh.num_vertices - 1
+        disk_mesh.num_vertices - 1, other.num_vertices - 1
     ]
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 def test_a_cached_stream_factor_gives_the_bits_of_a_fresh_one(fine_disk_mesh):
     sigma = field_from_descriptor("randnonsym:seed=3")
     u1 = solve(fine_disk_mesh, sigma, lambda x, y: x)
@@ -215,7 +200,7 @@ def test_a_cached_stream_factor_gives_the_bits_of_a_fresh_one(fine_disk_mesh):
     assert cached[1] == fresh[1]
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 def test_a_singular_stream_factor_is_not_cached(disk_mesh, monkeypatch, splu_calls):
     from scipy.sparse import linalg
 
@@ -237,7 +222,7 @@ def test_a_singular_stream_factor_is_not_cached(disk_mesh, monkeypatch, splu_cal
     assert np.abs(v.values - disk_mesh.vertices[:, 1]).max() <= 1e-10 and res <= 1e-10
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 def test_the_stream_factorization_logs_once_per_mesh(disk_mesh, caplog):
     u = nodal(disk_mesh, lambda x, y: x)
     with caplog.at_level(logging.DEBUG, logger="sigmalab"):
@@ -516,11 +501,19 @@ def dense_segments_properly_intersect(p, q):
     return crossing
 
 
+def collision_scale(imgs):
+    """The collision distance over 1e-12: the largest side of the images'
+    bounding box, their largest coordinate when they are one point, at
+    least 1e-300."""
+    extent = float(np.max(imgs.max(axis=0) - imgs.min(axis=0)))
+    return max(extent or float(np.abs(imgs).max()), 1e-300)
+
+
 def dense_boundary_violations(imgs, loops):
     """Reference: the boundary violations of injectivity_check from the dense
     L x L distance and crossing matrices of each loop and pair of loops."""
     violations = []
-    scale = max(float(np.abs(imgs).max()), 1e-300)
+    scale = collision_scale(imgs)
     loop_segments = []
     for li, loop in enumerate(loops):
         pts = imgs[loop]
@@ -559,14 +552,14 @@ COORD = st.one_of(st.integers(-3, 3), st.integers(-(2**21), 2**21).map(lambda k:
 def closed_polylines(draw):
     """(images, loops): 1 to 3 loops of 3 to 10 vertices over shuffled image
     rows; some vertices copy an earlier one, some then move along one axis by
-    about the collision distance 1e-12 * scale."""
+    about the collision distance 1e-12 * collision_scale."""
     sizes = draw(st.lists(st.integers(3, 10), min_size=1, max_size=3))
     n = sum(sizes)
     pts = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)), dtype=float)
     for k, source in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
         if source < k and draw(st.booleans()):
             pts[k] = pts[source]
-    scale = max(float(np.abs(pts).max()), 1e-300)
+    scale = collision_scale(pts)
     for k in range(n):
         shift = draw(st.sampled_from([0.0, 0.0, 0.5, 0.999, 1.001, 2.0, -0.999, -1.001]))
         pts[k, draw(st.integers(0, 1))] += shift * 1e-12 * scale
@@ -602,21 +595,24 @@ def all_pairs_collisions(pts, scale):
 @st.composite
 def planted_stacks(draw):
     """(images, loops): 1 to 4 collinear stacks, along an axis or a diagonal,
-    whose consecutive points lie 0, 0.5, 0.999, 1.001 or 2 collision
-    distances apart, each stack one loop in a drawn order over shuffled
-    image rows. The scale is 1, 1.75, 1e-140, 1e140 or 1e-170, and the first
-    stack starts at a coordinate of that size, so the collision distance,
-    1e-12 times the largest coordinate, is 1e-12 * scale to a relative 3e-11;
-    at the smallest scale its square underflows to 0."""
+    whose consecutive points lie 0, 0.5, 0.999, 1.001 or 2 units apart, each
+    stack one loop in a drawn order over shuffled image rows. The scale is 1,
+    1.75, 1e-140, 1e140 or 1e-170, and the first stack starts at a coordinate
+    of that size. The unit is 1e-12 * collision_scale of the stacks' starts:
+    where the starts are apart, the collision distance to a relative 5e-11;
+    at the smallest scale its square underflows to 0. A lone stack, or
+    stacks that start at one point, collide only where the gap is 0."""
     scale = draw(st.sampled_from([1.0, 1.75, 1e-140, 1e140, 1e-170]))
+    count = draw(st.integers(1, 4))
+    starts = scale * np.array(draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+                                            min_size=count, max_size=count)))
+    starts[0, 0] = draw(st.sampled_from([-1.0, 1.0])) * scale
+    unit = 1e-12 * collision_scale(starts)
     stacks = []
-    for _ in range(draw(st.integers(1, 4))):
-        start = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2))) * scale
-        if not stacks:
-            start[0] = draw(st.sampled_from([-1.0, 1.0])) * scale
+    for start in starts:
         direction = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])))
         gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]), max_size=12))
-        steps = np.concatenate([[0.0], np.cumsum(gaps)]) * (1e-12 * scale)
+        steps = np.concatenate([[0.0], np.cumsum(gaps)]) * unit
         stacks.append(start + steps[:, None] * direction)
     pts = np.concatenate(stacks)
     order = np.array(draw(st.permutations(range(len(pts)))))
@@ -636,10 +632,23 @@ def test_vertex_collisions_match_all_pairs(case):
     # test reads only the collisions
     with np.errstate(over="ignore"):
         got = analysis._boundary_violations(imgs, loops)
-    scale = max(float(np.abs(imgs).max()), 1e-300)
+    scale = collision_scale(imgs)
     for k, loop in enumerate(loops):
         collisions = [v[2:] for v in got if v[:2] == ("boundary_vertex_collision", k)]
         assert collisions == all_pairs_collisions(imgs[loop], scale)
+
+
+def test_a_boundary_collapsed_to_one_point_collides(rect_mesh):
+    # the image's extent is 0, so the collision distance comes from its
+    # largest coordinate: every pair of boundary vertices collides
+    nv = rect_mesh.num_vertices
+    U = MappingField(ScalarField(rect_mesh, np.full(nv, 1e12)),
+                     ScalarField(rect_mesh, np.full(nv, -3e11)))
+    n = len(rect_mesh.loops[0])
+    collisions = [v for v in injectivity_check(U).violations
+                  if v[0] == "boundary_vertex_collision"]
+    assert collisions == [("boundary_vertex_collision", 0, i, j)
+                          for i in range(n) for j in range(i + 1, n)]
 
 
 @pytest.mark.parametrize(

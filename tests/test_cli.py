@@ -126,7 +126,7 @@ def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 def test_beltrami_singular_stream_function_exits_3(tmp_path, capsys, monkeypatch):
     # beltrami factors the stiffness system, then the stream-function
     # Laplacian (no earlier call has cached it); SuperLU finds the second
@@ -148,6 +148,21 @@ def test_beltrami_singular_stream_function_exits_3(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert "stream-function Laplacian is singular" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.usefixtures("fresh_factors")
+def test_beltrami_after_verify_solves_through_its_factor(tmp_path, splu_calls):
+    # a field-sweep round: verify and beltrami on one field and one disk
+    disk = ("--domain", "disk:r=1", "--h", "0.05", "--sigma", "randnonsym:seed=2025")
+    code, fresh = run(tmp_path / "fresh", "beltrami", *disk, "--g", "x1")
+    assert code == 0 and len(splu_calls) == 2  # the stiffness system and the stream function
+    fem._factors.clear()
+    code, _ = run(tmp_path / "verify", "verify", *disk, "--g", "identity", "--margin", "0.1",
+                  "--directions", "8")
+    assert code == 0 and len(splu_calls) == 3
+    code, hit = run(tmp_path / "hit", "beltrami", *disk, "--g", "x1")
+    assert code == 0 and len(splu_calls) == 4  # the stream function only
+    assert output_bytes(hit) == output_bytes(fresh)
 
 
 def test_mesh_far_above_the_cap_gives_a_short_message(tmp_path, capsys):
@@ -297,6 +312,16 @@ def test_verify_hypothesis_failure_at_extreme_image_scale(tmp_path, capsys):
     report = json.loads((out / "lewy_report.json").read_text())
     assert report["status"] == "hypothesis-failure"
     assert "hypothesis failure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("x0", ["1e11", "1e12"])
+def test_verify_a_square_far_from_the_origin_passes(tmp_path, capsys, x0):
+    # the collision distance was 1e-12 times the largest image coordinate,
+    # about 1 at 1e12, so boundary vertices 0.1 apart collided: exit 4
+    code, out = run(tmp_path, "verify", "--domain", f"rect:w=1,h=1,x0={x0},y0={x0}",
+                    "--h", "0.1", "--g", "identity")
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "lewy_report.json").read_text())["injective"] is True
 
 
 def test_verify_samples_sigma_once(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -148,6 +150,7 @@ def test_stiffness_kernel_is_the_einsum_bit_for_bit(mesh_and_S):
         assert np.array_equal(getattr(A, part), getattr(ref, part))
 
 
+@pytest.mark.usefixtures("fresh_factors")
 def test_field_sweep_factor_fill_is_bounded(fine_disk_mesh, monkeypatch):
     # disk:r=1 at h=0.05, the field-sweep mesh: MMD on A^T + A fills 41,670
     # L+U nonzeros, COLAMD 56,678
@@ -165,14 +168,15 @@ def test_field_sweep_factor_fill_is_bounded(fine_disk_mesh, monkeypatch):
     assert lu.L.nnz + lu.U.nnz <= 45_000
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 @pytest.mark.parametrize("module", [fem, analysis], ids=["fem", "stream-function"])
 def test_factor_solve_agrees_with_scipy_spsolve(disk_mesh, monkeypatch, module):
     systems, real = [], module.spsolve
 
     def recording(system, b):
-        systems.append((system, b, real(system, b)))
-        return systems[-1][2]
+        result = real(system, b)  # fem's is (x, solve), analysis's x
+        systems.append((system, b, result[0] if module is fem else result))
+        return result
 
     monkeypatch.setattr(module, "spsolve", recording)
     sigma = random_nonsymmetric_field(3)
@@ -186,12 +190,13 @@ def test_factor_solve_agrees_with_scipy_spsolve(disk_mesh, monkeypatch, module):
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 def test_singular_factor_is_solver_error(disk_mesh, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     u = solve(disk_mesh, identity_field(), lambda x, y: x)
+    fem._factors.clear()  # the same solve again factors
     monkeypatch.setattr(linalg, "splu", singular)
     with pytest.raises(SolverError, match="stiffness system is singular"):
         solve(disk_mesh, identity_field(), lambda x, y: x)
@@ -209,7 +214,7 @@ class _NaNFactor:
         return np.full(np.shape(b), np.nan)
 
 
-@pytest.mark.usefixtures("fresh_stream_factor")
+@pytest.mark.usefixtures("fresh_factors")
 @pytest.mark.parametrize(
     "system", ["stiffness system", "finite-difference system", "stream-function Laplacian"]
 )
@@ -223,9 +228,128 @@ def test_non_finite_solution_is_solver_error_naming_the_system(disk_mesh, monkey
             grid, np.tile(np.eye(2), (n, 1, 1)), np.zeros((n, 2)), lambda x, y: x),
         "stream-function Laplacian": lambda: analysis.stream_function(u, identity_field()),
     }[system]
+    fem._factors.clear()  # the same solve again factors
     monkeypatch.setattr(linalg, "splu", _NaNFactor)
     with pytest.raises(SolverError, match=f"{system} solve produced non-finite values"):
         run()
+
+
+def kept_stiffness(mesh):
+    """The (A_ib, A_ii, solve) kept for the mesh's stiffness system, or None."""
+    entry = fem._factors.get(mesh, {}).get("stiffness system")
+    return None if entry is None else entry[1]
+
+
+@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.parametrize("change", ["one ulp", "the sign of a zero"])
+def test_samples_of_other_bytes_miss(disk_mesh, splu_calls, change):
+    S = samples(disk_mesh, identity_field())
+    T = S.copy()
+    if change == "one ulp":
+        T[7, 0, 0] = np.nextafter(T[7, 0, 0], 2.0)
+    else:
+        assert S[7, 0, 1] == 0.0 and not np.signbit(S[7, 0, 1])
+        T[7, 0, 1] = -0.0
+    g = lambda x, y: x * y
+    solve_dirichlet(disk_mesh, S, g)
+    solve_dirichlet(disk_mesh, S.copy(), g)  # the same bytes in another array hit
+    assert len(splu_calls) == 1
+    solve_dirichlet(disk_mesh, T, g)
+    solve_dirichlet(disk_mesh, T, g)
+    solve_dirichlet(disk_mesh, S, g)  # one entry per mesh: T's replaced S's
+    assert len(splu_calls) == 3
+
+
+@pytest.mark.usefixtures("fresh_factors")
+def test_a_second_mesh_misses_and_the_first_keeps_its_entry(disk_mesh, rect_mesh, splu_calls):
+    g = lambda x, y: np.array([x, y])
+    (a1, a2), _ = solve_dirichlet(disk_mesh, samples(disk_mesh, identity_field()), g)
+    solve_dirichlet(rect_mesh, samples(rect_mesh, identity_field()), g)
+    (b1, b2), _ = solve_dirichlet(disk_mesh, samples(disk_mesh, identity_field()), g)
+    assert [A.shape[0] for A in splu_calls] == [
+        len(disk_mesh.interior_vertices), len(rect_mesh.interior_vertices)
+    ]
+    assert np.array_equal(a1.values, b1.values) and np.array_equal(a2.values, b2.values)
+
+
+@pytest.mark.usefixtures("fresh_factors")
+def test_a_hit_gives_the_bits_of_a_fresh_solve(fine_disk_mesh):
+    S = samples(fine_disk_mesh, random_nonsymmetric_field(11))
+    g = lambda x, y: y + 0.3 * x * x
+    (fresh,), fresh_residual = solve_dirichlet(fine_disk_mesh, S, g)
+    fem._factors.clear()
+    solve_dirichlet(fine_disk_mesh, S, lambda x, y: np.array([x, y]))  # a miss
+    (hit,), hit_residual = solve_dirichlet(fine_disk_mesh, S, g)  # a hit
+    assert np.array_equal(hit.values, fresh.values) and hit_residual == fresh_residual
+
+
+@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.parametrize("factor", ["singular", "non-finite"])
+def test_a_failed_factor_is_not_kept(disk_mesh, monkeypatch, splu_calls, factor):
+    def singular(A, *args, **kwargs):
+        splu_calls.append(A)
+        raise RuntimeError("Factor is exactly singular")
+
+    def non_finite(A, *args, **kwargs):
+        splu_calls.append(A)
+        return _NaNFactor(A)
+
+    S = samples(disk_mesh, identity_field())
+    real = linalg.splu
+    monkeypatch.setattr(linalg, "splu", {"singular": singular, "non-finite": non_finite}[factor])
+    for _ in range(2):
+        with pytest.raises(SolverError, match="stiffness system"):
+            solve_dirichlet(disk_mesh, S, lambda x, y: x)
+        assert kept_stiffness(disk_mesh) is None
+    monkeypatch.setattr(linalg, "splu", real)
+    (u,), _ = solve_dirichlet(disk_mesh, S, lambda x, y: x)
+    assert len(splu_calls) == 3
+    assert np.abs(u.values - disk_mesh.vertices[:, 0]).max() <= 1e-10
+
+
+@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.parametrize(
+    "g, message",
+    [(lambda x, y: np.zeros(3), r"boundary data returned shape \(3,\)"),
+     (lambda x, y: x / 0.0, "boundary data evaluated to non-finite values")],
+)
+def test_bad_boundary_data_raise_before_any_factor(disk_mesh, splu_calls, g, message):
+    S = samples(disk_mesh, identity_field())
+    with np.errstate(divide="ignore"), pytest.raises(SolverError, match=message):
+        solve_dirichlet(disk_mesh, S, g)
+    assert splu_calls == [] and kept_stiffness(disk_mesh) is None
+
+
+@pytest.mark.usefixtures("fresh_factors")
+def test_the_kept_system_is_dropped_before_the_next_is_built(disk_mesh, monkeypatch):
+    # holding the old factor while the next was built grew the heap
+    g = lambda x, y: x
+    solve_dirichlet(disk_mesh, samples(disk_mesh, identity_field()), g)
+    old = [weakref.ref(part) for part in kept_stiffness(disk_mesh)]
+    real, alive = linalg.splu, []
+
+    def recording(A, *args, **kwargs):
+        alive.append([ref() is not None for ref in old])
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    solve_dirichlet(disk_mesh, samples(disk_mesh, random_nonsymmetric_field(4)), g)
+    assert alive == [[False, False, False]]
+
+
+@pytest.mark.usefixtures("fresh_factors")
+def test_an_entry_goes_with_its_mesh():
+    mesh = generate_rectangle.__wrapped__((0.0, 0.0), 1.0, 1.0, 0.25)  # no generator memo
+    sigma = identity_field()
+    (u,), _ = solve_dirichlet(mesh, samples(mesh, sigma), lambda x, y: x)
+    analysis.stream_function(u, sigma)
+    assert set(fem._factors[mesh]) == {"stiffness system", "stream-function Laplacian"}
+    refs = [weakref.ref(mesh), weakref.ref(kept_stiffness(mesh)[2]),
+            weakref.ref(fem._factors[mesh]["stream-function Laplacian"][1])]
+    del mesh, u
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert len(fem._factors) == 0
 
 
 @pytest.mark.parametrize(

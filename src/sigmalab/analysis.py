@@ -21,7 +21,7 @@ from .coefficients import ROTATION, CoefficientField, dilatations, require_ellip
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
 from .fem import (ScalarField, _factor, _keep, _kept, assemble_stiffness, checked_samples,
                   gradient_field, relative_l2)
-from .mesh import Mesh, box_pairs, box_sweep, signed_areas
+from .mesh import Mesh, box_pairs, box_sweep, cross, loop_segments, signed_areas
 
 log = logging.getLogger(__name__)
 
@@ -202,22 +202,16 @@ def beltrami_residual(u: ScalarField, v: ScalarField, S: np.ndarray) -> float:
 
 def jacobian_field(U: MappingField) -> np.ndarray:
     """Per-triangle det of the matrix with rows grad u1, grad u2."""
-    return _det(gradient_field(U.u1), gradient_field(U.u2))
+    return cross(*gradient_field(U.u1).T, *gradient_field(U.u2).T)
 
 
-def _det(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Row-wise det of the 2x2 matrices with rows g1[t], g2[t]."""
-    return g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
-
-
-def _segments_properly_intersect(p, q):
-    """Intersection mask of the segment pairs p[k], q[k], (n, 2, 2): a proper
-    crossing, or four collinear endpoints, which overlap or touch where the
-    pair's boxes meet (the caller's test). One shared endpoint of segments
-    that are not collinear does not count."""
-    a, b, c, d = p[:, 0], p[:, 1], q[:, 0], q[:, 1]
-    d1, d2 = _det(b - a, c - a), _det(b - a, d - a)
-    d3, d4 = _det(d - c, a - c), _det(d - c, b - c)
+def _segments_properly_intersect(a, b, c, d):
+    """Intersection mask of the segment pairs a[k] -> b[k], c[k] -> d[k], (n, 2)
+    arrays: a proper crossing, or four collinear endpoints, which overlap or
+    touch where the pair's boxes meet (the caller's test). One shared endpoint
+    of segments that are not collinear does not count."""
+    d1, d2 = cross(*(b - a).T, *(c - a).T), cross(*(b - a).T, *(d - a).T)
+    d3, d4 = cross(*(d - c).T, *(a - c).T), cross(*(d - c).T, *(b - c).T)
     return ((d1 * d2 < 0) & (d3 * d4 < 0)) | ((d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0))
 
 
@@ -266,14 +260,10 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     """
     extent = float(np.max(imgs.max(axis=0) - imgs.min(axis=0)))
     d = 1e-12 * max(extent or float(np.abs(imgs).max()), 1e-300)
-    # segment k of a loop runs from its vertex k to its vertex k + 1, cyclically
     sizes = np.array([len(loop) for loop in loops])
     start = np.cumsum(sizes) - sizes
-    seg = np.stack(
-        [imgs[np.concatenate(loops)], imgs[np.concatenate([np.roll(l, -1) for l in loops])]],
-        axis=1,
-    )
-    lo, hi = seg.min(axis=1), seg.max(axis=1)
+    a, b = loop_segments(imgs, loops)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     glo, ghi = lo - d, hi + d
     p, q = box_pairs(glo, ghi, box_sweep(glo, ghi))
     p, q = p[p < q], q[p < q]
@@ -282,14 +272,14 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     i, j = p - start[li], q - start[lj]
     # repeated image vertices pinch the boundary polygon; when d**2 underflows
     # to 0, no pair is close
-    close = (li == lj) & (np.sum((seg[p, 0] - seg[q, 0]) ** 2, axis=-1) < d**2)
+    close = (li == lj) & (np.sum((a[p] - a[q]) ** 2, axis=-1) < d**2)
     meet = ((lo[p] <= hi[q]) & (lo[q] <= hi[p])).all(axis=1)
     # neighbours along a loop share an endpoint
     adjacent = (li == lj) & ((j == i + 1) | ((i == 0) & (j == sizes[lj] - 1)))
-    cross = meet & ~adjacent & _segments_properly_intersect(seg[p], seg[q])
+    crossed = meet & ~adjacent & _segments_properly_intersect(a[p], b[p], a[q], b[q])
     collisions = sorted(zip(li[close].tolist(), i[close].tolist(), j[close].tolist()))
     crossings = sorted(
-        zip(li[cross].tolist(), lj[cross].tolist(), i[cross].tolist(), j[cross].tolist())
+        zip(li[crossed].tolist(), lj[crossed].tolist(), i[crossed].tolist(), j[crossed].tolist())
     )
 
     violations: list = []
@@ -473,7 +463,8 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
     every directional component is tested for unimodality; the plateau
     tolerance is taken as twice the measured radial deviation of the trace
     image, the discretization noise floor (radii shrink by 10% steps, at most
-    5 times, if the pullback's boundary is pinched).
+    5 times, if the pullback's boundary is pinched). A probe whose disk is
+    finer than the mesh, or whose trace is too short or noisy, is unresolved.
 
     The report passes iff min |det DU| > 0 and every directional gradient
     minimum is positive. A non-injective U is a hypothesis failure and raises
@@ -495,7 +486,7 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
 
     g1 = gradient_field(U.u1)
     g2 = gradient_field(U.u2)
-    min_abs_det = float(np.abs(_det(g1, g2)[inset]).min())
+    min_abs_det = float(np.abs(cross(*g1.T, *g2.T)[inset]).min())
     angles = [math.pi * k / directions for k in range(directions)]
     min_abs_grad = []
     for theta in angles:
@@ -523,10 +514,17 @@ def _probe_unimodality(U, z0, t, bary, angles) -> dict:
     """The probe at z0, located in triangle t with barycentric weights bary;
     the trace of cos(theta) u1 + sin(theta) u2 is tested for each angle."""
     r = 0.7 * _image_center(U, t, bary)[1]
+    probe = {"z0": [float(z0[0]), float(z0[1])], "trace_length": 0, "radial_deviation": None,
+             "tolerance": None, "resolved": False, "direction_changes": [],
+             "unimodal_all_directions": None}
     for attempt in range(6):
         try:
             sub = pullback_subdomain(U, t, bary, r)
             break
+        except DegenerateInputError as exc:
+            # the disk is finer than the mesh: it holds no triangle, or not the probe's
+            log.debug("probe %s unresolved: %s", tuple(z0.tolist()), exc)
+            return {**probe, "radius": float(r)}
         except MeshError as exc:
             if attempt == 5:
                 raise
@@ -542,34 +540,20 @@ def _probe_unimodality(U, z0, t, bary, angles) -> dict:
                         trace_img[:, 1] - sub.center_image[1]) - sub.radius).max()
     )
     atol = max(1e-12, 2.0 * rho)
-
-    probe = {
-        "z0": [float(z0[0]), float(z0[1])],
-        "radius": float(sub.radius),
-        "trace_length": int(len(loop)),
-        "radial_deviation": rho,
-        "tolerance": atol,
-    }
+    probe.update(radius=float(sub.radius), trace_length=int(len(loop)), radial_deviation=rho,
+                 tolerance=atol)
     # the directional trace has amplitude about 2r; when the noise floor is
     # comparable the verdict would be meaningless, so report that instead
     if atol > 0.5 * sub.radius or len(loop) < 8:
         log.debug("probe %s unresolved: tolerance %r, radius %r, trace length %d",
                   tuple(z0.tolist()), atol, sub.radius, len(loop))
-        probe.update(
-            resolved=False, direction_changes=[], unimodal_all_directions=None
-        )
         return probe
 
-    changes = []
-    unimodal = []
-    for theta in angles:
-        trace = math.cos(theta) * trace_img[:, 0] + math.sin(theta) * trace_img[:, 1]
-        verdict = unimodality_check(trace, atol=atol)
-        changes.append(verdict.direction_changes)
-        unimodal.append(verdict.unimodal)
-    probe.update(
-        resolved=True,
-        direction_changes=changes,
-        unimodal_all_directions=bool(all(unimodal)),
-    )
+    verdicts = [
+        unimodality_check(math.cos(theta) * trace_img[:, 0] + math.sin(theta) * trace_img[:, 1],
+                          atol=atol)
+        for theta in angles
+    ]
+    probe.update(resolved=True, direction_changes=[v.direction_changes for v in verdicts],
+                 unimodal_all_directions=all(v.unimodal for v in verdicts))
     return probe

@@ -94,6 +94,11 @@ def _min_sym_eig(S: np.ndarray) -> np.ndarray:
     return mean - rad
 
 
+def _det2(S: np.ndarray) -> np.ndarray:
+    """det of each matrix of a (..., 2, 2) stack, for ellipticity_report and dilatations."""
+    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+
+
 def _exponent(S: np.ndarray) -> np.ndarray:
     """e with the largest |entry| of each matrix of a (..., 2, 2) stack in
     [2**(e - 1), 2**e) (0 for a zero matrix); elementwise maxima, as numpy
@@ -118,7 +123,7 @@ def ellipticity_report(field: CoefficientField, sample_points) -> EllipticityRep
     # exact and keeps det S, S^{-1} and the eigenvalues in range
     shift = _exponent(samples) - 1
     S = np.ldexp(samples, -shift[:, None, None])
-    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    det = _det2(S)
     # |det sigma| = 4**shift |det S| <= 1e-12; |det S| < 8, so the cap changes no verdict
     singular = np.abs(det) <= np.ldexp(_SINGULAR_DET, np.minimum(-2 * shift, 64))
     _raise_at_first(pts, singular, "sigma is numerically singular")
@@ -170,7 +175,7 @@ def dilatations(m) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     t = np.ldexp(1.0, -shift)
     S = np.ldexp(m, -shift[..., None, None])
     s11, s12, s21, s22 = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
-    det = s11 * s22 - s12 * s21
+    det = _det2(S)
     tt = t * t
     denom = tt + t * (s11 + s22) + det
     if np.any(np.abs(denom) <= 1e-14 * tt):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MeshError, ResourceLimitError, SolverError
-from .fem import _factor_solve, boundary_values, checked_residual, checked_samples
+from .fem import _factor, boundary_values, checked_residual, checked_samples
 from .mesh import _check_cap, read_line, read_rows
 
 _NEIGHBORS8 = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1) if (di, dj) != (0, 0)]
@@ -187,9 +187,9 @@ def nested_dissection_key(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
 
 
 def spsolve(A, b):
-    """fem._factor_solve for the finite-difference system, under the name a
-    trace of fd's solves wraps; NATURAL keeps the nested-dissection numbering."""
-    return _factor_solve(A, b, "finite-difference system", "NATURAL")
+    """A^-1 b by one fem._factor, under the name a trace of fd's solves wraps;
+    NATURAL keeps the nested-dissection numbering."""
+    return _factor(A, "finite-difference system", "NATURAL")(b)
 
 
 def solve_nondivergence(

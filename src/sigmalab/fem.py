@@ -75,11 +75,6 @@ def _factor(A, what: str, permc_spec: str):
     return solve
 
 
-def _factor_solve(A, b, what: str, permc_spec: str) -> np.ndarray:
-    """A^-1 b, every column of b through one _factor of A."""
-    return _factor(A, what, permc_spec)(b)
-
-
 def spsolve(A, b):
     """(A^-1 b, solve): the stiffness system's one _factor, solved for b and
     handed back for later right-hand sides, under the name a trace of fem's

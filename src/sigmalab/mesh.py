@@ -107,15 +107,14 @@ def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
     return EdgeTable(*_read_only(edges, counts, first, inverse))
 
 
-def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    """The longest edge length, taken over the directed edges of the triangles.
+def _longest_edge(x: np.ndarray, y: np.ndarray) -> float:
+    """The longest edge length of the triangles with corners x, y, as
+    corners() gives them, taken over their directed edges.
 
     An edge measured from either end gives the same hypot bit for bit, so
     this equals the longest edge of the edge table without needing the table.
     """
-    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
-    nxt = [1, 2, 0]
-    return float(np.hypot(x - x[:, nxt], y - y[:, nxt]).max())
+    return float(np.hypot(x - x[[1, 2, 0]], y - y[[1, 2, 0]]).max())
 
 
 class Mesh:
@@ -202,21 +201,25 @@ class Mesh:
         return self._areas
 
     @cached_property
+    def corners(self) -> np.ndarray:
+        """The triangles' corner coordinates, as corners() gives them."""
+        return _read_only(corners(self.vertices, self.triangles))
+
+    @cached_property
     def centroids(self) -> np.ndarray:
-        # row gathers, the same bits as vertices[triangles].mean(axis=1)
-        x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
+        # the same bits as vertices[triangles].mean(axis=1)
+        x, y = self.corners
         return _read_only(np.column_stack([(x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3]))
 
     @cached_property
     def basis_gradients(self) -> np.ndarray:
         """Gradients of the P1 nodal basis, shape (nt, 3, 2)."""
-        p = self.vertices[self.triangles]
-        x, y = p[..., 0], p[..., 1]
+        x, y = self.corners
         G = np.empty((self.num_triangles, 3, 2))
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
-            G[:, i, 0] = (y[:, j] - y[:, k]) / (2.0 * self._areas)
-            G[:, i, 1] = (x[:, k] - x[:, j]) / (2.0 * self._areas)
+            G[:, i, 0] = (y[j] - y[k]) / (2.0 * self._areas)
+            G[:, i, 1] = (x[k] - x[j]) / (2.0 * self._areas)
         return _read_only(G)
 
     @cached_property
@@ -231,7 +234,7 @@ class Mesh:
 
     @cached_property
     def max_edge_length(self) -> float:
-        return _longest_edge(self.vertices, self.triangles)
+        return _longest_edge(*self.corners)
 
     @cached_property
     def triangle_neighbours(self) -> np.ndarray:
@@ -266,23 +269,10 @@ class Mesh:
     # -- point location ---------------------------------------------------
 
     @cached_property
-    def _triangle_frames(self) -> np.ndarray:
-        """Per triangle: first vertex, both edge vectors from it and their
-        determinant, as (7, nt) rows ox, oy, e1x, e1y, e2x, e2y, det."""
-        # (3, nt) corner coordinates: row gathers, three times faster than
-        # slicing vertices[triangles]
-        x, y = self.vertices[:, 0][self.triangles.T], self.vertices[:, 1][self.triangles.T]
-        e1x, e1y = x[1] - x[0], y[1] - y[0]
-        e2x, e2y = x[2] - x[0], y[2] - y[0]
-        return _read_only(np.array([x[0], y[0], e1x, e1y, e2x, e2y, e1x * e2y - e2x * e1y]))
-
-    @cached_property
     def _triangle_boxes(self) -> tuple:
         """The box_sweep of the triangles' corner boxes grown by a slack, 1e-9
         of the longest edge, that covers locate's tolerance and rounding."""
-        # (3, nt) corner coordinates, row-major: reductions across rows are fast
-        corners = self.triangles.T.copy()
-        x, y = self.vertices[:, 0][corners], self.vertices[:, 1][corners]
+        x, y = self.corners
         slack = 1e-9 * self.max_edge_length + 1e-300
         lo = np.column_stack([x.min(axis=0), y.min(axis=0)]) - slack
         return box_sweep(lo, np.column_stack([x.max(axis=0), y.max(axis=0)]) + slack)
@@ -309,10 +299,12 @@ class Mesh:
         for lo in range(0, n, LOCATE_CHUNK):
             chunk = points[lo : lo + LOCATE_CHUNK]
             p, t = box_pairs(chunk, chunk, self._triangle_boxes)
-            ox, oy, e1x, e1y, e2x, e2y, det = self._triangle_frames[:, t]
-            rx, ry = chunk[p, 0] - ox, chunk[p, 1] - oy
-            l1 = (e2y * rx - e2x * ry) / det
-            l2 = (-e1y * rx + e1x * ry) / det
+            c = self.corners.take(t, axis=2)
+            (e1x, e2x), (e1y, e2y) = c[:, 1:] - c[:, :1]
+            rx, ry = chunk[p].T - c[:, 0]
+            det = 2.0 * self._areas[t]  # the edges' cross product: Mesh refuses subnormal areas
+            l1 = cross(rx, ry, e2x, e2y) / det
+            l2 = cross(e1x, e1y, rx, ry) / det
             ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
             # pairs come grouped by point: with its hits sorted by triangle, the
             # first hit of a point is its lowest-index containing triangle
@@ -373,9 +365,8 @@ class Mesh:
         """(a, b, lo, hi, run, sweep): the segments a[k] -> b[k] of the loops
         without a CircleLoop, the boxes [lo[j], hi[j]] of their runs, the
         segments k in [j * run, (j + 1) * run), and the box_sweep of those."""
-        loops = [loop for loop, geom in zip(self.loops, self.loop_geometry) if geom is None]
-        a = self.vertices[np.concatenate([np.empty(0, np.int64), *loops])]
-        b = self.vertices[np.concatenate([np.empty(0, np.int64), *(np.roll(l, -1) for l in loops)])]
+        polygons = [loop for loop, geom in zip(self.loops, self.loop_geometry) if geom is None]
+        a, b = loop_segments(self.vertices, polygons)
         run, first = 8, np.arange(0, len(a), 8)
         lo = np.minimum.reduceat(np.minimum(a, b), first, axis=0)
         hi = np.maximum.reduceat(np.maximum(a, b), first, axis=0)
@@ -386,11 +377,32 @@ class Mesh:
 # low-level helpers
 
 
-def signed_areas(vertices, triangles) -> np.ndarray:
+def cross(ux, uy, vx, vy):
+    """The 2-D cross product of (ux, uy) and (vx, vy), positive when v lies
+    counterclockwise of u: every orientation and Jacobian of the package."""
+    return ux * vy - uy * vx
+
+
+def corners(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """The corner coordinates of the (nt, 3) triangles of the (n, 2) points,
+    a (2, 3, nt) array: x, y = corners(...) are (3, nt), row j corner j."""
+    # one take, three times faster than points[triangles] or two row gathers
+    # on large meshes; its rows are row-major, so reductions across them are fast
+    return points.T.take(triangles.T, axis=1)
+
+
+def signed_areas(points, triangles) -> np.ndarray:
     """Signed area of each triangle of points, positive when counterclockwise."""
-    # (3, nt) corner coordinates: row gathers, faster than vertices[triangles]
-    x, y = vertices[:, 0][triangles.T], vertices[:, 1][triangles.T]
-    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    x, y = corners(points, triangles)
+    return 0.5 * cross(x[1] - x[0], y[1] - y[0], x[2] - x[0], y[2] - y[0])
+
+
+def loop_segments(points: np.ndarray, loops) -> tuple[np.ndarray, np.ndarray]:
+    """The segments a[k] -> b[k], (n, 2) arrays, from vertex k to vertex k + 1
+    of each loop in turn, cyclically; none for no loops."""
+    none = np.empty(0, np.int64)
+    return (points[np.concatenate([none, *loops])],
+            points[np.concatenate([none, *(np.roll(l, -1) for l in loops)])])
 
 
 def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -767,11 +779,11 @@ def mesh_from_text(text: str) -> Mesh:
         pos += 1
 
     # h is not stored in the format; use the maximal edge length as nominal size
-    # (the vertices and indices are checked first: _longest_edge gathers by the
-    # indices and would subtract infinities)
+    # (the vertices and indices are checked first: corners gathers by the
+    # indices, and _longest_edge would subtract infinities)
     _check_vertices(verts)
     _check_triangle_indices(tris, len(verts))
-    mesh = Mesh(verts, tris, h=_longest_edge(verts, tris))
+    mesh = Mesh(verts, tris, h=_longest_edge(*corners(verts, tris)))
     if len(stored_loops) != len(mesh.loops) or any(
         not np.array_equal(a, b) for a, b in zip(stored_loops, mesh.loops)
     ):

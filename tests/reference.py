@@ -1,10 +1,11 @@
 """Test-side references that no sigmalab command runs: the oracles' nodal
 maps, point evaluation of a P1 field, a brute-force injectivity scan,
-small-gradient triangles and a representative member of each coefficient
-family.
+small-gradient triangles, a representative member of each coefficient
+family and the exact orientation of three points.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -99,3 +100,13 @@ def library_fields() -> list:
         holder_bump_field(0.4, 0.2, -0.1, 0.5, 0.7),
         nonsymmetric_field(0.2),
     ]
+
+
+def orientation(a, b, c) -> int:
+    """The exact sign of the cross product (b - a) x (c - a) of three points
+    with float coordinates: +1 when c lies left of the line a -> b, -1 when
+    right, 0 when the three are collinear. Every float is a dyadic rational,
+    so Fraction arithmetic decides it with no rounding."""
+    ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)

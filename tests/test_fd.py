@@ -39,7 +39,7 @@ from sigmalab.fd import (
     rectangle_grid,
     solve_nondivergence,
 )
-from sigmalab.fem import _factor_solve
+from sigmalab.fem import _factor
 from sigmalab.oracles import holomorphic_oracle, meyers_solution
 from text_mutations import mutated_texts
 
@@ -456,7 +456,7 @@ def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
     monkeypatch.setattr(fd, "nested_dissection_key", lambda ii, jj: np.arange(len(ii)))
     monkeypatch.setattr(
         fd, "spsolve",
-        lambda A, b: _factor_solve(A, b, "finite-difference system", "MMD_AT_PLUS_A"),
+        lambda A, b: _factor(A, "finite-difference system", "MMD_AT_PLUS_A")(b),
     )
     reference, _ = solve_nondivergence(grid, S, B, g)
     for f, r in zip(pair, reference):

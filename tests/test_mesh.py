@@ -17,7 +17,9 @@ from sigmalab import (
     refine,
 )
 from sigmalab import mesh as meshmod
-from sigmalab.mesh import LOCATE_CHUNK, CircleLoop, Mesh, mesh_from_text, mesh_to_text, read_rows
+from sigmalab.mesh import (LOCATE_CHUNK, CircleLoop, Mesh, corners, mesh_from_text, mesh_to_text,
+                           read_rows)
+from reference import orientation
 from ring_reference import reference_annulus, reference_disk
 from text_mutations import mutated_texts
 
@@ -469,6 +471,50 @@ def test_signed_areas_match_the_gathered_reference(points, corners):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def assert_a_certified_cross_sign_is_exact(a, b, c):
+    """Where Shewchuk's stage-A bound (3 + 16 eps) eps (|l| + |r|) on the
+    rounding of cross(b - a, c - a) = l - r certifies its sign (J. R.
+    Shewchuk, Discrete Comput. Geom. 18, 1997), that sign is the exact one;
+    a, b and c are (n, 2) arrays of points."""
+    (ux, uy), (vx, vy) = (b - a).T, (c - a).T
+    det = meshmod.cross(ux, uy, vx, vy)
+    eps = 2.0**-53
+    certified = np.abs(det) > (3 + 16 * eps) * eps * (np.abs(ux * vy) + np.abs(uy * vx))
+    triples = zip(a[certified].tolist(), b[certified].tolist(), c[certified].tolist())
+    assert np.sign(det[certified]).tolist() == [orientation(*t) for t in triples]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 255), st.permutations(range(3)))
+def test_a_certified_cross_sign_is_exact_on_the_kettner_grid(j, order):
+    # L. Kettner et al., Comput. Geom. 40 (2008): p on a 256 x 256 grid of
+    # ulp steps from (0.5, 0.5), q = (12, 12), r = (24, 24); the float sign
+    # of the orientation is wrong at 11,972 of the 65,536 points. Row j of
+    # the grid, with the three points in the drawn order
+    p = np.column_stack([0.5 + np.arange(256) * 2.0**-53, np.full(256, 0.5 + j * 2.0**-53)])
+    points = [p, np.full((256, 2), 12.0), np.full((256, 2), 24.0)]
+    assert_a_certified_cross_sign_is_exact(*(points[k] for k in order))
+
+
+# coordinates 0 or at least 1e-3 in size: no product underflows, which the
+# bound assumes
+_COORD = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_COORD, _COORD), st.tuples(_COORD, _COORD), st.floats(0.0, 1.0),
+       st.integers(-200, 200))
+def test_a_certified_cross_sign_is_exact_on_near_collinear_triples(a, c, t, scale):
+    # b on the segment a -> c, then moved by up to 3 ulps along each axis
+    # (ulps of 1e-3 at least, so that b stays normal), 49 triples in all;
+    # every point scaled by 2**scale, which is exact
+    b = np.array([x + t * (y - x) for x, y in zip(a, c)])
+    steps = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)), axis=-1).reshape(-1, 2)
+    b = b + steps * np.spacing(np.maximum(np.abs(b), 1e-3))
+    a, c = np.tile(a, (len(b), 1)), np.tile(c, (len(b), 1))
+    assert_a_certified_cross_sign_is_exact(*(np.ldexp(p, scale) for p in (a, b, c)))
+
+
 def test_boundary_distance(disk_mesh, annulus_mesh):
     d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
     assert np.allclose(d, [1.0, 0.5], atol=1e-12)
@@ -683,11 +729,11 @@ def test_outer_first_ties_fail_the_reference_comparison(make, reference, radii, 
     st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 2), min_size=1, max_size=20),
     st.lists(st.tuples(*[st.integers(0, 19)] * 3), min_size=1, max_size=30),
 )
-def test_centroids_match_the_mean_reference(points, corners):
+def test_centroids_match_the_mean_reference(points, ids):
     vertices = np.array(points, dtype=float)
-    triangles = np.array(corners, dtype=np.int64) % len(vertices)
+    triangles = np.array(ids, dtype=np.int64) % len(vertices)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = Mesh.centroids.func(SimpleNamespace(vertices=vertices, triangles=triangles))
+        got = Mesh.centroids.func(SimpleNamespace(corners=corners(vertices, triangles)))
         want = vertices[triangles].mean(axis=1)
     # equal values; the bits differ only where all three coordinates are -0.0,
     # a triangle on a line, which Mesh refuses
@@ -1053,7 +1099,7 @@ def test_every_array_of_a_mesh_is_read_only(source):
         held_arrays(value, attr, arrays)
     expected = [
         "vertices", "triangles", "_areas", "centroids", "basis_gradients", "boundary_vertices",
-        "interior_vertices", "triangle_neighbours", "_triangle_frames", "edge_table[0]",
+        "interior_vertices", "triangle_neighbours", "corners", "edge_table[0]",
         "loops[0]", "_triangle_boxes[1]", "_triangle_boxes[2]", "_triangle_boxes[3]",
         "_segments[0]", "_segments[1]", "_segments[2]", "_segments[3]",
         "_segments[5][1]", "_segments[5][2]", "_segments[5][3]",

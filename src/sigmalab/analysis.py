@@ -19,8 +19,8 @@ import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
-from .fem import (ScalarField, _factor, _keep, _kept, assemble_stiffness, checked_samples,
-                  gradient_field, relative_l2)
+from .fem import (ScalarField, _factor, _keep, _kept, _scaled, assemble_stiffness,
+                  checked_samples, gradient_field, relative_l2)
 from .mesh import Mesh, box_pairs, box_sweep, cross, loop_segments, signed_areas
 
 log = logging.getLogger(__name__)
@@ -209,10 +209,12 @@ def _segments_properly_intersect(a, b, c, d):
     """Intersection mask of the segment pairs a[k] -> b[k], c[k] -> d[k], (n, 2)
     arrays: a proper crossing, or four collinear endpoints, which overlap or
     touch where the pair's boxes meet (the caller's test). One shared endpoint
-    of segments that are not collinear does not count."""
+    of segments that are not collinear does not count. The orientations are
+    compared by their signs, whose products neither underflow nor overflow."""
     d1, d2 = cross(*(b - a).T, *(c - a).T), cross(*(b - a).T, *(d - a).T)
     d3, d4 = cross(*(d - c).T, *(a - c).T), cross(*(d - c).T, *(b - c).T)
-    return ((d1 * d2 < 0) & (d3 * d4 < 0)) | ((d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0))
+    proper = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
+    return proper | ((d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0))
 
 
 def injectivity_check(U: MappingField) -> InjectivityResult:
@@ -223,16 +225,14 @@ def injectivity_check(U: MappingField) -> InjectivityResult:
     strict sign. Violations name offending triangles and boundary edge pairs.
     This certifies the discrete map's behavior; it is not a continuum proof.
 
-    The images are first scaled by the power of two that puts their largest
-    coordinate in [1, 2). The scaling is exact, so no verdict depends on the
-    image scale, and the products of areas and orientations neither overflow
-    nor underflow to zero.
+    The images are first scaled by fem._scaled, the power of two that puts
+    their largest coordinate in [1/2, 1). The scaling is exact, so no verdict
+    depends on the image scale, and no area or orientation overflows.
     """
     mesh = U.mesh
     violations: list = []
 
-    _, exponent = np.frexp(np.abs(U.values).max())
-    imgs = np.ldexp(U.values, 1 - int(exponent))
+    imgs = _scaled(U.values)[0]
     areas = signed_areas(imgs, mesh.triangles)
     pos = int(np.sum(areas > 0))
     neg = int(np.sum(areas < 0))
@@ -277,17 +277,15 @@ def _boundary_violations(imgs: np.ndarray, loops: tuple) -> list:
     # neighbours along a loop share an endpoint
     adjacent = (li == lj) & ((j == i + 1) | ((i == 0) & (j == sizes[lj] - 1)))
     crossed = meet & ~adjacent & _segments_properly_intersect(a[p], b[p], a[q], b[q])
-    collisions = sorted(zip(li[close].tolist(), i[close].tolist(), j[close].tolist()))
+    collisions = zip(li[close].tolist(), i[close].tolist(), j[close].tolist())
     crossings = sorted(
         zip(li[crossed].tolist(), lj[crossed].tolist(), i[crossed].tolist(), j[crossed].tolist())
     )
-
-    violations: list = []
-    for k in range(len(loops)):
-        violations.extend(("boundary_vertex_collision", k, a, b) for l, a, b in collisions if l == k)
-        violations.extend(
-            ("boundary_self_intersection", k, a, b) for l1, l2, a, b in crossings if l1 == l2 == k
-        )
+    # (loop, kind, i, j): per loop, its collisions before its self-intersections
+    rows = sorted([(l, 0, s, t) for l, s, t in collisions]
+                  + [(l, 1, s, t) for l, m, s, t in crossings if l == m])
+    kinds = ("boundary_vertex_collision", "boundary_self_intersection")
+    violations = [(kinds[k], l, s, t) for l, k, s, t in rows]
     violations.extend(("boundary_loop_crossing", *c) for c in crossings if c[0] != c[1])
     return violations
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -103,19 +102,6 @@ class GridField:
         object.__setattr__(self, "values", vals)
 
 
-def grid_from_predicate(
-    origin: tuple[float, float],
-    spacing: float,
-    nx: int,
-    ny: int,
-    inside: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> GridDomain:
-    """The grid whose members are the nodes where the vectorized predicate holds."""
-    x = origin[0] + spacing * np.arange(nx)
-    y = origin[1] + spacing * np.arange(ny)
-    return GridDomain(origin, spacing, inside(*np.meshgrid(x, y, indexing="xy")))
-
-
 def _check_placement(point: tuple[float, float], spacing: float) -> None:
     if not (0 < spacing < math.inf and math.isfinite(point[0]) and math.isfinite(point[1])):
         raise DomainError("grid spacing must be positive, origin and spacing finite")
@@ -137,12 +123,9 @@ def annulus_grid(center: tuple[float, float], r_in: float, r_out: float, spacing
     n = _nodes(2 * half, spacing)
     _check_cap(n * n, "grid")
     origin = (center[0] - half, center[1] - half)
-
-    def inside(X, Y):
-        R = np.hypot(X - center[0], Y - center[1])
-        return (R >= r_in) & (R <= r_out)
-
-    return grid_from_predicate(origin, spacing, n, n, inside)
+    X, Y = np.meshgrid(*(o + spacing * np.arange(n) for o in origin), indexing="xy")
+    R = np.hypot(X - center[0], Y - center[1])
+    return GridDomain(origin, spacing, (R >= r_in) & (R <= r_out))
 
 
 def rectangle_grid(corner: tuple[float, float], width: float, height: float, spacing: float) -> GridDomain:
@@ -223,10 +206,10 @@ def solve_nondivergence(
     B = checked_samples(B, (n, 2), "drift samples")
     pts = grid.points(grid.interior_mask)
 
-    cross = 0.5 * (S[:, 0, 1] + S[:, 1, 0])
+    c = (S[:, 0, 1] + S[:, 1, 0]) / 2  # the mixed coefficient
     slack = np.minimum(
-        S[:, 0, 0] - np.abs(cross) - 0.5 * h * np.abs(B[:, 0]),
-        S[:, 1, 1] - np.abs(cross) - 0.5 * h * np.abs(B[:, 1]),
+        S[:, 0, 0] - np.abs(c) - 0.5 * h * np.abs(B[:, 0]),
+        S[:, 1, 1] - np.abs(c) - 0.5 * h * np.abs(B[:, 1]),
     )
     worst = int(np.argmin(slack))
     if slack[worst] < -1e-12:
@@ -247,7 +230,7 @@ def solve_nondivergence(
     index[jj, ii] = rank
     index[grid.boundary_mask] = n + np.arange(G.shape[1])
     h2 = h * h
-    q = (S[:, 0, 1] + S[:, 1, 0]) / (4.0 * h2)
+    q = c / (2 * h2)
     offsets = {
         (0, 0): -2.0 * S[:, 0, 0] / h2 - 2.0 * S[:, 1, 1] / h2,
         (1, 0): S[:, 0, 0] / h2 + B[:, 0] / (2 * h),

@@ -87,7 +87,7 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
     canvas = _Canvas(mesh)
     out = [canvas.header(), _boundary_paths(mesh, canvas)]
     tri_vals = vals[mesh.triangles]
-    tri_pts = mesh.vertices[mesh.triangles]
+    x, y = mesh.corners
     for li, level in enumerate(level_values):
         color = f"hsl({int(240 - 240 * li / max(1, len(level_values) - 1))},70%,45%)"
         # signs, not products: a product of two offsets underflows or overflows
@@ -101,8 +101,8 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
         a = np.column_stack([np.where(c[:, 0], 0, 1), np.where(c[:, 2], 2, 1)])
         b = (a + 1) % 3
         s = (level - tri_vals[t, a]) / (tri_vals[t, b] - tri_vals[t, a])
-        pa, pb = tri_pts[t, a], tri_pts[t, b]
-        ends = pa + s[:, :, None] * (pb - pa)
+        # (k, 2, 2): each kept triangle's two crossing points, each an (x, y)
+        ends = np.stack([p[a, t] + s * (p[b, t] - p[a, t]) for p in (x, y)], axis=-1)
         segs = canvas.format("M%.4f %.4fL%.4f %.4f", ends[:, 0], ends[:, 1])
         out.append(
             f'<path d="{segs}" stroke="{color}" fill="none" stroke-width="1"/>\n'

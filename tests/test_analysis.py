@@ -589,6 +589,20 @@ def test_boundary_violations_match_dense_reference(polylines):
     assert got == dense_boundary_violations(imgs, loops)
 
 
+def test_a_crossing_whose_orientation_product_underflows_is_reported():
+    # the two loops' first segments cross at the origin with orientations of
+    # about +-4e-171 each way, whose product underflows to -0.0
+    imgs = np.array([(-1e-11, -1e-160), (1e-11, 1e-160), (1, 1),
+                     (-1e-11, 1e-160), (1e-11, -1e-160), (-1, 1)])
+    loops = [np.arange(3), np.arange(3, 6)]
+    assert analysis._boundary_violations(imgs, loops) == [
+        ("boundary_loop_crossing", 0, 1, 0, 0),
+        ("boundary_loop_crossing", 0, 1, 0, 1),
+        ("boundary_loop_crossing", 0, 1, 2, 1),
+    ]
+    assert analysis._segments_properly_intersect(imgs[[0]], imgs[[1]], imgs[[3]], imgs[[4]]).all()
+
+
 def all_pairs_collisions(pts, scale):
     """Reference: the pairs i < j of the dense distance matrix closer than
     1e-12 * scale, in lexicographic order."""
@@ -632,11 +646,9 @@ def planted_stacks(draw):
 @given(planted_stacks())
 def test_vertex_collisions_match_all_pairs(case):
     imgs, loops = case
-    # at the scale 1e140 the orientation products of the crossing test
-    # overflow (injectivity_check hands over images scaled to [1, 2)); this
-    # test reads only the collisions
-    with np.errstate(over="ignore"):
-        got = analysis._boundary_violations(imgs, loops)
+    # at the scale 1e140 nothing overflows (a RuntimeWarning is an error):
+    # the crossing test multiplies orientation signs, not orientations
+    got = analysis._boundary_violations(imgs, loops)
     scale = collision_scale(imgs)
     for k, loop in enumerate(loops):
         collisions = [v[2:] for v in got if v[:2] == ("boundary_vertex_collision", k)]

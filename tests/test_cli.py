@@ -778,6 +778,42 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, content, message):
     assert not out.exists()
 
 
+DISK = ["--domain", "disk:r=1", "--h", "0.2"]
+RECT_GRID = ["--domain", "rect:w=1,h=1", "--spacing", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "code, args, message",
+    [
+        (2, ["solve-nd", "--domain", "disk:r=1", "--spacing", "0.1"],
+         "domain 'disk:r=1' is not usable as a grid"),
+        (2, ["solve", *DISK, "--g", "oracle", "--sigma", "identity"],
+         "g=oracle requires a meyers sigma descriptor"),
+        (2, ["solve", *DISK, "--g", "identity"],
+         "'identity' is a map; this command needs scalar data"),
+        (2, ["map", *DISK, "--g", "x1"], "'x1' is scalar; this command needs a two-component map"),
+        (2, ["solve-nd", *RECT_GRID, "--b", "foo"],
+         "unknown drift descriptor 'foo' (use auto or zero)"),
+        (2, ["mesh", *DISK, "--config", "missing.json"], "cannot read config file"),
+        (2, ["mesh", *DISK, "--config", "list.json"], "config file must hold a JSON object"),
+        (2, ["solve", *DISK, "--sigma", "aniso:l1"], "malformed descriptor parameter 'l1'"),
+        (2, ["solve", *DISK, "--sigma", "holder:eps=-1"],
+         "holder bump needs eps > -1 for ellipticity"),
+        (2, ["solve-nd", *RECT_GRID, "--fd-step", "0"], "finite-difference step must be positive"),
+        (3, ["verify", *DISK, "--g", "identity", "--margin", "5"],
+         "margin 5.0 leaves no interior triangles"),
+    ],
+)
+def test_refused_input_exits_cleanly_and_writes_nothing(tmp_path, capsys, monkeypatch, code,
+                                                        args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert run(tmp_path, *args) == (code, tmp_path / "out")
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_direction_count_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("sampled or solved before the direction count was checked")

@@ -35,7 +35,6 @@ from sigmalab.fd import (
     annulus_grid,
     grid_field_from_text,
     grid_field_to_text,
-    grid_from_predicate,
     rectangle_grid,
     solve_nondivergence,
 )
@@ -327,12 +326,10 @@ def test_grid_masks_are_derived_from_the_members(member):
 
 def test_predicate_grid_drops_orphans():
     # two inside nodes far from any interior node must be dropped
-    def inside(X, Y):
-        main = (X > 0.15) & (X < 0.85) & (Y > 0.15) & (Y < 0.85)
-        orphan = (X < 0.05) & (Y < 0.05)
-        return main | orphan
-
-    grid = grid_from_predicate((0, 0), 0.05, 21, 21, inside)
+    X, Y = np.meshgrid(0.05 * np.arange(21), 0.05 * np.arange(21), indexing="xy")
+    main = (X > 0.15) & (X < 0.85) & (Y > 0.15) & (Y < 0.85)
+    orphan = (X < 0.05) & (Y < 0.05)
+    grid = GridDomain((0, 0), 0.05, main | orphan)
     assert not (grid.interior_mask[0, 0] or grid.boundary_mask[0, 0])
 
 

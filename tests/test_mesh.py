@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -300,6 +301,35 @@ def test_mesh_file_roundtrip_bit_exact(tmp_path, annulus_mesh):
 def test_mesh_from_text_rejects_garbage():
     with pytest.raises(MeshError):
         mesh_from_text("not a mesh\n")
+
+
+SQUARE_TEXT = "mesh v1\nvertices 4\n0 0\n1 0\n1 1\n0 1\ntriangles 2\n0 1 2\n0 2 3\n"
+UNIT_TRIANGLE = ([[0, 0], [1, 0], [0, 1.0]], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: mesh_from_text(SQUARE_TEXT + "boundary 5 0 1 2 3\n"),
+         "boundary loop length mismatch"),
+        (lambda: mesh_from_text(SQUARE_TEXT + "boundary 4 1 2 3 0\n"),
+         "stored boundary loops do not match mesh topology"),
+        # three counterclockwise triangles on the edge (0, 1)
+        (lambda: Mesh([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2.0]],
+                      [[0, 1, 2], [1, 0, 3], [0, 1, 4]], h=1.0),
+         "edge (0, 1) belongs to more than two triangles"),
+        (lambda: Mesh(np.zeros((3, 3)), [[0, 1, 2]], h=1.0), "vertices must be an (nv, 2) array"),
+        (lambda: Mesh(UNIT_TRIANGLE[0], [0, 1, 2], h=1.0), "triangles must be an (nt, 3) array"),
+        (lambda: Mesh(*UNIT_TRIANGLE, h=0.0), "mesh size h must be positive and finite"),
+        (lambda: Mesh(*UNIT_TRIANGLE, h=1.0, loop_geometry=(None, None)),
+         "loop_geometry has 2 entries for 1 boundary loops"),
+    ],
+    ids=["miscounted-boundary-line", "rotated-stored-loop", "edge-of-three-triangles",
+         "vertices-not-nv-by-2", "triangles-not-nt-by-3", "h-zero", "loop-geometry-length"],
+)
+def test_malformed_meshes_raise_mesh_error(build, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))

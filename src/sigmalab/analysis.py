@@ -443,7 +443,7 @@ def default_probe_points(mesh: Mesh, margin: float) -> tuple[np.ndarray, np.ndar
     pts = pts[order]
     tri, bary = mesh.locate(pts)
     depth = max(margin, 2.0 * mesh.h)
-    deep = mesh.boundary_distance(pts, depth) > depth
+    deep = mesh.boundary_distance(pts) > depth
     chosen = np.flatnonzero((tri >= 0) & deep)[:5]
     if len(chosen) == 0:
         raise DegenerateInputError("no lattice probe point is safely interior")
@@ -478,7 +478,7 @@ def lewy_verify(U: MappingField, directions: int, margin: float) -> LewyReport:
             result=inj,
         )
     mesh = U.mesh
-    inset = mesh.boundary_distance(mesh.centroids, margin) >= margin
+    inset = mesh.boundary_distance(mesh.centroids) >= margin
     if not inset.any():
         raise DegenerateInputError(f"margin {margin} leaves no interior triangles")
 

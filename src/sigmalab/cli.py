@@ -4,7 +4,7 @@ Commands wire meshes, coefficient fields, solvers, and analysis into
 reproducible runs. OPTIONS is the one table of options; each command has flags
 for the options it reads (COMMANDS), and a --config JSON file may set any
 option, so a run's own config.json reads back in. Unknown or wrongly typed
-options, values below an option's minimum (or at it, for h and spacing), a
+options, values below an option's minimum (or at it, for a strict one), a
 "command" key naming another command, and descriptor keys that are unknown,
 repeated, non-finite or non-integral (seed, m, component) are config errors.
 Every run writes its resolved configuration next to its outputs; identical
@@ -418,7 +418,7 @@ OPTIONS = {
     "levels": Option(int, 3, "convergence levels", 2),
     "loop": Option(int, 0, "boundary loop index", 0),
     "atol": Option(float, 1e-12, "plateau tolerance", 0),
-    "fd_step": Option(float, 1e-5, "step for div sigma"),
+    "fd_step": Option(float, 1e-5, "step for div sigma", 0, strict=True),
     "allow_holes": Option(bool, False, "permit stream functions on annuli"),
     "svg": Option(bool, True, "emit SVG plots"),
 }

@@ -4,8 +4,10 @@ tr(sigma D2 u) + b . grad u = 0 on masked rectangular grids.
 Second-order central differences throughout, including the 4-point cross
 stencil for the mixed derivative. The scheme targets the smooth-coefficient
 verification regime: a per-instance dominance check refuses instances where
-the stencil's sign structure (and with it the discrete maximum principle)
-would be lost, rather than returning silently wrong answers.
+the drift or the mixed term outweighs an axis weight, so every axis weight is
+at least twice each diagonal weight's size (up to a 1e-12 slack). That is no
+maximum principle: the cross stencil's diagonal weights take both signs where
+s12 + s21 != 0, and an interior value can fall below all boundary values.
 """
 
 from __future__ import annotations

@@ -30,21 +30,24 @@ DEFAULT_VERTEX_CAP = 1_000_000
 # gradient formulas divide by the area
 DEGENERATE_AREA_FACTOR = 1e-14
 
-#: points per batch of Mesh.locate and Mesh.boundary_distance: their box_pairs
-#: candidates, about sqrt(nt) a point in locate, stay bounded however many
-#: points a lattice passes (50176 points on the unit disk at h = 0.03 raise
-#: the peak RSS by some 9 MB)
+#: points per batch of Mesh.locate: its box_pairs candidates, about sqrt(nt) a
+#: point, stay bounded however many points a lattice passes (50176 points on
+#: the unit disk at h = 0.03 raise the peak RSS by some 9 MB)
 LOCATE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
 class CircleLoop:
-    """Analytic geometry of a circular boundary loop, used for midpoint
-    projection under refinement."""
+    """Analytic geometry of a circular boundary loop: its distance, and the
+    projection of midpoints under refinement."""
 
     cx: float
     cy: float
     radius: float
+
+    def distance(self, p: np.ndarray) -> np.ndarray:
+        """The distance from the (n, 2) points p to the circle."""
+        return np.abs(np.hypot(p[:, 0] - self.cx, p[:, 1] - self.cy) - self.radius)
 
     def project(self, p: np.ndarray) -> np.ndarray:
         """Radial projection of the (n, 2) points p onto the circle."""
@@ -55,6 +58,26 @@ class CircleLoop:
         if (n == 0.0).any():
             raise MeshError("cannot project the circle center onto the circle")
         return c + v * (self.radius / n)[:, None]
+
+
+@dataclass(frozen=True)
+class BoxLoop:
+    """Analytic geometry of the boundary of the rectangle [x0, x1] x [y0, y1];
+    refinement needs no projection, a side's midpoints lie on it."""
+
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    def distance(self, p: np.ndarray) -> np.ndarray:
+        """The distance from the (n, 2) points p to the boundary: to the
+        nearest side inside, the hypot of the outside gaps elsewhere."""
+        x, y = p.T
+        gap = np.maximum([self.x0 - x, self.y0 - y], [x - self.x1, y - self.y1])
+        worst = gap.max(axis=0)
+        # 0.0 - worst is x - x0 or the like, bit for bit; -worst is -0.0 on the boundary
+        return np.where(worst <= 0, 0.0 - worst, np.hypot(*np.maximum(gap, 0)))
 
 
 class EdgeTable(NamedTuple):
@@ -127,9 +150,9 @@ class Mesh:
         Vertex index triples, counterclockwise.
     h : float
         Nominal mesh size.
-    loop_geometry : sequence of CircleLoop or None, optional
-        Analytic boundary description per loop, aligned with ``loops``.
-        Loops without analytic geometry get None.
+    loop_geometry : sequence of CircleLoop, BoxLoop or None, optional
+        Analytic boundary description per loop, aligned with ``loops``; None
+        for a loop without, as a "mesh v1" read or a hand-built mesh has.
 
     Boundary loops are derived from edge incidence: an edge lies on the
     boundary iff it belongs to exactly one triangle. The outer loop comes
@@ -319,58 +342,28 @@ class Mesh:
             bary[rows] = np.column_stack([1.0 - l1 - l2, l1, l2])
         return tri_idx, bary
 
-    def boundary_distance(self, points, bound: float) -> np.ndarray:
-        """Distance from points to the mesh boundary where it is at most
-        bound, inf where it is larger, and NaN at points that are not finite.
-
-        Circle loops are measured analytically. A polygon loop's segments go
-        in runs of 8: box_pairs finds the runs within bound of a point, the
-        nearest run start bounds its distance, and only the runs whose boxes
-        come within that, plus a rounding slack, have their segments
-        measured, so the result is the minimum over every segment, bit for
-        bit. A point measures about two runs; growing its box by the bound
-        alone would measure some 2 bound / h segments of each side in reach.
-        Points go in chunks of LOCATE_CHUNK.
-        """
+    def boundary_distance(self, points) -> np.ndarray:
+        """Distance from points to the mesh boundary, NaN at points that are
+        not finite. A loop with geometry measures itself; a loop without, as
+        a "mesh v1" read or a hand-built mesh has, is the minimum over its
+        segments, in batches of some 64 * LOCATE_CHUNK point-segment pairs."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         dist = np.full(len(points), np.inf)
-        for geom in self.loop_geometry:
+        for loop, geom in zip(self.loops, self.loop_geometry):
             if geom is not None:
-                r = np.hypot(points[:, 0] - geom.cx, points[:, 1] - geom.cy)
-                dist = np.minimum(dist, np.abs(r - geom.radius))
-        a, b, lo, hi, run, sweep = self._segments
-        if len(a):
-            slack = 1e-9 * (bound + float(np.abs(a).max())) + 1e-300
-            for start in range(0, len(points), LOCATE_CHUNK):
-                p = points[start : start + LOCATE_CHUNK]
-                q, j = box_pairs(p - (bound + slack), p + (bound + slack), sweep)
-                # take: a row gather of an (n, 2) array by [] is many times slower
-                u = p.take(q, axis=0)
-                gap = np.maximum(np.maximum(lo.take(j, axis=0) - u, u - hi.take(j, axis=0)), 0)
-                near = np.full(len(p), np.inf)
-                np.minimum.at(near, q, np.hypot(*(u - a.take(j * run, axis=0)).T))
-                keep = np.hypot(*gap.T) <= np.minimum(near, bound)[q] + slack
-                size = np.minimum(run, len(a) - j[keep] * run)
-                q, k = np.repeat(q[keep], size), _ranges(j[keep] * run, size)
-                u, v = p.take(q, axis=0), a.take(k, axis=0)
-                ab = b.take(k, axis=0) - v
-                s = np.clip(np.einsum("kd,kd->k", u - v, ab) / np.einsum("kd,kd->k", ab, ab), 0, 1)
-                d = np.hypot(*(u - (v + s[:, None] * ab)).T)
-                np.minimum.at(dist[start : start + LOCATE_CHUNK], q, d)
-        finite = np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
-        return np.where(finite, np.where(dist <= bound, dist, np.inf), np.nan)
-
-    @cached_property
-    def _segments(self) -> tuple:
-        """(a, b, lo, hi, run, sweep): the segments a[k] -> b[k] of the loops
-        without a CircleLoop, the boxes [lo[j], hi[j]] of their runs, the
-        segments k in [j * run, (j + 1) * run), and the box_sweep of those."""
-        polygons = [loop for loop, geom in zip(self.loops, self.loop_geometry) if geom is None]
-        a, b = loop_segments(self.vertices, polygons)
-        run, first = 8, np.arange(0, len(a), 8)
-        lo = np.minimum.reduceat(np.minimum(a, b), first, axis=0)
-        hi = np.maximum.reduceat(np.maximum(a, b), first, axis=0)
-        return *_read_only(a, b, lo, hi), run, box_sweep(lo, hi)
+                dist = np.minimum(dist, geom.distance(points))
+                continue
+            a, b = loop_segments(self.vertices, [loop])
+            ab = b - a
+            ab2 = np.einsum("kd,kd->k", ab, ab)
+            step = max(1, 64 * LOCATE_CHUNK // len(a))
+            for lo in range(0, len(points), step):
+                u = points[lo : lo + step, None, :]
+                with np.errstate(over="ignore"):  # u near the largest double: s is clipped
+                    s = np.clip(np.einsum("pkd,kd->pk", u - a, ab) / ab2, 0, 1)
+                d = np.hypot(*np.moveaxis(u - (a + s[..., None] * ab), 2, 0)).min(axis=1)
+                dist[lo : lo + step] = np.minimum(dist[lo : lo + step], d)
+        return np.where(np.isfinite(points).all(axis=1), dist, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +392,8 @@ def signed_areas(points, triangles) -> np.ndarray:
 
 def loop_segments(points: np.ndarray, loops) -> tuple[np.ndarray, np.ndarray]:
     """The segments a[k] -> b[k], (n, 2) arrays, from vertex k to vertex k + 1
-    of each loop in turn, cyclically; none for no loops."""
-    none = np.empty(0, np.int64)
-    return (points[np.concatenate([none, *loops])],
-            points[np.concatenate([none, *(np.roll(l, -1) for l in loops)])])
+    of each of the one or more loops in turn, cyclically."""
+    return points[np.concatenate(loops)], points[np.concatenate([np.roll(l, -1) for l in loops])]
 
 
 def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -660,7 +651,8 @@ def generate_rectangle(corner: Point2, width: float, height: float, h: float) ->
     # lower-left corner of each square, row by row; each square splits along a-c
     a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     b, c, d = a + 1, a + nx + 2, a + nx + 1
-    return Mesh(verts, np.column_stack([a, b, c, a, c, d]).reshape(-1, 3), h, [None])
+    geom = [BoxLoop(float(xs[0]), float(ys[0]), float(xs[-1]), float(ys[-1]))]
+    return Mesh(verts, np.column_stack([a, b, c, a, c, d]).reshape(-1, 3), h, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +664,9 @@ def refine(mesh: Mesh) -> Mesh:
 
     Midpoints of boundary edges are projected onto the analytic boundary for
     loops that carry circle geometry, so disk and annulus meshes converge to
-    the true domain. Midpoints are numbered after the old vertices in the
-    order their edges first occur in the triangles. The nominal size h halves.
+    the true domain; box sides hold their midpoints, and every loop keeps its
+    geometry. Midpoints are numbered after the old vertices in the order
+    their edges first occur in the triangles. The nominal size h halves.
     """
     table = mesh.edge_table
     nv, ne = mesh.num_vertices, len(table.edges)

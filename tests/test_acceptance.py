@@ -220,7 +220,7 @@ class AcceptanceRun:
             fine = refine(mesh)
             Uf = solve_pair(fine, field, ident)
             detf = jacobian_field(Uf)
-            inset = fine.boundary_distance(fine.centroids, 0.1) >= 0.1
+            inset = fine.boundary_distance(fine.centroids) >= 0.1
             min_det_fine = float(np.abs(detf[inset]).min())
             results.append(
                 {
@@ -244,7 +244,7 @@ class AcceptanceRun:
     def criterion6(self):
         t0 = time.perf_counter()
         mesh = self.disk_h03
-        inset = mesh.boundary_distance(mesh.centroids, 0.1) >= 0.1
+        inset = mesh.boundary_distance(mesh.centroids) >= 0.1
         unimodal_runs = []
         for name, field in SMOOTH_LIBRARY:
             u = solve(mesh, field, lambda x, y: x / np.hypot(x, y))

@@ -1068,7 +1068,7 @@ def test_probe_points_are_located_and_deeper_than_margin_and_2h(name, margin):
     ticks = np.linspace(0.1, 0.9, 5)
     lattice = [lo + np.array([x, y]) * (hi - lo) for y in ticks for x in ticks]
     deep = [z for z in lattice
-            if mesh.locate(z[None, :])[0][0] >= 0 and mesh.boundary_distance(z[None, :], depth)[0] > depth]
+            if mesh.locate(z[None, :])[0][0] >= 0 and mesh.boundary_distance(z[None, :])[0] > depth]
     # the first deep lattice points, nearest the box centre first
     assert len(pts) == min(5, len(deep))
     assert all(any(np.allclose(p, z, rtol=0, atol=1e-12) for z in deep) for p in pts)
@@ -1077,7 +1077,7 @@ def test_probe_points_are_located_and_deeper_than_margin_and_2h(name, margin):
     assert (np.diff(dist) >= -1e-12).all()
     left = [z for z in deep if not np.isclose(np.hypot(*(pts - z).T), 0, atol=1e-12).any()]
     assert all(np.hypot(*(z - centre)) >= dist.max() - 1e-12 for z in left)
-    assert (tri >= 0).all() and (mesh.boundary_distance(pts, depth) > depth).all()
+    assert (tri >= 0).all() and (mesh.boundary_distance(pts) > depth).all()
     loc_tri, loc_bary = mesh.locate(pts)
     assert np.array_equal(tri, loc_tri) and np.array_equal(bary, loc_bary)
     assert np.allclose(bary @ np.ones(3), 1.0)
@@ -1410,7 +1410,7 @@ def test_directional_gradient_minimum_stable_under_refinement(disk_mesh):
     m = disk_mesh
     for _ in range(2):
         (u1, u2), _ = solve_dirichlet(m, samples(m, sigma), sol.value)
-        inset = m.boundary_distance(m.centroids, 0.1) >= 0.1
+        inset = m.boundary_distance(m.centroids) >= 0.1
         level = []
         for k in range(4):
             theta = math.pi * k / 4

@@ -799,9 +799,12 @@ RECT_GRID = ["--domain", "rect:w=1,h=1", "--spacing", "0.1"]
         (2, ["solve", *DISK, "--sigma", "aniso:l1"], "malformed descriptor parameter 'l1'"),
         (2, ["solve", *DISK, "--sigma", "holder:eps=-1"],
          "holder bump needs eps > -1 for ellipticity"),
-        (2, ["solve-nd", *RECT_GRID, "--fd-step", "0"], "finite-difference step must be positive"),
+        (2, ["solve-nd", *RECT_GRID, "--fd-step", "0"], "option fd_step must be greater than 0"),
         (3, ["verify", *DISK, "--g", "identity", "--margin", "5"],
          "margin 5.0 leaves no interior triangles"),
+        # the step is refused where no drift reads it, too
+        (2, ["solve-nd", *RECT_GRID, "--b", "zero", "--fd-step", "-1"],
+         "option fd_step must be greater than 0, got -1.0"),
     ],
 )
 def test_refused_input_exits_cleanly_and_writes_nothing(tmp_path, capsys, monkeypatch, code,
@@ -812,6 +815,19 @@ def test_refused_input_exits_cleanly_and_writes_nothing(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_fd_step_is_refused_before_the_grid_is_built(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built a grid or sampled sigma before the step was checked")
+
+    monkeypatch.setattr(cli, "build_grid", unreachable)
+    monkeypatch.setattr(coefficients, "require_elliptic", unreachable)
+    code, out = run(tmp_path, "solve-nd", *RECT_GRID, "--b", "auto", "--fd-step", "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "option fd_step must be greater than 0" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_verify_direction_count_is_refused_before_the_solve(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from sigmalab import (
     refine,
 )
 from sigmalab import mesh as meshmod
-from sigmalab.mesh import (LOCATE_CHUNK, CircleLoop, Mesh, corners, mesh_from_text, mesh_to_text,
+from sigmalab.mesh import (LOCATE_CHUNK, BoxLoop, CircleLoop, Mesh, corners, mesh_from_text, mesh_to_text,
                            read_rows)
 from reference import orientation
 from ring_reference import reference_annulus, reference_disk
@@ -546,19 +546,19 @@ def test_a_certified_cross_sign_is_exact_on_near_collinear_triples(a, c, t, scal
 
 
 def test_boundary_distance(disk_mesh, annulus_mesh):
-    d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
+    d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0]]))
     assert np.allclose(d, [1.0, 0.5], atol=1e-12)
-    d = annulus_mesh.boundary_distance(np.array([[0.5, 0.0]]), 1.0)
+    d = annulus_mesh.boundary_distance(np.array([[0.5, 0.0]]))
     assert np.allclose(d, [0.3], atol=1e-12)
-    # beyond the bound, inf; a point that is not finite, NaN
-    d = disk_mesh.boundary_distance(np.array([[0.0, 0.0], [0.5, 0.0], [np.inf, 0.0]]), 0.75)
-    assert d[0] == np.inf and abs(d[1] - 0.5) < 1e-12 and np.isnan(d[2])
+    # a point that is not finite, NaN
+    d = disk_mesh.boundary_distance(np.array([[0.5, 0.0], [np.inf, 0.0]]))
+    assert abs(d[0] - 0.5) < 1e-12 and np.isnan(d[1])
 
 
 def dense_distance_to_polygon(points, poly):
     """Reference: the distance from each point to every segment of the closed
-    polygon, minimized, as boundary_distance computed it before it measured
-    only the segments within its bound of each point."""
+    polygon, minimized, as boundary_distance measured every loop before
+    rectangles carried a BoxLoop."""
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a
@@ -567,6 +567,10 @@ def dense_distance_to_polygon(points, poly):
     s = np.clip(np.einsum("psd,sd->ps", ap, ab) / denom, 0.0, 1.0)
     closest = a[None, :, :] + s[..., None] * ab[None, :, :]
     return np.hypot(*(points[:, None, :] - closest).transpose(2, 0, 1)).min(axis=1)
+
+
+def dense_boundary_distance(mesh, points):
+    return np.min([dense_distance_to_polygon(points, mesh.vertices[l]) for l in mesh.loops], axis=0)
 
 
 def star_mesh(radii, jitter, center):
@@ -607,24 +611,47 @@ def star_mesh(radii, jitter, center):
     ),
     st.integers(0, 2**32 - 1),
 )
+# rectangles far from the origin and at a scale near the smallest normal
+# double; one whose bottom side is one segment, at whose midpoint the
+# reference's projection parameter rounds to 0.4999999999999999 and leaves
+# 2.2e-16; and one at y0 = -1.3e-16, whose left side's last segment ends an
+# ulp off the lower left corner, so a point beyond that corner measures an
+# ulp short in the reference
+@example(mesh=generate_rectangle((1e8, 1e8), 1.0, 1.0, 0.25), seed=0)
+@example(mesh=generate_rectangle((1e12, -1e12), 1.5, 1.0, 0.1), seed=1)
+@example(mesh=generate_rectangle((0.0, 0.0), 1e-150, 2e-150, 1e-151), seed=2)
+@example(mesh=generate_rectangle((0.3, 0.0), 1.536017103390089, 2.0, 1.536017103390089), seed=0)
+@example(mesh=generate_rectangle((0.0, -1.2987455267215412e-16), 1.0, 0.25, 0.25), seed=0)
 def test_boundary_distance_matches_dense_reference(mesh, seed):
+    # a loop without geometry is the minimum over its segments, bit for bit,
+    # and so is a BoxLoop, except where that minimum rounds: on the boundary
+    # the box gives the exact +0.0, and beyond a corner the distance to the
+    # corner vertex, as the segment that starts there measures it
     rng = np.random.default_rng(seed)
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     span = hi - lo
-    poly = mesh.vertices[np.concatenate(mesh.loops)]
-    # inside and outside the box, far away, on vertices, edge midpoints and centroids
-    pts = np.concatenate([
+    # inside and outside the box, far away, and on centroids
+    off = np.concatenate([
         rng.uniform(lo, hi, size=(200, 2)),
         rng.uniform(lo - span, hi + span, size=(100, 2)),
         rng.uniform(lo - 20 * span, hi + 20 * span, size=(20, 2)),
-        poly[rng.integers(0, len(poly), 20)],
-        0.5 * (poly + np.roll(poly, -1, axis=0))[rng.integers(0, len(poly), 20)],
         mesh.centroids[rng.integers(0, mesh.num_triangles, 100)],
     ])
-    dense = np.min([dense_distance_to_polygon(pts, mesh.vertices[l]) for l in mesh.loops], axis=0)
-    for bound in (0.0, mesh.h, float(span.max()) / 3, 50 * float(span.max())):
-        want = np.where(dense <= bound, dense, np.inf)
-        assert mesh.boundary_distance(pts, bound).tolist() == want.tolist()
+    # every boundary vertex and edge midpoint
+    on = np.concatenate([
+        *(mesh.vertices[l] for l in mesh.loops),
+        *(0.5 * (mesh.vertices[l] + mesh.vertices[np.roll(l, -1)]) for l in mesh.loops),
+    ])
+    want, on_want = dense_boundary_distance(mesh, off), dense_boundary_distance(mesh, on)
+    box = mesh.loop_geometry[0]
+    if isinstance(box, BoxLoop):
+        x, y = off.T
+        beyond = ((x < box.x0) | (x > box.x1)) & ((y < box.y0) | (y > box.y1))
+        corners = [(cx, cy) for cx in (box.x0, box.x1) for cy in (box.y0, box.y1)]
+        want[beyond] = np.min([np.hypot(*(off[beyond] - c).T) for c in corners], axis=0)
+        on_want = np.zeros(len(on))
+    assert mesh.boundary_distance(off).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert mesh.boundary_distance(on).view(np.uint64).tolist() == on_want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize(
@@ -633,16 +660,37 @@ def test_boundary_distance_matches_dense_reference(mesh, seed):
 )
 def test_boundary_distance_of_non_finite_points_matches_dense_reference(mesh):
     # a point that is not finite is NaN; the finite ones, far ones included,
-    # match the reference within each bound
+    # match the reference
     pts = np.array([[0.5, 0.2], [np.nan, 0.2], [np.inf, 0.3], [0.1, -np.inf], [1e308, -1e308]])
     finite = np.isfinite(pts).all(axis=1)
     with np.errstate(over="ignore"):
         dense = dense_distance_to_polygon(pts[finite], mesh.vertices[mesh.loops[0]])
-    for bound in (0.0, 0.1, 1.0, 1e300):
-        got = mesh.boundary_distance(pts, bound)
-        want = np.where(dense <= bound, dense, np.inf)
-        assert np.isnan(got[~finite]).all()
-        assert got[finite].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    got = mesh.boundary_distance(pts)
+    assert np.isnan(got[~finite]).all()
+    assert got[finite].view(np.uint64).tolist() == dense.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_a_polygon_loop_longer_than_a_batch_matches_dense_reference(chunk):
+    # 120 segments: a patched LOCATE_CHUNK of 1 or 4 gives 64 or 256 pairs a
+    # batch, so batches of one or two points, and 101 points leave a remainder
+    mesh = mesh_from_text(mesh_to_text(generate_disk((0.0, 0.0), 1.0, 0.05)))
+    assert mesh.loop_geometry == (None,) and len(mesh.loops[0]) == 120
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(101, 2))
+    with mock.patch.object(meshmod, "LOCATE_CHUNK", chunk):
+        got = mesh.boundary_distance(pts)
+    assert got.view(np.uint64).tolist() == dense_boundary_distance(mesh, pts).view(np.uint64).tolist()
+
+
+def test_a_refined_rectangle_keeps_its_box_loop():
+    m = generate_rectangle((0.5, -1.0), 2.0, 1.5, 0.5)
+    assert m.loop_geometry == (BoxLoop(0.5, -1.0, 2.5, 0.5),)
+    fine = refine(refine(m))
+    assert fine.loop_geometry == m.loop_geometry
+    # the midpoints of each side lie on it, so the box measures every
+    # boundary vertex at +0.0
+    d = fine.boundary_distance(fine.vertices[fine.loops[0]])
+    assert d.view(np.uint64).tolist() == [0] * len(fine.loops[0])
 
 
 # sha256 of mesh_to_text at h = 0.2 and 0, 1, 2 refinements, recorded before
@@ -1119,9 +1167,8 @@ def test_every_array_of_a_mesh_is_read_only(source):
         m = mesh_from_text(mesh_to_text(DOMAINS["annulus"](0.25)))
     else:
         m = DOMAINS[source](0.25)
-    # build the caches of locate, boundary_distance and the rest
+    # build the caches of locate and the rest
     m.locate(m.centroids[:5])
-    m.boundary_distance(m.centroids[:5], 0.1)
     for cached in ("basis_gradients", "interior_vertices", "triangle_neighbours"):
         getattr(m, cached)
     arrays = {}
@@ -1131,19 +1178,15 @@ def test_every_array_of_a_mesh_is_read_only(source):
         "vertices", "triangles", "_areas", "centroids", "basis_gradients", "boundary_vertices",
         "interior_vertices", "triangle_neighbours", "corners", "edge_table[0]",
         "loops[0]", "_triangle_boxes[1]", "_triangle_boxes[2]", "_triangle_boxes[3]",
-        "_segments[0]", "_segments[1]", "_segments[2]", "_segments[3]",
-        "_segments[5][1]", "_segments[5][2]", "_segments[5][3]",
     ]
     if "annulus" in source:
         expected.append("loops[1]")
-    if source in ("rect", "annulus text"):
-        assert len(m._segments[0]) == sum(map(len, m.loops))
     assert set(expected) <= set(arrays)
     for name, a in arrays.items():
         with pytest.raises(ValueError, match="read-only"):
             a[...] = a  # raises for an empty array too
     assert m.areas is m._areas
-    for held in (m.loops, m.loop_geometry, m._triangle_boxes, m._segments):
+    for held in (m.loops, m.loop_geometry, m._triangle_boxes):
         assert isinstance(held, tuple)
         with pytest.raises(AttributeError):
             held.append(None)

@@ -196,8 +196,10 @@ def solve_nondivergence(
     At every interior node the stencil is
     s11 dxx + (s12 + s21) dxy + s22 dyy + b1 dx + b2 dy = 0. Before assembly
     each node must satisfy s11 >= |s12 + s21|/2 + h|b1|/2 and the analogous
-    bound for s22; the check failing names the worst node and suggests a
-    smaller spacing.
+    bound for s22: every axis weight at least twice each diagonal weight's
+    size. That is axis dominance, not diagonal dominance, which a row with
+    s12 + s21 != 0 lacks. The check failing names the worst node and
+    suggests a smaller spacing.
     """
     from scipy import sparse
 
@@ -216,8 +218,9 @@ def solve_nondivergence(
     worst = int(np.argmin(slack))
     if slack[worst] < -1e-12:
         raise SolverError(
-            "stencil loses diagonal dominance at node "
-            f"({pts[worst, 0]:.6g}, {pts[worst, 1]:.6g}): "
+            "stencil loses axis dominance at node "
+            f"({pts[worst, 0]:.6g}, {pts[worst, 1]:.6g}): an axis weight is below "
+            "twice a diagonal weight's size, "
             f"sigma={S[worst].tolist()}, b={B[worst].tolist()}, spacing={h}; "
             "reduce the spacing or use a milder coefficient field"
         )

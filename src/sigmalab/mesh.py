@@ -159,6 +159,7 @@ class Mesh:
     first and runs counterclockwise; hole loops run clockwise. ``loops`` and
     ``loop_geometry`` are tuples, and every array a Mesh holds, built or
     cached, is read-only: one Mesh may serve many commands in a process.
+    Its "mesh v1" text is kept too (``Mesh.text``), formatted on first use.
     """
 
     def __init__(self, vertices, triangles, h, loop_geometry=None):
@@ -227,6 +228,20 @@ class Mesh:
     def corners(self) -> np.ndarray:
         """The triangles' corner coordinates, as corners() gives them."""
         return _read_only(corners(self.vertices, self.triangles))
+
+    @cached_property
+    def text(self) -> str:
+        """The mesh's "mesh v1" text, formatted once: it reads only the
+        read-only arrays and loops, so it cannot go stale."""
+        v, t = self.vertices, self.triangles
+        parts = [
+            f"mesh v1\nvertices {len(v)}\n",
+            ("%r %r\n" * len(v)) % tuple(v.ravel().tolist()),
+            f"triangles {len(t)}\n",
+            ("%d %d %d\n" * len(t)) % tuple(t.ravel().tolist()),
+        ]
+        parts += [f"boundary {len(l)} {' '.join(map(str, l.tolist()))}\n" for l in self.loops]
+        return "".join(parts)
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -694,15 +709,8 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 def mesh_to_text(mesh: Mesh) -> str:
-    v, t = mesh.vertices, mesh.triangles
-    parts = [
-        f"mesh v1\nvertices {len(v)}\n",
-        ("%r %r\n" * len(v)) % tuple(v.ravel().tolist()),
-        f"triangles {len(t)}\n",
-        ("%d %d %d\n" * len(t)) % tuple(t.ravel().tolist()),
-    ]
-    parts += [f"boundary {len(l)} {' '.join(map(str, l.tolist()))}\n" for l in mesh.loops]
-    return "".join(parts)
+    """The mesh's "mesh v1" text: the one kept on it, Mesh.text."""
+    return mesh.text
 
 
 def read_rows(lines: list[str], pos: int, n: int, width: int, dtype, what: str):

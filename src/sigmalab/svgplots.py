@@ -6,10 +6,18 @@ array code: ``_Canvas.format`` maps whole arrays of points to the viewport
 and fills a repeated %-template from ``tolist()`` in one call, with the
 float expressions and the rounding the point-by-point emitters used, so the
 bytes are those of the point-by-point emitters too.
+
+What a drawing takes from its mesh alone, its per-mesh frame (the canvas,
+the header, the boundary paths and each triangle's polygon up to its fill
+colour), is built once per Mesh and kept in a weak per-mesh store, as
+fem._factors keeps factors, so an entry dies with its mesh. A heat map then
+formats only its colours, and a contour only its level segments.
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,14 +60,43 @@ class _Canvas:
         )
 
 
-def _boundary_paths(mesh: Mesh, canvas: _Canvas) -> str:
-    parts = []
-    for loop in mesh.loops:
-        pts = canvas.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
-        parts.append(
-            f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="1"/>\n'
+class _Frame:
+    """The mesh-only part of a mesh's SVG files. It holds the mesh's arrays,
+    never the mesh, so that its entry in _frames dies with the mesh."""
+
+    def __init__(self, mesh: Mesh):
+        self.canvas = canvas = _Canvas(mesh)
+        self.header = canvas.header()
+        self.boundary = "".join(
+            '<polygon points="%s" fill="none" stroke="black" stroke-width="1"/>\n'
+            % canvas.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
+            for loop in mesh.loops
         )
-    return "".join(parts)
+        self._vertices, self._triangles = mesh.vertices, mesh.triangles
+
+    @cached_property
+    def heatmap(self) -> str:
+        """A heat map's whole file as a template: each triangle's
+        '<polygon points="a b c" fill="rgb(' prefix, then a %d,%d,%d field
+        for its colour, between the header and the boundary paths with the
+        closing tag."""
+        # each vertex is formatted once, then gathered per triangle
+        pts = np.array(self.canvas.format("%.4f,%.4f ", self._vertices).split(), dtype=object)
+        polygon = '<polygon points="%s %s %s" fill="rgb(%%d,%%d,%%d)" stroke="none"/>\n'
+        polygons = polygon * len(self._triangles) % tuple(pts[self._triangles].ravel().tolist())
+        # the header and the boundary paths hold no '%': numbers and fixed text
+        return "".join([self.header, polygons, self.boundary, "</svg>\n"])
+
+
+#: per mesh, its _Frame; an entry dies with its mesh
+_frames: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _frame(mesh: Mesh) -> _Frame:
+    frame = _frames.get(mesh)
+    if frame is None:
+        frame = _frames[mesh] = _Frame(mesh)
+    return frame
 
 
 def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
@@ -84,8 +121,9 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
         if not np.isfinite(level_values).all():
             raise ConfigError("contour levels must be finite")
 
-    canvas = _Canvas(mesh)
-    out = [canvas.header(), _boundary_paths(mesh, canvas)]
+    frame = _frame(mesh)
+    canvas = frame.canvas
+    out = [frame.header, frame.boundary]
     tri_vals = vals[mesh.triangles]
     x, y = mesh.corners
     for li, level in enumerate(level_values):
@@ -130,12 +168,4 @@ def heatmap_svg(mesh: Mesh, values) -> str:
         np.column_stack([np.rint(255 - 90 * t), fade, fade]),
         np.column_stack([fade, fade, np.rint(255 + 107 * t)]),
     ).astype(np.int64)
-    canvas = _Canvas(mesh)
-    # each vertex is formatted once, then gathered per triangle
-    pts = np.array(canvas.format("%.4f,%.4f ", mesh.vertices).split(), dtype=object)
-    fields = np.column_stack([pts[mesh.triangles], rgb])
-    polygon = '<polygon points="%s %s %s" fill="rgb(%d,%d,%d)" stroke="none"/>\n'
-    out = [canvas.header(), polygon * len(fields) % tuple(fields.ravel().tolist())]
-    out.append(_boundary_paths(mesh, canvas))
-    out.append("</svg>\n")
-    return "".join(out)
+    return _frame(mesh).heatmap % tuple(rgb.ravel().tolist())

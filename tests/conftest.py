@@ -1,6 +1,6 @@
 import pytest
 
-from sigmalab import fem, generate_annulus, generate_disk, generate_rectangle
+from sigmalab import fem, generate_annulus, generate_disk, generate_rectangle, svgplots
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +31,15 @@ def fresh_factors():
     fem._factors.clear()
     yield
     fem._factors.clear()
+
+
+@pytest.fixture
+def fresh_frames():
+    """No kept SVG frame before the test or after it: the test's first
+    drawing on a mesh builds that mesh's frame."""
+    svgplots._frames.clear()
+    yield
+    svgplots._frames.clear()
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Test-side references that no sigmalab command runs: the oracles' nodal
 maps, point evaluation of a P1 field, a brute-force injectivity scan,
 small-gradient triangles, a representative member of each coefficient
-family and the exact orientation of three points.
+family, the exact orientation of three points and a heat map drawn with no
+kept per-mesh frame.
 """
 
 import math
@@ -19,6 +20,7 @@ from sigmalab.coefficients import (
     nonsymmetric_field,
 )
 from sigmalab.fem import ScalarField, gradient_field
+from sigmalab.svgplots import _Canvas
 
 SAMPLE_BUDGET = 50_000
 
@@ -110,3 +112,29 @@ def orientation(a, b, c) -> int:
     ax, ay, bx, by, cx, cy = map(Fraction, (*a, *b, *c))
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+def heatmap_svg(mesh, values) -> str:
+    """svgplots.heatmap_svg as it was before the frame was kept: every byte,
+    the mesh's included, formatted on each call from a fresh canvas."""
+    values = np.asarray(values, dtype=float)
+    vmax = float(np.abs(values).max())
+    t = np.clip(values / vmax, -1.0, 1.0) if vmax > 0 else np.zeros_like(values)
+    fade = np.rint(255 * (1 - np.abs(t) * 0.85))
+    rgb = np.where(
+        (t >= 0)[:, None],
+        np.column_stack([np.rint(255 - 90 * t), fade, fade]),
+        np.column_stack([fade, fade, np.rint(255 + 107 * t)]),
+    ).astype(np.int64)
+    canvas = _Canvas(mesh)
+    pts = np.array(canvas.format("%.4f,%.4f ", mesh.vertices).split(), dtype=object)
+    fields = np.column_stack([pts[mesh.triangles], rgb])
+    polygon = '<polygon points="%s %s %s" fill="rgb(%d,%d,%d)" stroke="none"/>\n'
+    out = [canvas.header(), polygon * len(fields) % tuple(fields.ravel().tolist())]
+    for loop in mesh.loops:
+        loop_pts = canvas.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
+        out.append(
+            f'<polygon points="{loop_pts}" fill="none" stroke="black" stroke-width="1"/>\n'
+        )
+    out.append("</svg>\n")
+    return "".join(out)

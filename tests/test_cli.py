@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from sigmalab import cli, coefficients, fem, generate_disk, mesh
+from sigmalab import cli, coefficients, fem, generate_disk, mesh, svgplots
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 from sigmalab.errors import SigmalabError
 
@@ -44,16 +44,30 @@ def test_mesh_text_of_a_centre_at_minus_zero_is_kept_apart(tmp_path, order):
 
 
 def test_verify_repeated_in_one_process_writes_the_same_bytes(tmp_path):
-    disk = ["--domain", "disk:r=1", "--h", "0.1", "--sigma", "randholder:seed=3"]
-    verify = ["verify", *disk, "--g", "identity", "--margin", "0.1", "--directions", "8"]
-    runs = [verify, ["beltrami", *disk, "--g", "x1"], verify]
+    disk = ["--domain", "disk:r=1", "--h", "0.1"]
+    options = ["--g", "identity", "--margin", "0.1", "--directions", "8"]
+    verify_a = ["verify", *disk, "--sigma", "randholder:seed=3", *options]
+    verify_b = ["verify", *disk, "--sigma", "randnonsym:seed=5", *options]
+    beltrami = ["beltrami", *disk, "--sigma", "randholder:seed=3", "--g", "x1"]
     outputs = []
-    for k, argv in enumerate(runs):
+
+    def verify_outputs(k, argv):
         (tmp_path / str(k)).mkdir()
         code, out = run(tmp_path / str(k), *argv)
         assert code == 0
         outputs.append(output_bytes(out))
+
+    # field B after field A on the one memoized mesh, its text and SVG frame
+    for k, argv in enumerate([verify_a, beltrami, verify_a, verify_b]):
+        verify_outputs(k, argv)
     assert outputs[2] == outputs[0]
+    # B again from a cold start: nothing field-specific was kept with the mesh
+    mesh._last_build.clear()
+    fem._factors.clear()
+    svgplots._frames.clear()
+    verify_outputs(4, verify_b)
+    assert outputs[4] == outputs[3]
+    assert outputs[3] != outputs[0]
 
 
 def test_solve_affine_reference(tmp_path, capsys):

@@ -1126,6 +1126,14 @@ def test_a_different_generator_call_builds_its_own_mesh(name, other):
     assert mesh_to_text(got) == mesh_to_text(generate.__wrapped__(*other))
 
 
+@pytest.mark.parametrize("name", BASE_CALLS)
+def test_a_memoized_mesh_keeps_its_text(name):
+    generate, args = BASE_CALLS[name]
+    text = mesh_to_text(generate(*args))
+    assert mesh_to_text(generate(*args)) is text
+    assert text == mesh_to_text(generate.__wrapped__(*args))
+
+
 def test_the_generators_share_one_entry_keyed_by_generator():
     annulus = generate_annulus((0.0, 0.0), 0.2, 1.0, 0.2)
     # the same arguments to another generator

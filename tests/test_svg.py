@@ -1,17 +1,23 @@
+import gc
 import hashlib
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from sigmalab import (
     ConfigError,
     ScalarField,
+    generate_annulus,
     generate_disk,
     jacobian_field,
+    svgplots,
 )
 from sigmalab.cli import main
+from sigmalab.mesh import mesh_from_text, mesh_to_text
 from sigmalab.oracles import holomorphic_oracle
 from sigmalab.svgplots import contour_svg, heatmap_svg
 from reference import mapping_field
@@ -145,6 +151,60 @@ def test_svg_bytes_pinned(disk_mesh, sample_field):
     assert {k: sha256(svg) for k, (svg, _) in pins.items()} == {
         k: digest for k, (_, digest) in pins.items()
     }
+
+
+@pytest.fixture(scope="module")
+def heatmap_meshes(disk_mesh):
+    # a read-back annulus: two loops and no loop geometry
+    annulus = mesh_from_text(mesh_to_text(generate_annulus((0.0, 0.0), 0.2, 1.0, 0.1)))
+    return {"disk": disk_mesh, "annulus": annulus}
+
+
+# both signs, zeros, subnormals and the extremes of the colour scale
+HEAT_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.0, -2.5]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    pool=st.lists(
+        st.sampled_from(HEAT_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(["disk", "annulus"]),
+)
+@example(pool=[0.0, -0.0], seed=0, name="disk")  # vmax = 0
+@example(pool=[0.0], seed=0, name="annulus")
+@example(pool=[5e-324, -5e-324, 1e-310], seed=1, name="disk")
+@example(pool=[1e300, -1e300, 5e-324], seed=2, name="annulus")
+def test_heatmap_with_the_kept_frame_matches_the_reference(heatmap_meshes, pool, seed, name):
+    mesh = heatmap_meshes[name]
+    values = np.random.default_rng(seed).choice(np.array(pool), mesh.num_triangles)
+    assert heatmap_svg(mesh, values) == reference.heatmap_svg(mesh, values)
+
+
+def test_a_second_drawing_on_one_mesh_gives_the_same_bytes(fresh_frames, disk_mesh, sample_field):
+    det = jacobian_field(mapping_field(holomorphic_oracle(2), disk_mesh))
+    # the contour builds the frame, the heat map adds its template
+    contour = contour_svg(sample_field, levels=8)
+    assert disk_mesh in svgplots._frames
+    heat = heatmap_svg(disk_mesh, det)
+    assert heat == reference.heatmap_svg(disk_mesh, det)
+    assert heatmap_svg(disk_mesh, det) == heat
+    assert contour_svg(sample_field, levels=8) == contour
+    assert len(svgplots._frames) == 1
+
+
+def test_a_frame_dies_with_its_mesh(fresh_frames):
+    mesh = generate_disk.__wrapped__((0.0, 0.0), 1.0, 0.3)  # no generator memo
+    heatmap_svg(mesh, np.ones(mesh.num_triangles))
+    assert mesh in svgplots._frames
+    gone = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert gone() is None
+    assert len(svgplots._frames) == 0
 
 
 _SMALL_DISK = generate_disk((0.0, 0.0), 1.0, 0.3)

@@ -156,7 +156,7 @@ def cmd_solve(cfg):
 def cmd_solve_nd(cfg):
     grid = build_grid(cfg["domain"], cfg["spacing"])
     sigma = coefficients.field_from_descriptor(cfg["sigma"])
-    pts = grid.points(grid.interior_mask)
+    pts = grid.plan.interior_points
     data = resolve_data(cfg, 1)
     bdesc = cfg["b"]
     if bdesc not in ("auto", "zero"):

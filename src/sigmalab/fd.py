@@ -8,27 +8,39 @@ the drift or the mixed term outweighs an axis weight, so every axis weight is
 at least twice each diagonal weight's size (up to a 1e-12 slack). That is no
 maximum principle: the cross stencil's diagonal weights take both signs where
 s12 + s21 != 0, and an interior value can fall below all boundary values.
+
+What depends on the grid alone is built once per grid: a grid builder call
+that repeats the previous one returns that call's grid, and a grid keeps its
+plan (GridDomain.plan: the nested-dissection numbering, the node coordinates
+and the sparsity pattern of the system) and its "grid v1" mask text. A solve
+computes only the stencil weights and the boundary data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, MeshError, ResourceLimitError, SolverError
 from .fem import _factor, boundary_values, checked_residual, checked_samples
-from .mesh import _check_cap, read_line, read_rows
+from .mesh import _check_cap, _memoized, _read_only, read_line, read_rows
 
-_NEIGHBORS8 = [(di, dj) for dj in (-1, 0, 1) for di in (-1, 0, 1) if (di, dj) != (0, 0)]
+#: the nine-point stencil's offsets (di, dj), in the order its weights are stacked
+_STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+# the last grid builder call's key and grid: one entry, apart from the mesh
+# generators' so that alternating mesh and grid commands keep both
+_last_grid: dict = {}
 
 
 def _neighbors(mask: np.ndarray) -> list[np.ndarray]:
     """The 8 neighbor views of a (ny, nx) mask, False beyond its edge."""
     ny, nx = mask.shape
     padded = np.pad(mask, 1)
-    return [padded[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx] for di, dj in _NEIGHBORS8]
+    return [padded[1 + dj : 1 + dj + ny, 1 + di : 1 + di + nx] for di, dj in _STENCIL[1:]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +54,12 @@ class GridDomain:
     interior node belong to neither). So the masks are disjoint and every
     interior node has all 8 neighbors in interior or boundary; a grid with
     no interior node raises DomainError.
+
+    Every array a grid holds, built or cached, is read-only, so one grid may
+    serve many solves: the grid builders return the previous call's grid when
+    a call repeats it. What the solves share is cached on first use: plan,
+    the GridPlan of solve_nondivergence, and mask_text, the "grid v1" mask
+    block.
     """
 
     origin: tuple[float, float]
@@ -87,6 +105,83 @@ class GridDomain:
         X, Y = self.node_coordinates()
         return np.column_stack([X[mask], Y[mask]])
 
+    @cached_property
+    def plan(self) -> GridPlan:
+        """What solve_nondivergence needs of this grid, built once."""
+        from scipy import sparse
+
+        jj, ii = np.where(self.interior_mask)
+        n = len(jj)
+        boundary_points = self.points(self.boundary_mask)
+        # columns: the interior nodes in nested-dissection order, then the boundary
+        # nodes; GridDomain guarantees every stencil neighbor is one of the two
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(nested_dissection_key(ii, jj), kind="stable")] = np.arange(n)
+        index = np.full((self.ny, self.nx), -1, dtype=np.int64)
+        index[jj, ii] = rank
+        index[self.boundary_mask] = n + np.arange(len(boundary_points))
+        rows = np.tile(rank, len(_STENCIL))
+        cols = np.concatenate([index[jj + dj, ii + di] for di, dj in _STENCIL])
+        # each stacked weight's position plus one as its value: a row's nine
+        # columns are distinct, so scipy's conversion and column slices move the
+        # positions where they move the weights, and the pattern is scipy's own
+        M = sparse.csc_matrix((np.arange(1.0, len(rows) + 1), (rows, cols)),
+                              shape=(n, n + len(boundary_points)))
+        blocks = []
+        for block in (M[:, :n], M[:, n:]):
+            order = block.data.astype(np.int64) - 1
+            blocks.append(StencilBlock(*_read_only(order, block.indices, block.indptr),
+                                       block.shape))
+        return GridPlan(*_read_only(jj, ii, rank, self.points(self.interior_mask),
+                                    boundary_points), *blocks)
+
+    @cached_property
+    def mask_text(self) -> str:
+        """The rows of the "grid v1" mask block, formatted once."""
+        rows = (" ".join(["%d"] * self.nx) + "\n") * self.ny
+        return rows % tuple(_mask_codes(self).ravel().tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class StencilBlock:
+    """The CSC pattern (indices, indptr) of a block of columns of the
+    nine-point system, shape (rows, columns). order[k] is the position, among
+    the stacked stencil weights, of the k-th stored entry."""
+
+    order: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    def matrix(self, weights: np.ndarray):
+        """The block whose entries are the stacked stencil weights."""
+        from scipy import sparse
+
+        return sparse.csc_matrix((weights[self.order], self.indices, self.indptr),
+                                 shape=self.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class GridPlan:
+    """The part of the nine-point system that depends on the grid alone.
+
+    jj, ii index the interior nodes as np.where(interior_mask) lists them,
+    and rank is their nested-dissection number, the unknowns' order.
+    interior_points and boundary_points are the nodes' coordinates, as
+    GridDomain.points gives them. interior and boundary are the blocks of
+    the interior and the boundary columns, which take the stencil weights
+    stacked in _STENCIL order, one (n,) row per offset. Every array is
+    read-only.
+    """
+
+    jj: np.ndarray
+    ii: np.ndarray
+    rank: np.ndarray
+    interior_points: np.ndarray
+    boundary_points: np.ndarray
+    interior: StencilBlock
+    boundary: StencilBlock
+
 
 @dataclass(frozen=True, eq=False)
 class GridField:
@@ -117,6 +212,7 @@ def _nodes(length: float, spacing: float) -> int:
     return int(round(q)) + 1
 
 
+@_memoized(_last_grid)
 def annulus_grid(center: tuple[float, float], r_in: float, r_out: float, spacing: float) -> GridDomain:
     _check_placement(center, spacing)
     if not (0 < r_in < r_out < math.inf):
@@ -130,6 +226,7 @@ def annulus_grid(center: tuple[float, float], r_in: float, r_out: float, spacing
     return GridDomain(origin, spacing, (R >= r_in) & (R <= r_out))
 
 
+@_memoized(_last_grid)
 def rectangle_grid(corner: tuple[float, float], width: float, height: float, spacing: float) -> GridDomain:
     _check_placement(corner, spacing)
     if not (0 < width < math.inf and 0 < height < math.inf):
@@ -201,14 +298,11 @@ def solve_nondivergence(
     s12 + s21 != 0 lacks. The check failing names the worst node and
     suggests a smaller spacing.
     """
-    from scipy import sparse
-
+    plan = grid.plan
     h = grid.spacing
-    jj, ii = np.where(grid.interior_mask)
-    n = len(jj)
+    n = len(plan.rank)
     S = checked_samples(S, (n, 2, 2), "sigma samples")
     B = checked_samples(B, (n, 2), "drift samples")
-    pts = grid.points(grid.interior_mask)
 
     c = (S[:, 0, 1] + S[:, 1, 0]) / 2  # the mixed coefficient
     slack = np.minimum(
@@ -217,26 +311,20 @@ def solve_nondivergence(
     )
     worst = int(np.argmin(slack))
     if slack[worst] < -1e-12:
+        x, y = plan.interior_points[worst]
         raise SolverError(
             "stencil loses axis dominance at node "
-            f"({pts[worst, 0]:.6g}, {pts[worst, 1]:.6g}): an axis weight is below "
+            f"({x:.6g}, {y:.6g}): an axis weight is below "
             "twice a diagonal weight's size, "
             f"sigma={S[worst].tolist()}, b={B[worst].tolist()}, spacing={h}; "
             "reduce the spacing or use a milder coefficient field"
         )
 
-    G = boundary_values(g, grid.points(grid.boundary_mask))
+    G = boundary_values(g, plan.boundary_points)
 
-    # columns: the interior nodes in nested-dissection order, then the boundary
-    # nodes; GridDomain guarantees every stencil neighbor is one of the two
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(nested_dissection_key(ii, jj), kind="stable")] = np.arange(n)
-    index = np.full((grid.ny, grid.nx), -1, dtype=np.int64)
-    index[jj, ii] = rank
-    index[grid.boundary_mask] = n + np.arange(G.shape[1])
     h2 = h * h
     q = c / (2 * h2)
-    offsets = {
+    weights = {
         (0, 0): -2.0 * S[:, 0, 0] / h2 - 2.0 * S[:, 1, 1] / h2,
         (1, 0): S[:, 0, 0] / h2 + B[:, 0] / (2 * h),
         (-1, 0): S[:, 0, 0] / h2 - B[:, 0] / (2 * h),
@@ -247,17 +335,14 @@ def solve_nondivergence(
         (1, -1): -q,
         (-1, 1): -q,
     }
-    rows = np.repeat(rank, len(offsets))
-    cols = np.column_stack([index[jj + dj, ii + di] for di, dj in offsets]).ravel()
-    vals = np.column_stack(list(offsets.values())).ravel()
-    M = sparse.csc_matrix((vals, (rows, cols)), shape=(n, n + G.shape[1]))
-    A = M[:, :n]
-    rhs = -M[:, n:] @ G.T
+    stacked = np.concatenate([weights[offset] for offset in _STENCIL])
+    A = plan.interior.matrix(stacked)
+    rhs = -plan.boundary.matrix(stacked) @ G.T
     U = spsolve(A, rhs)
     relative = checked_residual(A, U, rhs)
 
     out = np.zeros((len(G), grid.ny, grid.nx))
-    out[:, jj, ii] = U[rank].T
+    out[:, plan.jj, plan.ii] = U[plan.rank].T
     out[:, grid.boundary_mask] = G
     return [GridField(grid, values) for values in out], relative
 
@@ -275,12 +360,11 @@ def _mask_codes(g: GridDomain) -> np.ndarray:
 
 def grid_field_to_text(f: GridField) -> str:
     g = f.grid
-    mask_rows = (" ".join(["%d"] * g.nx) + "\n") * g.ny
     value_rows = (" ".join(["%r"] * g.nx) + "\n") * g.ny
     return (
         f"grid v1\norigin {float(g.origin[0])!r} {float(g.origin[1])!r}\n"
         f"spacing {float(g.spacing)!r}\nsize {g.nx} {g.ny}\nmask\n"
-        + mask_rows % tuple(_mask_codes(g).ravel().tolist())
+        + g.mask_text
         + "values\n"
         + value_rows % tuple(f.values.ravel().tolist())
     )

@@ -571,29 +571,35 @@ def _ring_mesh(center, radii: np.ndarray, counts: np.ndarray, first_id: int):
 _last_build: dict = {}
 
 
-def _memoized(generate):
-    """generate, returning the previous generator call's mesh when a call
-    repeats it: the same generator, arguments and DEFAULT_VERTEX_CAP.
+def _memoized(store: dict):
+    """Decorate a builder so that a call repeating the previous call kept in
+    store (the same builder, arguments and DEFAULT_VERTEX_CAP) returns that
+    call's result.
 
-    The three generators share this one entry. Arguments are compared by
-    their repr, with arrays printed to every digit: -0.0 == 0.0, but a disk
-    centred at -0.0 writes "-0.0" in its text, where repr tells them apart.
+    The builders that share a store share its one entry: the three mesh
+    generators share _last_build, the two grid builders fd._last_grid.
+    Arguments are compared by their repr, with arrays printed to every digit:
+    -0.0 == 0.0, but a disk centred at -0.0 writes "-0.0" in its text, where
+    repr tells them apart.
     """
 
-    @functools.wraps(generate)
-    def memo(*args, **kwargs):
-        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-            key = (generate.__name__, repr(args), repr(kwargs), DEFAULT_VERTEX_CAP)
-        if key not in _last_build:
-            mesh = generate(*args, **kwargs)
-            _last_build.clear()
-            _last_build[key] = mesh
-        return _last_build[key]
+    def decorate(build):
+        @functools.wraps(build)
+        def memo(*args, **kwargs):
+            with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+                key = (build.__name__, repr(args), repr(kwargs), DEFAULT_VERTEX_CAP)
+            if key not in store:
+                built = build(*args, **kwargs)
+                store.clear()
+                store[key] = built
+            return store[key]
 
-    return memo
+        return memo
+
+    return decorate
 
 
-@_memoized
+@_memoized(_last_build)
 def generate_disk(center: Point2, radius: float, h: float) -> Mesh:
     """Triangulate a disk with concentric rings of 6i vertices.
 
@@ -619,7 +625,7 @@ def generate_disk(center: Point2, radius: float, h: float) -> Mesh:
     return Mesh(verts, tris, h, geom)
 
 
-@_memoized
+@_memoized(_last_build)
 def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mesh:
     """Triangulate an annulus; ring vertex counts grow with the radius."""
     if not (0 < r_in < r_out < math.inf):
@@ -646,7 +652,7 @@ def generate_annulus(center: Point2, r_in: float, r_out: float, h: float) -> Mes
     return Mesh(verts, tris, h, geom)
 
 
-@_memoized
+@_memoized(_last_build)
 def generate_rectangle(corner: Point2, width: float, height: float, h: float) -> Mesh:
     """Triangulate an axis-aligned rectangle by splitting grid squares."""
     if not (0 < width < math.inf and 0 < height < math.inf):

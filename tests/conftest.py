@@ -1,6 +1,6 @@
 import pytest
 
-from sigmalab import fem, generate_annulus, generate_disk, generate_rectangle, svgplots
+from sigmalab import fd, fem, generate_annulus, generate_disk, generate_rectangle, svgplots
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +40,16 @@ def fresh_frames():
     svgplots._frames.clear()
     yield
     svgplots._frames.clear()
+
+
+@pytest.fixture
+def fresh_grids():
+    """No kept grid before the test or after it: the test's first grid
+    builder call builds its grid, and a grid the test built is not handed
+    to a later test."""
+    fd._last_grid.clear()
+    yield
+    fd._last_grid.clear()
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Test-side references that no sigmalab command runs: the oracles' nodal
 maps, point evaluation of a P1 field, a brute-force injectivity scan,
 small-gradient triangles, a representative member of each coefficient
-family, the exact orientation of three points and a heat map drawn with no
-kept per-mesh frame.
+family, the exact orientation of three points, a heat map drawn with no
+kept per-mesh frame and the nine-point system built with no kept grid plan.
 """
 
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sigmalab import ResourceLimitError
+from sigmalab import ResourceLimitError, fd
 from sigmalab.analysis import MappingField
 from sigmalab.coefficients import (
     anisotropic_field,
@@ -138,3 +138,40 @@ def heatmap_svg(mesh, values) -> str:
         )
     out.append("</svg>\n")
     return "".join(out)
+
+
+def nine_point_system(grid, S, B):
+    """The interior block A and the boundary block of solve_nondivergence's
+    system as it was before grids kept their plan: numbered, stacked and
+    converted from COO triplets on each call. The right-hand side is minus
+    the boundary block times the boundary data."""
+    from scipy import sparse
+
+    h = grid.spacing
+    jj, ii = np.where(grid.interior_mask)
+    n = len(jj)
+    nb = int(grid.boundary_mask.sum())
+    c = (S[:, 0, 1] + S[:, 1, 0]) / 2
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(fd.nested_dissection_key(ii, jj), kind="stable")] = np.arange(n)
+    index = np.full((grid.ny, grid.nx), -1, dtype=np.int64)
+    index[jj, ii] = rank
+    index[grid.boundary_mask] = n + np.arange(nb)
+    h2 = h * h
+    q = c / (2 * h2)
+    offsets = {
+        (0, 0): -2.0 * S[:, 0, 0] / h2 - 2.0 * S[:, 1, 1] / h2,
+        (1, 0): S[:, 0, 0] / h2 + B[:, 0] / (2 * h),
+        (-1, 0): S[:, 0, 0] / h2 - B[:, 0] / (2 * h),
+        (0, 1): S[:, 1, 1] / h2 + B[:, 1] / (2 * h),
+        (0, -1): S[:, 1, 1] / h2 - B[:, 1] / (2 * h),
+        (1, 1): q,
+        (-1, -1): q,
+        (1, -1): -q,
+        (-1, 1): -q,
+    }
+    rows = np.repeat(rank, len(offsets))
+    cols = np.column_stack([index[jj + dj, ii + di] for di, dj in offsets]).ravel()
+    vals = np.column_stack(list(offsets.values())).ravel()
+    M = sparse.csc_matrix((vals, (rows, cols)), shape=(n, n + nb))
+    return M[:, :n], M[:, n:]

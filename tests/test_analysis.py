@@ -1433,7 +1433,8 @@ def _identity_twins():
     v = nodal(mesh, lambda x, y: y)
     grid = fd.rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.25)
     return {
-        "GridDomain": lambda: fd.rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.25),
+        # twins from the unmemoized builder: a repeated call returns one grid
+        "GridDomain": lambda: fd.rectangle_grid.__wrapped__((0.0, 0.0), 1.0, 1.0, 0.25),
         "GridField": lambda: fd.GridField(grid, np.zeros((grid.ny, grid.nx))),
         "ScalarField": lambda: nodal(mesh, lambda x, y: x),
         "PullbackSubdomain": lambda: pullback_subdomain(

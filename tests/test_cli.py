@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from sigmalab import cli, coefficients, fem, generate_disk, mesh, svgplots
+from sigmalab import cli, coefficients, fd, fem, generate_disk, mesh, svgplots
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 from sigmalab.errors import SigmalabError
 
@@ -68,6 +68,30 @@ def test_verify_repeated_in_one_process_writes_the_same_bytes(tmp_path):
     verify_outputs(4, verify_b)
     assert outputs[4] == outputs[3]
     assert outputs[3] != outputs[0]
+
+
+def test_solve_nd_repeated_in_one_process_writes_the_same_bytes(tmp_path, fresh_grids):
+    grid = ["--domain", "annulus:rin=0.25,rout=0.95", "--spacing", "0.05"]
+    options = ["--g", "oracle", "--b", "auto"]
+    solve_a = ["solve-nd", *grid, "--sigma", "meyers:alpha=2", *options]
+    solve_b = ["solve-nd", *grid, "--sigma", "meyers:alpha=0.5", *options]
+    outputs, grids = [], []
+    # A, then B, then A again on the one memoized grid and its plan, then A
+    # from a cold start
+    for k, argv in enumerate([solve_a, solve_b, solve_a, None]):
+        if argv is None:
+            fd._last_grid.clear()
+            argv = solve_a
+        (tmp_path / str(k)).mkdir()
+        code, out = run(tmp_path / str(k), *argv)
+        assert code == 0
+        outputs.append(output_bytes(out))
+        (kept,) = fd._last_grid.values()
+        grids.append(kept)
+    assert grids[0] is grids[1] is grids[2] is not grids[3]
+    assert outputs[2] == outputs[0]
+    assert outputs[3] == outputs[0]
+    assert outputs[1] != outputs[0]
 
 
 def test_solve_affine_reference(tmp_path, capsys):

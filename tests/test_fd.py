@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from unittest import mock
@@ -14,7 +15,9 @@ from sigmalab import (
     MeshError,
     ResourceLimitError,
     SolverError,
+    cli,
     fd,
+    generate_annulus,
     generate_rectangle,
     jacobian_field,
     mesh,
@@ -38,8 +41,9 @@ from sigmalab.fd import (
     rectangle_grid,
     solve_nondivergence,
 )
-from sigmalab.fem import _factor
+from sigmalab.fem import _factor, boundary_values
 from sigmalab.oracles import holomorphic_oracle, meyers_solution
+from reference import nine_point_system
 from text_mutations import mutated_texts
 
 
@@ -449,13 +453,16 @@ def test_nested_dissection_solve_matches_mmd(monkeypatch, grid):
     S, B = divergence_form(grid, _SIGMA)
     g = meyers_solution(2.0).value
     pair, _ = solve_nondivergence(grid, S, B, g)
-    # the reference: row-major numbering, minimum-degree ordering on A + A^T
+    # the reference: row-major numbering, minimum-degree ordering on A + A^T;
+    # on a fresh grid, since a grid keeps the numbering of its first solve
     monkeypatch.setattr(fd, "nested_dissection_key", lambda ii, jj: np.arange(len(ii)))
     monkeypatch.setattr(
         fd, "spsolve",
         lambda A, b: _factor(A, "finite-difference system", "MMD_AT_PLUS_A")(b),
     )
-    reference, _ = solve_nondivergence(grid, S, B, g)
+    fresh = GridDomain(grid.origin, grid.spacing, grid.member)
+    reference, _ = solve_nondivergence(fresh, S, B, g)
+    assert not np.array_equal(fresh.plan.rank, grid.plan.rank)
     for f, r in zip(pair, reference):
         assert np.abs(f.values - r.values).max() <= 1e-12 * np.abs(r.values).max()
 
@@ -596,3 +603,204 @@ def test_pair_jacobian_agrees_with_p1():
     assert (np.sign(det) == np.sign(p1)).all()
     inner = (np.minimum(X, 1 - X) >= 0.1) & (np.minimum(Y, 1 - Y) >= 0.1)
     assert (np.abs(det - p1) / np.abs(p1))[inner].max() <= 0.03
+
+
+# ---------------------------------------------------------------------------
+# the kept grid: the builders' one-entry memo, and the plan a grid keeps
+
+
+def _solved_system(grid, S, B, g):
+    """The interior block, the boundary block and the right-hand side of one
+    solve_nondivergence call, as it built them."""
+    built = []
+    real_matrix, real_spsolve = fd.StencilBlock.matrix, fd.spsolve
+
+    def matrix(block, weights):
+        built.append(real_matrix(block, weights))
+        return built[-1]
+
+    def spsolve(A, b):
+        built.append(b)
+        return real_spsolve(A, b)
+
+    with mock.patch.object(fd.StencilBlock, "matrix", matrix), \
+            mock.patch.object(fd, "spsolve", spsolve):
+        solve_nondivergence(grid, S, B, g)
+    return built
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, (a.view(np.uint64) if a.dtype == float else a).tobytes()
+
+
+def _random_coefficients(n, spacing, mixed, drift, seed):
+    """Elliptic sigma samples and drifts at n nodes that pass the dominance
+    check: s11, s22 in [1, 2], |s12 + s21| / 2 <= 0.4 and h |b| / 2 <= 0.54."""
+    rng = np.random.default_rng(seed)
+    S = np.zeros((n, 2, 2))
+    S[:, 0, 0], S[:, 1, 1] = rng.uniform(1.0, 2.0, (2, n))
+    if mixed != "none":
+        c = rng.uniform(-0.4, 0.4, n)
+        d = rng.uniform(-1.0, 1.0, n) if mixed == "nonsymmetric" else 0.0
+        S[:, 0, 1], S[:, 1, 0] = c + d, c - d
+    B = np.zeros((n, 2))
+    if drift == "random":
+        B = rng.uniform(-1.08, 1.08, (n, 2)) / spacing
+    return S, B
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("rect"), st.integers(3, 40), st.integers(3, 40)),
+        st.tuples(st.just("thin"), st.integers(3, 5), st.integers(30, 150)),
+        st.tuples(st.just("annulus"), st.floats(0.05, 1.0), st.floats(4, 15)),
+    ),
+    spacing=st.floats(0.03, 0.1),
+    transpose=st.booleans(),
+    mixed=st.sampled_from(["none", "symmetric", "nonsymmetric"]),
+    drift=st.sampled_from(["zero", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_plan_builds_the_reference_system_bit_for_bit(
+    shape, spacing, transpose, mixed, drift, seed
+):
+    kind, a, b = shape
+    if kind == "annulus":
+        base = annulus_grid((0.1, -0.2), a, a + b * spacing, spacing)
+    else:
+        a, b = (b, a) if transpose else (a, b)
+        base = rectangle_grid((0.3, 0.2), (a - 1) * spacing, (b - 1) * spacing, spacing)
+    grid = GridDomain(base.origin, base.spacing, base.member)  # no plan yet
+    S, B = _random_coefficients(int(grid.interior_mask.sum()), spacing, mixed, drift, seed)
+
+    def g(x, y):
+        return np.stack([x + 2 * y, x * y - 0.5])
+
+    A_ref, bnd_ref = nine_point_system(grid, S, B)
+    rhs_ref = -bnd_ref @ boundary_values(g, grid.points(grid.boundary_mask)).T
+    cold = _solved_system(grid, S, B, g)
+    plan = grid.plan
+    warm = _solved_system(grid, S, B, g)
+    assert grid.plan is plan
+    for A, bnd, rhs in (cold, warm):
+        for got, ref in ((A, A_ref), (bnd, bnd_ref)):
+            assert got.format == "csc" and got.shape == ref.shape
+            for part in ("indptr", "indices", "data"):
+                assert _bits(getattr(got, part)) == _bits(getattr(ref, part))
+        assert _bits(rhs) == _bits(rhs_ref)
+
+
+GRID_CALLS = {
+    "annulus": (annulus_grid, ((0.0, 0.0), 0.25, 0.95, 0.1)),
+    "rect": (rectangle_grid, ((0.0, 0.0), 1.0, 2.0, 0.25)),
+}
+
+
+def _grid_text(grid):
+    return grid_field_to_text(GridField(grid, np.zeros((grid.ny, grid.nx))))
+
+
+@pytest.mark.parametrize("name", GRID_CALLS)
+def test_a_repeated_grid_builder_call_returns_the_same_grid(fresh_grids, name):
+    build, args = GRID_CALLS[name]
+    grid = build(*args)
+    assert build(*args) is grid
+    assert build(*args) is grid
+
+
+@pytest.mark.parametrize("descriptor", ["annulus:rin=0.25,rout=0.95", "rect:w=1,h=2"])
+def test_a_repeated_build_grid_returns_the_same_grid(fresh_grids, descriptor):
+    grid = cli.build_grid(descriptor, 0.1)
+    assert cli.build_grid(descriptor, 0.1) is grid
+
+
+@pytest.mark.parametrize(
+    "name, other",
+    [
+        ("annulus", ((0.0, 0.0), 0.25, 0.95, 0.125)),  # spacing
+        ("annulus", ((0.0, 0.5), 0.25, 0.95, 0.1)),  # centre
+        ("annulus", ((-0.0, 0.0), 0.25, 0.95, 0.1)),  # a centre equal to the base one, other bits
+        ("annulus", ((0.0, 0.0), 0.3, 0.95, 0.1)),  # inner radius
+        ("annulus", ((0.0, 0.0), 0.25, 1.2, 0.1)),  # outer radius
+        ("rect", ((0.0, 0.0), 1.0, 2.0, 0.2)),  # spacing
+        ("rect", ((0.0, -0.0), 1.0, 2.0, 0.25)),  # a corner equal to the base one, other bits
+        ("rect", ((0.5, 0.0), 1.0, 2.0, 0.25)),  # corner
+        ("rect", ((0.0, 0.0), 1.5, 2.0, 0.25)),  # width
+        ("rect", ((0.0, 0.0), 1.0, 1.5, 0.25)),  # height
+    ],
+)
+def test_a_different_grid_builder_call_builds_its_own_grid(fresh_grids, name, other):
+    build, args = GRID_CALLS[name]
+    grid = build(*args)
+    got = build(*other)
+    assert got is not grid
+    assert _grid_text(got) == _grid_text(build.__wrapped__(*other))
+
+
+def test_minus_zero_is_written_from_its_own_grid(fresh_grids):
+    texts = [_grid_text(rectangle_grid((x0, 0.0), 1.0, 1.0, 0.25)) for x0 in (0.0, -0.0, 0.0)]
+    assert texts[0].splitlines()[1] == "origin 0.0 0.0"
+    assert texts[1].splitlines()[1] == "origin -0.0 0.0"
+    assert texts[2] == texts[0]
+
+
+def test_the_grid_builders_share_one_entry_keyed_by_builder(fresh_grids):
+    annulus = annulus_grid((0.0, 0.0), 0.2, 1.0, 0.1)
+    # the same arguments to the other builder
+    rect = rectangle_grid((0.0, 0.0), 0.2, 1.0, 0.1)
+    assert (rect.nx, rect.ny) == (3, 11)
+    # one entry: the rectangle replaced the annulus
+    assert annulus_grid((0.0, 0.0), 0.2, 1.0, 0.1) is not annulus
+
+
+def test_a_vertex_cap_change_builds_a_new_grid(fresh_grids):
+    grid = rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.1)
+    with mock.patch.object(mesh, "DEFAULT_VERTEX_CAP", grid.nx * grid.ny - 1):
+        with pytest.raises(ResourceLimitError):
+            rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.1)
+    with mock.patch.object(mesh, "DEFAULT_VERTEX_CAP", grid.nx * grid.ny):
+        assert rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.1) is not grid
+
+
+def test_meshes_and_grids_do_not_evict_each_other(fresh_grids):
+    grid = annulus_grid((0.0, 0.0), 0.25, 0.95, 0.1)
+    m = generate_annulus((0.0, 0.0), 0.2, 1.0, 0.3)
+    assert generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5) is not m  # a mesh build
+    assert annulus_grid((0.0, 0.0), 0.25, 0.95, 0.1) is grid
+    rect = generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5)
+    rectangle_grid((0.0, 0.0), 1.0, 1.0, 0.5)  # a grid build
+    assert generate_rectangle((0.0, 0.0), 1.0, 1.0, 0.5) is rect
+
+
+def _held_arrays(obj, name, out):
+    """Every array held by obj, a grid attribute or a plan field, by path."""
+    if isinstance(obj, np.ndarray):
+        out[name] = obj
+    elif isinstance(obj, (fd.GridPlan, fd.StencilBlock)):
+        for f in dataclasses.fields(obj):
+            _held_arrays(getattr(obj, f.name), f"{name}.{f.name}", out)
+    return out
+
+
+@pytest.mark.parametrize("name", GRID_CALLS)
+def test_every_array_of_a_grid_and_its_plan_is_read_only(fresh_grids, name):
+    build, args = GRID_CALLS[name]
+    grid = build(*args)
+    assert grid.plan is grid.plan and grid.mask_text is grid.mask_text
+    arrays = {}
+    for attr, value in vars(grid).items():
+        _held_arrays(value, attr, arrays)
+    blocks = [f"plan.{b}.{p}" for b in ("interior", "boundary")
+              for p in ("order", "indices", "indptr")]
+    expected = ["member", "interior_mask", "boundary_mask", "plan.jj", "plan.ii", "plan.rank",
+                "plan.interior_points", "plan.boundary_points", *blocks]
+    assert set(expected) == set(arrays)
+    for a in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.plan.rank = None
+    # a solve reads the kept pattern and writes nothing into it
+    solve_nondivergence(grid, *drift_free(grid, identity_field()), lambda x, y: x)

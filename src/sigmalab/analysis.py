@@ -19,9 +19,9 @@ import numpy as np
 
 from .coefficients import ROTATION, CoefficientField, dilatations, require_elliptic
 from .errors import DegenerateInputError, DomainError, MeshError, NotInjectiveError
-from .fem import (ScalarField, _factor, _keep, _kept, _scaled, assemble_stiffness,
-                  checked_samples, gradient_field, relative_l2)
-from .mesh import Mesh, box_pairs, box_sweep, cross, loop_segments, signed_areas
+from .fem import (ScalarField, _factor, _scaled, assemble_stiffness, checked_samples,
+                  gradient_field, relative_l2)
+from .mesh import Mesh, box_pairs, box_sweep, cross, keep, kept, loop_segments, signed_areas
 
 log = logging.getLogger(__name__)
 
@@ -97,11 +97,10 @@ def spsolve(mesh: Mesh, b):
 
     The Laplacian is stream_function's normal-equation matrix: the identity's
     stiffness matrix without vertex 0's row and column (the anchor v[0] = 0).
-    It depends on the mesh alone, so its factor is kept in fem's per-mesh
-    store once it has solved; a singular or non-finite factor raises and is
-    not kept.
+    It depends on the mesh alone, so its factor is kept for the mesh
+    (mesh.kept) under the empty key.
     """
-    solve = _kept(mesh, "stream-function Laplacian", b"")
+    solve = kept(mesh, "stream-function Laplacian")
     if solve is not None:
         return solve(b)
     L = assemble_stiffness(mesh, np.tile(np.eye(2), (mesh.num_triangles, 1, 1)))[1:, 1:].tocsc()
@@ -109,7 +108,7 @@ def spsolve(mesh: Mesh, b):
     log.debug("stream-function Laplacian factored: %d vertices, %d unknowns",
               mesh.num_vertices, L.shape[0])
     x = solve(b)
-    _keep(mesh, "stream-function Laplacian", b"", solve)
+    keep(mesh, "stream-function Laplacian", solve)
     return x
 
 

@@ -198,8 +198,10 @@ def max_dilatation(samples) -> float:
 
 def divergence_of_sigma(field: CoefficientField, p, step: float) -> np.ndarray:
     """Central-difference row divergence (d1 s11 + d2 s21, d1 s12 + d2 s22)
-    at each row of the (n, 2) array p, as an (n, 2) array, checked finite: the
-    drift b of tr(sigma D2 u) + b . grad u = 0, the form of div(sigma grad u) = 0."""
+    at each row of the (n, 2) array p, as an (n, 2) array: the drift b of
+    tr(sigma D2 u) + b . grad u = 0, the form of div(sigma grad u) = 0.
+    ConfigError for a step that some point's coordinates cannot resolve,
+    EllipticityError for a drift that is not finite."""
     if not step > 0:
         raise ConfigError("finite-difference step must be positive")
     pts = np.asarray(p, dtype=float).reshape(-1, 2)

@@ -13,7 +13,9 @@ What depends on the grid alone is built once per grid: a grid builder call
 that repeats the previous one returns that call's grid, and a grid keeps its
 plan (GridDomain.plan: the nested-dissection numbering, the node coordinates
 and the sparsity pattern of the system) and its "grid v1" mask text. A solve
-computes only the stencil weights and the boundary data.
+computes only the stencil weights and the boundary data. The builders raise
+DomainError (a MeshError and a ConfigError) for sizes out of range and
+ResourceLimitError above mesh.DEFAULT_VERTEX_CAP nodes, before they allocate.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class GridDomain:
     nodes the other members next to an interior node (members touching no
     interior node belong to neither). So the masks are disjoint and every
     interior node has all 8 neighbors in interior or boundary; a grid with
-    no interior node raises DomainError.
+    no interior node raises DomainError, and so do an origin or spacing the
+    builders refuse and a spacing whose 1/spacing^2 is not a finite double.
 
     Every array a grid holds, built or cached, is read-only, so one grid may
     serve many solves: the grid builders return the previous call's grid when
@@ -72,8 +75,7 @@ class GridDomain:
         member = np.array(self.member, dtype=bool)
         if member.ndim != 2:
             raise MeshError("the member mask must have shape (ny, nx)")
-        if not (self.spacing > 0 and np.isfinite([*self.origin, self.spacing]).all()):
-            raise MeshError("grid spacing must be positive, origin and spacing finite")
+        _check_placement(self.origin, self.spacing)
         h2 = float(self.spacing) * float(self.spacing)  # the stencil divides by it
         if not (h2 > 0 and 1.0 / h2 < math.inf):
             raise DomainError(
@@ -371,6 +373,9 @@ def grid_field_to_text(f: GridField) -> str:
 
 
 def grid_field_from_text(text: str) -> GridField:
+    """The field of a "grid v1" text; MeshError when the text is malformed or
+    its mask codes differ from those its member nodes derive, SolverError for
+    a value that is not finite on an interior or boundary node."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "grid v1":
         raise MeshError("not a 'grid v1' file")

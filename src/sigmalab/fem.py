@@ -10,13 +10,12 @@ so results are deterministic.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MeshError, SolverError
-from .mesh import Mesh, read_section
+from .mesh import Mesh, keep, kept, read_section
 
 RESIDUAL_TOL = 1e-10
 
@@ -83,29 +82,6 @@ def spsolve(A, b):
     return solve(b), solve
 
 
-#: per mesh, the last operator of each system factored on it, as
-#: {system: (key, operator)}; an entry dies with its mesh
-_factors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _kept(mesh: Mesh, system: str, key: bytes):
-    """The operator of `system` kept for the mesh when it was built from the
-    same key bytes; otherwise None, with the kept one dropped, so that the
-    caller builds the next operator while no reference holds the old one (a
-    factor held while the next was built grew the process's heap)."""
-    entries = _factors.get(mesh, {})
-    entry = entries.get(system)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    entries.pop(system, None)
-    return None
-
-
-def _keep(mesh: Mesh, system: str, key: bytes, operator) -> None:
-    """Keep the operator of `system` built from key for the mesh's next _kept."""
-    _factors.setdefault(mesh, {})[system] = key, operator
-
-
 def assemble_stiffness(mesh: Mesh, S: np.ndarray):
     """Assemble the P1 stiffness matrix A[i, j] = sum_T area (sigma grad phi_j) . grad phi_i
     from the (nt, 2, 2) samples S of sigma at the centroids, as a CSR matrix."""
@@ -165,10 +141,9 @@ def solve_dirichlet(mesh: Mesh, S: np.ndarray, g) -> tuple[list[ScalarField], fl
     entries, the mesh has no interior vertices, g returns the wrong shape or
     non-finite values, the system is singular, or a residual exceeds 1e-10.
 
-    The interior system and its factor are kept for the mesh (_kept), and a
-    later call whose samples are the same bytes (-0.0 and 0.0 differ) solves
-    through them: verify and beltrami on one field share one factorization.
-    Other samples drop the kept system before the next is assembled.
+    The interior system and its factor are kept for the mesh as its
+    "stiffness system" (mesh.kept), keyed by the samples' bytes (-0.0 and 0.0
+    differ): verify and beltrami on one field share one factorization.
     """
     S = checked_samples(S, (mesh.num_triangles, 2, 2), "sigma samples")
     interior = mesh.interior_vertices
@@ -178,13 +153,13 @@ def solve_dirichlet(mesh: Mesh, S: np.ndarray, g) -> tuple[list[ScalarField], fl
     G = boundary_values(g, mesh.vertices[bnd])
 
     key = S.tobytes()
-    operator = _kept(mesh, "stiffness system", key)
+    operator = kept(mesh, "stiffness system", key)
     if operator is None:
         Ai = assemble_stiffness(mesh, S)[interior]
         Aib, Aii = Ai[:, bnd], Ai[:, interior].tocsc()
         rhs = -Aib @ G.T
         ui, solve = spsolve(Aii, rhs)
-        _keep(mesh, "stiffness system", key, (Aib, Aii, solve))
+        keep(mesh, "stiffness system", (Aib, Aii, solve), key)
     else:
         Aib, Aii, solve = operator
         rhs = -Aib @ G.T
@@ -261,6 +236,8 @@ def field_to_text(u: ScalarField) -> str:
 
 
 def field_from_text(text: str, mesh: Mesh) -> ScalarField:
+    """The field of a "field v1" text on the mesh; MeshError when the text is
+    malformed, SolverError for a value that is not finite."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "field v1":
         raise MeshError("not a 'field v1' file")

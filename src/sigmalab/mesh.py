@@ -5,7 +5,14 @@ angular merge, rectangles from split squares. Generation is deterministic:
 the same parameters always produce the same mesh, with no external mesher
 involved. Meshes are immutable after construction, every array they expose
 or cache read-only, and safe to share: a generator call that repeats the
-previous one returns that call's mesh.
+previous one returns that call's mesh (refine and mesh_from_text always
+build anew). What the package keeps per mesh between commands lives in one
+weak store, read and written through kept and keep.
+
+The generators raise DomainError (a MeshError and a ConfigError) for sizes
+out of range, ResourceLimitError above DEFAULT_VERTEX_CAP vertices, and
+MeshError, with no numpy warning, where coordinates or ring circumferences
+overflow. The module imports no scipy.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -160,6 +168,9 @@ class Mesh:
     ``loop_geometry`` are tuples, and every array a Mesh holds, built or
     cached, is read-only: one Mesh may serve many commands in a process.
     Its "mesh v1" text is kept too (``Mesh.text``), formatted on first use.
+    A degenerate or inverted triangle raises MeshError, and an area below the
+    smallest normal double DomainError: the stiffness entries would lose
+    their digits.
     """
 
     def __init__(self, vertices, triangles, h, loop_geometry=None):
@@ -379,6 +390,38 @@ class Mesh:
                 d = np.hypot(*np.moveaxis(u - (a + s[..., None] * ab), 2, 0)).min(axis=1)
                 dist[lo : lo + step] = np.minimum(dist[lo : lo + step], d)
         return np.where(np.isfinite(points).all(axis=1), dist, np.nan)
+
+
+# ---------------------------------------------------------------------------
+# what the package keeps per mesh between commands
+
+#: per mesh, {name: (key, value)}: the factored "stiffness system" (fem), the
+#: "stream-function Laplacian" (analysis) and the "svg frame" (svgplots)
+_store: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def kept(mesh: Mesh, name: str, key: bytes = b""):
+    """The value kept for the mesh under name when it was kept with the same
+    key bytes; otherwise None, with that name's entry dropped and no other.
+
+    The policy of the one per-mesh store: an entry dies with its mesh, so a
+    value never holds the mesh. A miss drops the old value before the caller
+    builds the next one (a factor held while the next was built grew the
+    process's heap). A caller keeps a value only once it has worked: a factor
+    is kept after its first solve, so one whose first solve fails is not.
+    """
+    entries = _store.get(mesh, {})
+    entry = entries.get(name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    entries.pop(name, None)
+    return None
+
+
+def keep(mesh: Mesh, name: str, value, key: bytes = b""):
+    """Keep value under name for the mesh's next kept(mesh, name, key); return it."""
+    _store.setdefault(mesh, {})[name] = key, value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +814,7 @@ def read_section(lines: list[str], pos: int, word: str, width: int, dtype):
 
 
 def mesh_from_text(text: str) -> Mesh:
+    """The mesh of a "mesh v1" text; MeshError when the text is malformed."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "mesh v1":
         raise MeshError("not a 'mesh v1' file")

@@ -56,25 +56,29 @@ def meyers_solution(alpha: float) -> AnalyticSolution:
     if not alpha > 0:
         raise ConfigError("alpha must be positive")
 
+    # far from the origin a large alpha overflows to inf or nan; the callers'
+    # finiteness checks refuse such values, so numpy need not warn about them
     def value(x, y):
         r = np.hypot(x, y)
         if alpha < 1.0 and np.any(r == 0.0):
             raise DegenerateInputError("value is singular at the origin for alpha < 1")
         # alpha >= 1 at the origin: 0 ** (alpha - 1) is finite, the value 0
-        s = r ** (alpha - 1.0)
-        return np.array([s * x, s * y])
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = r ** (alpha - 1.0)
+            return np.array([s * x, s * y])
 
     def gradient(x, y):
-        r2 = x * x + y * y
-        if np.any(r2 == 0.0):
-            raise DegenerateInputError("gradient is singular at the origin")
-        s = r2 ** ((alpha - 3.0) / 2.0)
-        return np.array(
-            [
-                [s * (alpha * x * x + y * y), s * (alpha - 1.0) * x * y],
-                [s * (alpha - 1.0) * x * y, s * (x * x + alpha * y * y)],
-            ]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = x * x + y * y
+            if np.any(r2 == 0.0):
+                raise DegenerateInputError("gradient is singular at the origin")
+            s = r2 ** ((alpha - 3.0) / 2.0)
+            return np.array(
+                [
+                    [s * (alpha * x * x + y * y), s * (alpha - 1.0) * x * y],
+                    [s * (alpha - 1.0) * x * y, s * (x * x + alpha * y * y)],
+                ]
+            )
 
     return AnalyticSolution(f"meyers:alpha={alpha}", 2, value, gradient)
 

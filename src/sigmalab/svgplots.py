@@ -2,21 +2,18 @@
 
 Output is plain SVG text with every coordinate written to 4 decimals, so a
 given input and option set always yields the same bytes. The emitters are
-array code: ``_Canvas.format`` maps whole arrays of points to the viewport
+array code: ``_Frame.format`` maps whole arrays of points to the viewport
 and fills a repeated %-template from ``tolist()`` in one call, with the
 float expressions and the rounding the point-by-point emitters used, so the
 bytes are those of the point-by-point emitters too.
 
-What a drawing takes from its mesh alone, its per-mesh frame (the canvas,
-the header, the boundary paths and each triangle's polygon up to its fill
-colour), is built once per Mesh and kept in a weak per-mesh store, as
-fem._factors keeps factors, so an entry dies with its mesh. A heat map then
-formats only its colours, and a contour only its level segments.
+What a drawing takes from its mesh alone, its _Frame, is built once per Mesh
+and kept as the mesh's "svg frame" (mesh.kept). A heat map then formats only
+its colours, and a contour only its level segments.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 from typing import Sequence
 
@@ -24,12 +21,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import ScalarField
-from .mesh import Mesh
+from .mesh import Mesh, keep, kept
 
 
-class _Canvas:
-    """Maps data coordinates to an SVG viewport 640 px wide (y flipped), with
-    a margin of 5% of the mesh's larger extent on every side."""
+class _Frame:
+    """The mesh-only part of a mesh's SVG files: a viewport 640 px wide (y
+    flipped) with a margin of 5% of the mesh's larger extent on every side,
+    the header, the boundary paths and, on first use, the heat-map template.
+    It holds the mesh's arrays, never the mesh."""
 
     width = 640
 
@@ -39,9 +38,21 @@ class _Canvas:
         span = np.maximum(hi - lo, 1e-12)
         margin = 0.05 * span.max()
         self.lo = lo - margin
-        self.span = span + 2 * margin
-        self.height = int(round(self.width * self.span[1] / self.span[0]))
-        self.scale = self.width / self.span[0]
+        span = span + 2 * margin
+        self.height = int(round(self.width * span[1] / span[0]))
+        self.scale = self.width / span[0]
+        self.header = (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
+            f'<rect width="{self.width}" height="{self.height}" fill="white"/>\n'
+        )
+        self.boundary = "".join(
+            '<polygon points="%s" fill="none" stroke="black" stroke-width="1"/>\n'
+            % self.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
+            for loop in mesh.loops
+        )
+        self._vertices, self._triangles = mesh.vertices, mesh.triangles
 
     def format(self, template: str, *points: np.ndarray) -> str:
         """The template once per row of the (n, 2) point arrays, its %-fields
@@ -51,29 +62,6 @@ class _Canvas:
         y = self.height - (p[..., 1] - self.lo[1]) * self.scale
         return template * len(p) % tuple(np.stack([x, y], axis=-1).ravel().tolist())
 
-    def header(self) -> str:
-        return (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>\n'
-        )
-
-
-class _Frame:
-    """The mesh-only part of a mesh's SVG files. It holds the mesh's arrays,
-    never the mesh, so that its entry in _frames dies with the mesh."""
-
-    def __init__(self, mesh: Mesh):
-        self.canvas = canvas = _Canvas(mesh)
-        self.header = canvas.header()
-        self.boundary = "".join(
-            '<polygon points="%s" fill="none" stroke="black" stroke-width="1"/>\n'
-            % canvas.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
-            for loop in mesh.loops
-        )
-        self._vertices, self._triangles = mesh.vertices, mesh.triangles
-
     @cached_property
     def heatmap(self) -> str:
         """A heat map's whole file as a template: each triangle's
@@ -81,22 +69,15 @@ class _Frame:
         for its colour, between the header and the boundary paths with the
         closing tag."""
         # each vertex is formatted once, then gathered per triangle
-        pts = np.array(self.canvas.format("%.4f,%.4f ", self._vertices).split(), dtype=object)
+        pts = np.array(self.format("%.4f,%.4f ", self._vertices).split(), dtype=object)
         polygon = '<polygon points="%s %s %s" fill="rgb(%%d,%%d,%%d)" stroke="none"/>\n'
         polygons = polygon * len(self._triangles) % tuple(pts[self._triangles].ravel().tolist())
         # the header and the boundary paths hold no '%': numbers and fixed text
         return "".join([self.header, polygons, self.boundary, "</svg>\n"])
 
 
-#: per mesh, its _Frame; an entry dies with its mesh
-_frames: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _frame(mesh: Mesh) -> _Frame:
-    frame = _frames.get(mesh)
-    if frame is None:
-        frame = _frames[mesh] = _Frame(mesh)
-    return frame
+    return kept(mesh, "svg frame") or keep(mesh, "svg frame", _Frame(mesh))
 
 
 def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
@@ -122,7 +103,6 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
             raise ConfigError("contour levels must be finite")
 
     frame = _frame(mesh)
-    canvas = frame.canvas
     out = [frame.header, frame.boundary]
     tri_vals = vals[mesh.triangles]
     x, y = mesh.corners
@@ -141,7 +121,7 @@ def contour_svg(field: ScalarField, levels: int | Sequence[float] = 10) -> str:
         s = (level - tri_vals[t, a]) / (tri_vals[t, b] - tri_vals[t, a])
         # (k, 2, 2): each kept triangle's two crossing points, each an (x, y)
         ends = np.stack([p[a, t] + s * (p[b, t] - p[a, t]) for p in (x, y)], axis=-1)
-        segs = canvas.format("M%.4f %.4fL%.4f %.4f", ends[:, 0], ends[:, 1])
+        segs = frame.format("M%.4f %.4fL%.4f %.4f", ends[:, 0], ends[:, 1])
         out.append(
             f'<path d="{segs}" stroke="{color}" fill="none" stroke-width="1"/>\n'
         )

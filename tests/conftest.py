@@ -1,6 +1,6 @@
 import pytest
 
-from sigmalab import fd, fem, generate_annulus, generate_disk, generate_rectangle, svgplots
+from sigmalab import fd, generate_annulus, generate_disk, generate_rectangle, mesh
 
 
 @pytest.fixture(scope="session")
@@ -24,22 +24,14 @@ def rect_mesh():
 
 
 @pytest.fixture
-def fresh_factors():
-    """No kept factor before the test or after it: the test's first solve and
-    stream_function call on a mesh factor, and a factor it injects is not
-    left for a later test on the same mesh."""
-    fem._factors.clear()
+def fresh_store():
+    """Nothing kept per mesh before the test or after it: the test's first
+    solve, stream_function call and drawing on a mesh build what they keep,
+    and a factor the test injects is not left for a later test on the same
+    mesh."""
+    mesh._store.clear()
     yield
-    fem._factors.clear()
-
-
-@pytest.fixture
-def fresh_frames():
-    """No kept SVG frame before the test or after it: the test's first
-    drawing on a mesh builds that mesh's frame."""
-    svgplots._frames.clear()
-    yield
-    svgplots._frames.clear()
+    mesh._store.clear()
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from sigmalab.coefficients import (
     nonsymmetric_field,
 )
 from sigmalab.fem import ScalarField, gradient_field
-from sigmalab.svgplots import _Canvas
+from sigmalab.svgplots import _Frame
 
 SAMPLE_BUDGET = 50_000
 
@@ -116,7 +116,7 @@ def orientation(a, b, c) -> int:
 
 def heatmap_svg(mesh, values) -> str:
     """svgplots.heatmap_svg as it was before the frame was kept: every byte,
-    the mesh's included, formatted on each call from a fresh canvas."""
+    the mesh's included, formatted on each call from a fresh frame."""
     values = np.asarray(values, dtype=float)
     vmax = float(np.abs(values).max())
     t = np.clip(values / vmax, -1.0, 1.0) if vmax > 0 else np.zeros_like(values)
@@ -126,13 +126,13 @@ def heatmap_svg(mesh, values) -> str:
         np.column_stack([np.rint(255 - 90 * t), fade, fade]),
         np.column_stack([fade, fade, np.rint(255 + 107 * t)]),
     ).astype(np.int64)
-    canvas = _Canvas(mesh)
-    pts = np.array(canvas.format("%.4f,%.4f ", mesh.vertices).split(), dtype=object)
+    frame = _Frame(mesh)
+    pts = np.array(frame.format("%.4f,%.4f ", mesh.vertices).split(), dtype=object)
     fields = np.column_stack([pts[mesh.triangles], rgb])
     polygon = '<polygon points="%s %s %s" fill="rgb(%d,%d,%d)" stroke="none"/>\n'
-    out = [canvas.header(), polygon * len(fields) % tuple(fields.ravel().tolist())]
+    out = [frame.header, polygon * len(fields) % tuple(fields.ravel().tolist())]
     for loop in mesh.loops:
-        loop_pts = canvas.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
+        loop_pts = frame.format("%.4f,%.4f ", mesh.vertices[loop])[:-1]
         out.append(
             f'<polygon points="{loop_pts}" fill="none" stroke="black" stroke-width="1"/>\n'
         )

@@ -171,7 +171,7 @@ def test_stream_solves_the_least_squares_normal_equations(fine_disk_mesh):
     assert np.abs(normal[1:]).max() <= 1e-10 * np.abs(load).max()
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_stream_laplacian_is_factored_once_per_mesh(disk_mesh, splu_calls):
     other = coarse_mesh("rect")
     u = nodal(disk_mesh, lambda x, y: x * x - y * y)
@@ -188,7 +188,7 @@ def test_stream_laplacian_is_factored_once_per_mesh(disk_mesh, splu_calls):
     ]
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_a_cached_stream_factor_gives_the_bits_of_a_fresh_one(fine_disk_mesh):
     sigma = field_from_descriptor("randnonsym:seed=3")
     u1 = solve(fine_disk_mesh, sigma, lambda x, y: x)
@@ -200,7 +200,7 @@ def test_a_cached_stream_factor_gives_the_bits_of_a_fresh_one(fine_disk_mesh):
     assert cached[1] == fresh[1]
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_a_singular_stream_factor_is_not_cached(disk_mesh, monkeypatch, splu_calls):
     from scipy.sparse import linalg
 
@@ -222,7 +222,7 @@ def test_a_singular_stream_factor_is_not_cached(disk_mesh, monkeypatch, splu_cal
     assert np.abs(v.values - disk_mesh.vertices[:, 1]).max() <= 1e-10 and res <= 1e-10
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_the_stream_factorization_logs_once_per_mesh(disk_mesh, caplog):
     u = nodal(disk_mesh, lambda x, y: x)
     with caplog.at_level(logging.DEBUG, logger="sigmalab"):

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from sigmalab import cli, coefficients, fd, fem, generate_disk, mesh, svgplots
+from sigmalab import cli, coefficients, fd, fem, generate_disk, mesh
 from sigmalab.cli import COMMANDS, OPTIONS, build_parser, main
 from sigmalab.errors import SigmalabError
 
@@ -63,8 +63,7 @@ def test_verify_repeated_in_one_process_writes_the_same_bytes(tmp_path):
     assert outputs[2] == outputs[0]
     # B again from a cold start: nothing field-specific was kept with the mesh
     mesh._last_build.clear()
-    fem._factors.clear()
-    svgplots._frames.clear()
+    mesh._store.clear()
     verify_outputs(4, verify_b)
     assert outputs[4] == outputs[3]
     assert outputs[3] != outputs[0]
@@ -164,7 +163,7 @@ def test_solve_nd_singular_factor_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_beltrami_singular_stream_function_exits_3(tmp_path, capsys, monkeypatch):
     # beltrami factors the stiffness system, then the stream-function
     # Laplacian (no earlier call has cached it); SuperLU finds the second
@@ -188,13 +187,13 @@ def test_beltrami_singular_stream_function_exits_3(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_beltrami_after_verify_solves_through_its_factor(tmp_path, splu_calls):
     # a field-sweep round: verify and beltrami on one field and one disk
     disk = ("--domain", "disk:r=1", "--h", "0.05", "--sigma", "randnonsym:seed=2025")
     code, fresh = run(tmp_path / "fresh", "beltrami", *disk, "--g", "x1")
     assert code == 0 and len(splu_calls) == 2  # the stiffness system and the stream function
-    fem._factors.clear()
+    mesh._store.clear()
     code, _ = run(tmp_path / "verify", "verify", *disk, "--g", "identity", "--margin", "0.1",
                   "--directions", "8")
     assert code == 0 and len(splu_calls) == 3
@@ -271,10 +270,13 @@ def test_any_package_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch)
         ("verify", "holo:m=40"),
         ("solve", "holo:m=40,component=1"),
         ("unimodal", "holo:m=40,component=2"),
+        ("map", "meyers:alpha=2000"),
+        ("solve", "meyers:alpha=2000,component=1"),
     ],
 )
 def test_overflowing_boundary_data_exits_3(tmp_path, capsys, command, g):
-    # z^40 overflows near x = 1e9; tier-1 turns a numpy RuntimeWarning into an error
+    # z^40 and |x|^1999 overflow near x = 1e9; tier-1 turns a numpy RuntimeWarning
+    # into an error
     code, out = run(tmp_path, command, "--domain", "disk:r=0.1,cx=1e9", "--h", "0.05", "--g", g)
     assert code == 3
     assert "non-finite" in capsys.readouterr().err

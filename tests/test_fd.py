@@ -328,6 +328,16 @@ def test_grid_masks_are_derived_from_the_members(member):
     assert np.array_equal(back.grid.boundary_mask, bm)
 
 
+@pytest.mark.parametrize(
+    "origin, spacing",
+    [((0.0, 0.0), 0.0), ((0.0, 0.0), -0.1), ((0.0, 0.0), math.nan), ((0.0, 0.0), math.inf),
+     ((math.nan, 0.0), 0.1), ((0.0, -math.inf), 0.1)],
+)
+def test_grid_placement_is_the_builders_check(origin, spacing):
+    with pytest.raises(DomainError, match="grid spacing must be positive, origin and spacing finite"):
+        GridDomain(origin, spacing, np.ones((3, 3), dtype=bool))
+
+
 def test_predicate_grid_drops_orphans():
     # two inside nodes far from any interior node must be dropped
     X, Y = np.meshgrid(0.05 * np.arange(21), 0.05 * np.arange(21), indexing="xy")

@@ -33,7 +33,9 @@ from sigmalab.coefficients import (
     require_elliptic,
 )
 from sigmalab.fem import field_from_text, field_to_text
+from sigmalab.mesh import _store
 from sigmalab.oracles import meyers_solution
+from sigmalab.svgplots import heatmap_svg
 from reference import interpolate
 from text_mutations import mutated_texts
 
@@ -150,7 +152,7 @@ def test_stiffness_kernel_is_the_einsum_bit_for_bit(mesh_and_S):
         assert np.array_equal(getattr(A, part), getattr(ref, part))
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_field_sweep_factor_fill_is_bounded(fine_disk_mesh, monkeypatch):
     # disk:r=1 at h=0.05, the field-sweep mesh: MMD on A^T + A fills 41,670
     # L+U nonzeros, COLAMD 56,678
@@ -168,7 +170,7 @@ def test_field_sweep_factor_fill_is_bounded(fine_disk_mesh, monkeypatch):
     assert lu.L.nnz + lu.U.nnz <= 45_000
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 @pytest.mark.parametrize("module", [fem, analysis], ids=["fem", "stream-function"])
 def test_factor_solve_agrees_with_scipy_spsolve(disk_mesh, monkeypatch, module):
     systems, real = [], module.spsolve
@@ -190,13 +192,13 @@ def test_factor_solve_agrees_with_scipy_spsolve(disk_mesh, monkeypatch, module):
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_singular_factor_is_solver_error(disk_mesh, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     u = solve(disk_mesh, identity_field(), lambda x, y: x)
-    fem._factors.clear()  # the same solve again factors
+    _store.clear()  # the same solve again factors
     monkeypatch.setattr(linalg, "splu", singular)
     with pytest.raises(SolverError, match="stiffness system is singular"):
         solve(disk_mesh, identity_field(), lambda x, y: x)
@@ -214,7 +216,7 @@ class _NaNFactor:
         return np.full(np.shape(b), np.nan)
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 @pytest.mark.parametrize(
     "system", ["stiffness system", "finite-difference system", "stream-function Laplacian"]
 )
@@ -228,7 +230,7 @@ def test_non_finite_solution_is_solver_error_naming_the_system(disk_mesh, monkey
             grid, np.tile(np.eye(2), (n, 1, 1)), np.zeros((n, 2)), lambda x, y: x),
         "stream-function Laplacian": lambda: analysis.stream_function(u, identity_field()),
     }[system]
-    fem._factors.clear()  # the same solve again factors
+    _store.clear()  # the same solve again factors
     monkeypatch.setattr(linalg, "splu", _NaNFactor)
     with pytest.raises(SolverError, match=f"{system} solve produced non-finite values"):
         run()
@@ -236,11 +238,11 @@ def test_non_finite_solution_is_solver_error_naming_the_system(disk_mesh, monkey
 
 def kept_stiffness(mesh):
     """The (A_ib, A_ii, solve) kept for the mesh's stiffness system, or None."""
-    entry = fem._factors.get(mesh, {}).get("stiffness system")
+    entry = _store.get(mesh, {}).get("stiffness system")
     return None if entry is None else entry[1]
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 @pytest.mark.parametrize("change", ["one ulp", "the sign of a zero"])
 def test_samples_of_other_bytes_miss(disk_mesh, splu_calls, change):
     S = samples(disk_mesh, identity_field())
@@ -260,7 +262,7 @@ def test_samples_of_other_bytes_miss(disk_mesh, splu_calls, change):
     assert len(splu_calls) == 3
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_a_second_mesh_misses_and_the_first_keeps_its_entry(disk_mesh, rect_mesh, splu_calls):
     g = lambda x, y: np.array([x, y])
     (a1, a2), _ = solve_dirichlet(disk_mesh, samples(disk_mesh, identity_field()), g)
@@ -272,18 +274,18 @@ def test_a_second_mesh_misses_and_the_first_keeps_its_entry(disk_mesh, rect_mesh
     assert np.array_equal(a1.values, b1.values) and np.array_equal(a2.values, b2.values)
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_a_hit_gives_the_bits_of_a_fresh_solve(fine_disk_mesh):
     S = samples(fine_disk_mesh, random_nonsymmetric_field(11))
     g = lambda x, y: y + 0.3 * x * x
     (fresh,), fresh_residual = solve_dirichlet(fine_disk_mesh, S, g)
-    fem._factors.clear()
+    _store.clear()
     solve_dirichlet(fine_disk_mesh, S, lambda x, y: np.array([x, y]))  # a miss
     (hit,), hit_residual = solve_dirichlet(fine_disk_mesh, S, g)  # a hit
     assert np.array_equal(hit.values, fresh.values) and hit_residual == fresh_residual
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 @pytest.mark.parametrize("factor", ["singular", "non-finite"])
 def test_a_failed_factor_is_not_kept(disk_mesh, monkeypatch, splu_calls, factor):
     def singular(A, *args, **kwargs):
@@ -307,7 +309,7 @@ def test_a_failed_factor_is_not_kept(disk_mesh, monkeypatch, splu_calls, factor)
     assert np.abs(u.values - disk_mesh.vertices[:, 0]).max() <= 1e-10
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 @pytest.mark.parametrize(
     "g, message",
     [(lambda x, y: np.zeros(3), r"boundary data returned shape \(3,\)"),
@@ -320,7 +322,7 @@ def test_bad_boundary_data_raise_before_any_factor(disk_mesh, splu_calls, g, mes
     assert splu_calls == [] and kept_stiffness(disk_mesh) is None
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
 def test_the_kept_system_is_dropped_before_the_next_is_built(disk_mesh, monkeypatch):
     # holding the old factor while the next was built grew the heap
     g = lambda x, y: x
@@ -337,19 +339,37 @@ def test_the_kept_system_is_dropped_before_the_next_is_built(disk_mesh, monkeypa
     assert alive == [[False, False, False]]
 
 
-@pytest.mark.usefixtures("fresh_factors")
+@pytest.mark.usefixtures("fresh_store")
+def test_each_name_keeps_its_own_entry():
+    mesh = generate_rectangle.__wrapped__((0.0, 0.0), 1.0, 1.0, 0.25)  # no generator memo
+    sigma = identity_field()
+    (u,), _ = solve_dirichlet(mesh, samples(mesh, sigma), lambda x, y: x)
+    analysis.stream_function(u, sigma)
+    heatmap_svg(mesh, np.ones(mesh.num_triangles))
+    before = dict(_store[mesh])
+    solve_dirichlet(mesh, samples(mesh, random_nonsymmetric_field(4)), lambda x, y: x)
+    after = _store[mesh]
+    assert set(after) == {"stiffness system", "stream-function Laplacian", "svg frame"}
+    assert after["stiffness system"] is not before["stiffness system"]
+    assert after["stream-function Laplacian"] is before["stream-function Laplacian"]
+    assert after["svg frame"] is before["svg frame"]
+
+
+@pytest.mark.usefixtures("fresh_store")
 def test_an_entry_goes_with_its_mesh():
     mesh = generate_rectangle.__wrapped__((0.0, 0.0), 1.0, 1.0, 0.25)  # no generator memo
     sigma = identity_field()
     (u,), _ = solve_dirichlet(mesh, samples(mesh, sigma), lambda x, y: x)
     analysis.stream_function(u, sigma)
-    assert set(fem._factors[mesh]) == {"stiffness system", "stream-function Laplacian"}
+    heatmap_svg(mesh, np.ones(mesh.num_triangles))
+    assert set(_store[mesh]) == {"stiffness system", "stream-function Laplacian", "svg frame"}
     refs = [weakref.ref(mesh), weakref.ref(kept_stiffness(mesh)[2]),
-            weakref.ref(fem._factors[mesh]["stream-function Laplacian"][1])]
+            weakref.ref(_store[mesh]["stream-function Laplacian"][1]),
+            weakref.ref(_store[mesh]["svg frame"][1])]
     del mesh, u
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
-    assert len(fem._factors) == 0
+    assert [ref() for ref in refs] == [None, None, None, None]
+    assert len(_store) == 0
 
 
 @pytest.mark.parametrize(

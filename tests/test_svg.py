@@ -14,10 +14,9 @@ from sigmalab import (
     generate_annulus,
     generate_disk,
     jacobian_field,
-    svgplots,
 )
 from sigmalab.cli import main
-from sigmalab.mesh import mesh_from_text, mesh_to_text
+from sigmalab.mesh import _store, mesh_from_text, mesh_to_text
 from sigmalab.oracles import holomorphic_oracle
 from sigmalab.svgplots import contour_svg, heatmap_svg
 from reference import mapping_field
@@ -184,27 +183,27 @@ def test_heatmap_with_the_kept_frame_matches_the_reference(heatmap_meshes, pool,
     assert heatmap_svg(mesh, values) == reference.heatmap_svg(mesh, values)
 
 
-def test_a_second_drawing_on_one_mesh_gives_the_same_bytes(fresh_frames, disk_mesh, sample_field):
+def test_a_second_drawing_on_one_mesh_gives_the_same_bytes(fresh_store, disk_mesh, sample_field):
     det = jacobian_field(mapping_field(holomorphic_oracle(2), disk_mesh))
     # the contour builds the frame, the heat map adds its template
     contour = contour_svg(sample_field, levels=8)
-    assert disk_mesh in svgplots._frames
+    assert disk_mesh in _store
     heat = heatmap_svg(disk_mesh, det)
     assert heat == reference.heatmap_svg(disk_mesh, det)
     assert heatmap_svg(disk_mesh, det) == heat
     assert contour_svg(sample_field, levels=8) == contour
-    assert len(svgplots._frames) == 1
+    assert len(_store) == 1
 
 
-def test_a_frame_dies_with_its_mesh(fresh_frames):
+def test_a_frame_dies_with_its_mesh(fresh_store):
     mesh = generate_disk.__wrapped__((0.0, 0.0), 1.0, 0.3)  # no generator memo
     heatmap_svg(mesh, np.ones(mesh.num_triangles))
-    assert mesh in svgplots._frames
+    assert mesh in _store
     gone = weakref.ref(mesh)
     del mesh
     gc.collect()
     assert gone() is None
-    assert len(svgplots._frames) == 0
+    assert len(_store) == 0
 
 
 _SMALL_DISK = generate_disk((0.0, 0.0), 1.0, 0.3)

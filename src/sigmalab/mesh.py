@@ -89,7 +89,7 @@ class BoxLoop:
 
 
 class EdgeTable(NamedTuple):
-    """Undirected edges of a triangulation, built once per mesh.
+    """Undirected edges of a triangulation, built at most once per mesh.
 
     Directed edge ``3 * t + j`` runs from ``triangles[t, j]`` to
     ``triangles[t, (j + 1) % 3]``. ``edges`` holds each undirected edge once
@@ -125,12 +125,17 @@ def _check_triangle_indices(triangles: np.ndarray, num_vertices: int) -> None:
         raise MeshError("triangle vertex index out of range")
 
 
+def _edge_keys(triangles: np.ndarray, num_vertices: int):
+    """The start and end vertex of each directed edge, and its undirected
+    key lo * nv + hi, which sorts exactly like the (lo, hi) rows."""
+    a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
+    return a, b, np.minimum(a, b) * num_vertices + np.maximum(a, b)
+
+
 def edge_table(triangles: np.ndarray, num_vertices: int) -> EdgeTable:
     """The edge table of an (nt, 3) int64 triangle array on num_vertices vertices."""
     _check_triangle_indices(triangles, num_vertices)
-    a, b = triangles.ravel(), np.roll(triangles, -1, axis=1).ravel()
-    # lo * nv + hi sorts exactly like the (lo, hi) rows
-    key = np.minimum(a, b) * num_vertices + np.maximum(a, b)
+    key = _edge_keys(triangles, num_vertices)[2]
     uniq, first, inverse, counts = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True
     )
@@ -163,7 +168,10 @@ class Mesh:
         for a loop without, as a "mesh v1" read or a hand-built mesh has.
 
     Boundary loops are derived from edge incidence: an edge lies on the
-    boundary iff it belongs to exactly one triangle. The outer loop comes
+    boundary iff it belongs to exactly one triangle. The constructor finds
+    those edges by one sort of the edge keys; the full EdgeTable
+    (``Mesh.edge_table``) is built on first read, by refine,
+    triangle_neighbours and loops_of. The outer loop comes
     first and runs counterclockwise; hole loops run clockwise. ``loops`` and
     ``loop_geometry`` are tuples, and every array a Mesh holds, built or
     cached, is read-only: one Mesh may serve many commands in a process.
@@ -179,7 +187,7 @@ class Mesh:
         _check_vertices(vertices)
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        self.edge_table = edge_table(triangles, len(vertices))
+        _check_triangle_indices(triangles, len(vertices))
         if not (h > 0 and math.isfinite(h)):
             raise MeshError("mesh size h must be positive and finite")
 
@@ -204,12 +212,7 @@ class Mesh:
             )
         self._areas = _read_only(areas)
 
-        table = self.edge_table
-        if table.counts.max() > 2:
-            bad = table.edges[np.argmax(table.counts)]
-            raise MeshError(f"edge {tuple(bad.tolist())} belongs to more than two triangles")
-        f = table.first[table.counts == 1]  # the one directed edge of each boundary edge
-        self.loops = _extract_loops(vertices, *_edge_ends(triangles, f))
+        self.loops = _extract_loops(vertices, *self._boundary_edges())
         if loop_geometry is None:
             loop_geometry = (None,) * len(self.loops)
         if len(loop_geometry) != len(self.loops):
@@ -219,6 +222,28 @@ class Mesh:
             )
         self.loop_geometry = tuple(loop_geometry)
         _read_only(self.vertices, self.triangles)
+
+    def _boundary_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end vertices of the directed boundary edges, found
+        by one sort of the edge keys: a key seen once is a boundary edge."""
+        nv = self.num_vertices
+        a, b, key = _edge_keys(self.triangles, nv)
+        s = np.sort(key)
+        if (s[2:] == s[:-2]).any():
+            table = self.edge_table
+            bad = table.edges[np.argmax(table.counts)]
+            raise MeshError(f"edge {tuple(bad.tolist())} belongs to more than two triangles")
+        new = np.concatenate([[True], s[1:] != s[:-1], [True]])
+        once = s[new[:-1] & new[1:]]
+        # each boundary key has one directed edge, among those whose two
+        # ends are boundary vertices
+        on_boundary = np.zeros(nv, dtype=bool)
+        on_boundary[once // nv] = on_boundary[once % nv] = True
+        d = np.flatnonzero(on_boundary[a] & on_boundary[b])
+        k = key[d]
+        order = np.argsort(k)
+        d = d[order[np.searchsorted(k, once, sorter=order)]]
+        return a[d], b[d]
 
     # -- basic queries ----------------------------------------------------
 
@@ -234,6 +259,12 @@ class Mesh:
     def areas(self) -> np.ndarray:
         """Positive triangle areas."""
         return self._areas
+
+    @cached_property
+    def edge_table(self) -> EdgeTable:
+        """The mesh's EdgeTable, built on first read (refine,
+        triangle_neighbours and loops_of read it)."""
+        return edge_table(self.triangles, self.num_vertices)
 
     @cached_property
     def corners(self) -> np.ndarray:
@@ -783,7 +814,7 @@ def read_rows(lines: list[str], pos: int, n: int, width: int, dtype, what: str):
         raise MeshError(f"blank {what}")
     # numpy's int64 parser reads out of bounds on some non-ASCII characters
     # (U+FFFFF segfaults numpy 2.4.6 about one call in three), so none reach it
-    if np.dtype(dtype).kind == "i" and not all(r.isascii() for r in rows):
+    if np.dtype(dtype).kind == "i" and not all(map(str.isascii, rows)):
         raise MeshError(f"malformed {what}: an integer holds only ASCII digits and a sign")
     try:
         values = np.loadtxt(rows, dtype, comments=None, ndmin=2)

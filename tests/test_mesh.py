@@ -318,6 +318,13 @@ UNIT_TRIANGLE = ([[0, 0], [1, 0], [0, 1.0]], [[0, 1, 2]])
         (lambda: Mesh([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2.0]],
                       [[0, 1, 2], [1, 0, 3], [0, 1, 4]], h=1.0),
          "edge (0, 1) belongs to more than two triangles"),
+        # three triangles on the edge (0, 1), four on the edge (5, 6): the
+        # message names the edge held most
+        (lambda: Mesh([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2.0],
+                       [10, 0], [11, 0], [10.5, 1], [10.5, -1], [10.5, 2], [10.5, -2]],
+                      [[0, 1, 2], [1, 0, 3], [0, 1, 4],
+                       [5, 6, 7], [6, 5, 8], [5, 6, 9], [6, 5, 10]], h=1.0),
+         "edge (5, 6) belongs to more than two triangles"),
         (lambda: Mesh(np.zeros((3, 3)), [[0, 1, 2]], h=1.0), "vertices must be an (nv, 2) array"),
         (lambda: Mesh(UNIT_TRIANGLE[0], [0, 1, 2], h=1.0), "triangles must be an (nt, 3) array"),
         (lambda: Mesh(*UNIT_TRIANGLE, h=0.0), "mesh size h must be positive and finite"),
@@ -325,6 +332,7 @@ UNIT_TRIANGLE = ([[0, 0], [1, 0], [0, 1.0]], [[0, 1, 2]])
          "loop_geometry has 2 entries for 1 boundary loops"),
     ],
     ids=["miscounted-boundary-line", "rotated-stored-loop", "edge-of-three-triangles",
+         "edges-of-three-and-four-triangles",
          "vertices-not-nv-by-2", "triangles-not-nt-by-3", "h-zero", "loop-geometry-length"],
 )
 def test_malformed_meshes_raise_mesh_error(build, message):
@@ -904,6 +912,23 @@ def test_loops_of_match_a_fresh_edge_table(name, h, seed, kind):
     assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@PROPERTY
+@given(st.sampled_from(sorted(DOMAINS)), st.floats(0.1, 0.4), st.integers(0, 2),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_constructor_loops_match_a_fresh_edge_table(name, h, levels, read_back, seed):
+    m = DOMAINS[name](h)
+    for _ in range(levels):
+        m = refine(m)
+    if read_back:
+        m = mesh_from_text(mesh_to_text(m))
+    rng = np.random.default_rng(seed)
+    t = m.triangles[rng.permutation(m.num_triangles)]
+    turn = (np.arange(3) + rng.integers(0, 3, (len(t), 1))) % 3  # rotate each row's corners
+    m = Mesh(m.vertices, np.take_along_axis(t, turn, axis=1), m.h)
+    want = loops_reference(m, np.arange(m.num_triangles))
+    assert len(m.loops) == len(want) and all(np.array_equal(a, b) for a, b in zip(m.loops, want))
+
+
 def test_loops_of_a_disk_with_a_hole():
     m = generate_disk((0.0, 0.0), 1.0, 0.2)
     ring = np.flatnonzero(~(m.triangles == 0).any(axis=1))  # every triangle off the centre
@@ -921,6 +946,18 @@ def test_mesh_text_bytes_pinned(name):
     for digest in MESH_TEXT_SHA256[name]:
         assert hashlib.sha256(mesh_to_text(m).encode()).hexdigest() == digest
         m = refine(m)
+
+
+def test_the_edge_table_is_built_where_it_is_read():
+    meshmod._last_build.clear()
+    for build in DOMAINS.values():
+        m = build(0.3)
+        assert "edge_table" not in vars(m)
+    back = mesh_from_text(mesh_to_text(m))
+    assert "edge_table" not in vars(back)
+    child = refine(back)
+    assert "edge_table" in vars(back) and "edge_table" not in vars(child)
+    assert back.edge_table is back.edge_table
 
 
 def test_edges_are_sorted_unique_rows(annulus_mesh):

@@ -100,6 +100,7 @@ def resolve_data(cfg: dict, components: int) -> oracles.AnalyticSolution:
 
 def cmd_mesh(cfg):
     m = build_domain(cfg["domain"], cfg["h"])
+    meshmod.check_refinements(m, cfg["refine"])
     for _ in range(cfg["refine"]):
         m = meshmod.refine(m)
     area = float(m.areas.sum())
@@ -278,6 +279,7 @@ def cmd_meyers(cfg):
     levels = cfg["levels"]
 
     m = DOMAINS[name].build(p, cfg["h"])
+    meshmod.check_refinements(m, levels - 1)
     rows = []
     for _ in range(levels):
         S = coefficients.require_elliptic(sigma, m.centroids).samples

@@ -44,24 +44,47 @@ class ScalarField:
         object.__setattr__(self, "values", values)
 
 
+#: SuperLU's supernode settings for every factorization (see _factor)
+SUPERNODES = {"relax": 1, "panel_size": 1}
+
+
 def _factor(A, what: str, permc_spec: str):
     """One SuperLU factor of the structurally symmetric CSC matrix A, in
     symmetric mode on the column ordering permc_spec with scipy's default
-    partial pivoting, as solve(b) = A^-1 b for an (n,) or (n, k) right-hand
-    side b; SolverError naming `what` when the factor is exactly singular, or
-    when a solution is not finite.
+    partial pivoting and the supernode settings SUPERNODES, as solve(b) =
+    A^-1 b for an (n,) or (n, k) right-hand side b; SolverError naming `what`
+    when the factor is exactly singular, or when a solution is not finite.
 
     The P1 systems use MMD_AT_PLUS_A, which fills less than COLAMD (41,670
     against 56,678 L+U nonzeros at 1141 unknowns); fd's nested-dissection
     numbering keeps its order with NATURAL.
+
+    SUPERNODES relaxes no supernode and takes one column per panel (relax=1,
+    panel_size=1; J. W. Demmel, S. C. Eisenstat, J. R. Gilbert, X. S. Li and
+    J. W. H. Liu, "A supernodal approach to sparse partial pivoting", SIAM J.
+    Matrix Anal. Appl. 20, 1999). In a sweep of factor and solve over eight
+    pairs (Xeon, 2 cores, scipy 1.17.1, medians of 3-21 runs), it took this
+    fraction of scipy's defaults' time, with the same fill and solutions that
+    differ by rounding only (tests/test_supernodes.py):
+    - P1 systems: 0.75 at 1141 unknowns (the field-sweep disk), 0.72 at 1786
+      (radial-family's finest mesh) and at 7332, 0.73 at 18,961, 0.65 at
+      72,541, and 0.005 at 29,704 (that mesh refined twice more: 110 ms
+      against 21.8 s);
+    - fd systems: 0.81 at 1413, 0.82 at 6124 (the radial-family grid), 0.80
+      at 12,773, 0.81 at 25,436 and 0.90 at 52,478.
+    Where it loses: the fd system of 103,616 unknowns took 1.07 (388 against
+    364 ms), and at 72,541 P1 unknowns panel_size=4 was faster still (0.54).
     """
-    # scipy is imported where it is called, here and across the package: a
-    # module-level import costs every command about 0.5 s at start-up, and a
-    # command loads only the parts of scipy that it runs
+    # scipy is imported where it is called, here and across the package, so
+    # that a command loads only the parts of scipy that it runs: `import
+    # scipy.sparse` takes 0.13-0.22 s and scipy.sparse.linalg 0.04-0.15 s
+    # more (Python 3.11, scipy 1.17.1, by host phase), which a module-level
+    # import would add to every command's start-up
     from scipy.sparse import linalg
 
     try:
-        lu = linalg.splu(A, permc_spec=permc_spec, options=dict(SymmetricMode=True))
+        lu = linalg.splu(A, permc_spec=permc_spec, options=dict(SymmetricMode=True),
+                         **SUPERNODES)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SolverError(f"{what} is singular: {exc}") from exc
 

@@ -783,6 +783,19 @@ def refine(mesh: Mesh) -> Mesh:
     return Mesh(np.concatenate([mesh.vertices, mid]), tris, mesh.h / 2.0, mesh.loop_geometry)
 
 
+def check_refinements(mesh: Mesh, levels: int) -> None:
+    """refine's ResourceLimitError, raised before any refinement, when
+    refining mesh levels times would pass the vertex cap. A refinement adds
+    one vertex per edge, (3 nt + nb) / 2 of them for nb boundary edges, and
+    makes 4 nt triangles and 2 nb boundary edges; the count stops at the
+    first level over the cap, the one refine would refuse."""
+    nv, nt, nb = mesh.num_vertices, mesh.num_triangles, sum(map(len, mesh.loops))
+    for _ in range(levels):
+        nv += (3 * nt + nb) // 2
+        _check_cap(nv)
+        nt, nb = 4 * nt, 2 * nb
+
+
 # ---------------------------------------------------------------------------
 # plain-text format: "mesh v1", and the number parser that the "field v1"
 # (fem) and "grid v1" (fd) readers share with it

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 import warnings
 
 import pytest
@@ -208,6 +209,35 @@ def test_mesh_far_above_the_cap_gives_a_short_message(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert len(err) < 200 and "about 3.000e320 vertices, above the cap of 1000000" in err
+    assert not out.exists()
+
+
+#: the refusal of refine's level 8 from the annulus meyers starts on (141, 517,
+#: 1974, ... vertices): before this check, meyers first solved 7 levels
+OVER_CAP = ("numerical failure: mesh would need about 1928128 vertices, above the cap of "
+            "1000000; use a coarser mesh size or spacing\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("meyers", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.16", "--levels", "8",
+      "--alpha", "2"),
+     ("meyers", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.16", "--levels", "12",
+      "--alpha", "2"),
+     ("mesh", "--domain", "annulus:rin=0.2,rout=1", "--h", "0.16", "--refine", "7")],
+    ids=["meyers-8", "meyers-12", "mesh-refine-7"],
+)
+def test_an_over_cap_refinement_is_refused_before_the_work(tmp_path, capsys, monkeypatch, args):
+    def no_work(*_):
+        raise AssertionError("refined or solved before the refusal")
+
+    monkeypatch.setattr(mesh, "refine", no_work)
+    monkeypatch.setattr(fem, "solve_dirichlet", no_work)
+    start = time.perf_counter()
+    code, out = run(tmp_path, *args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err == OVER_CAP
     assert not out.exists()
 
 
@@ -721,18 +751,20 @@ def json_floats(x):
 
 
 # sha256 of lewy_report.json; the holder digest was re-recorded when the P1
-# factorization changed, and its floats stay within 1e-13 of the old ones
+# factorization changed, and its floats stay within 1e-13 of the old ones;
+# the holder and rect-meyers digests were re-recorded when fem._factor took
+# its supernode settings (rounding only: test_supernodes.py)
 @pytest.mark.parametrize(
     "domain, h, sigma, g, code, digest, floats",
     [("disk:r=1", "0.1", "holder:eps=0.4,cx=0.2,cy=-0.1,w=0.5,theta=0.7", "identity", 0,
-      "a6f0662920d13d42fe0df9d51df82e8eda6135fb80937b2fc333617f9648beb9",
+      "8072e9386d84705060c2d26967af195eb647426c0a3865a18ecbe87612ca5844",
       HOLDER_FLOATS_COLAMD),
      # z^2 is not injective: the hypothesis-failure report with its violations
      ("disk:r=1", "0.1", "identity", "holo:m=2", 4,
       "9ae6ddb3feab0d496b06b4428f47b55b6958ead25a5868bdf231028950b807a4", None),
      # a square, where all five probes resolve and every trace is tested
      ("rect:w=2,h=2,x0=-1,y0=-1", "0.05", "meyers:alpha=1.5", "oracle", 0,
-      "0ea0b7452adf68b766b9624e9d2b093d87f043de8c6b2be7586dac5bd6849e91", None)],
+      "0dc09c87b89193472a6498de9ba2fbf03bf181e517ddb2300dee91704a1faa9b", None)],
     ids=["holder", "holo-m2", "rect-meyers"],
 )
 def test_lewy_report_bytes_pinned(tmp_path, domain, h, sigma, g, code, digest, floats):
@@ -750,19 +782,20 @@ def test_lewy_report_bytes_pinned(tmp_path, domain, h, sigma, g, code, digest, f
 
 # sha256 of beltrami_report.json: the README example, a nonsymmetric field on
 # the disk and on the annulus (whose stream function needs --allow-holes), and
-# an anisotropic field on the unit square
+# an anisotropic field on the unit square; each re-recorded when fem._factor
+# took its supernode settings (rounding only: test_supernodes.py)
 @pytest.mark.parametrize(
     "args, digest",
     [(("--domain", "disk:r=1", "--sigma", "meyers:alpha=2", "--g", "oracle"),
-      "b6d3bdacb42495471d7eb93c8c8d609cbe6d206e777cdcff2cfae15d6364d591"),
+      "43763fad94c96dfbd2dbf4c78b857c626818a5b021eb2d2d5f0101de5acbe254"),
      (("--domain", "disk:r=1", "--sigma", "randnonsym:seed=5", "--g", "x1"),
-      "704c70d194dfa2037ceb0de46b2b0d17b4651061e1c8e7f0df6bbc9c1dcdbe05"),
+      "6a9a3c1a9c4243b911f481a4ae3dd1710a91565542d792ff3702d1f6b4acf4ae"),
      (("--domain", "annulus:rin=0.2,rout=1", "--sigma", "randnonsym:seed=5", "--g", "x1",
        "--allow-holes"),
-      "b7510861073974e97ddec0f59b939c55dec05444c7028d09dba3c0bfc93c33a5"),
+      "8cc0f9f5205ec1205e9a1e8c7372066177bcbe821e62eff0114a6d1f897823a7"),
      (("--domain", "rect:w=1,h=1", "--sigma", "aniso:l1=2,l2=0.5,theta=0.3",
        "--g", "costheta:cx=0.5,cy=0.5"),
-      "07b375d4c5293a8fee286acfd517e94ffaf850db25d42dd9de14a40fc07d2695")],
+      "b624e5d1c6f522f50bf04cb268b3d64c2c99f22a704e11dc7dd5f8024c3c5316")],
     ids=["readme", "randnonsym-disk", "randnonsym-annulus", "aniso-rect"],
 )
 def test_beltrami_report_bytes_pinned(tmp_path, args, digest):

@@ -238,6 +238,25 @@ def test_refine_quadruples_triangles(disk_mesh):
     assert fine.areas.min() > 0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: generate_disk((0, 0), 1.0, 0.3), lambda: generate_annulus((0, 0), 0.2, 1.0, 0.16),
+     lambda: generate_rectangle((0, 0), 1.0, 0.5, 0.2)],
+    ids=["disk", "annulus", "rect"],
+)
+def test_check_refinements_counts_each_level_exactly(build):
+    # a cap of the refined count passes, one vertex less is refused, as refine does
+    m = build()
+    fine = m
+    for levels in (1, 2, 3):
+        fine = refine(fine)
+        with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", fine.num_vertices):
+            meshmod.check_refinements(m, levels)
+        with mock.patch.object(meshmod, "DEFAULT_VERTEX_CAP", fine.num_vertices - 1):
+            with pytest.raises(ResourceLimitError, match=f"about {fine.num_vertices} vertices"):
+                meshmod.check_refinements(m, levels)
+
+
 def test_refine_improves_disk_area():
     m = generate_disk((0, 0), 1.0, 0.3)
     before = abs(m.areas.sum() - math.pi)

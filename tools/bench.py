@@ -18,10 +18,25 @@ value, each side's median and quartiles, the pair count and the change's
 wins (ties count for neither side). A later run for another workload or seed
 is merged into the file when both sides are the same code.
 
---against BENCH_<m>.json prints, per workload, seed and metric found in both
-files, the ratio of the change's medians, and flags each metric that is
-worse than in the older file by more than its BENCHMARK.json bound. The
-exit status is 1 when a metric is flagged or a run failed a check.
+Each file measures its two sides back to back, so its change/parent ratio of
+medians cancels the host's speed phase, and raw medians of two files do not:
+the host switches between phases about 1.45x apart. --against
+BENCH_<m>.json prints, per workload, seed and metric found in both files,
+each file's own ratio and their product, and flags each metric whose change
+is worse than its own parent by more than its BENCHMARK.json bound. It also
+prints the shift from the older file's change medians to this file's parent
+medians: when this file's parent ran the older change's src/, that shift is
+the host's. The exit status is 1 when a metric is flagged or a run failed a
+check.
+
+    python3 tools/bench.py --trajectory BENCH_*.json
+
+prints, per workload, seed and metric, the product of the files' ratios,
+which is the change over the whole chain of files in bench order, and names
+each file whose parent did not run the src/ of the file before's change; the
+exit status is 1 when a file breaks the chain. It runs no benchmark. A file
+records its parent's src/ digest; for a file that does not, it is taken from
+a `git archive` of the parent's head.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import statistics
@@ -156,9 +172,27 @@ def report(record: dict) -> list[str]:
     return lines
 
 
+def ratio(metric: dict) -> float:
+    """A metric's change/parent ratio of medians, measured in one host phase."""
+    return metric["change"]["median"] / metric["parent"]["median"]
+
+
+def parent_digest(record: dict) -> str:
+    """The src_digest of a BENCH record's parent side: the one it records, or
+    that of a `git archive` of its head for a file written before it did."""
+    side = record["parent"]
+    if "src_sha256" in side:
+        return side["src_sha256"]
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        return src_digest(export(side["head"], Path(tmp) / "parent"))
+
+
 def against(new: dict, old: dict) -> tuple[list[str], bool]:
-    """Lines comparing the change's medians of new with those of old, and
-    whether any metric is worse than in old by more than its bound."""
+    """Lines comparing, per workload, seed and metric found in both records,
+    each record's own change/parent ratio and their product, with the shift
+    from old's change median to new's parent median; and whether any
+    metric's change in new is worse than new's parent by more than its bound.
+    A host shift moves both sides of new alike, so it flags nothing."""
     lines, flagged = [], False
     for workload, seeds in new["workloads"].items():
         for seed, rec in seeds.items():
@@ -169,20 +203,47 @@ def against(new: dict, old: dict) -> tuple[list[str], bool]:
             for name, m in rec["metrics"].items():
                 if name not in base["metrics"]:
                     continue
-                a, b = base["metrics"][name]["change"]["median"], m["change"]["median"]
-                bad = worse_by(m, a, b) > m["bound"]
+                b = base["metrics"][name]
+                bad = worse_by(m, m["parent"]["median"], m["change"]["median"]) > m["bound"]
                 flagged |= bad
-                lines.append(f"{workload} seed {seed} {name}: {a:.4g} -> {b:.4g} "
-                             f"(ratio {b / a:.4f}, bound {m['bound']})"
+                shift = m["parent"]["median"] / b["change"]["median"]
+                lines.append(f"{workload} seed {seed} {name}: ratio {ratio(b):.4f} -> "
+                             f"{ratio(m):.4f} (product {ratio(b) * ratio(m):.4f}, "
+                             f"shift {shift:.4f}, bound {m['bound']})"
                              + ("  OUTSIDE ITS BOUND" if bad else ""))
     return lines, flagged
+
+
+def trajectory(files: list[tuple[str, dict]]) -> tuple[list[str], list[str]]:
+    """Lines giving, per workload, seed and metric, the product of the
+    (name, record) files' change/parent ratios, each file's factor, and the
+    files without that row; and the names of the files, taken in bench
+    order, whose parent's src digest is not the change's of the file before:
+    each breaks the chain."""
+    files = sorted(files, key=lambda f: f[1]["bench"])
+    broken = [name for (_, prev), (name, rec) in zip(files, files[1:])
+              if parent_digest(rec) != prev["change"]["src_sha256"]]
+    factors = {}
+    for file, rec in files:
+        for workload, seeds in rec["workloads"].items():
+            for seed, r in seeds.items():
+                for name, m in r["metrics"].items():
+                    factors.setdefault((workload, seed, name), {})[file] = ratio(m)
+    lines = [f"{name}: its parent is not the code of the change before it; the chain "
+             f"breaks here" for name in broken]
+    for (workload, seed, name), ratios in factors.items():
+        missing = [file for file, _ in files if file not in ratios]
+        lines.append(f"{workload} seed {seed} {name}: x{math.prod(ratios.values()):.4f} ("
+                     + ", ".join(f"{file} {r:.3f}" for file, r in ratios.items()) + ")"
+                     + (f"; not in {', '.join(missing)}" if missing else ""))
+    return lines, broken
 
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--bench", type=int, required=True, help="n of BENCH_<n>.json")
+    parser.add_argument("--bench", type=int, help="n of BENCH_<n>.json")
     parser.add_argument("--parent", help="the parent commit; omit to read BENCH_<n>.json")
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeat for several; default: every workload")
@@ -190,27 +251,37 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--against", type=Path, help="an older BENCH_<m>.json")
+    parser.add_argument("--trajectory", type=Path, nargs="+", metavar="BENCH",
+                        help="chain these BENCH_<n>.json files; runs no benchmark")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        files = [(p.name, json.loads(p.read_text(encoding="utf-8"))) for p in args.trajectory]
+        lines, broken = trajectory(files)
+        print("\n".join(lines))
+        return 1 if broken else 0
+    if args.bench is None:
+        parser.error("need --bench or --trajectory")
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("need --pairs >= 1 and --seconds > 0")
     path = ROOT / f"BENCH_{args.bench}.json"
     failed = False
 
     if args.parent:
-        sides = {
-            "parent": {"head": git("rev-parse", args.parent + "^{commit}"), "dirty": False},
-            "change": {"head": git("rev-parse", "HEAD"),
-                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-                       "src_sha256": src_digest(ROOT)},
-        }
-        record = {"bench": args.bench, "machine": None, **sides, "workloads": {}}
-        if path.exists():
-            record = json.loads(path.read_text(encoding="utf-8"))
-            if {k: record[k] for k in sides} != sides:
-                sys.exit(f"{path.name} holds other code; remove it or use another --bench")
         with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
             roots = {"parent": export(args.parent, Path(tmp) / "parent"),
                      "change": export_tree(Path(tmp) / "change")}
+            sides = {
+                "parent": {"head": git("rev-parse", args.parent + "^{commit}"), "dirty": False,
+                           "src_sha256": src_digest(roots["parent"])},
+                "change": {"head": git("rev-parse", "HEAD"),
+                           "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+                           "src_sha256": src_digest(ROOT)},
+            }
+            record = {"bench": args.bench, "machine": None, **sides, "workloads": {}}
+            if path.exists():
+                record = json.loads(path.read_text(encoding="utf-8"))
+                if {k: record[k] for k in sides} != sides:
+                    sys.exit(f"{path.name} holds other code; remove it or use another --bench")
             for workload in args.workload or names:
                 pairs = []
                 for k in range(args.pairs):
@@ -238,8 +309,12 @@ def main(argv=None) -> int:
             failed |= any(rec["failed"].values())
     print("\n".join(report(record)))
     if args.against:
-        lines, flagged = against(record, json.loads(args.against.read_text(encoding="utf-8")))
-        print(f"against {args.against.name}:")
+        older = json.loads(args.against.read_text(encoding="utf-8"))
+        shared = parent_digest(record) == older["change"]["src_sha256"]
+        print(f"against {args.against.name}: this file's parent "
+              + ("ran its change's src/, so each shift is the host's" if shared else
+                 "did not run its change's src/, so each shift mixes host and code"))
+        lines, flagged = against(record, older)
         print("\n".join(lines))
         failed |= flagged
     return 1 if failed else 0
